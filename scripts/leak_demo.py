@@ -92,13 +92,9 @@ def main() -> int:
     print(f"  equivalent on x6 across {pairs} start pairs")
 
     banner("correctness carries across the equivalence")
-    correct = load("compare_correct.spec")
-    enum = kernel.Enumeration(tuple(i.state0 for i in correct.instances))
-    post = kernel.per_state(
-        {i.state0: correct.post_property(0, i) for i in correct.instances},
-        "declared postcondition")
-    j = kernel.prove_ensures(machine.oracle(), enum, post,
-                             correct.frame(0), args.budget)
+    enum, post, frame = load("compare_correct.spec").unary_parts()
+    j = kernel.prove_ensures(machine.oracle(), enum, post, frame,
+                             args.budget)
     transferred = equiv.transfer_correctness(j, e)
     again = kernel.recheck(transferred)
     print(f"  transferred {transferred.form} over "

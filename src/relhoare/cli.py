@@ -186,19 +186,8 @@ def _cmd_check(args) -> int:
     return {"proven": 0, "refuted": 1, "unknown": 2}[verdict.outcome]
 
 
-def _unary_pieces(problem):
-    enum = kernel.Enumeration(tuple(i.state0 for i in problem.instances),
-                              description="spec instances")
-    post = kernel.per_state(
-        {i.state0: problem.post_property(0, i) for i in problem.instances},
-        "declared postcondition")
-    frame = problem.frame(0) or kernel.FrameFn(lambda s, t: True,
-                                               description="anything")
-    return enum, post, frame
-
-
 def _check_unary(problem):
-    enum, post, frame = _unary_pieces(problem)
+    enum, post, frame = problem.unary_parts()
     v = kernel.check_ensures(machine.oracle(), enum, post, frame,
                              budget=problem.spec.budget)
     return v, [f"form: reaches the postcondition within "
@@ -206,7 +195,7 @@ def _check_unary(problem):
 
 
 def _check_unary_n(problem):
-    enum, post, frame = _unary_pieces(problem)
+    enum, post, frame = problem.unary_parts()
     v = kernel.check_ensures_n(machine.oracle(), enum,
                                problem.steps("f0", 0), post, frame)
     extra = []
@@ -217,30 +206,13 @@ def _check_unary_n(problem):
 
 
 def _check_relational(problem):
-    pairs = tuple((i.state0, i.state1) for i in problem.instances)
     pre2 = kernel.PairProperty(lambda a, b: True, "instance-paired inputs")
-    enum = kernel.PairEnumeration(
-        pairs, pre2, tuple(i.state0 for i in problem.instances),
-        tuple(i.state1 for i in problem.instances), "instance pairs")
-
-    def pair_post(inst):
-        qa = problem.post_property(0, inst)
-        qb = problem.post_property(1, inst)
-        return kernel.PairProperty(
-            lambda a, b: qa.holds(a) and qb.holds(b),
-            f"({qa.description}) and ({qb.description})")
-
-    post2 = kernel.per_state(
-        {(i.state0, i.state1): pair_post(i) for i in problem.instances},
-        "both sides' postconditions")
-    f0 = problem.frame(0) or kernel.FrameFn(lambda s, t: True,
-                                            description="anything")
-    f1 = problem.frame(1) or kernel.FrameFn(lambda s, t: True,
-                                            description="anything")
-    v = kernel.check_ensures2(machine.oracle(), enum,
-                              problem.steps("f0", 0),
-                              problem.steps("f1", 1), post2,
-                              kernel.product_frame(f0, f1))
+    enum, post2, frame2, steps0, steps1 = problem.pair_parts(
+        pre2, "instance pairs",
+        post_description="both sides' postconditions",
+        describe=lambda qa, qb: f"({qa.description}) and ({qb.description})")
+    v = kernel.check_ensures2(machine.oracle(), enum, steps0, steps1, post2,
+                              frame2)
     return v, []
 
 
@@ -273,10 +245,6 @@ def _check_equiv(problem):
 
 def _check_promote(problem):
     spec = problem.spec
-    for key in ("x0", "xw", "n"):
-        if key not in spec.promote:
-            raise specfile.SpecError(
-                f"promote checks need {key} in the [check] section")
     counts = []
     for inst in problem.instances:
         env = specfile._Env(dict(inst.env))
@@ -318,12 +286,6 @@ def _summarize_counts(steps: tuple) -> str:
 # ---------------------------------------------------------------------------
 # counterexample reporting
 
-def _side_attr(kind: str, side: int) -> str:
-    if kind in ("relational", "equiv") and side == 1:
-        return "state1"
-    return "state0"
-
-
 def _find_instance(problem, state, attr: str):
     for inst in problem.instances:
         if getattr(inst, attr) == state:
@@ -337,7 +299,6 @@ def _print_counterexample(problem, spec_path: Path, ce) -> None:
     print(f"reason: {ce.reason}")
     if ce.detail:
         print(f"detail: {ce.detail}")
-    kind = problem.spec.kind
     if ce.sides == 1:
         print(f"initial: {ce.initial}")
         print(f"choices: {list(ce.choices)}")
@@ -358,13 +319,13 @@ def _print_counterexample(problem, spec_path: Path, ce) -> None:
                   f"{machine.format_projected(machine.project_trace(t0))}")
             print(f"  right: "
                   f"{machine.format_projected(machine.project_trace(t1))}")
-    script = _replay_script(problem, spec_path, ce, kind)
+    script = _replay_script(problem, spec_path, ce)
     if script:
         print("replay script:")
         print(script)
 
 
-def _replay_script(problem, spec_path: Path, ce, kind: str):
+def _replay_script(problem, spec_path: Path, ce):
     lines = [
         "python3 - <<'RELHOARE_REPLAY'",
         "from pathlib import Path",
@@ -385,14 +346,14 @@ def _replay_script(problem, spec_path: Path, ce, kind: str):
         ]
     else:
         a, b = ce.initial
-        i = _find_instance(problem, a, _side_attr(kind, 0))
-        j = _find_instance(problem, b, _side_attr(kind, 1))
+        right = f"state{problem.right}"
+        i = _find_instance(problem, a, "state0")
+        j = _find_instance(problem, b, right)
         if i is None or j is None:
             return None
-        attr0, attr1 = _side_attr(kind, 0), _side_attr(kind, 1)
         lines += [
-            f"a = prob.instances[{i}].{attr0}",
-            f"b = prob.instances[{j}].{attr1}",
+            f"a = prob.instances[{i}].state0",
+            f"b = prob.instances[{j}].{right}",
             f"final0, final1 = a, b",
             f"for final0 in kernel.replay(machine.oracle(), a, "
             f"{tuple(ce.choices[0])!r}):",

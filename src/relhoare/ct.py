@@ -137,37 +137,18 @@ def check_ct_relational(problem: specfile.Problem,
     side). A Refuted verdict carries both diverging traces."""
     sys = sys or machine.oracle()
     part = partition_of(problem)
-    states = tuple(i.state0 for i in problem.instances)
-    posts = {i.state0: problem.post_property(0, i)
-             for i in problem.instances}
+    states = problem.states(0)
     keys = [part.project_public(s) for s in states]
-
-    pairs = []
-    for i, a in enumerate(states):
-        for j, b in enumerate(states):
-            if keys[i] == keys[j]:
-                pairs.append((a, b))
-    pre2 = kernel.PairProperty(
-        lambda a, b: part.equal_public(a, b),
-        "equal public labels")
-    enum = kernel.PairEnumeration(tuple(pairs), pre2, states, states,
-                                  "public-equal pairs")
-
-    def pair_post(pair):
-        qa, qb = posts[pair[0]], posts[pair[1]]
-        return kernel.PairProperty(
-            lambda a, b: a.events == b.events and qa.holds(a) and qb.holds(b),
-            f"equal traces and ({qa.description}) on both sides")
-
-    post2 = kernel.per_state({p: pair_post(p) for p in pairs},
-                             "equal traces and the declared postcondition")
-    frame = problem.frame(0) or kernel.FrameFn(lambda s, t: True,
-                                               description="anything")
-    frame2 = kernel.product_frame(frame, frame)
-    steps = problem.steps("f0", 0)
-    steps1 = problem.steps("f1", 0) if "f1" in problem.spec.steps else steps
-
-    verdict = kernel.check_ensures2(sys, enum, steps, steps1, post2, frame2)
+    pairs = tuple((a, b) for i, a in enumerate(states)
+                  for j, b in enumerate(states) if keys[i] == keys[j])
+    pre2 = kernel.PairProperty(part.equal_public, "equal public labels")
+    enum, post2, frame2, steps0, steps1 = problem.pair_parts(
+        pre2, "public-equal pairs",
+        post_description="equal traces and the declared postcondition",
+        pairs=pairs, rel=lambda a, b: a.events == b.events,
+        describe=lambda qa, qb: (f"equal traces and ({qa.description}) "
+                                 f"on both sides"))
+    verdict = kernel.check_ensures2(sys, enum, steps0, steps1, post2, frame2)
     return _with_traces(verdict)
 
 
@@ -182,8 +163,6 @@ def _with_traces(verdict: kernel.Verdict) -> kernel.Verdict:
 
 def _unary_parts(problem: specfile.Problem):
     partition_of(problem)  # validates the declaration
-    states = tuple(i.state0 for i in problem.instances)
-    enum = kernel.Enumeration(states, description="spec instances")
 
     def inst_post(inst):
         expected = project_trace(inst.state0.events) \
@@ -197,11 +176,8 @@ def _unary_parts(problem: specfile.Problem):
                                  f"trace is the {len(expected)}-event "
                                  f"witness and ({q.description})")
 
-    post = kernel.per_state(
-        {i.state0: inst_post(i) for i in problem.instances},
-        "witness trace and the declared postcondition")
-    frame = problem.frame(0) or kernel.FrameFn(lambda s, t: True,
-                                               description="anything")
+    enum, post, frame = problem.unary_parts(
+        inst_post, "witness trace and the declared postcondition")
     return enum, problem.steps("f0", 0), post, frame
 
 

@@ -119,35 +119,14 @@ def check_equiv(problem: specfile.Problem,
     ein = _rel_from_spec(spec, problem, "equiv_in")
     eout = _rel_from_spec(spec, problem, "equiv_out")
 
-    lefts = tuple(i.state0 for i in problem.instances)
-    rights = tuple(i.state1 for i in problem.instances)
-    post0 = {i.state0: problem.post_property(0, i)
-             for i in problem.instances}
-    post1 = {i.state1: problem.post_property(1, i)
-             for i in problem.instances}
-
+    lefts, rights = problem.states(0), problem.states(1)
     pairs = tuple((a, b) for a in lefts for b in rights
                   if ein.related(a, b))
     pre2 = kernel.PairProperty(ein.related, ein.description)
-    enum = kernel.PairEnumeration(pairs, pre2, lefts, rights,
-                                  "equiv_in-related pairs")
-
-    def pair_post(pair):
-        qa, qb = post0[pair[0]], post1[pair[1]]
-        return kernel.PairProperty(
-            lambda a, b: eout.related(a, b) and qa.holds(a) and qb.holds(b),
-            f"{eout.description} and both sides' postconditions")
-
-    post2 = kernel.per_state({p: pair_post(p) for p in pairs},
-                             f"{eout.description} and both sides' "
-                             f"postconditions")
-    f0 = problem.frame(0) or kernel.FrameFn(lambda s, t: True,
-                                            description="anything")
-    f1 = problem.frame(1) or kernel.FrameFn(lambda s, t: True,
-                                            description="anything")
-    frame2 = kernel.product_frame(f0, f1)
-    steps0 = problem.steps("f0", 0)
-    steps1 = problem.steps("f1", 1)
+    enum, post2, frame2, steps0, steps1 = problem.pair_parts(
+        pre2, "equiv_in-related pairs",
+        post_description=f"{eout.description} and both sides' postconditions",
+        pairs=pairs, rel=eout.related)
 
     try:
         j = kernel.prove_ensures2(sys, enum, steps0, steps1, post2, frame2)

@@ -67,10 +67,6 @@ def finsys(n_states: int, edges: Iterable) -> FinSys:
     return FinSys(n_states, frozenset((int(a), int(b)) for a, b in edges))
 
 
-def as_oracle(g: FinSys) -> kernel.StepOracle:
-    return g.oracle()
-
-
 def _mask(states: Iterable[int]) -> int:
     m = 0
     for s in states:

@@ -171,6 +171,9 @@ def prop(fn: Callable[[Any], bool], description: str = "",
 
 TRUE = PropertyFn(lambda s: True, "true")
 
+# the frame of a check that declares none: any later state is allowed
+ANYTHING = FrameFn(lambda s, t: True, description="anything")
+
 
 def prop_and(p: PropertyFn, q: PropertyFn) -> PropertyFn:
     reads = None
@@ -178,14 +181,6 @@ def prop_and(p: PropertyFn, q: PropertyFn) -> PropertyFn:
         reads = p.labels_read | q.labels_read
     return PropertyFn(lambda s: p.holds(s) and q.holds(s),
                       f"({p.description} and {q.description})", reads)
-
-
-def prop_or(p: PropertyFn, q: PropertyFn) -> PropertyFn:
-    reads = None
-    if p.labels_read is not None and q.labels_read is not None:
-        reads = p.labels_read | q.labels_read
-    return PropertyFn(lambda s: p.holds(s) or q.holds(s),
-                      f"({p.description} or {q.description})", reads)
 
 
 def pair_and(p: PairProperty, q: PairProperty) -> PairProperty:
@@ -330,8 +325,8 @@ AUTO_BUDGET = 4096
 
 @dataclass(frozen=True)
 class StepFn:
-    """Step-count description: a constant, a per-state table, a callable
-    of the initial state, or automatic resolution by simulation.
+    """Step-count description: a constant, a per-state table, or
+    automatic resolution by simulation.
 
     Automatic resolution scans forward one frontier at a time and settles
     on the first depth at which every frontier state satisfies the target
@@ -339,7 +334,7 @@ class StepFn:
     some branch dies while others continue the counts disagree and the
     resolution fails."""
 
-    kind: str  # "const" | "table" | "func" | "auto"
+    kind: str  # "const" | "table" | "auto"
     value: Any = None
     description: str = ""
 
@@ -349,11 +344,7 @@ class StepFn:
 
     @staticmethod
     def table(mapping: Mapping, description: str = "per-state table") -> "StepFn":
-        return StepFn("table", tuple(mapping.items()), description)
-
-    @staticmethod
-    def func(fn: Callable[[Any], int], description: str = "f(s)") -> "StepFn":
-        return StepFn("func", fn, description)
+        return StepFn("table", dict(mapping), description)
 
     @staticmethod
     def auto(budget: int = AUTO_BUDGET) -> "StepFn":
@@ -363,12 +354,10 @@ class StepFn:
         if self.kind == "const":
             return int(self.value)
         if self.kind == "table":
-            for key, n in self.value:
-                if key == s:
-                    return int(n)
-            raise StepFnUnresolvable("state missing from step table")
-        if self.kind == "func":
-            return int(self.value(s))
+            try:
+                return int(self.value[s])
+            except KeyError:
+                raise StepFnUnresolvable("state missing from step table")
         return _auto_steps(sys, s, target, int(self.value))
 
 
@@ -1076,7 +1065,7 @@ def recheck(j: Judgment) -> Verdict:
 
 
 def _steps_table(states, steps) -> StepFn:
-    return StepFn.func(dict(zip(states, steps)).__getitem__, "recorded")
+    return StepFn.table(dict(zip(states, steps)), "recorded")
 
 
 # ---------------------------------------------------------------------------

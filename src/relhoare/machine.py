@@ -105,10 +105,6 @@ def mem_range(lo: int, hi: int) -> frozenset[Label]:
     return frozenset(mem_label(a) for a in range(lo, hi))
 
 
-ALL_REGS = frozenset(reg_label(i) for i in range(16))
-ALL_FLAGS = frozenset((FLAG_N, FLAG_Z))
-
-
 def format_labels(labels: Iterable[Label]) -> str:
     return "{" + ", ".join(str(l) for l in sorted(labels)) + "}"
 

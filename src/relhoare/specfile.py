@@ -34,6 +34,11 @@ applied as assignments to construct the enumerated states; every line is
 then verified on the constructed state. Enumeration is the product of
 all scalar and cell domains and is refused above a configurable cap —
 an oversized domain is an error, never a silent sample.
+
+`Problem` also builds each check kind's kernel inputs: `unary_parts` for
+one-run checks and `pair_parts` for two-run checks. An undeclared frame
+allows anything; an undeclared `f1` is `f0` for ct_relational (both runs
+are of [program0]) and `auto` for the two-program kinds.
 """
 
 from __future__ import annotations
@@ -79,6 +84,10 @@ DEFAULT_ENUM_CAP = 1 << 16
 
 KINDS = ("unary", "unary_n", "relational", "ct_relational", "ct_unary",
          "equiv", "promote")
+
+# kinds whose pairs run [program1] on the right; ct_relational pairs two
+# runs of [program0]
+TWO_PROGRAM_KINDS = ("relational", "equiv")
 
 _SECTIONS = ("check", "program0", "program1", "params", "pre", "pre0",
              "pre1", "post", "post0", "post1", "frame", "frame0", "frame1",
@@ -615,6 +624,11 @@ def _walk_exprs(node):
 def _validate(spec: CheckSpec) -> None:
     if not spec.kind:
         raise SpecSyntaxError("missing [check] kind", 0)
+    if spec.kind == "promote":
+        for key in ("x0", "xw", "n"):
+            if key not in spec.promote:
+                raise SpecError(
+                    f"promote checks need {key} in the [check] section")
     declared = {p.name for p in spec.scalars}
     dupes = len(spec.scalars) != len(declared)
     if dupes:
@@ -873,13 +887,77 @@ class Problem:
                 out.update(machine.mem_range(lo, hi))
         return frozenset(out)
 
-    def frame(self, side) -> Optional[kernel.FrameFn]:
+    @property
+    def right(self) -> int:
+        """The side a pair's right run starts from: 1 for two-program
+        kinds, 0 when both runs start from [program0]."""
+        return 1 if self.spec.kind in TWO_PROGRAM_KINDS else 0
+
+    def states(self, side) -> tuple:
+        return tuple(i.state1 if side else i.state0 for i in self.instances)
+
+    def frame(self, side) -> kernel.FrameFn:
         items = self.spec.frames.get(side)
         if items is None and side is not None:
             items = self.spec.frames.get(None)
         if items is None:
-            return None
+            return kernel.ANYTHING
         return machine.maychange(self.resolve_labels(items))
+
+    def unary_parts(self, post_of: Optional[Callable] = None,
+                    description: str = "declared postcondition") -> tuple:
+        """(Enumeration, per-state postcondition, frame) of a one-run
+        check over the side-0 states. post_of maps an instance to its
+        postcondition, the declared one by default."""
+        post_of = post_of or (lambda inst: self.post_property(0, inst))
+        enum = kernel.Enumeration(self.states(0),
+                                  description="spec instances")
+        post = kernel.per_state(
+            {i.state0: post_of(i) for i in self.instances}, description)
+        return enum, post, self.frame(0)
+
+    def pair_parts(self, pre2: kernel.PairProperty, description: str,
+                   post_description: str, pairs: Optional[tuple] = None,
+                   rel: Callable = lambda a, b: True,
+                   describe: Optional[Callable] = None) -> tuple:
+        """(PairEnumeration, per-pair postcondition, product frame, left
+        steps, right steps) of a two-run check. A pair's postcondition
+        is rel and then each side's declared postcondition, named by
+        describe(q0, q1) or else post_description. With no pairs given,
+        each instance's own two start states form a pair, checked
+        against that instance's postconditions; given pairs take each
+        side's postcondition from the instance of its start state."""
+        right = self.right
+        if pairs is None:
+            pairs = tuple(zip(self.states(0), self.states(right)))
+            table = {(a, b): (self.post_property(0, i),
+                              self.post_property(right, i))
+                     for i, (a, b) in zip(self.instances, pairs)}
+            posts = table.__getitem__
+        else:
+            post0 = {i.state0: self.post_property(0, i)
+                     for i in self.instances}
+            post1 = post0 if not right else {
+                i.state1: self.post_property(1, i) for i in self.instances}
+            posts = lambda p: (post0[p[0]], post1[p[1]])
+        describe = describe or (lambda qa, qb: post_description)
+        enum = kernel.PairEnumeration(pairs, pre2, self.states(0),
+                                      self.states(right), description)
+
+        def pair_post(p):
+            qa, qb = posts(p)
+            return kernel.PairProperty(
+                lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
+                describe(qa, qb))
+
+        post2 = kernel.per_state({p: pair_post(p) for p in pairs},
+                                 post_description)
+        frame2 = kernel.product_frame(self.frame(0), self.frame(right))
+        steps0 = self.steps("f0", 0)
+        # a CT check with no f1 runs both sides by f0
+        steps1 = (self.steps("f1", right)
+                  if right or "f1" in self.spec.steps else steps0)
+        return enum, post2, frame2, steps0, steps1
 
     def post_property(self, side, inst: Instance) -> kernel.PropertyFn:
         constraints = self._conditions(self.spec.post, side)
@@ -931,7 +1009,7 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
         bases[side] = ref.base
     if programs[0] is None:
         raise SpecSyntaxError("spec names no [program0]")
-    two_sided = spec.kind in ("relational", "equiv")
+    two_sided = spec.kind in TWO_PROGRAM_KINDS
     if two_sided and programs[1] is None:
         raise SpecSyntaxError(f"kind {spec.kind} needs [program1]")
 

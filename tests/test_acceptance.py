@@ -73,7 +73,7 @@ def test_criterion_03_product_graph_misses_what_split_counts_prove():
     start = finsys.pair_index(g, 0, 0)
     assert start not in finsys.exact_eventually_set(product, {q_pair})
     v = kernel.check_ensures2(
-        finsys.as_oracle(g), PairEnumeration(((0, 0),)),
+        g.oracle(), PairEnumeration(((0, 0),)),
         (0,), (1,),
         PairProperty(lambda a, b: (a, b) == (0, 1), "at (0, 1)"), ANY2)
     assert v.is_proven
@@ -157,14 +157,14 @@ def test_criterion_07_forking_multiply_two_successors_exact_steps():
 # 8. ----------------------------------------------------------------------
 
 def test_criterion_08_step_synthesis_needs_determinism():
-    chain = finsys.as_oracle(finsys.finsys(3, {(0, 1), (1, 2)}))
+    chain = finsys.finsys(3, {(0, 1), (1, 2)}).oracle()
     at2 = prop(lambda s: s == 2, "at 2")
     j = kernel.prove_ensures(chain, Enumeration((0, 1)), at2, ANY, budget=8)
     jn = kernel.convert(j, "synthesize_steps")
     assert jn.form == "ensures_n"
     assert kernel.recheck(jn).is_proven
 
-    forked = finsys.as_oracle(finsys.finsys(4, {(0, 1), (0, 2), (2, 3)}))
+    forked = finsys.finsys(4, {(0, 1), (0, 2), (2, 3)}).oracle()
     ends = prop(lambda s: s in (1, 3), "at 1 or 3")
     j2 = kernel.prove_ensures(forked, Enumeration((0,)), ends, ANY, budget=8)
     with pytest.raises(kernel.NotDeterministic):

@@ -2,13 +2,16 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from relhoare import asm
 from relhoare.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_main(capsys, *argv):
@@ -88,6 +91,108 @@ def test_replay_of_a_refutation_reaches_the_same_witness(tmp_path):
     last_right = [l for l in finals if l.startswith("right")][-1]
     assert witness_left in last_left
     assert witness_right in last_right
+
+
+# ---------------------------------------------------------------------------
+# golden check outputs, one per spec kind and verdict
+
+_PAIR_SPEC = """
+[check]
+kind = relational
+budget = 8
+
+[program0]
+file = add.masm
+base = 0x1000
+
+[program1]
+file = {right}
+base = 0x2000
+
+[params]
+a in 0..2
+b in 0..1
+
+[pre]
+x0 = a
+x1 = b
+
+[post0]
+terminated(base0 + 4) and x2 = a + b
+
+[post1]
+terminated(base1 + 4) and x2 = a + b
+
+[frame]
+maychange = pc, x2, events
+
+[steps]
+f0 = 1
+"""
+
+# specs written next to _PROGRAMS; corpus specs are checked in place
+_TMP_SPECS = {
+    "relational_proven.spec": _PAIR_SPEC.format(right="swapped.masm"),
+    "relational_refuted.spec": _PAIR_SPEC.format(right="sub.masm"),
+    # the right start state leaves out b, which its postcondition names
+    "relational_own_params.spec": (
+        "[check]\nkind = relational\nbudget = 8\n\n"
+        "[program0]\nfile = add.masm\nbase = 0x1000\n\n"
+        "[program1]\nfile = inc.masm\nbase = 0x2000\n\n"
+        "[params]\na in 0..2\nb in 0..1\n\n"
+        "[pre0]\nx0 = a\nx1 = b\n\n"
+        "[pre1]\nx0 = a\n\n"
+        "[post]\nx2 = a + b\n\n"
+        "[frame]\nmaychange = pc, x2, events\n\n"
+        "[steps]\nf0 = 1\nf1 = 1\n"),
+    "unary_n_refuted.spec": (
+        "[check]\nkind = unary_n\nbudget = 32\n\n"
+        "[program0]\nfile = count.masm\nbase = 0x1000\n\n"
+        "[params]\na in 0..2\n\n"
+        "[pre]\nx0 = a\n\n"
+        "[post]\nterminated(base0 + 12) and x0 = 3\n\n"
+        "[frame]\nmaychange = pc, x0, flag_n, flag_z, events\n\n"
+        "[steps]\nf0 = 3\n"),
+    "unary_budget_exhausted.spec": (
+        "[check]\nkind = unary\nbudget = 1\n\n"
+        "[program0]\nfile = count.masm\nbase = 0x1000\n\n"
+        "[pre]\nx0 = 1\n\n"
+        "[post]\npc = base0 + 4\nx0 = 3\n\n"
+        "[frame]\nmaychange = pc, x0, flag_n, flag_z, events\n"),
+}
+
+_PROGRAMS = {
+    "add.masm": "    add   x2, x0, x1\n    halt\n",
+    "swapped.masm": "    add   x2, x1, x0\n    halt\n",
+    "sub.masm": "    sub   x2, x0, x1\n    halt\n",
+    "inc.masm": "    addi  x2, x0, #1\n    halt\n",
+    "count.masm": (CORPUS / "count_to_three.masm").read_text(),
+}
+
+
+def _spec_path(name, tmp_path):
+    if name not in _TMP_SPECS:
+        return CORPUS / name
+    for program, text in _PROGRAMS.items():
+        (tmp_path / program).write_text(text)
+    path = tmp_path / name
+    path.write_text(_TMP_SPECS[name])
+    return path
+
+
+def _golden_run(capsys, name, tmp_path):
+    """Exit code and stdout of `check` on a spec, with the paths that
+    vary between checkouts and runs replaced by <root> and <tmp>."""
+    code, out, _ = run_main(capsys, "check", str(_spec_path(name, tmp_path)))
+    out = out.replace(str(tmp_path), "<tmp>").replace(str(ROOT), "<root>")
+    return f"exit: {code}\n{out}"
+
+
+@pytest.mark.parametrize("name", sorted(
+    [p.name for p in CORPUS.glob("*.spec")] + list(_TMP_SPECS)))
+def test_check_output_matches_golden(capsys, tmp_path, name):
+    expected = (GOLDEN / name).with_suffix(".txt").read_text()
+    assert _golden_run(capsys, name, tmp_path) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ def test_steps_auto_resolves_by_simulation():
     assert v.is_proven and v.stats["steps"] == (3,)
 
 
+def test_steps_table_rejects_a_state_it_does_not_list():
+    steps = StepFn.table({0: 2, 1: 1})
+    sys = sys_of((0, 1), (1, 2))
+    assert steps.resolve(sys, 1) == 1
+    with pytest.raises(kernel.StepFnUnresolvable):
+        steps.resolve(sys, 2)
+
+
 def test_check_ensures2_allows_different_step_counts():
     # right side takes one step while the left stands still
     sys = sys_of((0, 1))

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from relhoare import machine, specfile
+from relhoare import kernel, machine, specfile
 from relhoare.specfile import (
     DomainTooLarge, SpecEvalError, SpecSyntaxError, UndeclaredParam,
     UnknownSection, build_problem, parse_spec,
@@ -82,6 +82,18 @@ def test_undeclared_param_reports_line():
     with pytest.raises(UndeclaredParam) as e:
         parse_spec(text)
     assert e.value.line == 8
+
+
+@pytest.mark.parametrize("missing", ["x0", "xw", "n"])
+def test_promote_without_a_required_key_is_refused_at_parse(missing):
+    keys = {"x0": "base0", "xw": "base0 + 4", "n": "1"}
+    del keys[missing]
+    text = "[check]\nkind = promote\n" + "".join(
+        f"{k} = {v}\n" for k, v in keys.items())
+    with pytest.raises(specfile.SpecError,
+                       match=f"promote checks need {missing} in the "
+                             r"\[check\] section"):
+        parse_spec(text)
 
 
 def test_syntax_error_on_bad_range():
@@ -304,6 +316,48 @@ def test_frames_with_mem_ranges(tmp_path):
     assert machine.mem_label(32) in frame.intensional_form
     assert machine.mem_label(33) in frame.intensional_form
     assert machine.mem_label(34) not in frame.intensional_form
+
+
+def test_undeclared_frame_allows_anything(tmp_path):
+    path = tiny_spec(tmp_path, BASIC.split("[frame]")[0])
+    problem = build_problem(parse_spec(path.read_text()), tmp_path)
+    assert problem.frame(0) is kernel.ANYTHING
+
+
+@pytest.mark.parametrize("kind, right, same_steps", [
+    ("ct_relational", 0, True), ("relational", 1, False)])
+def test_pair_parts_pick_the_right_side_and_its_steps(
+        tmp_path, kind, right, same_steps):
+    path = tiny_spec(tmp_path, f"""
+        [check]
+        kind = {kind}
+
+        [program0]
+        file = prog.masm
+
+        [program1]
+        file = prog.masm
+        base = 0x2000
+
+        [params]
+        a in 0..1
+
+        [pre]
+        x1 = a
+
+        [steps]
+        f0 = a + 1
+    """)
+    problem = build_problem(parse_spec(path.read_text()), tmp_path)
+    assert problem.right == right
+    pairs = tuple(zip(problem.states(0), problem.states(right)))
+    enum, post2, frame2, steps0, steps1 = problem.pair_parts(
+        kernel.PairProperty(lambda a, b: True), "pairs",
+        post_description="both", pairs=pairs)
+    assert enum.domain1 == problem.states(right)
+    assert frame2.product_of == (kernel.ANYTHING, kernel.ANYTHING)
+    assert (steps1 is steps0) == same_steps
+    assert post2.at(pairs[0]).description == "both"
 
 
 def test_steps_expressions_resolve_per_instance(tmp_path):
