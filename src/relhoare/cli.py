@@ -24,13 +24,6 @@ from pathlib import Path
 from . import asm, ct, equiv, finsys, kernel, machine, specfile
 
 
-def _enum_cap(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("RELHOARE_ENUM_CAP")
-    return int(env, 0) if env else specfile.DEFAULT_ENUM_CAP
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -166,9 +159,18 @@ def _cmd_selftest(args) -> int:
 # check dispatch
 
 def _cmd_check(args) -> int:
+    cap = args.enum_cap
+    if cap is None:
+        env = os.environ.get("RELHOARE_ENUM_CAP")
+        try:
+            cap = int(env, 0) if env else specfile.DEFAULT_ENUM_CAP
+        except ValueError:
+            # a usage error, like a malformed --enum-cap
+            print(f"error: RELHOARE_ENUM_CAP wants an integer, got {env!r}",
+                  file=sys.stderr)
+            return 64
     spec = specfile.parse_spec(args.spec.read_text())
-    problem = specfile.build_problem(spec, args.spec.parent,
-                                     cap=_enum_cap(args.enum_cap))
+    problem = specfile.build_problem(spec, args.spec.parent, cap=cap)
     handler = _CHECKERS[spec.kind]
     verdict, extra = handler(problem)
     outcome = verdict.outcome.capitalize()

@@ -358,36 +358,16 @@ class StepFn:
                 return int(self.value[s])
             except KeyError:
                 raise StepFnUnresolvable("state missing from step table")
-        return _auto_steps(sys, s, target, int(self.value))
+        return _explore(sys, s, self, target)[0]
 
 
-def _auto_steps(sys: StepOracle, s, target: Optional[Callable], budget: int) -> int:
-    """First depth at which the whole frontier satisfies the target, or is
-    stuck when no target is given."""
-    frontier = [s]
-    for k in range(budget + 1):
-        if target is not None:
-            if all(target(x) for x in frontier):
-                return k
-            if any(not sys.successors(x) for x in frontier):
-                raise StepFnUnresolvable(
-                    "branches disagree on the first step count satisfying "
-                    "the target")
-        else:
-            stuck = [not sys.successors(x) for x in frontier]
-            if all(stuck):
-                return k
-            if any(stuck):
-                raise StepFnUnresolvable(
-                    "branches disagree on the termination step count")
-        nxt, seen = [], set()
-        for x in frontier:
-            for t in sys.successors(x):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    raise StepFnUnresolvable(f"no resolution within {budget} steps")
+def _rule(steps, i: int, sys: StepOracle, s):
+    """What `_explore` needs for the i-th start state s: the exact depth
+    that a tuple (aligned with the enumeration) or a constant or table
+    StepFn gives it, or an automatic StepFn, which it resolves itself."""
+    if isinstance(steps, tuple):
+        return steps[i]
+    return steps if steps.kind == "auto" else steps.resolve(sys, s)
 
 
 # ---------------------------------------------------------------------------
@@ -471,61 +451,72 @@ def replay(sys: StepOracle, initial, choices: Sequence[int]) -> list:
 # ---------------------------------------------------------------------------
 # core searches
 
-def _walk_levels(sys: StepOracle, s, n: int):
-    """Deduplicated frontiers at exact depths 0..n with parent pointers
-    for path reconstruction."""
-    levels = [[s]]
-    parent = {(0, s): None}
-    for k in range(n):
-        nxt, seen = [], set()
-        for st in levels[k]:
-            for i, t in enumerate(sys.successors(st)):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-                    parent[(k + 1, t)] = (st, i)
-        levels.append(nxt)
-        if not nxt:
-            break
-    return levels, parent
+_NO_COMMON_STOP = "branches disagree on the termination step count"
 
 
-def _path_to(parent, depth: int, state) -> tuple:
-    choices = []
-    cur = (depth, state)
-    while parent[cur] is not None:
-        prev, i = parent[cur]
-        choices.append(i)
-        cur = (cur[0] - 1, prev)
-    return tuple(reversed(choices))
+def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
+    """The kernel's one walk: the deduplicated frontiers from s, calling
+    successors once per frontier state.
+
+    n_or_auto is an exact depth or an automatic StepFn, resolved here to
+    the first depth at which the whole frontier satisfies target (with no
+    target: is stuck); a branch dying first, or the budget running out,
+    raises StepFnUnresolvable. Returns (n, finals, fail): the depth, the
+    depth-n frontier and the first failure at an exact depth, as
+    (reason, depth, state) with reason "stuck" (no successors before
+    depth n) or "post" (fails target at depth n), or None."""
+    auto = isinstance(n_or_auto, StepFn)
+    depth = int(n_or_auto.value) if auto else n_or_auto
+    if not auto and depth < 0:
+        raise StepFnUnresolvable(f"step count {depth} is negative")
+    frontier = [s]
+    for k in range(depth + 1):
+        if auto and target is not None and all(target(x) for x in frontier):
+            return k, tuple(frontier), None
+        if not auto and k == depth:
+            for x in frontier:
+                if target is not None and not target(x):
+                    return depth, (), ("post", depth, x)
+            return depth, tuple(frontier), None
+        succs = [sys.successors(x) for x in frontier]
+        stuck = [x for x, ss in zip(frontier, succs) if not ss]
+        if stuck:
+            if not auto:
+                return depth, (), ("stuck", k, stuck[0])
+            if target is None and len(stuck) == len(frontier):
+                return k, tuple(frontier), None
+            raise StepFnUnresolvable(
+                _NO_COMMON_STOP if target is None else
+                "branches disagree on the first step count satisfying "
+                "the target")
+        frontier = list(dict.fromkeys(t for ss in succs for t in ss))
+    raise StepFnUnresolvable(f"no resolution within {depth} steps")
 
 
-def _evn_report(sys: StepOracle, s, n: int, q: Callable):
-    """Exact-count check: (ok, finals, fail). Computes the recursive
-    definition (n=0: q holds; n>0: successors exist and all satisfy it at
-    n-1) by walking deduplicated frontiers. fail is (reason, choices,
-    witness) with reason "stuck" or "post"."""
-    levels, parent = _walk_levels(sys, s, n)
-    for k in range(n):
-        if k >= len(levels) - 1 and not levels[-1]:
-            break
-        for st in levels[k]:
-            if not sys.successors(st):
-                return False, (), ("stuck", _path_to(parent, k, st), st)
-    if len(levels) <= n:
-        # frontier died out; the stuck check above must have fired
-        raise AssertionError("frontier vanished without a stuck state")
-    for st in levels[n]:
-        if not q(st):
-            return False, (), ("post", _path_to(parent, n, st), st)
-    return True, tuple(levels[n]), None
+def _choices(sys: StepOracle, s, depth: int, state) -> tuple:
+    """Successor indices along the path to state at depth that the walk
+    of `_explore` finds first, rebuilt by one walk with parent pointers."""
+    frontier, parents = [s], []
+    for _ in range(depth):
+        parent: dict = {}
+        for x in frontier:
+            for i, t in enumerate(sys.successors(x)):
+                if t not in parent:
+                    parent[t] = (x, i)
+        parents.append(parent)
+        frontier = list(parent)
+    path = []
+    for parent in reversed(parents):
+        state, i = parent[state]
+        path.append(i)
+    return tuple(reversed(path))
 
 
 def eventually_n_holds(sys: StepOracle, s, n: int, q: PropertyFn) -> bool:
     """Does every execution from s satisfy q at exactly n steps, with no
     branch dying earlier? Exact, never Unknown."""
-    ok, _, _ = _evn_report(sys, s, n, q.holds if isinstance(q, PropertyFn) else q)
-    return ok
+    target = q.holds if isinstance(q, PropertyFn) else q
+    return _explore(sys, s, n, target)[2] is None
 
 
 def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool):
@@ -748,25 +739,24 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
 
 def check_ensures_n(sys: StepOracle, enum: Enumeration, steps: StepFn, post,
                     frame) -> Verdict:
-    """Exact-count check. Resolves the step function per start state
-    first, then requires the post and frame on the whole depth-n frontier
-    with no earlier stuck state. Never Unknown."""
+    """Exact-count check. Resolves the step function per start state and,
+    in the same walk, requires the post and frame on the whole depth-n
+    frontier with no earlier stuck state. Never Unknown."""
     enum.validate()
     warnings = []
     if not enum.states:
         warnings.append("EmptyPrecondition")
     resolved, reached = [], []
-    for s in enum.states:
+    for i, s in enumerate(enum.states):
         q = _at(post, s)
         f = _at(frame, s)
         target = lambda t, q=q, f=f, s=s: q.holds(t) and f.related(s, t)
-        n = steps.resolve(sys, s, target)
+        n, finals, fail = _explore(sys, s, _rule(steps, i, sys, s), target)
         resolved.append(n)
-        ok, finals, fail = _evn_report(sys, s, n, target)
-        if not ok:
-            reason, choices, witness = fail
-            ce = Counterexample(reason, s, choices, witness,
-                                detail=f"exact step count {n}")
+        if fail is not None:
+            reason, depth, witness = fail
+            ce = Counterexample(reason, s, _choices(sys, s, depth, witness),
+                                witness, detail=f"exact step count {n}")
             return refuted(ce, instances=len(enum.states),
                            steps=tuple(resolved), warnings=tuple(warnings))
         reached.append(finals)
@@ -778,57 +768,70 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
                    post2, frame2) -> Verdict:
     """Relational exact-count check over enumerated pairs.
 
-    For each pair the two sides are walked to their exact-depth frontiers
-    (automatic step functions resolve to each side's termination depth)
-    and every frontier pair must satisfy the pair postcondition and pair
-    frame; this enumerates the nested exact-count quantifier. Step counts
-    may be StepFn objects or tuples aligned with the pair list. Never
-    Unknown."""
+    Step counts are StepFn objects or tuples aligned with the pair list;
+    automatic ones resolve to a side's termination depth. Each start
+    state is explored once per call, for its step rule, however many
+    pairs and whichever side it appears in. A side with a state stuck
+    before its depth refutes the pair; otherwise every pair of frontier
+    states (one frontier per side) must satisfy the pair postcondition
+    and pair frame, which enumerates the nested exact-count quantifier.
+    Pairs are checked in order and the first failing one refutes.
+    stats["explored"] is the number of distinct explorations made.
+    Never Unknown."""
     pairs.validate()
     warnings = []
     if not pairs.pairs:
         warnings.append("EmptyPrecondition")
+    memo: dict = {}  # (start state, step rule) -> (n, finals, fail)
+
+    def explore(steps, i, s):
+        rule = _rule(steps, i, sys, s)
+        if (s, rule) not in memo:
+            memo[s, rule] = _explore(sys, s, rule, None)
+        return memo[s, rule]
+
     res0, res1, reached = [], [], []
     for i, pair in enumerate(pairs.pairs):
         s0, s1 = pair
         q2 = _at(post2, pair)
         f2 = _at(frame2, pair)
-        n0 = steps0[i] if isinstance(steps0, tuple) else steps0.resolve(sys, s0, None)
-        n1 = steps1[i] if isinstance(steps1, tuple) else steps1.resolve(sys, s1, None)
+        n0, finals0, fail0 = explore(steps0, i, s0)
+        n1, finals1, fail1 = explore(steps1, i, s1)
         res0.append(n0)
         res1.append(n1)
-        ok0, finals0, fail0 = _evn_report(sys, s0, n0, lambda t: True)
-        if not ok0:
-            reason, choices, witness = fail0
-            ce = Counterexample(reason, pair, (choices, ()), (witness, s1),
-                                sides=2, detail="left side died early")
+        if fail0 is not None:
+            reason, depth, witness = fail0
+            ce = Counterexample(reason, pair,
+                                (_choices(sys, s0, depth, witness), ()),
+                                (witness, s1), sides=2,
+                                detail="left side died early")
             return refuted(ce, instances=len(pairs.pairs),
-                           warnings=tuple(warnings))
-        ok1, finals1, fail1 = _evn_report(sys, s1, n1, lambda t: True)
-        if not ok1:
-            reason, choices, witness = fail1
-            ce = Counterexample(reason, pair, ((), choices), (s0, witness),
-                                sides=2, detail="right side died early")
+                           warnings=tuple(warnings), explored=len(memo))
+        if fail1 is not None:
+            reason, depth, witness = fail1
+            ce = Counterexample(reason, pair,
+                                ((), _choices(sys, s1, depth, witness)),
+                                (s0, witness), sides=2,
+                                detail="right side died early")
             return refuted(ce, instances=len(pairs.pairs),
-                           warnings=tuple(warnings))
-        _, parent0 = _walk_levels(sys, s0, n0)
-        _, parent1 = _walk_levels(sys, s1, n1)
+                           warnings=tuple(warnings), explored=len(memo))
         for a in finals0:
             for b in finals1:
                 if not (q2.holds(a, b) and f2.related(pair, (a, b))):
                     ce = Counterexample(
                         "post", pair,
-                        (_path_to(parent0, n0, a), _path_to(parent1, n1, b)),
+                        (_choices(sys, s0, n0, a), _choices(sys, s1, n1, b)),
                         (a, b), sides=2,
                         detail=f"pair post {q2.description!r} with frame "
                                f"{f2.description!r}")
                     return refuted(ce, instances=len(pairs.pairs),
                                    steps0=tuple(res0), steps1=tuple(res1),
-                                   warnings=tuple(warnings))
+                                   warnings=tuple(warnings),
+                                   explored=len(memo))
         reached.append(tuple((a, b) for a in finals0 for b in finals1))
     return proven(instances=len(pairs.pairs), steps0=tuple(res0),
                   steps1=tuple(res1), warnings=tuple(warnings),
-                  reached=tuple(reached))
+                  reached=tuple(reached), explored=len(memo))
 
 
 def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:
@@ -904,6 +907,12 @@ def _frames_equal(f0: FrameFn, f1: FrameFn) -> bool:
     return f0.description == f1.description
 
 
+def _halting_at(sys: StepOracle, xw: int) -> StepOracle:
+    """sys with every state whose pc is xw made stuck."""
+    pc_of = sys.pc_of
+    return StepOracle(lambda st: () if pc_of(st) == xw else sys.successors(st))
+
+
 def check_eventually_n_at_pc(sys: StepOracle, enum: Enumeration, x0: int,
                              xw: int, n: int) -> Verdict:
     """From every start state (whose pc must be x0) the pc reaches xw for
@@ -916,36 +925,32 @@ def check_eventually_n_at_pc(sys: StepOracle, enum: Enumeration, x0: int,
     for s in enum.states:
         if pc_of(s) != x0:
             raise SchemaMismatch(f"start state has pc {pc_of(s):#x}, not {x0:#x}")
+    # walked with xw made stuck, an early visit to xw shows as a stuck
+    # state; until one shows, the walk is the same as on sys
+    halted = _halting_at(sys, xw)
+    done = lambda st: pc_of(st) == xw and not sys.successors(st)
     for s in enum.states:
-        levels, parent = _walk_levels(sys, s, n)
-        for k in range(n):
-            if k >= len(levels):
-                break
-            for st in levels[k]:
-                if pc_of(st) == xw:
-                    ce = Counterexample("pc_hit_early", s,
-                                        _path_to(parent, k, st), st,
-                                        detail=f"pc reached {xw:#x} at step "
-                                               f"{k}, expected {n}")
-                    return refuted(ce)
-                if not sys.successors(st):
-                    ce = Counterexample("stuck", s, _path_to(parent, k, st), st,
-                                        detail=f"stuck at step {k} before {n}")
-                    return refuted(ce)
-        if len(levels) <= n:
-            raise AssertionError("frontier vanished without a stuck state")
-        for st in levels[n]:
-            if pc_of(st) != xw:
-                ce = Counterexample("pc_miss", s, _path_to(parent, n, st), st,
-                                    detail=f"pc is {pc_of(st):#x} at step {n}, "
-                                           f"expected {xw:#x}")
-                return refuted(ce)
-            if sys.successors(st):
-                ce = Counterexample("not_terminated", s,
-                                    _path_to(parent, n, st), st,
-                                    detail=f"state at {xw:#x} still has "
-                                           f"successors")
-                return refuted(ce)
+        _, _, fail = _explore(halted, s, n, done)
+        if fail is None:
+            continue
+        reason, k, st = fail
+        path = _choices(sys, s, k, st)
+        if reason == "stuck" and pc_of(st) == xw:
+            ce = Counterexample("pc_hit_early", s, path, st,
+                                detail=f"pc reached {xw:#x} at step {k}, "
+                                       f"expected {n}")
+        elif reason == "stuck":
+            ce = Counterexample("stuck", s, path, st,
+                                detail=f"stuck at step {k} before {n}")
+        elif pc_of(st) != xw:
+            ce = Counterexample("pc_miss", s, path, st,
+                                detail=f"pc is {pc_of(st):#x} at step {n}, "
+                                       f"expected {xw:#x}")
+        else:
+            ce = Counterexample("not_terminated", s, path, st,
+                                detail=f"state at {xw:#x} still has "
+                                       f"successors")
+        return refuted(ce)
     return proven(instances=len(enum.states))
 
 
@@ -966,40 +971,26 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
         raise PromotionFailed("start states disagree on the entry pc")
     stops = []
     for s in enum.states:
-        frontier = [s]
-        visited_pcs: list = []
-        stop = None
-        for k in range(budget + 1):
-            alive = [bool(sys.successors(x)) for x in frontier]
-            if not any(alive):
-                pcs = {pc_of(x) for x in frontier}
-                if len(pcs) != 1:
-                    raise PromotionFailed(
-                        "branches stop at different addresses")
-                stop = (pcs.pop(), k)
-                break
-            if not all(alive):
-                raise PromotionFailed(
-                    "branches disagree on the termination step count")
-            visited_pcs.append({pc_of(x) for x in frontier})
-            nxt, seen = [], set()
-            for x in frontier:
-                for t in sys.successors(x):
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append(t)
-            frontier = nxt
-        if stop is None:
+        try:
+            n, finals, _ = _explore(sys, s, StepFn.auto(budget), None)
+        except StepFnUnresolvable as e:
+            if str(e) == _NO_COMMON_STOP:
+                raise PromotionFailed(_NO_COMMON_STOP) from None
             raise PromotionFailed(
                 f"no stuck state within {budget} steps; the program does "
-                f"not end in a stopper")
-        xw, n = stop
-        for k, pcs in enumerate(visited_pcs[:n]):
-            if xw in pcs:
-                raise PromotionFailed(
-                    f"pc revisits the stop address {xw:#x} (first seen at "
-                    f"step {k})")
-        stops.append(stop)
+                f"not end in a stopper") from None
+        pcs = {pc_of(x) for x in finals}
+        if len(pcs) != 1:
+            raise PromotionFailed("branches stop at different addresses")
+        xw = pcs.pop()
+        # no branch is stuck before n, so the first stuck state of the
+        # walk with xw made stuck is the first visit to xw
+        _, _, early = _explore(_halting_at(sys, xw), s, n, None)
+        if early is not None:
+            raise PromotionFailed(
+                f"pc revisits the stop address {xw:#x} (first seen at "
+                f"step {early[1]})")
+        stops.append((xw, n))
     parts = PcParts(enum, x0s.pop(), tuple(stops))
     evidence = Checked(instances=len(enum.states), reached=tuple(stops),
                        notes="first-stop resolution by simulation")

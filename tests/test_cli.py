@@ -218,6 +218,15 @@ def test_enum_cap_env_var_applies(capsys, monkeypatch):
     assert run_main(capsys, "check", str(CORPUS / "compare_ct.spec"))[0] == 3
 
 
+def test_malformed_enum_cap_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RELHOARE_ENUM_CAP", "lots")
+    code, out, err = run_main(capsys, "check",
+                              str(CORPUS / "add_stopper.spec"))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: RELHOARE_ENUM_CAP") and "'lots'" in err
+
+
 def test_enum_cap_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("RELHOARE_ENUM_CAP", "2")
     code, out, _ = run_main(capsys, "check",

@@ -105,6 +105,14 @@ def test_steps_table_rejects_a_state_it_does_not_list():
         steps.resolve(sys, 2)
 
 
+def test_a_negative_step_count_is_refused():
+    # an exact count of -1 steps is no count at all, not zero steps
+    sys = sys_of((0, 1))
+    for steps in (StepFn.constant(-1), StepFn.table({0: -2})):
+        with pytest.raises(kernel.StepFnUnresolvable, match="negative"):
+            kernel.check_ensures_n(sys, Enumeration((0,)), steps, at(0), ANY)
+
+
 def test_check_ensures2_allows_different_step_counts():
     # right side takes one step while the left stands still
     sys = sys_of((0, 1))
