@@ -212,7 +212,7 @@ def _check_relational(problem):
     enum, post2, frame2, steps0, steps1 = problem.pair_parts(
         pre2, "instance pairs",
         post_description="both sides' postconditions",
-        describe=lambda qa, qb: f"({qa.description}) and ({qb.description})")
+        describe=lambda da, db: f"({da}) and ({db})")
     v = kernel.check_ensures2(machine.oracle(), enum, steps0, steps1, post2,
                               frame2)
     return v, []

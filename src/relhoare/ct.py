@@ -25,7 +25,7 @@ from the machine model).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernel, machine, specfile
@@ -34,7 +34,7 @@ from .machine import project_trace  # re-exported: simplified trace form
 __all__ = [
     "Partition", "PartitionOverlap", "TemplateExpansionFailure",
     "expand_template", "check_ct_relational", "check_ct_unary",
-    "bridge", "project_trace", "partition_of",
+    "bridge", "project_trace", "partition_of", "public_pairs",
 ]
 
 
@@ -54,10 +54,14 @@ class Partition:
 
     `public=None` means "everything that is not private", the usual
     case; an explicit public set is validated for disjointness but not
-    required to be exhaustive."""
+    required to be exhaustive. Each state is projected once per
+    partition: a check builds its own partition, and every pair a start
+    state sits in reuses that state's projection."""
 
     private: frozenset
     public: Optional[frozenset] = None
+    _projections: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         for label in (machine.EVENTS, machine.PC):
@@ -73,7 +77,10 @@ class Partition:
     def project_public(self, s):
         """Canonical form of a state with private labels blanked; two
         states are public-equal iff their projections are equal."""
-        return machine.mask_labels(s, self.private)
+        p = self._projections.get(s)
+        if p is None:
+            p = self._projections[s] = machine.mask_labels(s, self.private)
+        return p
 
     def equal_public(self, s0, s1) -> bool:
         return self.project_public(s0) == self.project_public(s1)
@@ -128,6 +135,17 @@ def _expand_into(items, env, out) -> None:
 # ---------------------------------------------------------------------------
 # checks
 
+def public_pairs(part: Partition, states) -> tuple:
+    """Every pair (a, b) of states with equal public projections, in the
+    order a scan of all n² pairs keeps them: a hash join that meets each
+    left state with its projection's group, in enumeration order."""
+    groups: dict = {}
+    for s in states:
+        groups.setdefault(part.project_public(s), []).append(s)
+    return tuple((a, b) for a in states
+                 for b in groups[part.project_public(a)])
+
+
 def check_ct_relational(problem: specfile.Problem,
                         sys: Optional[kernel.StepOracle] = None
                         ) -> kernel.Verdict:
@@ -137,17 +155,13 @@ def check_ct_relational(problem: specfile.Problem,
     side). A Refuted verdict carries both diverging traces."""
     sys = sys or machine.oracle()
     part = partition_of(problem)
-    states = problem.states(0)
-    keys = [part.project_public(s) for s in states]
-    pairs = tuple((a, b) for i, a in enumerate(states)
-                  for j, b in enumerate(states) if keys[i] == keys[j])
+    pairs = public_pairs(part, problem.states(0))
     pre2 = kernel.PairProperty(part.equal_public, "equal public labels")
     enum, post2, frame2, steps0, steps1 = problem.pair_parts(
         pre2, "public-equal pairs",
         post_description="equal traces and the declared postcondition",
         pairs=pairs, rel=lambda a, b: a.events == b.events,
-        describe=lambda qa, qb: (f"equal traces and ({qa.description}) "
-                                 f"on both sides"))
+        describe=lambda da, db: f"equal traces and ({da}) on both sides")
     verdict = kernel.check_ensures2(sys, enum, steps0, steps1, post2, frame2)
     return _with_traces(verdict)
 

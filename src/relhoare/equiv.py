@@ -21,7 +21,7 @@ on the far side. Every derived judgment re-checks directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import kernel, machine, specfile
@@ -46,6 +46,8 @@ class EquivRel:
     kept: Optional[frozenset]
     predicate: Optional[Callable]
     description: str
+    _keys: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @staticmethod
     def kept_equal(labels, description: str = "") -> "EquivRel":
@@ -58,10 +60,18 @@ class EquivRel:
     def general(predicate: Callable, description: str) -> "EquivRel":
         return EquivRel(None, predicate, description)
 
+    def key(self, s) -> tuple:
+        """A state's values at the kept labels, read once per state and
+        relation; two states agree on the kept set iff their keys are
+        equal."""
+        k = self._keys.get(s)
+        if k is None:
+            k = self._keys[s] = tuple(s.read_label(l) for l in self.kept)
+        return k
+
     def related(self, s0, s1) -> bool:
         if self.kept is not None:
-            return all(s0.read_label(l) == s1.read_label(l)
-                       for l in self.kept)
+            return self.key(s0) == self.key(s1)
         return self.predicate(s0, s1)
 
 

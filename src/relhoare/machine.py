@@ -554,7 +554,7 @@ def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
     regs = list(s.regs)
     pc, fn, fz, events = s.pc, s.flag_n, s.flag_z, s.events
     mem = s.mem
-    mem_clear = []
+    mem_clear = set()
     for label in labels:
         if label.kind == "reg":
             regs[label.arg] = 0
@@ -567,10 +567,9 @@ def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
         elif label.kind == "events":
             events = ()
         else:
-            mem_clear.append(label.arg)
+            mem_clear.add(label.arg)
     if mem_clear:
-        d = {a: v for a, v in mem.items() if a not in set(mem_clear)}
-        mem = Mem(d)
+        mem = Mem({a: v for a, v in mem.items() if a not in mem_clear})
     return MachineState(regs=regs, pc=pc, flag_n=fn, flag_z=fz,
                         mem=mem, events=events)
 

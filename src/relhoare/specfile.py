@@ -923,8 +923,9 @@ class Problem:
         """(PairEnumeration, per-pair postcondition, product frame, left
         steps, right steps) of a two-run check. A pair's postcondition
         is rel and then each side's declared postcondition, named by
-        describe(q0, q1) or else post_description. With no pairs given,
-        each instance's own two start states form a pair, checked
+        describe(d0, d1) of the two sides' descriptions (called once per
+        distinct pair of them) or else post_description. With no pairs
+        given, each instance's own two start states form a pair, checked
         against that instance's postconditions; given pairs take each
         side's postcondition from the instance of its start state."""
         right = self.right
@@ -940,15 +941,19 @@ class Problem:
             post1 = post0 if not right else {
                 i.state1: self.post_property(1, i) for i in self.instances}
             posts = lambda p: (post0[p[0]], post1[p[1]])
-        describe = describe or (lambda qa, qb: post_description)
+        describe = describe or (lambda d0, d1: post_description)
         enum = kernel.PairEnumeration(pairs, pre2, self.states(0),
                                       self.states(right), description)
+        texts: dict = {}  # (d0, d1) -> describe(d0, d1), shared by pairs
 
         def pair_post(p):
             qa, qb = posts(p)
+            key = (qa.description, qb.description)
+            if key not in texts:
+                texts[key] = describe(*key)
             return kernel.PairProperty(
                 lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
-                describe(qa, qb))
+                texts[key])
 
         post2 = kernel.per_state({p: pair_post(p) for p in pairs},
                                  post_description)

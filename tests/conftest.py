@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from relhoare import specfile
+from relhoare import machine, specfile
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -16,6 +17,28 @@ def load_problem(name: str) -> specfile.Problem:
         spec = specfile.parse_spec((CORPUS / name).read_text())
         _PROBLEMS[name] = specfile.build_problem(spec, CORPUS)
     return _PROBLEMS[name]
+
+
+# Small machine states for differential tests: two values per label, so
+# random sets of a few states share projections and keys often.
+SMALL_LABELS = (
+    tuple(machine.reg_label(i) for i in range(3))
+    + tuple(machine.mem_label(a) for a in range(3))
+    + (machine.FLAG_N, machine.FLAG_Z))
+SMALL_STATE_VALUES = st.tuples(
+    st.sampled_from((0, 4)), st.booleans(),
+    *[st.integers(min_value=0, max_value=1)] * len(SMALL_LABELS))
+
+
+def small_state(values) -> machine.MachineState:
+    """A fresh state from one draw of SMALL_STATE_VALUES: pc, whether the
+    trace holds one branch event, and a value for each SMALL_LABELS."""
+    pc, branched, *rest = values
+    s = machine.zeroed_state()._replace(
+        pc=pc, events=(machine.branch_event(0, 8),) if branched else ())
+    for label, value in zip(SMALL_LABELS, rest):
+        s = s.with_label(label, value)
+    return s
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,15 @@
 and the bridge from the single-run form back to the pairwise one."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relhoare import ct, kernel, machine, specfile
 from relhoare.ct import Partition, PartitionOverlap, TemplateExpansionFailure
 
-from conftest import CORPUS, load_problem
+from conftest import (
+    CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
+)
 
 
 def build(text: str) -> specfile.Problem:
@@ -36,6 +40,26 @@ def test_public_projection_blanks_private_labels():
     assert part.equal_public(a, b)
     assert not part.equal_public(a, b.with_reg(6, 8))
     assert part.project_public(a).reg(5) == 0
+
+
+@given(values=st.lists(SMALL_STATE_VALUES, max_size=8),
+       private=st.frozensets(st.sampled_from(SMALL_LABELS)))
+@settings(max_examples=150)
+def test_public_pairs_match_the_scan_of_all_pairs(values, private):
+    states = [small_state(v) for v in values]
+    part = Partition(private)
+    got = ct.public_pairs(part, states)
+    want = tuple((a, b) for a in states for b in states
+                 if machine.mask_labels(a, private)
+                 == machine.mask_labels(b, private))
+    # the same objects in the same order, not merely equal states
+    assert [(id(a), id(b)) for a, b in got] == \
+        [(id(a), id(b)) for a, b in want]
+    # a state built again from the same values gets the same key
+    for v in values:
+        again = small_state(v)
+        assert part.project_public(again) == \
+            machine.mask_labels(again, private)
 
 
 def test_partition_of_reads_the_spec_sections():
@@ -107,6 +131,28 @@ def test_forms_agree_on_the_same_program():
     pairwise = ct.check_ct_relational(load_problem("compare_constant_ct.spec"))
     single = ct.check_ct_unary(load_problem("compare_constant_ct_unary.spec"))
     assert pairwise.outcome == single.outcome == "proven"
+
+
+def test_a_warm_projection_cache_does_not_excuse_a_foreign_pair(monkeypatch):
+    # the pairs a check builds are re-checked against pre2; a hand-built
+    # pair that is not public-equal must still be refused after the
+    # partition has projected every start state
+    problem = load_problem("compare_constant_ct.spec")
+    part = ct.partition_of(problem)
+    monkeypatch.setattr(ct, "partition_of", lambda problem: part)
+    assert ct.check_ct_relational(problem).is_proven
+    states = problem.states(0)
+    a, b = next((a, b) for a in states for b in states
+                if machine.mask_labels(a, part.private)
+                != machine.mask_labels(b, part.private))
+    enum = kernel.PairEnumeration(
+        ((a, b),), kernel.PairProperty(part.equal_public, "equal public"))
+    steps = kernel.StepFn.constant(0)
+    with pytest.raises(kernel.SchemaMismatch):
+        kernel.check_ensures2(machine.oracle(), enum, steps, steps,
+                              kernel.PairProperty(lambda x, y: True, "true"),
+                              kernel.product_frame(kernel.ANYTHING,
+                                                   kernel.ANYTHING))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Program equivalence: checking, composition, and correctness transfer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relhoare import asm, ct, equiv, kernel, machine, specfile
 from relhoare.equiv import AnchorMismatch, EquivJudgment, EquivRel
 from relhoare.machine import EVENTS, PC, reg_label, zeroed_state
 
-from conftest import CORPUS, load_problem
+from conftest import (
+    CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
+)
 
 X3 = reg_label(3)
 
@@ -35,6 +39,23 @@ def test_kept_equal_compares_exactly_the_kept_labels():
     b = zeroed_state().with_reg(3, 9).with_reg(4, 2)
     assert rel.related(a, b)
     assert not rel.related(a, b.with_reg(3, 8))
+
+
+@given(values=st.lists(SMALL_STATE_VALUES, max_size=6),
+       kept=st.frozensets(st.sampled_from(SMALL_LABELS + (PC, EVENTS))))
+@settings(max_examples=150)
+def test_kept_equal_matches_reading_every_kept_label(values, kept):
+    states = [small_state(v) for v in values]
+    rel = EquivRel.kept_equal(kept)
+    for a in states:
+        for b in states:
+            assert rel.related(a, b) == all(
+                a.read_label(l) == b.read_label(l) for l in kept)
+    # a state built again from the same values gets the same key
+    for a, v in zip(states, values):
+        again = small_state(v)
+        assert again is not a and rel.key(again) == rel.key(a)
+        assert rel.related(a, again)
 
 
 def test_general_relations_wrap_a_predicate():
@@ -83,6 +104,24 @@ def test_check_equiv_refutes_on_an_overreaching_kept_set():
         CORPUS)
     v = equiv.check_equiv(problem)
     assert isinstance(v, kernel.Verdict) and v.is_refuted
+
+
+def test_a_warm_key_cache_does_not_excuse_an_unrelated_pair():
+    # the judgment keeps the equiv_in relation its check built the pairs
+    # with, its keys read for every start state; a hand-built pair that
+    # it does not relate must still be refused by pre2
+    problem = load_problem("compare_equiv.spec")
+    ein = equiv.check_equiv(problem).equiv_in
+    a, b = next((a, b) for a in problem.states(0) for b in problem.states(1)
+                if any(a.read_label(l) != b.read_label(l) for l in ein.kept))
+    enum = kernel.PairEnumeration(
+        ((a, b),), kernel.PairProperty(ein.related, ein.description))
+    steps = kernel.StepFn.constant(0)
+    with pytest.raises(kernel.SchemaMismatch):
+        kernel.check_ensures2(machine.oracle(), enum, steps, steps,
+                              kernel.PairProperty(lambda x, y: True, "true"),
+                              kernel.product_frame(kernel.ANYTHING,
+                                                   kernel.ANYTHING))
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,17 @@ def test_mask_labels_blanks_private_state():
     assert machine.mask_labels(s, frozenset()) == s
 
 
+def test_mask_labels_clears_private_cells_among_many_stored_bytes():
+    mem = Mem({a: a % 255 + 1 for a in range(0x100, 0x500)})
+    s = zeroed_state()._replace(mem=mem).with_reg(2, 99)
+    cells = {0x100, 0x17F, 0x2A0, 0x4FF, 0x9000}  # 0x9000 holds nothing
+    private = frozenset({mem_label(a) for a in cells} | {reg_label(2)})
+    masked = machine.mask_labels(s, private)
+    assert dict(masked.mem.items()) == \
+        {a: v for a, v in mem.items() if a not in cells}
+    assert masked == zeroed_state()._replace(mem=masked.mem)
+
+
 def test_label_ordering_and_formatting():
     labels = [EVENTS, mem_label(3), reg_label(1), PC, FLAG_N]
     assert machine.format_labels(labels) == \
