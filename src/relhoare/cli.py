@@ -246,13 +246,13 @@ def _check_equiv(problem):
 
 
 def _check_promote(problem):
-    spec = problem.spec
+    x0_of, xw_of, n_of = (specfile.compile_expr(problem.spec.promote[key])
+                          for key in ("x0", "xw", "n"))
     counts = []
     for inst in problem.instances:
-        env = specfile._Env(dict(inst.env))
-        x0 = specfile.eval_expr(spec.promote["x0"], env) & machine.MASK64
-        xw = specfile.eval_expr(spec.promote["xw"], env) & machine.MASK64
-        n = specfile.eval_expr(spec.promote["n"], env)
+        x0 = x0_of(inst.env, None) & machine.MASK64
+        xw = xw_of(inst.env, None) & machine.MASK64
+        n = n_of(inst.env, None)
         enum = kernel.Enumeration((inst.state0,))
         v = kernel.check_eventually_n_at_pc(machine.oracle(), enum, x0,
                                             xw, n)

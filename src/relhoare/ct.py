@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import kernel, machine, specfile
 from .machine import project_trace  # re-exported: simplified trace form
 
 __all__ = [
     "Partition", "PartitionOverlap", "TemplateExpansionFailure",
-    "expand_template", "check_ct_relational", "check_ct_unary",
-    "bridge", "project_trace", "partition_of", "public_pairs",
+    "expand_template", "compile_template", "check_ct_relational",
+    "check_ct_unary", "bridge", "project_trace", "partition_of",
+    "public_pairs",
 ]
 
 
@@ -100,36 +101,53 @@ def expand_template(items, values: dict) -> tuple:
     """Expand a parsed witness template at one public valuation into a
     projected trace: ("load", addr, size), ("store", addr, size) and
     ("branch", taken) entries."""
-    env = specfile._Env(dict(values))
-    out: list = []
-    _expand_into(items, env, out)
-    return tuple(out)
+    return compile_template(items)(values)
 
 
-def _expand_into(items, env, out) -> None:
-    for item in items:
+def compile_template(items) -> Callable[[dict], tuple]:
+    """expand_template with the template compiled once: the function it
+    returns expands the template at a public valuation."""
+    steps = [_compile_item(item) for item in items]
+
+    def expand(values: dict) -> tuple:
+        values = dict(values)
+        out: list = []
         try:
-            if item[0] == "repeat":
-                _, var, bound, body, _line = item
-                stop = specfile.eval_expr(bound, env)
-                saved = env.values.get(var)
-                for i in range(stop):
-                    env.values[var] = i
-                    _expand_into(body, env, out)
-                if saved is None:
-                    env.values.pop(var, None)
-                else:
-                    env.values[var] = saved
-            elif item[0] == "branch":
-                out.append(("branch",
-                            specfile.eval_constraint(item[1], env)))
-            else:
-                kind, addr_ast, size, _line = item
-                addr = specfile.eval_expr(addr_ast, env) & machine.MASK64
-                out.append((kind, addr, size))
+            for step in steps:
+                step(values, out)
         except specfile.SpecEvalError as e:
             raise TemplateExpansionFailure(
                 f"witness template needs non-public data: {e}") from e
+        return tuple(out)
+
+    return expand
+
+
+def _compile_item(item) -> Callable[[dict, list], None]:
+    if item[0] == "repeat":
+        _, var, bound, body, _line = item
+        stop_of = specfile.compile_expr(bound)
+        body_steps = [_compile_item(i) for i in body]
+
+        def repeat(values, out):
+            stop = stop_of(values, None)
+            saved = values.get(var)
+            for i in range(stop):
+                values[var] = i
+                for step in body_steps:
+                    step(values, out)
+            if saved is None:
+                values.pop(var, None)
+            else:
+                values[var] = saved
+        return repeat
+    if item[0] == "branch":
+        taken = specfile.compile_constraint(item[1])
+        return lambda values, out: out.append(("branch", taken(values, None)))
+    kind, addr_ast, size, _line = item
+    addr = specfile.compile_expr(addr_ast)
+    return lambda values, out: out.append(
+        (kind, addr(values, None) & machine.MASK64, size))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +195,10 @@ def _with_traces(verdict: kernel.Verdict) -> kernel.Verdict:
 
 def _unary_parts(problem: specfile.Problem):
     partition_of(problem)  # validates the declaration
+    expand = compile_template(problem.spec.witness)
 
     def inst_post(inst):
-        expected = project_trace(inst.state0.events) \
-            + expand_template(problem.spec.witness, inst.env)
+        expected = project_trace(inst.state0.events) + expand(inst.env)
         q = problem.post_property(0, inst)
 
         def holds(s, expected=expected, q=q) -> bool:

@@ -107,14 +107,10 @@ class StepOracle:
 
 @dataclass(frozen=True)
 class PropertyFn:
-    """Decidable state predicate with a printable description.
-
-    labels_read, when known, lists the machine labels the predicate
-    depends on; frame-invariance checks use it."""
+    """Decidable state predicate with a printable description."""
 
     holds: Callable[[Any], bool]
     description: str = ""
-    labels_read: Optional[frozenset] = None
 
     def __call__(self, s) -> bool:
         return self.holds(s)
@@ -164,9 +160,8 @@ class PairFrame:
         return self.related(p, q)
 
 
-def prop(fn: Callable[[Any], bool], description: str = "",
-         labels_read=None) -> PropertyFn:
-    return PropertyFn(fn, description, labels_read)
+def prop(fn: Callable[[Any], bool], description: str = "") -> PropertyFn:
+    return PropertyFn(fn, description)
 
 
 TRUE = PropertyFn(lambda s: True, "true")
@@ -176,11 +171,8 @@ ANYTHING = FrameFn(lambda s, t: True, description="anything")
 
 
 def prop_and(p: PropertyFn, q: PropertyFn) -> PropertyFn:
-    reads = None
-    if p.labels_read is not None and q.labels_read is not None:
-        reads = p.labels_read | q.labels_read
     return PropertyFn(lambda s: p.holds(s) and q.holds(s),
-                      f"({p.description} and {q.description})", reads)
+                      f"({p.description} and {q.description})")
 
 
 def pair_and(p: PairProperty, q: PairProperty) -> PairProperty:

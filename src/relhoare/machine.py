@@ -202,9 +202,14 @@ class Mem:
         return Mem(d)
 
     def write_bytes(self, addr: int, data: bytes) -> "Mem":
+        return self.write_cells(enumerate(data, addr))
+
+    def write_cells(self, cells) -> "Mem":
+        """Write one byte per (addr, value) pair, in order, in one copy."""
         d = dict(self._d)
-        for k, byte in enumerate(data):
-            a = (addr + k) & MASK64
+        for addr, value in cells:
+            a = addr & MASK64
+            byte = value & 0xFF
             if byte:
                 d[a] = byte
             else:

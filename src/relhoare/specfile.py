@@ -7,7 +7,8 @@ A .spec file declares one check in a section-based text format:
                     for promote: x0 = <expr>, xw = <expr>, n = <expr>
     [program0]      file = <path.masm>; base = <address>   ([program1] too)
     [params]        scalar domains `name in lo..hi` and byte-cell domains
-                    `mem[lo .. hi) in lo..hi` (addresses are constants)
+                    `mem[lo .. hi) in lo..hi` (addresses are constants,
+                    values within 0..255)
     [pre] [post]    one constraint per line, implicitly conjoined; for
                     two-program kinds the suffixed forms [pre0]/[pre1]/
                     [post0]/[post1] address one side
@@ -43,10 +44,13 @@ are of [program0]) and `auto` for the two-program kinds.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from . import asm, kernel, machine
 
@@ -482,6 +486,10 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
                 raise SpecSyntaxError("mem range needs lo .. hi", lineno)
             lo_s, hi_s = bounds.split("..", 1)
             lo, hi = _domain_of(m.group(2), lineno)
+            if lo < 0 or hi > 0xFF:
+                raise SpecSyntaxError(
+                    f"cell domain {lo}..{hi} is not within the byte values "
+                    "0..255", lineno)
             spec.cells.append(CellRange(_expr_of(lo_s, lineno),
                                         _expr_of(hi_s, lineno),
                                         lo, hi, lineno))
@@ -682,171 +690,153 @@ def _validate(spec: CheckSpec) -> None:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# Each expression or constraint AST is compiled once into a closure over
+# (values, state): values maps parameter and builtin names to integers,
+# and state is the machine state that register, pc and memory reads see,
+# or None where there is none. A closure raises SpecEvalError when its
+# evaluation fails: on an unbound name, on a state read without a state,
+# and when aligned() names a program the check does not have.
 
-class _Env:
-    """Evaluation context: parameter values plus program builtins, with
-    an optional machine state for register/memory reads."""
-
-    __slots__ = ("values", "state")
-
-    def __init__(self, values: dict, state=None):
-        self.values = values
-        self.state = state
-
-
-def eval_expr(ast, env: _Env) -> int:
-    kind = ast[0]
-    if kind == "int":
-        return ast[1]
-    if kind == "param" or kind == "builtin":
-        try:
-            return env.values[ast[1]]
-        except KeyError:
-            raise SpecEvalError(f"unbound name {ast[1]!r}")
-    if kind == "bin":
-        a, b = eval_expr(ast[2], env), eval_expr(ast[3], env)
-        if ast[1] == "+":
-            return a + b
-        if ast[1] == "-":
-            return a - b
-        return a * b
-    if kind == "reg":
-        _need_state(env)
-        return env.state.reg(ast[1])
-    if kind == "pc":
-        _need_state(env)
-        return env.state.pc
-    if kind == "memread":
-        _need_state(env)
-        return env.state.mem.read(eval_expr(ast[2], env) & machine.MASK64,
-                                  ast[1])
-    if kind == "call":
-        args = [eval_expr(a, env) for a in ast[2]]
-        if ast[1] == "min":
-            return min(args)
-        if ast[1] == "max":
-            return max(args)
-        _need_state(env)
-        a, b, n = args
-        k = 0
-        while k < n and env.state.mem.get((a + k) & machine.MASK64) \
-                == env.state.mem.get((b + k) & machine.MASK64):
-            k += 1
-        return k
-    raise SpecEvalError(f"cannot evaluate {kind} node")
-
-
-def _need_state(env: _Env) -> None:
-    if env.state is None:
+def _need_state(state) -> None:
+    if state is None:
         raise SpecEvalError("expression reads machine state")
 
 
-def eval_constraint(ast, env: _Env, programs=None) -> bool:
+def compile_expr(ast) -> Callable[[dict, Any], int]:
     kind = ast[0]
-    if kind == "and":
-        return eval_constraint(ast[1], env, programs) \
-            and eval_constraint(ast[2], env, programs)
-    if kind == "or":
-        return eval_constraint(ast[1], env, programs) \
-            or eval_constraint(ast[2], env, programs)
-    if kind == "not":
-        return not eval_constraint(ast[1], env, programs)
-    if kind == "cmp":
-        a, b = eval_expr(ast[2], env), eval_expr(ast[3], env)
-        return {"=": a == b, "!=": a != b, "<": a < b, "<=": a <= b,
-                ">": a > b, ">=": a >= b}[ast[1]]
-    if kind == "flag":
-        _need_state(env)
-        bit = eval_expr(ast[2], env)
-        got = env.state.flag_n if ast[1] == "n" else env.state.flag_z
-        return got == bit
-    if kind == "terminated":
-        _need_state(env)
-        return machine.is_terminated_at(env.state,
-                                        eval_expr(ast[1], env) & machine.MASK64)
-    if kind == "aligned":
-        _need_state(env)
-        if programs is None or programs[ast[1]] is None:
-            raise SpecEvalError("aligned() references a missing program")
-        return machine.is_aligned_at(env.state, eval_expr(ast[2], env),
-                                     programs[ast[1]].data)
-    raise SpecEvalError(f"cannot evaluate {kind} constraint")
+    if kind == "int":
+        value = ast[1]
+        return lambda values, state: value
+    if kind == "param" or kind == "builtin":
+        name = ast[1]
+
+        def read(values, state):
+            try:
+                return values[name]
+            except KeyError:
+                raise SpecEvalError(f"unbound name {name!r}")
+        return read
+    if kind == "bin":
+        a, b = compile_expr(ast[2]), compile_expr(ast[3])
+        if ast[1] == "+":
+            return lambda values, state: a(values, state) + b(values, state)
+        if ast[1] == "-":
+            return lambda values, state: a(values, state) - b(values, state)
+        return lambda values, state: a(values, state) * b(values, state)
+    if kind == "reg":
+        i = ast[1]
+
+        def reg(values, state):
+            _need_state(state)
+            return state.regs[i]
+        return reg
+    if kind == "pc":
+        def pc(values, state):
+            _need_state(state)
+            return state.pc
+        return pc
+    if kind == "memread":
+        size, addr = ast[1], compile_expr(ast[2])
+
+        def memread(values, state):
+            _need_state(state)
+            return state.mem.read(addr(values, state) & machine.MASK64, size)
+        return memread
+    if kind == "call":
+        fns = [compile_expr(a) for a in ast[2]]
+        if ast[1] in ("min", "max"):
+            pick = min if ast[1] == "min" else max
+            return lambda values, state: pick([f(values, state) for f in fns])
+
+        def prefixlen(values, state):
+            args = [f(values, state) for f in fns]
+            _need_state(state)
+            a, b, n = args
+            get = state.mem.get
+            k = 0
+            while k < n and get((a + k) & machine.MASK64) \
+                    == get((b + k) & machine.MASK64):
+                k += 1
+            return k
+        return prefixlen
+
+    def fail(values, state):
+        raise SpecEvalError(f"cannot evaluate {kind} node")
+    return fail
 
 
-def constraint_labels(ast, env: _Env, programs=None) -> Optional[frozenset]:
-    """The machine labels a constraint reads, resolved against a concrete
-    parameter valuation; None when an address depends on machine state."""
-    out: set = set()
-    ok = _collect_labels(ast, env, programs, out)
-    return frozenset(out) if ok else None
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _collect_labels(ast, env, programs, out) -> bool:
+def compile_constraint(ast, programs=None) -> Callable[[dict, Any], bool]:
+    """programs is the check's (program0, program1) pair, read by
+    aligned(); either may be None."""
     kind = ast[0]
     if kind in ("and", "or"):
-        return (_collect_labels(ast[1], env, programs, out)
-                and _collect_labels(ast[2], env, programs, out))
+        p = compile_constraint(ast[1], programs)
+        q = compile_constraint(ast[2], programs)
+        if kind == "and":
+            return lambda values, state: p(values, state) and q(values, state)
+        return lambda values, state: p(values, state) or q(values, state)
     if kind == "not":
-        return _collect_labels(ast[1], env, programs, out)
+        p = compile_constraint(ast[1], programs)
+        return lambda values, state: not p(values, state)
     if kind == "cmp":
-        return (_expr_labels(ast[2], env, out)
-                and _expr_labels(ast[3], env, out))
+        op, a, b = _CMP[ast[1]], compile_expr(ast[2]), compile_expr(ast[3])
+        return lambda values, state: op(a(values, state), b(values, state))
     if kind == "flag":
-        out.add(machine.FLAG_N if ast[1] == "n" else machine.FLAG_Z)
-        return _expr_labels(ast[2], env, out)
+        attr = "flag_n" if ast[1] == "n" else "flag_z"
+        bit = compile_expr(ast[2])
+
+        def flag(values, state):
+            _need_state(state)
+            expected = bit(values, state)
+            return getattr(state, attr) == expected
+        return flag
     if kind == "terminated":
-        try:
-            addr = eval_expr(ast[1], _Env(env.values))
-        except SpecEvalError:
-            return False
-        out.add(machine.PC)
-        out.update(machine.mem_range(addr, addr + 4))
-        return True
+        addr = compile_expr(ast[1])
+
+        def terminated(values, state):
+            _need_state(state)
+            return machine.is_terminated_at(
+                state, addr(values, state) & machine.MASK64)
+        return terminated
     if kind == "aligned":
-        if programs is None or programs[ast[1]] is None:
-            return False
-        try:
-            base = eval_expr(ast[2], _Env(env.values))
-        except SpecEvalError:
-            return False
-        out.add(machine.PC)
-        out.update(machine.mem_range(base,
-                                     base + programs[ast[1]].byte_len))
-        return True
-    return False
+        base = compile_expr(ast[2])
+        program = None if programs is None else programs[ast[1]]
+
+        def aligned(values, state):
+            _need_state(state)
+            if program is None:
+                raise SpecEvalError("aligned() references a missing program")
+            return machine.is_aligned_at(state, base(values, state),
+                                         program.data)
+        return aligned
+
+    def fail(values, state):
+        raise SpecEvalError(f"cannot evaluate {kind} constraint")
+    return fail
 
 
-def _expr_labels(ast, env, out) -> bool:
-    kind = ast[0]
-    if kind in ("int", "param", "builtin"):
-        return True
-    if kind == "bin":
-        return (_expr_labels(ast[2], env, out)
-                and _expr_labels(ast[3], env, out))
-    if kind == "reg":
-        out.add(machine.reg_label(ast[1]))
-        return True
-    if kind == "pc":
-        out.add(machine.PC)
-        return True
-    if kind == "memread":
-        try:
-            addr = eval_expr(ast[2], _Env(env.values))
-        except SpecEvalError:
-            return False
-        out.update(machine.mem_range(addr, addr + ast[1]))
-        return True
-    if kind == "call":
-        if ast[1] in ("min", "max"):
-            return all(_expr_labels(a, env, out) for a in ast[2])
-        try:
-            a, b, n = (eval_expr(x, _Env(env.values)) for x in ast[2])
-        except SpecEvalError:
-            return False
-        out.update(machine.mem_range(a, a + n))
-        out.update(machine.mem_range(b, b + n))
-        return True
-    return False
+def _compile_all(constraints, programs=None) -> Callable:
+    """One closure that holds when every Constraint holds, evaluated in
+    order up to the first that fails."""
+    fns = [compile_constraint(c.ast, programs) for c in constraints]
+    if not fns:
+        return lambda values, state: True
+    holds = fns[0]
+    for q in fns[1:]:
+        holds = (lambda p, q: lambda values, state:
+                 p(values, state) and q(values, state))(holds, q)
+    return holds
+
+
+def eval_constraint(ast, values: dict, state=None, programs=None) -> bool:
+    """Evaluate a constraint once. Code that evaluates one AST for many
+    instances or states compiles it once with compile_constraint."""
+    return compile_constraint(ast, programs)(values, state)
 
 
 # ---------------------------------------------------------------------------
@@ -864,26 +854,29 @@ class Instance:
 @dataclass
 class Problem:
     """A parsed spec bound to its assembled programs and enumerated
-    instances, ready to hand to the checkers."""
+    instances, ready to hand to the checkers. Each side's [pre] and
+    [post] lines are compiled once, on first use, and shared by every
+    instance."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
     bases: tuple
     instances: list
     builtins: dict
+    _compiled: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def count(self) -> int:
         return len(self.instances)
 
     def resolve_labels(self, items) -> frozenset:
-        env = _Env(dict(self.builtins))
         out: set = set()
         for item in items:
             if item[0] == "label":
                 out.add(item[1])
             else:
-                lo = eval_expr(item[1], env)
-                hi = eval_expr(item[2], env)
+                lo = compile_expr(item[1])(self.builtins, None)
+                hi = compile_expr(item[2])(self.builtins, None)
                 out.update(machine.mem_range(lo, hi))
         return frozenset(out)
 
@@ -965,33 +958,28 @@ class Problem:
         return enum, post2, frame2, steps0, steps1
 
     def post_property(self, side, inst: Instance) -> kernel.PropertyFn:
-        constraints = self._conditions(self.spec.post, side)
-        env = _Env(dict(inst.env))
-        labels: Optional[set] = set()
-        for c in constraints:
-            got = constraint_labels(c.ast, env, self.programs)
-            if got is None:
-                labels = None
-                break
-            labels.update(got)
+        return self._property("post", side, inst)
 
-        def holds(s, constraints=constraints, values=dict(inst.env)) -> bool:
-            e = _Env(values, s)
-            return all(eval_constraint(c.ast, e, self.programs)
-                       for c in constraints)
-
-        text = " and ".join(c.text for c in constraints) or "true"
-        return kernel.PropertyFn(
-            holds, text, None if labels is None else frozenset(labels))
+    def _property(self, section: str, side, inst: Instance):
+        """A side's [pre] or [post] lines at one instance's values."""
+        key = (section, side)
+        if key not in self._compiled:
+            constraints = self._conditions(getattr(self.spec, section), side)
+            self._compiled[key] = (
+                _compile_all(constraints, self.programs),
+                " and ".join(c.text for c in constraints) or "true")
+        holds, text = self._compiled[key]
+        return kernel.PropertyFn(functools.partial(holds, inst.env), text)
 
     def steps(self, key: str, side) -> kernel.StepFn:
         value = self.spec.steps.get(key, "auto")
         if value == "auto":
             return kernel.StepFn.auto(self.spec.budget)
+        count = compile_expr(value)
         table = {}
         for inst in self.instances:
             state = inst.state0 if side == 0 else inst.state1
-            table[state] = eval_expr(value, _Env(dict(inst.env)))
+            table[state] = count(inst.env, None)
         return kernel.StepFn.table(table, f"{key} expression")
 
     def _conditions(self, store, side):
@@ -1021,121 +1009,129 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
     builtins = {"base0": bases[0], "len0": programs[0].byte_len}
     if programs[1] is not None:
         builtins.update(base1=bases[1], len1=programs[1].byte_len)
-    env0 = _Env(dict(builtins))
 
     cell_addrs: list = []
     cell_domains: list = []
     for cell in spec.cells:
-        lo = eval_expr(cell.lo_addr, env0)
-        hi = eval_expr(cell.hi_addr, env0)
+        lo = compile_expr(cell.lo_addr)(builtins, None)
+        hi = compile_expr(cell.hi_addr)(builtins, None)
         for addr in range(lo, hi):
             cell_addrs.append(addr)
-            cell_domains.append((cell.lo, cell.hi))
+            cell_domains.append(range(cell.lo, cell.hi + 1))
 
     total = 1
     for p in spec.scalars:
         total *= p.hi - p.lo + 1
-    for lo, hi in cell_domains:
-        total *= hi - lo + 1
+    for domain in cell_domains:
+        total *= len(domain)
     if total > cap:
         raise DomainTooLarge(
             f"enumeration of {total} instances exceeds the cap of {cap}")
 
+    programs = tuple(programs)
+    names = set(builtins) | {p.name for p in spec.scalars}
+    construct0 = _constructor(spec, programs, bases, 0, names)
+    construct1 = _constructor(spec, programs, bases, 1, names) \
+        if two_sided else None
     instances = []
-    for scalar_values in _grid([(p.lo, p.hi) for p in spec.scalars]):
+    scalar_names = [p.name for p in spec.scalars]
+    for scalar_values in itertools.product(
+            *(range(p.lo, p.hi + 1) for p in spec.scalars)):
         env = dict(builtins)
-        env.update(zip((p.name for p in spec.scalars), scalar_values))
-        for cell_values in _grid(cell_domains):
+        env.update(zip(scalar_names, scalar_values))
+        for cell_values in itertools.product(*cell_domains):
             cells = tuple(zip(cell_addrs, cell_values))
-            s0 = _construct(spec, programs, bases, env, cells,
-                            0 if 0 in spec.programs else None)
+            s0 = construct0(env, cells)
             if s0 is None:
                 continue
             s1 = None
-            if two_sided:
-                s1 = _construct(spec, programs, bases, env, cells, 1)
+            if construct1 is not None:
+                s1 = construct1(env, cells)
                 if s1 is None:
                     continue
             instances.append(Instance(len(instances), env, cells, s0, s1))
-    return Problem(spec, tuple(programs), tuple(bases), instances, builtins)
+    return Problem(spec, programs, tuple(bases), instances, builtins)
 
 
-def _grid(domains: list):
-    if not domains:
-        yield ()
-        return
-    lo, hi = domains[0]
-    for v in range(lo, hi + 1):
-        for rest in _grid(domains[1:]):
-            yield (v,) + rest
+def _constructor(spec, programs, bases, side, names) -> Callable:
+    """The builder of one side's initial state from an instance's values
+    and cells: None when a verify-only precondition line filters the
+    instance out. The side's program is loaded once, on first use, and
+    its [pre] lines are compiled once."""
+    constraints = spec.pre.get(side) or spec.pre.get(None, [])
+    assignments = {id(c): a for c in constraints
+                   if (a := _assignment(c, names)) is not None}
+    checks = [(compile_constraint(c.ast, programs), c) for c in constraints]
+    loaded: list = []
+
+    def construct(values, cells):
+        if not loaded:
+            loaded.append(asm.load_program(machine.zeroed_state(),
+                                           programs[side], bases[side]))
+        state = loaded[0]
+        if cells:
+            state = state._replace(mem=state.mem.write_cells(cells))
+        for assign in assignments.values():
+            state = assign(values, state)
+        for holds, c in checks:
+            if not holds(values, state):
+                if id(c) in assignments:
+                    raise SpecEvalError(
+                        f"assignment {c.text!r} does not hold on its own "
+                        "constructed state (conflicting assignments?)",
+                        c.line)
+                return None
+        return state
+
+    return construct
 
 
-def _construct(spec, programs, bases, env, cells, side):
-    """Build one initial state, or None when a verify-only precondition
-    line filters this valuation out of the enumerated set."""
-    state = machine.zeroed_state()
-    key = side if side is not None else 0
-    state = asm.load_program(state, programs[key], bases[key])
-    for addr, value in cells:
-        state = state._replace(mem=state.mem.write(addr, value, 1))
-    constraints = spec.pre.get(side)
-    if constraints is None:
-        constraints = spec.pre.get(None, [])
-    e = _Env(dict(env))
-    assigned = set()
-    for c in constraints:
-        updated = _apply_assignment(c, state, e)
-        if updated is not None:
-            state = updated
-            assigned.add(id(c))
-    e2 = _Env(dict(env), state)
-    for c in constraints:
-        if not eval_constraint(c.ast, e2, tuple(programs)):
-            if id(c) in assigned:
-                raise SpecEvalError(
-                    f"assignment {c.text!r} does not hold on its own "
-                    "constructed state (conflicting assignments?)", c.line)
-            return None
-    return state
+def _stateless(ast, names) -> bool:
+    """Whether an expression evaluates without a machine state, given
+    values for exactly these names."""
+    for node in _walk_exprs(ast):
+        kind = node[0]
+        if kind in ("param", "builtin"):
+            if node[1] not in names:
+                return False
+        elif kind == "call":
+            if node[1] not in ("min", "max"):
+                return False
+        elif kind not in ("int", "bin"):
+            return False
+    return True
 
 
-def _apply_assignment(c: Constraint, state, env: _Env):
+def _assignment(c: Constraint, names) -> Optional[Callable]:
+    """A precondition line of the shape `label = <expression>` as a
+    function (values, state) -> the state with that label written; None
+    for any other line. The value, and a memory write's address, must
+    evaluate from the instance's values alone: a line that reads machine
+    state or an unbound name is only verified. Every instance binds the
+    same names, so which lines assign is fixed per spec."""
     ast = c.ast
     if ast[0] == "flag":
-        try:
-            bit = eval_expr(ast[2], env)
-        except SpecEvalError:
+        if not _stateless(ast[2], names):
             return None
         label = machine.FLAG_N if ast[1] == "n" else machine.FLAG_Z
-        return state.with_label(label, bit)
-    if ast[0] != "cmp" or ast[1] != "=":
+        bit = compile_expr(ast[2])
+        return lambda values, state: state.with_label(label, bit(values, None))
+    if ast[0] != "cmp" or ast[1] != "=" or not _stateless(ast[3], names):
         return None
-    lhs, rhs = ast[2], ast[3]
-    try:
-        value = eval_expr(rhs, env)
-    except SpecEvalError:
-        return None
+    lhs, value = ast[2], compile_expr(ast[3])
     if lhs[0] == "reg":
-        return state.with_reg(lhs[1], value & machine.MASK64)
+        i = lhs[1]
+        return lambda values, state: state.with_reg(
+            i, value(values, None) & machine.MASK64)
     if lhs[0] == "pc":
-        return state._replace(pc=value & machine.MASK64)
-    if lhs[0] == "memread":
-        try:
-            addr = eval_expr(lhs[2], env)
-        except SpecEvalError:
-            return None
-        return state._replace(
-            mem=state.mem.write(addr & machine.MASK64, value, lhs[1]))
+        return lambda values, state: state._replace(
+            pc=value(values, None) & machine.MASK64)
+    if lhs[0] == "memread" and _stateless(lhs[2], names):
+        size, addr = lhs[1], compile_expr(lhs[2])
+        return lambda values, state: state._replace(mem=state.mem.write(
+            addr(values, None) & machine.MASK64, value(values, None), size))
     return None
 
 
 def pre_property(problem: Problem, side, inst: Instance) -> kernel.PropertyFn:
-    constraints = problem._conditions(problem.spec.pre, side)
-    values = dict(inst.env)
-
-    def holds(s) -> bool:
-        return all(eval_constraint(c.ast, _Env(values, s), problem.programs)
-                   for c in constraints)
-
-    text = " and ".join(c.text for c in constraints) or "true"
-    return kernel.PropertyFn(holds, text)
+    return problem._property("pre", side, inst)

@@ -139,11 +139,7 @@ def test_criterion_07_forking_multiply_two_successors_exact_steps():
     s = boot("mulnd_square.masm", x1=3)
     assert len(machine.oracle().successors(s)) == 2
     problem = load_problem("mulnd_square.spec")
-    enum = Enumeration(tuple(i.state0 for i in problem.instances))
-    post = kernel.per_state(
-        {i.state0: problem.post_property(0, i) for i in problem.instances},
-        "declared postcondition")
-    frame = problem.frame(0)
+    enum, post, frame = problem.unary_parts()
     v = kernel.check_ensures(machine.oracle(), enum, post, frame,
                              problem.spec.budget)
     assert v.is_proven
@@ -183,24 +179,17 @@ def test_criterion_09_equivalence_transfers_correctness():
     assert isinstance(e, equiv.EquivJudgment)
 
     problem = load_problem("compare_correct.spec")
-    enum = Enumeration(tuple(i.state0 for i in problem.instances))
-    post = kernel.per_state(
-        {i.state0: problem.post_property(0, i) for i in problem.instances},
-        "declared postcondition")
-    correctness = kernel.prove_ensures(machine.oracle(), enum, post,
-                                       problem.frame(0),
+    enum, post, frame = problem.unary_parts()
+    correctness = kernel.prove_ensures(machine.oracle(), enum, post, frame,
                                        problem.spec.budget)
     transferred = equiv.transfer_correctness(correctness, e)
     assert transferred.form == "ensures_n"
     assert kernel.recheck(transferred).is_proven
 
     loopy = load_problem("compare_nostopper.spec")
-    enum_l = Enumeration(tuple(i.state0 for i in loopy.instances))
-    post_l = kernel.per_state(
-        {i.state0: loopy.post_property(0, i) for i in loopy.instances},
-        "declared postcondition")
+    enum_l, post_l, frame_l = loopy.unary_parts()
     stuckless = kernel.prove_ensures(machine.oracle(), enum_l, post_l,
-                                     loopy.frame(0), loopy.spec.budget)
+                                     frame_l, loopy.spec.budget)
     with pytest.raises(kernel.PromotionFailed):
         equiv.transfer_correctness(stuckless, e)
     elapsed_under(t0, 30.0, "equivalence transfer")

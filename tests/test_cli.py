@@ -329,3 +329,20 @@ def test_console_script_is_installed(tmp_path):
                           env=env)
     assert proc.returncode == 0
     assert "check" in proc.stdout
+
+
+@pytest.mark.parametrize("domain", ["0..256", "-1..1"])
+def test_a_cell_domain_outside_the_byte_values_exits_3(capsys, tmp_path,
+                                                       domain):
+    # 256 would be stored as the byte 0: a second name for one state
+    shutil.copy(CORPUS / "compare_constant.masm", tmp_path)
+    text = (CORPUS / "compare_constant_ct_unary.spec").read_text()
+    assert "mem[10 .. 12) in 0..1" in text
+    spec = tmp_path / "wide.spec"
+    spec.write_text(text.replace("mem[10 .. 12) in 0..1",
+                                 f"mem[10 .. 11) in {domain}"))
+    code, out, err = run_main(capsys, "check", str(spec))
+    line = text.splitlines().index("mem[10 .. 12) in 0..1") + 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: line {line}: cell domain {domain} is not "
+                   "within the byte values 0..255\n")

@@ -21,13 +21,9 @@ def boot(source: str, base: int):
 
 
 def unary_correctness(problem: specfile.Problem) -> kernel.Judgment:
-    enum = kernel.Enumeration(tuple(i.state0 for i in problem.instances),
-                              description="spec instances")
-    post = kernel.per_state(
-        {i.state0: problem.post_property(0, i) for i in problem.instances},
-        "declared postcondition")
-    return kernel.prove_ensures(machine.oracle(), enum, post,
-                                problem.frame(0), problem.spec.budget)
+    enum, post, frame = problem.unary_parts()
+    return kernel.prove_ensures(machine.oracle(), enum, post, frame,
+                                problem.spec.budget)
 
 
 # ---------------------------------------------------------------------------

@@ -402,3 +402,14 @@ def test_instances_satisfy_their_own_preconditions():
     problem = load_problem("compare_correct.spec")
     for inst in problem.instances:
         assert specfile.pre_property(problem, 0, inst).holds(inst.state0)
+
+
+def test_cell_domains_span_the_byte_values():
+    spec = parse_spec("[check]\nkind = unary\n\n[params]\n"
+                      "mem[0 .. 2) in 0..255\nn in -5..300\n")
+    assert [(c.lo, c.hi) for c in spec.cells] == [(0, 255)]
+    for domain in ("0..256", "-1..0", "255..256"):
+        with pytest.raises(SpecSyntaxError, match="byte values") as e:
+            parse_spec(f"[check]\nkind = unary\n\n[params]\n"
+                       f"mem[0 .. 2) in {domain}\n")
+        assert e.value.line == 5
