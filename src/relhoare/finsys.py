@@ -75,12 +75,16 @@ def _mask(states: Iterable[int]) -> int:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    s = 0
     while mask:
-        if mask & 1:
-            yield s
-        mask >>= 1
-        s += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# _SPREAD[n][m] sets bit x*n for each x in the state mask m, so the pair
+# mask of A x B is B * _SPREAD[n][A]: B < 2^n, so no carry crosses a row.
+_SPREAD = tuple(tuple(sum(1 << x * n for x in _bits(m)) for m in range(1 << n))
+                for n in range(7))
 
 
 def pair_index(g: FinSys, a: int, b: int) -> int:
@@ -163,50 +167,59 @@ def exact_eventually_n_set(g: FinSys, n: int, q: Iterable[int]) -> frozenset:
 
 
 class _Tables:
-    """Per-system caches for the suite: forward frontiers, progress
-    masks, eventually sets."""
+    """Per-system caches for the suite: pre-steps by mask, forward
+    frontiers by depth, progress masks, eventually sets."""
 
     def __init__(self, g: FinSys):
         self.g = g
         self.full = (1 << g.n_states) - 1
-        self._front: dict = {}
-        self._prog = [self.full]
+        self._pre: dict = {}
+        self._levels = [[1 << s for s in range(g.n_states)]]
         self._ev: dict = {}
         self._reach: Optional[tuple] = None
+        # progress(k) shrinks with k and stays put once it repeats
+        prog = [self.full]
+        while (nxt := self.pre_step(prog[-1])) != prog[-1]:
+            prog.append(nxt)
+        self._prog = prog
 
-    def frontier(self, s: int, k: int) -> int:
-        key = (s, k)
-        got = self._front.get(key)
+    def pre_step(self, x: int) -> int:
+        got = self._pre.get(x)
         if got is None:
-            if k == 0:
-                got = 1 << s
-            else:
-                got = 0
-                for x in _bits(self.frontier(s, k - 1)):
-                    got |= self.g.succ_masks[x]
-            self._front[key] = got
+            self._pre[x] = got = _pre_step(self.g, x)
         return got
 
+    def frontier(self, s: int, k: int) -> int:
+        levels = self._levels
+        while len(levels) <= k:
+            nxt = []
+            for m in levels[-1]:
+                out = 0
+                for x in _bits(m):
+                    out |= self.g.succ_masks[x]
+                nxt.append(out)
+            levels.append(nxt)
+        return levels[k][s]
+
     def progress(self, k: int) -> int:
-        while len(self._prog) <= k:
-            self._prog.append(_pre_step(self.g, self._prog[-1]))
-        return self._prog[k]
+        prog = self._prog
+        return prog[k] if k < len(prog) else prog[-1]
 
     def has_progress(self, s: int, k: int) -> bool:
-        return bool((self.progress(k) >> s) & 1)
+        prog = self._prog
+        return bool((prog[k] if k < len(prog) else prog[-1]) >> s & 1)
 
     def evn_mask(self, n: int, q: int) -> int:
-        e = q
         for _ in range(n):
-            e = _pre_step(self.g, e)
-        return e
+            q = self.pre_step(q)
+        return q
 
     def ev_mask(self, q: int) -> int:
         got = self._ev.get(q)
         if got is None:
             e = q
             while True:
-                e2 = e | _pre_step(self.g, e)
+                e2 = e | self.pre_step(e)
                 if e2 == e:
                     break
                 e = e2
@@ -260,13 +273,8 @@ def _nested_holds(tb: _Tables, s0: int, s1: int, n0: int, n1: int,
     if not (tb.has_progress(s0, n0) and tb.has_progress(s1, n1)):
         return False
     allowed = qx if fx_row is None else (qx & fx_row)
-    n = tb.g.n_states
-    for a in _bits(tb.frontier(s0, n0)):
-        base = a * n
-        for b in _bits(tb.frontier(s1, n1)):
-            if not (allowed >> (base + b)) & 1:
-                return False
-    return True
+    spread = _SPREAD[tb.g.n_states]
+    return not (tb.frontier(s1, n1) * spread[tb.frontier(s0, n0)] & ~allowed)
 
 
 def _rel_holds(tb: _Tables, pairs, n0: int, n1: int, qx: int,
@@ -279,27 +287,32 @@ def _rel_holds(tb: _Tables, pairs, n0: int, n1: int, qx: int,
 
 
 def _swap_pair_mask(g: FinSys, qx: int) -> int:
+    """The transpose: row a of qx becomes column a."""
+    n, full = g.n_states, (1 << g.n_states) - 1
+    spread = _SPREAD[n]
     out = 0
-    n = g.n_states
-    for i in _bits(qx):
-        a, b = divmod(i, n)
-        out |= 1 << (b * n + a)
+    for a in range(n):
+        out |= spread[qx >> a * n & full] << a
+    return out
+
+
+def _join_pairs(g: FinSys, q1: int, q2: int) -> int:
+    """Relational composition: (x, z) for each (x, y) in q1 and (y, z) in
+    q2, as one product per middle state y."""
+    n, full = g.n_states, (1 << g.n_states) - 1
+    spread = _SPREAD[n]
+    into = _swap_pair_mask(g, q1)  # row y: the x with (x, y) in q1
+    out = 0
+    for y in range(n):
+        out |= (q2 >> y * n & full) * spread[into >> y * n & full]
     return out
 
 
 def _product_rows(g: FinSys, f0_rows, f1_rows) -> list:
-    """Pair-frame rows for the product of two unary frames."""
-    n = g.n_states
-    rows = [0] * (n * n)
-    for a in range(n):
-        for b in range(n):
-            m = 0
-            for x in _bits(f0_rows[a]):
-                base = x * n
-                for y in _bits(f1_rows[b]):
-                    m |= 1 << (base + y)
-            rows[a * n + b] = m
-    return rows
+    """Pair-frame rows for the product of two unary frames: row a*n+b is
+    f0_rows[a] x f1_rows[b]."""
+    spread = _SPREAD[g.n_states]
+    return [f1 * spread[f0] for f0 in f0_rows for f1 in f1_rows]
 
 
 def _compose_rows(rows_a, rows_b) -> list:
@@ -398,15 +411,12 @@ def _check_comm(g, tb, rng, report):
 
 def _reached_pairs_mask(tb, pairs, n0, n1) -> Optional[int]:
     """Exact union of frontier products; None when some side dies."""
-    g = tb.g
+    spread = _SPREAD[tb.g.n_states]
     qx = 0
     for s0, s1 in pairs:
         if not (tb.has_progress(s0, n0) and tb.has_progress(s1, n1)):
             return None
-        for a in _bits(tb.frontier(s0, n0)):
-            base = a * g.n_states
-            for b in _bits(tb.frontier(s1, n1)):
-                qx |= 1 << (base + b)
+        qx |= tb.frontier(s1, n1) * spread[tb.frontier(s0, n0)]
     return qx
 
 
@@ -535,15 +545,7 @@ def _check_rel_frame_composition(g, tb, rng, report):
             and _rel_holds(tb, [(b, c)], nm, n2, q2, fx2)):
         return out
     _count(report, "rel_frame_composition")
-    # composed postcondition: join on a shared middle state
-    joined = 0
-    n = g.n_states
-    for i in _bits(q1):
-        x, y = divmod(i, n)
-        for j in _bits(q2):
-            y2, z = divmod(j, n)
-            if y == y2:
-                joined |= 1 << (x * n + z)
+    joined = _join_pairs(g, q1, q2)
     fxc = _product_rows(g, f0, f2)
     if not _rel_holds(tb, [(a, c)], n0, n2, joined, fxc):
         out.append(("rel_frame_composition", g,
@@ -613,11 +615,7 @@ def _check_product(g, tb, rng, report):
             and _ensures_n_holds(tb, p1, s1, q1, f1)):
         return out
     _count(report, "product")
-    qx = 0
-    n = g.n_states
-    for x in _bits(q0):
-        for y in _bits(q1):
-            qx |= 1 << (x * n + y)
+    qx = q1 * _SPREAD[g.n_states][q0]
     fx = _product_rows(g, f0, f1)
     for a in _bits(p0):
         for b in _bits(p1):

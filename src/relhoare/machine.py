@@ -181,6 +181,13 @@ class Mem:
         self._d = dict(entries) if entries else {}
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _adopt(cls, d: dict) -> "Mem":
+        """A Mem over a dict no one else holds, without copying it."""
+        m = cls.__new__(cls)
+        m._d, m._hash = d, None
+        return m
+
     def get(self, addr: int) -> int:
         return self._d.get(addr & MASK64, 0)
 
@@ -199,7 +206,7 @@ class Mem:
                 d[a] = byte
             else:
                 d.pop(a, None)
-        return Mem(d)
+        return Mem._adopt(d)
 
     def write_bytes(self, addr: int, data: bytes) -> "Mem":
         return self.write_cells(enumerate(data, addr))
@@ -214,7 +221,7 @@ class Mem:
                 d[a] = byte
             else:
                 d.pop(a, None)
-        return Mem(d)
+        return Mem._adopt(d)
 
     def addresses(self) -> Iterator[int]:
         return iter(self._d)
@@ -574,7 +581,8 @@ def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
         else:
             mem_clear.add(label.arg)
     if mem_clear:
-        mem = Mem({a: v for a, v in mem.items() if a not in mem_clear})
+        mem = Mem._adopt({a: v for a, v in mem.items()
+                          if a not in mem_clear})
     return MachineState(regs=regs, pc=pc, flag_n=fn, flag_z=fz,
                         mem=mem, events=events)
 

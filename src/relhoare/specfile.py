@@ -1108,29 +1108,46 @@ def _assignment(c: Constraint, names) -> Optional[Callable]:
     for any other line. The value, and a memory write's address, must
     evaluate from the instance's values alone: a line that reads machine
     state or an unbound name is only verified. Every instance binds the
-    same names, so which lines assign is fixed per spec."""
+    same names, so which lines assign is fixed per spec. A value that
+    does not fit the label raises SpecEvalError."""
     ast = c.ast
     if ast[0] == "flag":
         if not _stateless(ast[2], names):
             return None
         label = machine.FLAG_N if ast[1] == "n" else machine.FLAG_Z
-        bit = compile_expr(ast[2])
-        return lambda values, state: state.with_label(label, bit(values, None))
+        bit = _fitted(c, compile_expr(ast[2]), 1)
+        return lambda values, state: state.with_label(label, bit(values))
     if ast[0] != "cmp" or ast[1] != "=" or not _stateless(ast[3], names):
         return None
-    lhs, value = ast[2], compile_expr(ast[3])
+    lhs, expr = ast[2], compile_expr(ast[3])
     if lhs[0] == "reg":
-        i = lhs[1]
-        return lambda values, state: state.with_reg(
-            i, value(values, None) & machine.MASK64)
+        i, value = lhs[1], _fitted(c, expr, 64)
+        return lambda values, state: state.with_reg(i, value(values))
     if lhs[0] == "pc":
-        return lambda values, state: state._replace(
-            pc=value(values, None) & machine.MASK64)
+        value = _fitted(c, expr, 64)
+        return lambda values, state: state._replace(pc=value(values))
     if lhs[0] == "memread" and _stateless(lhs[2], names):
         size, addr = lhs[1], compile_expr(lhs[2])
+        value = _fitted(c, expr, 8 * size)
         return lambda values, state: state._replace(mem=state.mem.write(
-            addr(values, None) & machine.MASK64, value(values, None), size))
+            addr(values, None) & machine.MASK64, value(values), size))
     return None
+
+
+def _fitted(c: Constraint, expr: Callable, bits: int) -> Callable:
+    """An assignment's value as a function of the instance's values,
+    refusing one outside the `bits`-bit label it writes."""
+    hi = (1 << bits) - 1
+    allowed = f"0..{hi}" if bits <= 8 else f"0..2^{bits}-1"
+
+    def value(values) -> int:
+        v = expr(values, None)
+        if not 0 <= v <= hi:
+            raise SpecEvalError(f"assignment {c.text!r} sets {v}, outside "
+                                f"the label's range {allowed}", c.line)
+        return v
+
+    return value
 
 
 def pre_property(problem: Problem, side, inst: Instance) -> kernel.PropertyFn:

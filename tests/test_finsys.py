@@ -106,3 +106,110 @@ def test_suite_detects_a_deliberately_broken_rule():
 def test_suite_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_soundness_suite(seed=1, trials=0)
+
+
+# Per-rule instance counts and violation lists captured before the oracles
+# were rewritten as word-level mask operations: a speed-up that changes a
+# random draw changes which systems a seed tests, and shows up here.
+PINNED_INSTANCES_SEED_0 = {
+    'branch_cases': 1000,
+    'comm': 1000,
+    'comp': 259,
+    'conj': 213,
+    'containment': 2000,
+    'drop_steps': 1000,
+    'ev_agreement': 100,
+    'frame': 1000,
+    'frame2': 416,
+    'hybrid_extract': 365,
+    'kernel_agreement': 100,
+    'loop': 1000,
+    'post': 1000,
+    'post2': 440,
+    'pre': 1000,
+    'pre2': 362,
+    'product': 1000,
+    'rel_commutativity': 1000,
+    'rel_compositional': 237,
+    'rel_conjunction': 437,
+    'rel_frame_composition': 346,
+    'restrict2': 368,
+    'seq': 1000,
+}
+
+PINNED_INSTANCES_SEED_3 = {
+    'branch_cases': 1000,
+    'comm': 1000,
+    'comp': 303,
+    'conj': 217,
+    'containment': 2000,
+    'drop_steps': 1000,
+    'ev_agreement': 100,
+    'frame': 1000,
+    'frame2': 452,
+    'hybrid_extract': 381,
+    'kernel_agreement': 100,
+    'loop': 1000,
+    'post': 1000,
+    'post2': 435,
+    'pre': 1000,
+    'pre2': 390,
+    'product': 1000,
+    'rel_commutativity': 1000,
+    'rel_compositional': 259,
+    'rel_conjunction': 457,
+    'rel_frame_composition': 371,
+    'restrict2': 403,
+    'seq': 1000,
+}
+
+PINNED_BROKEN_COMP_SEED_3 = [
+    (6, ((0, 2), (1, 0), (1, 1), (2, 2), (2, 3), (3, 0), (3, 2), (3, 5),
+         (4, 1), (4, 4), (4, 5), (5, 2), (5, 4), (5, 5)),
+     'pairs=[(4, 3)] n=(2,1) m=(2,0) qx=0x965025965 rx=0x965965965'),
+    (3, ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
+         (2, 2)),
+     'pairs=[(0, 2)] n=(1,0) m=(0,0) qx=0x124 rx=0x124'),
+    (3, (),
+     'pairs=[(1, 2)] n=(0,0) m=(0,0) qx=0x20 rx=0x20'),
+    (6, ((0, 5), (1, 2), (1, 4), (2, 0), (2, 1), (4, 3), (5, 4)),
+     'pairs=[(2, 2)] n=(0,2) m=(2,1) qx=0x34000 rx=0x6db01b000'),
+    (5, ((0, 0), (0, 2), (0, 4), (1, 1), (1, 2), (2, 2), (3, 2), (3, 4),
+         (4, 0), (4, 3)),
+     'pairs=[(3, 0)] n=(1,1) m=(2,0) qx=0x151dce2 rx=0x171dcf7'),
+    (4, ((0, 3), (1, 1), (1, 2), (3, 3)),
+     'pairs=[(3, 1)] n=(0,0) m=(0,1) qx=0x2000 rx=0x6000'),
+    (3, ((0, 2), (1, 1), (2, 0)),
+     'pairs=[(0, 0)] n=(0,0) m=(2,1) qx=0x1 rx=0x4'),
+    (3, ((0, 1), (1, 0)),
+     'pairs=[(1, 0)] n=(1,1) m=(1,2) qx=0x2 rx=0x10'),
+    (5, ((0, 0), (0, 4), (1, 1), (2, 1), (2, 4), (3, 0), (4, 1)),
+     'pairs=[(3, 3)] n=(0,1) m=(1,1) qx=0x8000 rx=0x11'),
+    (4, ((0, 3), (1, 2), (3, 1)),
+     'pairs=[(1, 0)] n=(0,1) m=(0,1) qx=0x80 rx=0x20'),
+    (5, ((0, 1), (0, 2), (1, 1), (2, 1), (2, 3), (3, 0), (3, 2), (4, 0),
+         (4, 2), (4, 4)),
+     'pairs=[(2, 3)] n=(0,0) m=(2,0) qx=0x2000 rx=0x2108'),
+    (5, ((0, 1), (2, 2), (2, 4)),
+     'pairs=[(2, 1)] n=(0,0) m=(1,0) qx=0x800 rx=0x200800'),
+    (2, ((0, 1), (1, 0)),
+     'pairs=[(1, 0)] n=(1,2) m=(1,0) qx=0xd rx=0x7'),
+    (6, ((0, 2), (0, 3), (3, 1), (3, 2), (4, 5), (5, 3), (5, 5)),
+     'pairs=[(5, 4)] n=(1,1) m=(0,0) qx=0x800800000 rx=0x800800000'),
+]
+
+
+@pytest.mark.parametrize("seed, want", [(0, PINNED_INSTANCES_SEED_0),
+                                        (3, PINNED_INSTANCES_SEED_3)])
+def test_suite_draws_are_pinned(seed, want):
+    report = run_soundness_suite(seed=seed, trials=1000)
+    assert report.instances == want
+    assert report.passed
+
+
+def test_broken_rule_violations_are_pinned():
+    report = run_soundness_suite(seed=3, trials=200, _break="comp")
+    got = [(g.n_states, tuple(sorted(g.edges)), inputs)
+           for rule, g, inputs in report.violations]
+    assert {rule for rule, _, _ in report.violations} == {"comp"}
+    assert got == PINNED_BROKEN_COMP_SEED_3

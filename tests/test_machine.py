@@ -226,6 +226,21 @@ def test_memory_is_little_endian(value, addr, size):
     assert m.get(addr) == value & 0xFF
 
 
+def test_memory_values_share_no_dict():
+    entries = {0x10: 1, 0x11: 2}
+    m = Mem(entries)
+    entries[0x10] = 7
+    entries[0x12] = 3
+    assert dict(m.items()) == {0x10: 1, 0x11: 2}
+    stored = m.write(0x11, 0, 1)
+    cells = m.write_cells([(0x10, 9), (0x20, 4)])
+    assert dict(stored.items()) == {0x10: 1}
+    assert dict(cells.items()) == {0x10: 9, 0x11: 2, 0x20: 4}
+    assert dict(m.items()) == {0x10: 1, 0x11: 2}
+    assert m.write(0x30, 5, 1).write(0x31, 6, 1).read(0x30, 2) == 0x0605
+    assert dict(m.items()) == {0x10: 1, 0x11: 2}
+
+
 @given(st.data())
 @settings(max_examples=120)
 def test_events_are_append_only(data):

@@ -10,7 +10,10 @@ template expansion over that evaluator. All are copied verbatim. The
 compiled closures must agree with the reference on every AST of the
 corpus and on drawn ASTs over small machine states: the same value, or
 the same exception with the same message. The builder must yield the
-same instances, in the same order, or raise the same error.
+same instances, in the same order, or raise the same error. The one
+exception is a [pre] assignment whose value does not fit its label: the
+reference masked the value and then reported the line as a conflict,
+the builder refuses it with its value and the label's range.
 """
 
 from __future__ import annotations
@@ -642,8 +645,6 @@ PRE_CASES = {
     "a state read in an assignment": "x2 = x1 + 1\n",
     "a prefix filter": "prefixlen(10, 11, 2) = 1 or pc = 0\n",
     "flags from parameters": "flag n = b - 1\nflag z = 2 - b\n",
-    "a flag set to 2": "flag n = a\n",
-    "a negative register value": "x5 = 0 - 1\n",
     "a wide store": "mem8(16) = a * 0x100000001 + b\n",
     "nothing": "",
 }
@@ -677,6 +678,39 @@ def test_conflicting_assignments_still_name_the_line(tmp_path):
     assert str(e.value) == (
         "line 11: assignment 'x0 = a' does not hold on its own constructed "
         "state (conflicting assignments?)")
+
+
+@pytest.mark.parametrize("line, value, allowed", [
+    ("flag n = a", 2, "0..1"),
+    ("x5 = 0 - 1", -1, "0..2^64-1"),
+    ("pc = 0 - 4 * a", -4, "0..2^64-1"),
+    ("mem1(10) = 128 * a", 256, "0..255"),
+    ("mem4(16) = 0 - a", -1, "0..2^32-1"),
+])
+def test_an_assignment_that_does_not_fit_its_label_names_the_value(
+        tmp_path, line, value, allowed):
+    """The reference masked such a value, then refused the line as a
+    conflict although no other line assigns the label."""
+    (tmp_path / "p.masm").write_text("halt\n")
+    spec = specfile.parse_spec(
+        "[check]\nkind = unary\n\n[program0]\nfile = p.masm\n\n"
+        f"[params]\na in 0..2\n\n[pre]\n{line}\n")
+    with pytest.raises(SpecEvalError) as e:
+        specfile.build_problem(spec, tmp_path)
+    assert str(e.value) == (f"line 11: assignment {line!r} sets {value}, "
+                            f"outside the label's range {allowed}")
+
+
+def test_assignments_at_the_ends_of_their_ranges_build(tmp_path):
+    (tmp_path / "p.masm").write_text("halt\n")
+    spec = specfile.parse_spec(
+        "[check]\nkind = unary\n\n[program0]\nfile = p.masm\n\n"
+        "[params]\na in 0..1\n\n[pre]\nflag n = a\nflag z = 1 - a\n"
+        "x5 = 18446744073709551615 * a\nmem1(10) = 255 * a\n")
+    problem = specfile.build_problem(spec, tmp_path)
+    top = problem.instances[1].state0
+    assert (top.flag_n, top.flag_z, top.reg(5)) == (1, 0, machine.MASK64)
+    assert top.mem.get(10) == 255
 
 
 def test_a_misaligned_base_is_refused_like_the_reference(tmp_path):
