@@ -44,11 +44,12 @@ class FinSys:
     edges: frozenset
 
     def __post_init__(self):
+        buckets: list = [[] for _ in range(self.n_states)]
         for a, b in self.edges:
             if not (0 <= a < self.n_states and 0 <= b < self.n_states):
                 raise ValueError(f"edge ({a},{b}) references a missing state")
-        succs = tuple(tuple(sorted(b for a, b in self.edges if a == s))
-                      for s in range(self.n_states))
+            buckets[a].append(b)
+        succs = tuple(tuple(sorted(bucket)) for bucket in buckets)
         masks = tuple(_mask(s) for s in succs)
         object.__setattr__(self, "succs", succs)
         object.__setattr__(self, "succ_masks", masks)

@@ -224,9 +224,9 @@ def compose_frames(f0: FrameFn, f1: FrameFn,
 
 def _delta_within(s, t, labels) -> bool:
     # local import keeps this module independent of the machine model
-    from .machine import MachineState, state_delta
+    from .machine import MachineState, agrees_outside
     if isinstance(s, MachineState):
-        return state_delta(s, t) <= labels
+        return agrees_outside(s, t, labels)
     raise KernelError("label frames only apply to machine states")
 
 

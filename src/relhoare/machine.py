@@ -96,6 +96,9 @@ def reg_label(i: int) -> Label:
     return Label("reg", i)
 
 
+_REG_LABELS = tuple(reg_label(i) for i in range(16))
+
+
 def mem_label(addr: int) -> Label:
     return Label("mem", addr & MASK64)
 
@@ -346,29 +349,30 @@ def decode_word(word: int) -> Optional[Instruction]:
 
 class MachineState:
     """Immutable machine state. Successor computation returns fresh states;
-    nothing here mutates in place."""
+    nothing here mutates in place. The constructor masks registers and pc
+    to 64 bits and flags to 0/1."""
 
     __slots__ = ("regs", "pc", "flag_n", "flag_z", "mem", "events", "_hash")
 
     def __init__(self, regs=None, pc=0, flag_n=0, flag_z=0, mem=None, events=()):
-        self.regs = tuple(regs) if regs is not None else (0,) * 16
+        self.regs = (tuple(v & MASK64 for v in regs) if regs is not None
+                     else (0,) * 16)
         self.pc = pc & MASK64
-        self.flag_n = flag_n
-        self.flag_z = flag_z
+        self.flag_n = int(bool(flag_n))
+        self.flag_z = int(bool(flag_z))
         self.mem = mem if mem is not None else Mem()
         self.events = tuple(events)
         self._hash: Optional[int] = None
         assert len(self.regs) == 16
 
-    def _replace(self, **kw) -> "MachineState":
-        return MachineState(
-            regs=kw.get("regs", self.regs),
-            pc=kw.get("pc", self.pc),
-            flag_n=kw.get("flag_n", self.flag_n),
-            flag_z=kw.get("flag_z", self.flag_z),
-            mem=kw.get("mem", self.mem),
-            events=kw.get("events", self.events),
-        )
+    def _replace(self, *, regs=None, pc=None, flag_n=None, flag_z=None,
+                 mem=None, events=None) -> "MachineState":
+        return _make(self.regs if regs is None else tuple(regs),
+                     self.pc if pc is None else pc & MASK64,
+                     self.flag_n if flag_n is None else flag_n,
+                     self.flag_z if flag_z is None else flag_z,
+                     self.mem if mem is None else mem,
+                     self.events if events is None else tuple(events))
 
     # -- reads and writes by label
 
@@ -378,30 +382,23 @@ class MachineState:
     def with_reg(self, i: int, value: int) -> "MachineState":
         regs = list(self.regs)
         regs[i] = value & MASK64
-        return self._replace(regs=tuple(regs))
+        return _make(tuple(regs), self.pc, self.flag_n, self.flag_z,
+                     self.mem, self.events)
 
     def read_label(self, label: Label):
         if label.kind == "reg":
             return self.regs[label.arg]
-        if label.kind == "pc":
-            return self.pc
-        if label.kind == "flag_n":
-            return self.flag_n
-        if label.kind == "flag_z":
-            return self.flag_z
         if label.kind == "mem":
             return self.mem.get(label.arg)
-        return self.events
+        return getattr(self, label.kind)  # pc, flag_n, flag_z, events
 
     def with_label(self, label: Label, value) -> "MachineState":
         if label.kind == "reg":
             return self.with_reg(label.arg, value)
         if label.kind == "pc":
-            return self._replace(pc=value & MASK64)
-        if label.kind == "flag_n":
-            return self._replace(flag_n=int(bool(value)))
-        if label.kind == "flag_z":
-            return self._replace(flag_z=int(bool(value)))
+            return self._replace(pc=value)
+        if label.kind in ("flag_n", "flag_z"):
+            return self._replace(**{label.kind: int(bool(value))})
         if label.kind == "mem":
             return self._replace(mem=self.mem.write(label.arg, value & 0xFF, 1))
         return self._replace(events=tuple(value))
@@ -426,6 +423,19 @@ class MachineState:
                 f"mem={len(self.mem)}B events={len(self.events)}>")
 
 
+_new_object = object.__new__
+
+
+def _make(regs, pc, flag_n, flag_z, mem, events) -> MachineState:
+    """A state from fields that are already canonical (a 16-tuple of 64-bit
+    registers, a 64-bit pc, 0/1 flags, an event tuple), without copies or
+    checks: the one construction a step makes per successor."""
+    s = _new_object(MachineState)
+    s.regs, s.pc, s.flag_n, s.flag_z = regs, pc, flag_n, flag_z
+    s.mem, s.events, s._hash = mem, events, None
+    return s
+
+
 def zeroed_state() -> MachineState:
     return MachineState()
 
@@ -433,76 +443,100 @@ def zeroed_state() -> MachineState:
 # ---------------------------------------------------------------------------
 # single-step semantics
 
-def decode_at(s: MachineState, addr: int) -> Optional[Instruction]:
-    return decode_word(s.mem.read(addr, WORD))
+def _compile(ins: Instruction) -> Callable:
+    """The step of one decoded instruction as a closure (s, nxt) -> the
+    successor list, where nxt is the fall-through pc; its fields are
+    bound once here instead of dispatched on at every step."""
+    op, rd, rn, rm, imm = ins.op, ins.rd, ins.rn, ins.rm, ins.imm
+    jump = WORD * ins.off
+    value = {
+        "movi": lambda r: imm,
+        "movr": lambda r: r[rn],
+        "add": lambda r: (r[rn] + r[rm]) & MASK64,
+        "sub": lambda r: (r[rn] - r[rm]) & MASK64,
+        "mul": lambda r: (r[rn] * r[rm]) & MASK64,
+        "mulnd": lambda r: (r[rn] * r[rm]) & MASK64,
+        "umulh": lambda r: (r[rn] * r[rm]) >> 64,
+        "addi": lambda r: (r[rn] + imm) & MASK64,
+        "subi": lambda r: (r[rn] - imm) & MASK64,
+    }.get(op)
+    dest = {
+        "b": lambda s, nxt: (nxt + jump) & MASK64,
+        "beq": lambda s, nxt: (nxt + jump) & MASK64 if s.flag_z == 1 else nxt,
+        "bne": lambda s, nxt: (nxt + jump) & MASK64 if s.flag_z == 0 else nxt,
+        "cbz": lambda s, nxt: nxt if s.regs[rd] else (nxt + jump) & MASK64,
+        "cbnz": lambda s, nxt: (nxt + jump) & MASK64 if s.regs[rd] else nxt,
+        "br": lambda s, nxt: s.regs[rn],
+    }.get(op)
+
+    if value is not None:
+        fork = op == "mulnd"
+
+        def step(s, nxt):
+            regs = list(s.regs)
+            regs[rd] = value(regs)
+            regs = tuple(regs)
+            if fork:
+                return [_make(regs, nxt, 0, s.flag_z, s.mem, s.events),
+                        _make(regs, nxt, 1, s.flag_z, s.mem, s.events)]
+            return [_make(regs, nxt, s.flag_n, s.flag_z, s.mem, s.events)]
+    elif op in ("cmp", "cmpi"):
+        by_reg = op == "cmp"
+
+        def step(s, nxt):
+            a = s.regs[rn]
+            b = s.regs[rm] if by_reg else imm
+            return [_make(s.regs, nxt, ((a - b) & MASK64) >> 63, int(a == b),
+                          s.mem, s.events)]
+    elif dest is not None:
+        def step(s, nxt):
+            to = dest(s, nxt)
+            return [_make(s.regs, to, s.flag_n, s.flag_z, s.mem,
+                          s.events + (Event("branch", s.pc, to),))]
+    elif op in LOAD_SIZES:
+        size = LOAD_SIZES[op]
+
+        def step(s, nxt):
+            regs = list(s.regs)
+            addr = (regs[rn] + imm) & MASK64
+            regs[rd] = s.mem.read(addr, size)
+            return [_make(tuple(regs), nxt, s.flag_n, s.flag_z, s.mem,
+                          s.events + (Event("load", addr, size),))]
+    else:
+        size = STORE_SIZES[op]
+
+        def step(s, nxt):
+            regs = s.regs
+            addr = (regs[rn] + imm) & MASK64
+            return [_make(regs, nxt, s.flag_n, s.flag_z,
+                          s.mem.write(addr, regs[rd], size),
+                          s.events + (Event("store", addr, size),))]
+    return step
+
+
+# compiled steps by instruction word; a store over code changes the word
+# fetched, so a rewritten instruction never meets the step of the old one
+_STEPS: dict = {}
 
 
 def successors(s: MachineState) -> list[MachineState]:
     """All one-step successors, in a fixed order. Empty when stuck (pc
     misaligned or fetch undecodable). Only mulnd returns two states."""
-    if s.pc % WORD != 0:
+    pc = s.pc
+    if pc % WORD:
         return []
-    ins = decode_at(s, s.pc)
+    d = s.mem._d  # an aligned fetch does not wrap
+    word = (d.get(pc, 0) | d.get(pc + 1, 0) << 8 | d.get(pc + 2, 0) << 16
+            | d.get(pc + 3, 0) << 24)
+    ins = decode_word(word)
     if ins is None:
         return []
-    op = ins.op
-    nxt = (s.pc + WORD) & MASK64
-
-    if op == "movi":
-        return [s.with_reg(ins.rd, ins.imm)._replace(pc=nxt)]
-    if op == "movr":
-        return [s.with_reg(ins.rd, s.regs[ins.rn])._replace(pc=nxt)]
-    if op in ("add", "sub", "mul"):
-        a, b = s.regs[ins.rn], s.regs[ins.rm]
-        v = a + b if op == "add" else a - b if op == "sub" else a * b
-        return [s.with_reg(ins.rd, v & MASK64)._replace(pc=nxt)]
-    if op == "umulh":
-        v = (s.regs[ins.rn] * s.regs[ins.rm]) >> 64
-        return [s.with_reg(ins.rd, v)._replace(pc=nxt)]
-    if op == "mulnd":
-        v = (s.regs[ins.rn] * s.regs[ins.rm]) & MASK64
-        base = s.with_reg(ins.rd, v)._replace(pc=nxt)
-        return [base._replace(flag_n=0), base._replace(flag_n=1)]
-    if op in ("addi", "subi"):
-        a = s.regs[ins.rn]
-        v = a + ins.imm if op == "addi" else a - ins.imm
-        return [s.with_reg(ins.rd, v & MASK64)._replace(pc=nxt)]
-    if op in ("cmp", "cmpi"):
-        a = s.regs[ins.rn]
-        b = s.regs[ins.rm] if op == "cmp" else ins.imm
-        diff = (a - b) & MASK64
-        return [s._replace(flag_z=int(a == b), flag_n=diff >> 63, pc=nxt)]
-    if op in ("b", "beq", "bne", "cbz", "cbnz"):
-        if op == "b":
-            taken = True
-        elif op == "beq":
-            taken = s.flag_z == 1
-        elif op == "bne":
-            taken = s.flag_z == 0
-        elif op == "cbz":
-            taken = s.regs[ins.rd] == 0
-        else:
-            taken = s.regs[ins.rd] != 0
-        dest = (s.pc + WORD + WORD * ins.off) & MASK64 if taken else nxt
-        ev = branch_event(s.pc, dest)
-        return [s._replace(pc=dest, events=s.events + (ev,))]
-    if op == "br":
-        dest = s.regs[ins.rn]
-        ev = branch_event(s.pc, dest)
-        return [s._replace(pc=dest, events=s.events + (ev,))]
-    if op in LOAD_SIZES:
-        size = LOAD_SIZES[op]
-        addr = (s.regs[ins.rn] + ins.imm) & MASK64
-        v = s.mem.read(addr, size)
-        ev = load_event(addr, size)
-        return [s.with_reg(ins.rd, v)._replace(pc=nxt, events=s.events + (ev,))]
-    if op in STORE_SIZES:
-        size = STORE_SIZES[op]
-        addr = (s.regs[ins.rn] + ins.imm) & MASK64
-        mem = s.mem.write(addr, s.regs[ins.rd], size)
-        ev = store_event(addr, size)
-        return [s._replace(mem=mem, pc=nxt, events=s.events + (ev,))]
-    raise AssertionError(f"unhandled op {op}")
+    step = _STEPS.get(word)
+    if step is None:
+        if len(_STEPS) >= 65536:
+            _STEPS.clear()
+        step = _STEPS[word] = _compile(ins)
+    return step(s, (pc + WORD) & MASK64)
 
 
 def is_stuck(s: MachineState) -> bool:
@@ -513,7 +547,8 @@ def is_terminated_at(s: MachineState, addr: int) -> bool:
     """True when pc equals addr and the word there does not decode. This is
     independent of alignment: a misaligned pc already makes the state
     stuck, but termination here specifically means fetch failure."""
-    return s.pc == addr & MASK64 and decode_at(s, addr & MASK64) is None
+    addr &= MASK64
+    return s.pc == addr and decode_word(s.mem.read(addr, WORD)) is None
 
 
 def is_aligned_at(s: MachineState, base: int, code: bytes) -> bool:
@@ -532,31 +567,35 @@ def is_aligned_at(s: MachineState, base: int, code: bytes) -> bool:
 
 def state_delta(s0: MachineState, s1: MachineState) -> frozenset[Label]:
     """The set of labels on which two states differ."""
-    out = set()
-    for i in range(16):
-        if s0.regs[i] != s1.regs[i]:
-            out.add(reg_label(i))
-    if s0.pc != s1.pc:
-        out.add(PC)
-    if s0.flag_n != s1.flag_n:
-        out.add(FLAG_N)
-    if s0.flag_z != s1.flag_z:
-        out.add(FLAG_Z)
-    if s0.events != s1.events:
-        out.add(EVENTS)
-    if s0.mem != s1.mem:
-        seen = set(s0.mem.addresses()) | set(s1.mem.addresses())
-        for a in seen:
-            if s0.mem.get(a) != s1.mem.get(a):
-                out.add(mem_label(a))
-    return frozenset(out)
+    d0, d1 = s0.mem._d, s1.mem._d
+    return frozenset(
+        [label for label, a, b in zip(_REG_LABELS, s0.regs, s1.regs) if a != b]
+        + [label for label, a, b in (
+            (PC, s0.pc, s1.pc), (FLAG_N, s0.flag_n, s1.flag_n),
+            (FLAG_Z, s0.flag_z, s1.flag_z), (EVENTS, s0.events, s1.events))
+           if a != b]
+        + [mem_label(a) for a in d0.keys() | d1.keys()
+           if d0.get(a, 0) != d1.get(a, 0)])
 
 
 def agrees_outside(s0: MachineState, s1: MachineState,
                    labels: frozenset[Label]) -> bool:
     """True when every label where the states differ lies inside `labels`.
-    This is the maychange relation for that label set."""
-    return state_delta(s0, s1) <= labels
+    This is the maychange relation for that label set. Stops at the first
+    difference outside it."""
+    if s0.regs != s1.regs:
+        for label, a, b in zip(_REG_LABELS, s0.regs, s1.regs):
+            if a != b and label not in labels:
+                return False
+    if (s0.pc != s1.pc and PC not in labels
+            or s0.flag_n != s1.flag_n and FLAG_N not in labels
+            or s0.flag_z != s1.flag_z and FLAG_Z not in labels
+            or s0.events != s1.events and EVENTS not in labels):
+        return False
+    d0, d1 = s0.mem._d, s1.mem._d
+    return d0 is d1 or d0 == d1 or all(
+        mem_label(a) in labels for a in d0.keys() | d1.keys()
+        if d0.get(a, 0) != d1.get(a, 0))
 
 
 def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
@@ -583,8 +622,7 @@ def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
     if mem_clear:
         mem = Mem._adopt({a: v for a, v in mem.items()
                           if a not in mem_clear})
-    return MachineState(regs=regs, pc=pc, flag_n=fn, flag_z=fz,
-                        mem=mem, events=events)
+    return _make(tuple(regs), pc, fn, fz, mem, events)
 
 
 _ORACLE = None

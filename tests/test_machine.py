@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from relhoare import asm, machine
 from relhoare.machine import (
-    EVENTS, FLAG_N, FLAG_Z, MASK64, PC, Instruction, Label, Mem,
-    decode_word, encode_instruction, mem_label, mem_range, reg_label,
-    zeroed_state,
+    EVENTS, FLAG_N, FLAG_Z, MASK64, PC, Instruction, Label, MachineState,
+    Mem, branch_event, decode_word, encode_instruction, mem_label, mem_range,
+    reg_label, zeroed_state,
 )
 
 regs = st.integers(min_value=0, max_value=15)
@@ -350,3 +350,47 @@ def test_store_over_next_instruction_changes_behavior():
     s = run(boot(src, x0=0), 4)
     assert s.pc == 0x1008 and machine.is_stuck(s)
     assert s.reg(2) == 0
+
+
+def test_loop_runs_the_word_a_store_wrote_over_code_it_already_ran():
+    # the first pass runs `movi x2, #1` at top, then stores a new word over
+    # it; the second pass must run the new word, not the step compiled for
+    # the old one
+    src = "top: movi x2, #1\ncbnz x3, done\nmovi x3, #1\nstrw x4, [x6]\n" \
+          "b top\ndone: halt"
+    new_word = encode_instruction(Instruction("movi", rd=2, imm=7))
+    s = boot(src, x4=new_word, x6=0x1000)
+    first = run(s, 1)
+    assert first.reg(2) == 1
+    final = run(s, 20)
+    assert machine.is_terminated_at(final, 0x1014)
+    assert final.reg(2) == 7 and final.mem.read(0x1000, 4) == new_word
+    assert [(e.kind, e.a) for e in final.events] == [
+        ("branch", 0x1004), ("store", 0x1000), ("branch", 0x1010),
+        ("branch", 0x1004)]
+
+
+@given(value=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+       flag=st.integers(min_value=-3, max_value=3))
+def test_every_public_state_builder_masks(value, flag):
+    events = [branch_event(0, 8)]
+    s = MachineState(regs=[value] * 16, pc=value, flag_n=flag, flag_z=flag,
+                     events=events)
+    assert s.regs == (value & MASK64,) * 16 and s.pc == value & MASK64
+    assert (s.flag_n, s.flag_z) == (int(bool(flag)),) * 2
+    built = [
+        s, s.with_reg(3, value), s.with_label(reg_label(3), value),
+        s.with_label(PC, value), s.with_label(FLAG_N, flag),
+        s.with_label(FLAG_Z, flag), s.with_label(EVENTS, events),
+        s.with_label(mem_label(value), value), s._replace(pc=value),
+        s._replace(events=events),
+        machine.mask_labels(s, frozenset({reg_label(1), FLAG_N, EVENTS})),
+    ]
+    for t in built:
+        assert type(t.regs) is tuple and len(t.regs) == 16
+        assert type(t.events) is tuple
+        assert all(0 <= v <= MASK64 for v in t.regs)
+        assert 0 <= t.pc <= MASK64 and t.flag_n in (0, 1) and t.flag_z in (0, 1)
+    assert s.with_reg(3, value).reg(3) == value & MASK64
+    assert s._replace(pc=value + 4).pc == (value + 4) & MASK64
+    assert s.with_label(FLAG_Z, flag).flag_z == int(bool(flag))
