@@ -3,9 +3,12 @@
 Two formulations, checked against each other in the test suite:
 
 * Pairwise: every two runs that start equal on all public labels must
-  produce identical event traces. This enumerates all qualifying pairs
-  of initial states and hands them to the relational exact-count
-  checker with trace equality conjoined onto the postcondition.
+  produce identical event traces. The qualifying pairs of initial
+  states are a join on the public projection, handed to the relational
+  exact-count checker as blocks (one per public class, never stored as
+  pairs) with trace equality conjoined onto the postcondition; since
+  trace equality is equality of a per-state key, the kernel checks each
+  start state once rather than each pair.
 
 * Single-run with a witness: every run's trace must equal a template
   expanded at the run's public parameters. A program passing this is
@@ -35,7 +38,6 @@ __all__ = [
     "Partition", "PartitionOverlap", "TemplateExpansionFailure",
     "expand_template", "compile_template", "check_ct_relational",
     "check_ct_unary", "bridge", "project_trace", "partition_of",
-    "public_pairs",
 ]
 
 
@@ -56,8 +58,10 @@ class Partition:
     `public=None` means "everything that is not private", the usual
     case; an explicit public set is validated for disjointness but not
     required to be exhaustive. Each state is projected once per
-    partition: a check builds its own partition, and every pair a start
-    state sits in reuses that state's projection."""
+    partition: a check builds its own partition, and the projection is
+    the key of the join that groups start states into public classes,
+    read again, from this cache, when the kernel validates the
+    classes."""
 
     private: frozenset
     public: Optional[frozenset] = None
@@ -153,15 +157,8 @@ def _compile_item(item) -> Callable[[dict, list], None]:
 # ---------------------------------------------------------------------------
 # checks
 
-def public_pairs(part: Partition, states) -> tuple:
-    """Every pair (a, b) of states with equal public projections, in the
-    order a scan of all n² pairs keeps them: a hash join that meets each
-    left state with its projection's group, in enumeration order."""
-    groups: dict = {}
-    for s in states:
-        groups.setdefault(part.project_public(s), []).append(s)
-    return tuple((a, b) for a in states
-                 for b in groups[part.project_public(a)])
+def _events(s) -> tuple:
+    return s.events
 
 
 def check_ct_relational(problem: specfile.Problem,
@@ -173,12 +170,11 @@ def check_ct_relational(problem: specfile.Problem,
     side). A Refuted verdict carries both diverging traces."""
     sys = sys or machine.oracle()
     part = partition_of(problem)
-    pairs = public_pairs(part, problem.states(0))
-    pre2 = kernel.PairProperty(part.equal_public, "equal public labels")
     enum, post2, frame2, steps0, steps1 = problem.pair_parts(
-        pre2, "public-equal pairs",
+        kernel.key_join(part.project_public, "equal public labels"),
+        "public-equal pairs",
         post_description="equal traces and the declared postcondition",
-        pairs=pairs, rel=lambda a, b: a.events == b.events,
+        rel=kernel.key_join(_events, "equal traces"),
         describe=lambda da, db: f"equal traces and ({da}) on both sides")
     verdict = kernel.check_ensures2(sys, enum, steps0, steps1, post2, frame2)
     return _with_traces(verdict)

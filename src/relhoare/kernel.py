@@ -15,6 +15,8 @@ enumeration, never symbolically:
                 count per side, evaluated as the nested exact-count
                 quantifier: every pair of frontier states (one frontier
                 per side) must satisfy the pair postcondition and frame.
+                Pairs of a key join come as blocks, and a postcondition
+                that factors per side is then checked per state.
   hybrid        an ensures2 judgment together with unary conditions for
                 the second component and three side conditions: every
                 unary precondition state has a partner, relational
@@ -35,7 +37,9 @@ directly or replayed from its recorded evidence.
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -144,6 +148,24 @@ class PairProperty:
 
     def __call__(self, a, b) -> bool:
         return self.holds(a, b)
+
+
+@dataclass(frozen=True)
+class KeyJoin(PairProperty):
+    """The pair predicate key0(a) == key1(b): a join of two sides on a
+    per-side key. Its pairs fall into blocks, one per key, which lets a
+    check work per state instead of per pair."""
+
+    key0: Callable[[Any], Any] = None
+    key1: Callable[[Any], Any] = None
+
+
+def key_join(key0: Callable, description: str,
+             key1: Optional[Callable] = None) -> KeyJoin:
+    """The KeyJoin of key0 on the left and key1 (by default key0) on the
+    right."""
+    key1 = key1 or key0
+    return KeyJoin(lambda a, b: key0(a) == key1(b), description, key0, key1)
 
 
 @dataclass(frozen=True)
@@ -259,6 +281,37 @@ def _at(cond, key):
     return cond.at(key) if isinstance(cond, PerState) else cond
 
 
+@dataclass(frozen=True)
+class FactoredPost(PerState):
+    """A pair postcondition in factored form: at a pair (a, b), final
+    states x and y must satisfy rel (a KeyJoin), q0(x) and q1(y), where
+    q0 and q1 are PropertyFns or PerState tables keyed by the side's
+    start state. As a per-pair table, `at` builds a pair's PairProperty
+    on demand, named describe(d0, d1) from the two sides' descriptions.
+    Since each conjunct reads one side, `check_ensures2` checks it once
+    per (start state, final state) on pair blocks."""
+
+    rel: KeyJoin = None
+    q0: Any = None
+    q1: Any = None
+    describe: Callable[[str, str], str] = None
+
+    def at(self, pair) -> PairProperty:
+        qa, qb = _at(self.q0, pair[0]), _at(self.q1, pair[1])
+        rel = self.rel.holds
+        return PairProperty(
+            lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
+            self.describe(qa.description, qb.description))
+
+
+def factored_post(rel: KeyJoin, q0, q1, description: str,
+                  describe: Optional[Callable] = None) -> FactoredPost:
+    """rel and then each side's postcondition; every pair's is named
+    describe(d0, d1), or else description."""
+    describe = describe or (lambda d0, d1: description)
+    return FactoredPost((), description, rel, q0, q1, describe)
+
+
 def _describe(cond) -> str:
     return cond.description
 
@@ -279,34 +332,118 @@ class Enumeration:
                     f"{self.pre.description!r}")
 
 
+class LazyTuple(SequenceABC):
+    """A tuple that `build` (a function returning an iterable) makes on
+    first use; it reads, compares and hashes like that tuple."""
+
+    def __init__(self, build: Callable[[], Iterable]):
+        self._build = build
+        self._items: Optional[tuple] = None
+
+    @property
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(self._build())
+            self._build = None
+        return self._items
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyTuple):
+            other = other.items
+        return self.items == other
+
+    def __hash__(self) -> int:
+        return hash(self.items)
+
+    def __repr__(self) -> str:
+        return repr(self.items)
+
+
 @dataclass(frozen=True)
 class PairEnumeration:
-    """Explicit initial pairs; optional per-side domains are enforced."""
+    """Initial pairs; optional per-side domains are enforced.
 
-    pairs: tuple  # of (s0, s1)
+    Pairs are either explicit, or in block form: pre2 is a KeyJoin,
+    `blocks` holds (key, rights) per key, and the pairs are each state
+    of `lefts` with every right of its own key's block, in that order.
+    The block form keeps `pairs` as a LazyTuple expanded on first read,
+    and `validate` checks it per state, not per pair: each right must
+    carry its block's key, which makes every pair satisfy pre2."""
+
+    pairs: Any = None  # tuple of (s0, s1); a LazyTuple in block form
     pre2: PairProperty = PairProperty(lambda a, b: True, "true")
     domain0: Optional[tuple] = None
     domain1: Optional[tuple] = None
     description: str = ""
+    lefts: Optional[tuple] = None
+    blocks: Optional[tuple] = None  # ((key, rights), ...)
+
+    def __post_init__(self):
+        if self.blocks is not None:
+            object.__setattr__(self, "_rights", dict(self.blocks))
+            object.__setattr__(self, "pairs", LazyTuple(self.scan))
+
+    @staticmethod
+    def join(pre2: KeyJoin, lefts, rights,
+             description: str = "") -> "PairEnumeration":
+        """Every (a, b) in lefts x rights with pre2(a, b), as blocks of
+        the rights grouped by key in order, so the pairs come out in the
+        order of a scan of all of them. lefts and rights are also the
+        domains."""
+        lefts, rights = tuple(lefts), tuple(rights)
+        groups: dict = {}
+        for b in rights:
+            groups.setdefault(pre2.key1(b), []).append(b)
+        return PairEnumeration(None, pre2, lefts, rights, description,
+                               lefts, tuple((k, tuple(v))
+                                            for k, v in groups.items()))
+
+    def rights_of(self, left) -> tuple:
+        """A left state's partners in block form: its key's block."""
+        return self._rights.get(self.pre2.key0(left), ())
+
+    def scan(self):
+        """The block form's pairs in order, without storing them."""
+        for a in self.lefts:
+            for b in self.rights_of(a):
+                yield a, b
 
     def validate(self) -> None:
-        if self.domain0 is not None:
-            allowed = set(self.domain0)
-            for s0, _ in self.pairs:
-                if s0 not in allowed:
-                    raise AsymmetricEnumeration(
-                        "pair references a left state outside domain0")
-        if self.domain1 is not None:
-            allowed = set(self.domain1)
-            for _, s1 in self.pairs:
-                if s1 not in allowed:
-                    raise AsymmetricEnumeration(
-                        "pair references a right state outside domain1")
-        for s0, s1 in self.pairs:
-            if not self.pre2.holds(s0, s1):
+        blocks = self.blocks
+        sides = ((self.lefts, (b for _, rights in blocks for b in rights))
+                 if blocks is not None else
+                 ((a for a, _ in self.pairs), (b for _, b in self.pairs)))
+        for i, (states, domain) in enumerate(zip(sides, (self.domain0,
+                                                         self.domain1))):
+            if domain is not None and not set(domain).issuperset(states):
+                raise AsymmetricEnumeration(
+                    f"pair references a {('left', 'right')[i]} state "
+                    f"outside domain{i}")
+        if blocks is None:
+            for s0, s1 in self.pairs:
+                if not self.pre2.holds(s0, s1):
+                    raise SchemaMismatch(
+                        f"enumerated pair fails its own precondition "
+                        f"{self.pre2.description!r}")
+            return
+        if not isinstance(self.pre2, KeyJoin):
+            raise SchemaMismatch("pair blocks need a key join as precondition")
+        if len(self._rights) != len(blocks):
+            raise SchemaMismatch("two pair blocks share one key")
+        for key, rights in blocks:
+            if any(self.pre2.key1(b) != key for b in rights):
                 raise SchemaMismatch(
-                    f"enumerated pair fails its own precondition "
-                    f"{self.pre2.description!r}")
+                    f"a state sits in the block of a key other than its "
+                    f"own under {self.pre2.description!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +494,7 @@ def _rule(steps, i: int, sys: StepOracle, s):
     """What `_explore` needs for the i-th start state s: the exact depth
     that a tuple (aligned with the enumeration) or a constant or table
     StepFn gives it, or an automatic StepFn, which it resolves itself."""
-    if isinstance(steps, tuple):
+    if isinstance(steps, (tuple, LazyTuple)):
         return steps[i]
     return steps if steps.kind == "auto" else steps.resolve(sys, s)
 
@@ -768,12 +905,14 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     states (one frontier per side) must satisfy the pair postcondition
     and pair frame, which enumerates the nested exact-count quantifier.
     Pairs are checked in order and the first failing one refutes.
+
+    Pair blocks with a FactoredPost, a product frame and StepFn step
+    counts are checked per state instead (`_first_failing_block_pair`);
+    the first failing pair is then compared as above, so the verdict,
+    counterexample and stats are those of the pairwise loop.
     stats["explored"] is the number of distinct explorations made.
     Never Unknown."""
     pairs.validate()
-    warnings = []
-    if not pairs.pairs:
-        warnings.append("EmptyPrecondition")
     memo: dict = {}  # (start state, step rule) -> (n, finals, fail)
 
     def explore(steps, i, s):
@@ -782,48 +921,156 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
             memo[s, rule] = _explore(sys, s, rule, None)
         return memo[s, rule]
 
-    res0, res1, reached = [], [], []
-    for i, pair in enumerate(pairs.pairs):
+    def compare(i, pair):
+        """Explore both sides of the i-th pair; (n0, finals0, n1,
+        finals1, counterexample or None)."""
         s0, s1 = pair
         q2 = _at(post2, pair)
         f2 = _at(frame2, pair)
         n0, finals0, fail0 = explore(steps0, i, s0)
         n1, finals1, fail1 = explore(steps1, i, s1)
-        res0.append(n0)
-        res1.append(n1)
         if fail0 is not None:
             reason, depth, witness = fail0
-            ce = Counterexample(reason, pair,
-                                (_choices(sys, s0, depth, witness), ()),
-                                (witness, s1), sides=2,
-                                detail="left side died early")
-            return refuted(ce, instances=len(pairs.pairs),
-                           warnings=tuple(warnings), explored=len(memo))
+            return n0, (), n1, (), Counterexample(
+                reason, pair, (_choices(sys, s0, depth, witness), ()),
+                (witness, s1), sides=2, detail="left side died early")
         if fail1 is not None:
             reason, depth, witness = fail1
-            ce = Counterexample(reason, pair,
-                                ((), _choices(sys, s1, depth, witness)),
-                                (s0, witness), sides=2,
-                                detail="right side died early")
-            return refuted(ce, instances=len(pairs.pairs),
-                           warnings=tuple(warnings), explored=len(memo))
+            return n0, (), n1, (), Counterexample(
+                reason, pair, ((), _choices(sys, s1, depth, witness)),
+                (s0, witness), sides=2, detail="right side died early")
         for a in finals0:
             for b in finals1:
                 if not (q2.holds(a, b) and f2.related(pair, (a, b))):
-                    ce = Counterexample(
+                    return n0, finals0, n1, finals1, Counterexample(
                         "post", pair,
                         (_choices(sys, s0, n0, a), _choices(sys, s1, n1, b)),
                         (a, b), sides=2,
                         detail=f"pair post {q2.description!r} with frame "
                                f"{f2.description!r}")
-                    return refuted(ce, instances=len(pairs.pairs),
-                                   steps0=tuple(res0), steps1=tuple(res1),
-                                   warnings=tuple(warnings),
-                                   explored=len(memo))
+        return n0, finals0, n1, finals1, None
+
+    def verdict(ce, count, res0, res1, reached) -> Verdict:
+        stats = dict(instances=count, steps0=res0, steps1=res1,
+                     warnings=() if count else ("EmptyPrecondition",),
+                     explored=len(memo))
+        if ce is None:
+            return proven(reached=reached, **stats)
+        if ce.reason != "post":  # a side died early: no step counts
+            del stats["steps0"], stats["steps1"]
+        return refuted(ce, **stats)
+
+    if (pairs.blocks is not None and isinstance(post2, FactoredPost)
+            and isinstance(frame2, PairFrame) and frame2.product_of
+            and isinstance(steps0, StepFn) and isinstance(steps1, StepFn)):
+        count = sum(len(pairs.rights_of(a)) for a in pairs.lefts)
+        first = _first_failing_block_pair(pairs, explore, steps0, steps1,
+                                          post2, frame2.product_of)
+        ce, walked = None, None
+        if first is not None:
+            i, pair = first
+            ce, walked = compare(i, pair)[4], i + 1
+            if ce is None:
+                raise KernelError("a pair refuted by its blocks holds "
+                                  "when compared pairwise")
+
+        def column(f):
+            # read back from the memo for the pairs walked, in scan order
+            return LazyTuple(lambda: (
+                f(explore(steps0, None, a), explore(steps1, None, b))
+                for a, b in itertools.islice(pairs.scan(), walked)))
+
+        return verdict(ce, count, column(lambda r0, r1: r0[0]),
+                       column(lambda r0, r1: r1[0]),
+                       column(lambda r0, r1: tuple(
+                           (a, b) for a in r0[1] for b in r1[1])))
+
+    res0, res1, reached, ce = [], [], [], None
+    for i, pair in enumerate(pairs.pairs):
+        n0, finals0, n1, finals1, ce = compare(i, pair)
+        res0.append(n0)
+        res1.append(n1)
+        if ce is not None:
+            break
         reached.append(tuple((a, b) for a in finals0 for b in finals1))
-    return proven(instances=len(pairs.pairs), steps0=tuple(res0),
-                  steps1=tuple(res1), warnings=tuple(warnings),
-                  reached=tuple(reached), explored=len(memo))
+    return verdict(ce, len(pairs.pairs), tuple(res0), tuple(res1),
+                   tuple(reached))
+
+
+_MIXED = object()  # the rel key of a side whose finals cannot share one
+
+
+def _first_failing_block_pair(pairs: PairEnumeration, explore, steps0,
+                              steps1, post2: FactoredPost, frames):
+    """The first pair of a block-form enumeration, in scan order, that
+    the factored postcondition and product frame refute, as (index,
+    pair), or None when all hold.
+
+    Final states are never empty, so a pair (a, b) holds iff neither
+    side dies early, all finals of both sides share one rel key (keys
+    compare as an equivalence), and every final of each side satisfies
+    that side's postcondition and frame. Each (side, start state) gets
+    its key, and then its postcondition and frame, checked once. Once a
+    block's rights all hold with its first left, a later left of the
+    block holds with all of them iff it holds with the first. Start
+    states are explored in the pairwise loop's order: a left, then its
+    block's rights up to the first failing pair; and as there, a
+    postcondition is only evaluated where the rel keys agree."""
+    rel, q = post2.rel, (post2.q0, post2.q1)
+    key_of = (rel.key0, rel.key1)
+    steps = (steps0, steps1)
+    keys: dict = {}  # (side, start state) -> rel key its finals share
+    clean: dict = {}  # (side, start state) -> post and frame hold
+
+    def key(side, s):
+        if (side, s) not in keys:
+            _, finals, fail = explore(steps[side], None, s)
+            keys[side, s] = _MIXED if fail is not None else _common_key(
+                finals, key_of[side])
+        return keys[side, s]
+
+    def holds(side, s, qs):
+        if (side, s) not in clean:
+            finals = explore(steps[side], None, s)[1]
+            clean[side, s] = _all_hold(s, finals, qs, frames[side])
+        return clean[side, s]
+
+    walked: set = set()  # blocks whose rights all hold with one left
+    i = 0
+    for a in pairs.lefts:
+        block = pairs.pre2.key0(a)
+        rights = pairs._rights.get(block, ())
+        for j, b in enumerate(rights[:1] if block in walked else rights):
+            # lookups first and unguarded, as in the pairwise comparison
+            qa, qb = _at(q[0], a), _at(q[1], b)
+            ka, kb = key(0, a), key(1, b)
+            if (ka is _MIXED or kb is _MIXED or ka != kb
+                    or not holds(0, a, qa) or not holds(1, b, qb)):
+                return i + j, (a, b)
+        walked.add(block)
+        i += len(rights)
+    return None
+
+
+# An error raised by a postcondition, frame or key below counts as a
+# failure: the pairwise comparison of the first pair it spoils, which
+# the check then runs, raises it again.
+
+def _common_key(finals, key: Callable):
+    """The key all finals share, or _MIXED."""
+    try:
+        k = key(finals[0])
+        return k if all(key(x) == k for x in finals) else _MIXED
+    except Exception:
+        return _MIXED
+
+
+def _all_hold(s, finals, q: PropertyFn, f: FrameFn) -> bool:
+    """Every final satisfies q and, from s, the frame f."""
+    try:
+        return all(q.holds(x) and f.related(s, x) for x in finals)
+    except Exception:
+        return False
 
 
 def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:

@@ -916,40 +916,43 @@ class Problem:
         """(PairEnumeration, per-pair postcondition, product frame, left
         steps, right steps) of a two-run check. A pair's postcondition
         is rel and then each side's declared postcondition, named by
-        describe(d0, d1) of the two sides' descriptions (called once per
-        distinct pair of them) or else post_description. With no pairs
-        given, each instance's own two start states form a pair, checked
-        against that instance's postconditions; given pairs take each
-        side's postcondition from the instance of its start state."""
+        describe(d0, d1) of the two sides' descriptions or else
+        post_description. With no pairs given, each instance's own two
+        start states form a pair, checked against that instance's
+        postconditions. Otherwise each side's postcondition comes from
+        the instance of its start state: given pairs are checked as they
+        are, and a KeyJoin pre2 (with a KeyJoin rel) joins every left
+        start state with each right one of equal key, as pair blocks
+        with a factored postcondition."""
         right = self.right
-        if pairs is None:
-            pairs = tuple(zip(self.states(0), self.states(right)))
-            table = {(a, b): (self.post_property(0, i),
-                              self.post_property(right, i))
-                     for i, (a, b) in zip(self.instances, pairs)}
-            posts = table.__getitem__
+        describe = describe or (lambda d0, d1: post_description)
+        lefts, rights = self.states(0), self.states(right)
+        if pairs is None and not isinstance(pre2, kernel.KeyJoin):
+            pairs = tuple(zip(lefts, rights))
+            enum = kernel.PairEnumeration(pairs, pre2, lefts, rights,
+                                          description)
+            post2 = kernel.per_state(
+                {p: _pair_post(rel, self.post_property(0, i),
+                               self.post_property(right, i), describe)
+                 for i, p in zip(self.instances, pairs)}, post_description)
         else:
             post0 = {i.state0: self.post_property(0, i)
                      for i in self.instances}
             post1 = post0 if not right else {
                 i.state1: self.post_property(1, i) for i in self.instances}
-            posts = lambda p: (post0[p[0]], post1[p[1]])
-        describe = describe or (lambda d0, d1: post_description)
-        enum = kernel.PairEnumeration(pairs, pre2, self.states(0),
-                                      self.states(right), description)
-        texts: dict = {}  # (d0, d1) -> describe(d0, d1), shared by pairs
-
-        def pair_post(p):
-            qa, qb = posts(p)
-            key = (qa.description, qb.description)
-            if key not in texts:
-                texts[key] = describe(*key)
-            return kernel.PairProperty(
-                lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
-                texts[key])
-
-        post2 = kernel.per_state({p: pair_post(p) for p in pairs},
-                                 post_description)
+            if isinstance(pre2, kernel.KeyJoin):
+                enum = kernel.PairEnumeration.join(pre2, lefts, rights,
+                                                   description)
+                post2 = kernel.factored_post(
+                    rel, kernel.per_state(post0, "left postconditions"),
+                    kernel.per_state(post1, "right postconditions"),
+                    post_description, describe)
+            else:
+                enum = kernel.PairEnumeration(pairs, pre2, lefts, rights,
+                                              description)
+                post2 = kernel.per_state(
+                    {p: _pair_post(rel, post0[p[0]], post1[p[1]], describe)
+                     for p in pairs}, post_description)
         frame2 = kernel.product_frame(self.frame(0), self.frame(right))
         steps0 = self.steps("f0", 0)
         # a CT check with no f1 runs both sides by f0
@@ -987,6 +990,12 @@ class Problem:
         if got is None and side is not None:
             got = store.get(None)
         return got or []
+
+
+def _pair_post(rel, qa, qb, describe) -> kernel.PairProperty:
+    return kernel.PairProperty(
+        lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
+        describe(qa.description, qb.description))
 
 
 def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem:

@@ -1,11 +1,15 @@
 """Constant-time checks: partitions, witness templates, both forms,
 and the bridge from the single-run form back to the pairwise one."""
 
+import collections
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relhoare import ct, kernel, machine, specfile
+from relhoare import cli, ct, kernel, machine, specfile
 from relhoare.ct import Partition, PartitionOverlap, TemplateExpansionFailure
 
 from conftest import (
@@ -48,7 +52,8 @@ def test_public_projection_blanks_private_labels():
 def test_public_pairs_match_the_scan_of_all_pairs(values, private):
     states = [small_state(v) for v in values]
     part = Partition(private)
-    got = ct.public_pairs(part, states)
+    public = kernel.key_join(part.project_public, "equal public labels")
+    got = kernel.PairEnumeration.join(public, states, states).pairs
     want = tuple((a, b) for a in states for b in states
                  if machine.mask_labels(a, private)
                  == machine.mask_labels(b, private))
@@ -153,6 +158,76 @@ def test_a_warm_projection_cache_does_not_excuse_a_foreign_pair(monkeypatch):
                               kernel.PairProperty(lambda x, y: True, "true"),
                               kernel.product_frame(kernel.ANYTHING,
                                                    kernel.ANYTHING))
+
+
+def test_blocks_whose_keys_disagree_with_a_warm_cache_are_refused():
+    problem = load_problem("compare_constant_ct.spec")
+    part = ct.partition_of(problem)
+    public = kernel.key_join(part.project_public, "equal public labels")
+    states = problem.states(0)
+    assert all(part.project_public(s) is not None for s in states)  # warm
+    # blocks keyed by a projection that also blanks x0 (the length n)
+    wider = part.private | {machine.reg_label(0)}
+    groups: dict = {}
+    for s in states:
+        groups.setdefault(machine.mask_labels(s, wider), []).append(s)
+    enum = kernel.PairEnumeration(
+        None, public, states, states, "blocks", lefts=states,
+        blocks=tuple((k, tuple(v)) for k, v in groups.items()))
+    with pytest.raises(kernel.SchemaMismatch, match="equal public labels"):
+        enum.validate()
+    # blocks built from the cache, which then changes under one state
+    enum = kernel.PairEnumeration.join(public, states, states)
+    enum.validate()
+    s = states[0]
+    part._projections[s] = next(part.project_public(t) for t in states
+                                if not part.equal_public(s, t))
+    with pytest.raises(kernel.SchemaMismatch):
+        enum.validate()
+
+
+def counting(sys: kernel.StepOracle):
+    """sys with a list of every state handed to successors."""
+    calls: list = []
+
+    def successors(s):
+        calls.append(s)
+        return sys.successors(s)
+
+    return dataclasses.replace(sys, successors=successors), calls
+
+
+def test_the_768_instance_scale_up_is_linear_in_start_states(tmp_path,
+                                                            capsys):
+    # four two-valued cells become four-valued: 3 x 4^4 instances, 3
+    # public classes of 256, so 196,608 public-equal pairs
+    text = (CORPUS / "compare_constant_ct.spec").read_text()
+    wide = text.replace(") in 0..1", ") in 0..3")
+    assert wide.count(") in 0..3") == 2
+    (tmp_path / "compare_constant.masm").write_text(
+        (CORPUS / "compare_constant.masm").read_text())
+    spec = tmp_path / "compare_constant_ct_768.spec"
+    spec.write_text(wide)
+    tracemalloc.start()
+    try:
+        code = cli.main(["check", str(spec)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0 and out[0] == "VERDICT: Proven"
+    assert "pairs: 196608 public-equal pair(s)" in out
+    # about 6 MiB here; storing every pair and its closures took 140
+    assert peak < 24 * 2**20
+    problem = specfile.build_problem(specfile.parse_spec(wide), tmp_path)
+    starts = problem.states(0)
+    sys, calls = counting(machine.oracle())
+    v = ct.check_ct_relational(problem, sys)
+    assert v.is_proven and v.stats["instances"] == 196608
+    assert v.stats["explored"] == len(starts) == 768
+    firsts = set(starts)
+    explored = collections.Counter(s for s in calls if s in firsts)
+    assert len(explored) == 768 and set(explored.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

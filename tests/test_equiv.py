@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relhoare import asm, ct, equiv, kernel, machine, specfile
+from relhoare import asm, cli, ct, equiv, kernel, machine, specfile
 from relhoare.equiv import AnchorMismatch, EquivJudgment, EquivRel
 from relhoare.machine import EVENTS, PC, reg_label, zeroed_state
 
@@ -100,6 +100,46 @@ def test_check_equiv_refutes_on_an_overreaching_kept_set():
         CORPUS)
     v = equiv.check_equiv(problem)
     assert isinstance(v, kernel.Verdict) and v.is_refuted
+
+
+def registered_predicate_spec(tmp_path) -> specfile.Problem:
+    equiv.register_predicate("x0_le", lambda a, b: a.reg(0) <= b.reg(0))
+    (tmp_path / "p.masm").write_text("halt\n")
+    text = (
+        "[check]\nkind = equiv\nbudget = 8\n\n"
+        "[program0]\nfile = p.masm\nbase = 0x1000\n\n"
+        "[program1]\nfile = p.masm\nbase = 0x1000\n\n"
+        "[params]\nx in 0..5\n\n[pre]\nx0 = x\n\n"
+        "[post0]\nterminated(base0)\n\n[post1]\nterminated(base1)\n\n"
+        "[frame0]\nmaychange = pc\n\n[frame1]\nmaychange = pc\n\n"
+        "[equiv_in]\npredicate = x0_le\n\n[equiv_out]\npredicate = x0_le\n")
+    return specfile.build_problem(specfile.parse_spec(text), tmp_path)
+
+
+def test_the_candidate_scan_stops_above_its_limit(monkeypatch, capsys):
+    # 48 x 48 candidates on the corpus spec: at the limit it is checked,
+    # one below it the spec is refused before any pair is scanned
+    spec = str(CORPUS / "compare_equiv.spec")
+    monkeypatch.setattr(equiv, "MAX_CANDIDATES", 48 * 48)
+    assert cli.main(["check", spec]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(equiv, "MAX_CANDIDATES", 48 * 48 - 1)
+    related = []
+    monkeypatch.setattr(EquivRel, "related",
+                        lambda self, a, b: related.append(a) or True)
+    assert cli.main(["check", spec]) == 3
+    err = capsys.readouterr().err
+    assert "2304 candidate pairs" in err and "limit of 2303" in err
+    assert related == []
+
+
+def test_the_candidate_limit_covers_general_predicates(tmp_path,
+                                                       monkeypatch):
+    problem = registered_predicate_spec(tmp_path)
+    assert isinstance(equiv.check_equiv(problem), EquivJudgment)
+    monkeypatch.setattr(equiv, "MAX_CANDIDATES", 6 * 6 - 1)
+    with pytest.raises(specfile.SpecError, match="36 candidate pairs"):
+        equiv.check_equiv(problem)
 
 
 def test_a_warm_key_cache_does_not_excuse_an_unrelated_pair():

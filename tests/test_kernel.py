@@ -147,6 +147,79 @@ def test_pair_domains_are_enforced():
         pairs.validate()
 
 
+# pair blocks: pairs of a key join, grouped by key
+
+PARITY = kernel.key_join(lambda s: s % 2, "same parity")
+NO_REL = kernel.key_join(lambda s: None, "no relation")
+
+
+def blocks_of(lefts, blocks, domain0=None, domain1=None):
+    return PairEnumeration(None, PARITY, domain0, domain1, "blocks",
+                           lefts=lefts, blocks=blocks)
+
+
+def test_pair_blocks_expand_in_scan_order_on_first_read():
+    lefts, rights = (1, 2, 3, 1), (2, 3, 4, 5)
+    enum = PairEnumeration.join(PARITY, lefts, rights)
+    assert enum.pairs._items is None
+    assert enum.pairs == tuple((a, b) for a in lefts for b in rights
+                               if a % 2 == b % 2)
+    assert enum.blocks == ((0, (2, 4)), (1, (3, 5)))
+    enum.validate()
+
+
+def test_pair_blocks_refuse_a_state_in_a_foreign_block():
+    with pytest.raises(SchemaMismatch, match="block of a key other"):
+        blocks_of((1, 2), ((1, (3,)), (0, (2, 5)))).validate()
+
+
+def test_pair_blocks_refuse_states_outside_their_domains():
+    with pytest.raises(kernel.AsymmetricEnumeration, match="domain0"):
+        blocks_of((1, 7), ((1, (3,)),), (1, 3), (3,)).validate()
+    with pytest.raises(kernel.AsymmetricEnumeration, match="domain1"):
+        blocks_of((1,), ((1, (3, 5)),), (1,), (3,)).validate()
+
+
+def test_pair_blocks_refuse_a_shared_key_or_a_plain_precondition():
+    with pytest.raises(SchemaMismatch, match="share one key"):
+        blocks_of((1,), ((1, (3,)), (1, (5,)))).validate()
+    plain = PairEnumeration(None, PairProperty(lambda a, b: True, "true"),
+                            lefts=(1,), blocks=((1, (3,)),))
+    with pytest.raises(SchemaMismatch, match="key join"):
+        plain.validate()
+
+
+def test_an_empty_block_set_warns_of_an_empty_precondition():
+    enum = PairEnumeration.join(PARITY, (1, 3), (2, 4))
+    post = kernel.factored_post(NO_REL, at(1), at(2), "post")
+    v = kernel.check_ensures2(sys_of((1, 2)), enum, StepFn.constant(0),
+                              StepFn.constant(0), post, ANY2)
+    assert v.is_proven and v.stats["instances"] == 0
+    assert v.stats["warnings"] == ("EmptyPrecondition",)
+
+
+def test_a_block_judgment_rechecks_and_feeds_the_rules():
+    sys = sys_of((1, 3), (2, 4), (3, 5), (4, 6))
+    enum = PairEnumeration.join(PARITY, (1, 2), (2, 1))
+    post = kernel.factored_post(PARITY, at(3, 4), at(3, 4), "post")
+    steps = StepFn.constant(1)
+    j = kernel.prove_ensures2(sys, enum, steps, steps, post, ANY2)
+    assert j.parts.steps0 == (1, 1) and j.evidence.reached == (
+        ((3, 3),), ((4, 4),))
+    assert kernel.recheck(j).is_proven
+    weaker = apply_rule("post2", (j,),
+                        {"post": PairProperty(lambda a, b: True, "true")})
+    assert kernel.recheck(weaker).is_proven
+    # 2 has no partner; 1 holds with 1 and refutes with 3, stuck at 5
+    mixed = kernel.factored_post(NO_REL, at(3, 4), at(5), "post")
+    v = kernel.check_ensures2(sys, PairEnumeration.join(PARITY, (2, 1),
+                                                        (1, 3)),
+                              steps, StepFn.constant(2), mixed, ANY2)
+    assert v.is_refuted and v.counterexample.initial == (1, 3)
+    assert v.counterexample.detail == "right side died early"
+    assert v.stats == {"instances": 2, "warnings": (), "explored": 3}
+
+
 def test_eventually_n_at_pc_requires_stuck_at_target():
     stops = sys_of((0, 4))
     loops = sys_of((0, 4), (4, 0))
