@@ -181,10 +181,6 @@ def _cmd_check(args) -> int:
         print(line)
     if verdict.is_refuted:
         _print_counterexample(problem, args.spec, verdict.counterexample)
-    elif verdict.outcome == "unknown":
-        ce = verdict.counterexample
-        if ce is not None:
-            print(f"unresolved: {ce.describe()}")
     return {"proven": 0, "refuted": 1, "unknown": 2}[verdict.outcome]
 
 

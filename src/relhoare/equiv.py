@@ -246,9 +246,12 @@ def transfer_correctness(correctness: kernel.Judgment, e: EquivJudgment,
     second. A budgeted (step-free) judgment is promoted first: its runs
     must all end stuck on a stopper so exact counts exist; then the
     relational judgment absorbs it as a hybrid and the far side is
-    projected out. Pass `upost` to name the transferred postcondition;
-    the default is the reached-output form recorded by the equivalence
-    run. The extracted judgment is re-checked before being returned."""
+    projected out. The equivalence's pair frame must be a product (the
+    hybrid raises FactorizationWitnessMissing otherwise); its right
+    factor is the transferred frame. Pass `upost` to name the
+    transferred postcondition; the default is the reached-output form
+    of the equivalence judgment. The extracted judgment is re-checked
+    before being returned."""
     j = correctness
     if j.form == "ensures":
         ev = kernel.first_stop_evidence(
@@ -260,12 +263,6 @@ def transfer_correctness(correctness: kernel.Judgment, e: EquivJudgment,
             "transfer starts from a budgeted or exact-count unary judgment")
 
     rel = e.judgment
-    frame2 = rel.parts.frame2
-    if not (isinstance(frame2, kernel.PairFrame) and frame2.product_of):
-        raise kernel.FactorizationWitnessMissing(
-            "the equivalence frame does not factor into per-side frames")
-    uframe = frame2.product_of[1]
-
     rights, seen = [], set()
     for _, b in rel.parts.pairs.pairs:
         if b not in seen:
@@ -276,9 +273,9 @@ def transfer_correctness(correctness: kernel.Judgment, e: EquivJudgment,
 
     if upost is None:
         finals: dict = {}
-        for i, (_, b) in enumerate(rel.parts.pairs.pairs):
-            finals.setdefault(b, set()).update(
-                y for _, y in rel.evidence.reached[i])
+        for (_, b), reached in zip(rel.parts.pairs.pairs,
+                                   kernel._reached(rel)):
+            finals.setdefault(b, set()).update(y for _, y in reached)
         upost = kernel.per_state(
             {b: kernel.prop(lambda s, allowed=frozenset(v): s in allowed,
                             "a recorded reached output")
@@ -286,8 +283,7 @@ def transfer_correctness(correctness: kernel.Judgment, e: EquivJudgment,
             "recorded reached outputs")
 
     hybrid = kernel.convert(j, "hybridize", {
-        "relational": rel, "unary_pre": enum1, "upost": upost,
-        "uframe": uframe})
+        "relational": rel, "unary_pre": enum1, "upost": upost})
     extracted = kernel.convert(hybrid, "hybrid_extract")
     v = kernel.recheck(extracted)
     if not v.is_proven:

@@ -17,11 +17,12 @@ enumeration, never symbolically:
                 per side) must satisfy the pair postcondition and frame.
                 Pairs of a key join come as blocks, and a postcondition
                 that factors per side is then checked per state.
-  hybrid        an ensures2 judgment together with unary conditions for
-                the second component and three side conditions: every
-                unary precondition state has a partner, relational
-                postcondition pairs project into the unary postcondition,
-                and the pair frame factors as a product.
+  hybrid        an ensures2 judgment whose pair frame is a product,
+                together with a unary precondition and postcondition for
+                the second component; its unary frame is the product's
+                right factor. Side conditions: every unary precondition
+                state has a partner, and relational postcondition pairs
+                project into the unary postcondition.
   eventually_n_at_pc  a promotion primitive: from each start state the pc
                 first reaches a given address at exactly n steps, on
                 every branch, and execution is stuck there.
@@ -38,7 +39,6 @@ directly or replayed from its recorded evidence.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -103,7 +103,6 @@ class StepOracle:
     reads a program-counter analogue off a state."""
 
     successors: Callable[[Any], Sequence[Any]]
-    state_eq: Callable[[Any, Any], bool] = operator.eq
     pc_of: Optional[Callable[[Any], int]] = None
     finite_hint: bool = False
     description: str = ""
@@ -312,10 +311,6 @@ def factored_post(rel: KeyJoin, q0, q1, description: str,
     return FactoredPost((), description, rel, q0, q1, describe)
 
 
-def _describe(cond) -> str:
-    return cond.description
-
-
 @dataclass(frozen=True)
 class Enumeration:
     """Explicit initial states plus the predicate they were drawn from."""
@@ -412,7 +407,10 @@ class PairEnumeration:
         return self._rights.get(self.pre2.key0(left), ())
 
     def scan(self):
-        """The block form's pairs in order, without storing them."""
+        """The pairs in order; in block form, without storing them."""
+        if self.blocks is None:
+            yield from self.pairs
+            return
         for a in self.lefts:
             for b in self.rights_of(a):
                 yield a, b
@@ -514,21 +512,6 @@ class Counterexample:
     sides: int = 1
     detail: str = ""
     traces: Optional[tuple] = None  # attached by trace-level checks
-
-    def describe(self) -> str:
-        lines = [f"reason: {self.reason}"]
-        if self.detail:
-            lines.append(f"detail: {self.detail}")
-        if self.sides == 1:
-            lines.append(f"initial: {self.initial!r}")
-            lines.append(f"choices: {list(self.choices)}")
-            lines.append(f"witness: {self.witness!r}")
-        else:
-            lines.append(f"initial left:  {self.initial[0]!r}")
-            lines.append(f"initial right: {self.initial[1]!r}")
-            lines.append(f"choices left:  {list(self.choices[0])}")
-            lines.append(f"choices right: {list(self.choices[1])}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -757,12 +740,16 @@ class Ensures2Parts:
 
 @dataclass(frozen=True)
 class HybridParts:
+    """An ensures2 judgment's parts plus unary conditions for the second
+    component, whose frame is the right factor of rel's product frame."""
+
     rel: Ensures2Parts
     unary: Enumeration
     upost: Any
-    uframe: FrameFn
-    left_frame: Optional[FrameFn] = None  # witness for the factorization
-    domain: Optional[tuple] = None
+
+    @property
+    def uframe(self) -> FrameFn:
+        return self.rel.frame2.product_of[1]
 
 
 @dataclass(frozen=True)
@@ -807,29 +794,23 @@ class Judgment:
     parts: Any
     evidence: Any
 
-    def describe(self) -> str:
-        e = self.evidence
-        how = (f"checked over {e.instances} instance(s)"
-               if isinstance(e, Checked) else f"derived by {e.rule_id}")
-        return f"<{self.form} judgment, {how}>"
-
 
 def judgment_signature(j: Judgment) -> tuple:
     """Stable summary used by the evidence replay audit."""
     p = j.parts
     if j.form == "ensures":
         return (j.form, p.enum.states, p.budget,
-                _describe(p.post), _describe(p.frame))
+                p.post.description, p.frame.description)
     if j.form == "ensures_n":
         return (j.form, p.enum.states, p.steps,
-                _describe(p.post), _describe(p.frame))
+                p.post.description, p.frame.description)
     if j.form == "ensures2":
         return (j.form, p.pairs.pairs, p.steps0, p.steps1,
-                _describe(p.post2), _describe(p.frame2))
+                p.post2.description, p.frame2.description)
     if j.form == "hybrid":
         inner = (j.form, p.rel.pairs.pairs, p.rel.steps0, p.rel.steps1,
-                 _describe(p.rel.post2), _describe(p.rel.frame2))
-        return inner + (p.unary.states, _describe(p.upost), _describe(p.uframe))
+                 p.rel.post2.description, p.rel.frame2.description)
+        return inner + (p.unary.states, p.upost.description, p.uframe.description)
     if j.form == "eventually_n_at_pc":
         return (j.form, p.enum.states, p.x0, p.stops)
     raise SchemaMismatch(f"unknown judgment form {j.form}")
@@ -904,14 +885,16 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     before its depth refutes the pair; otherwise every pair of frontier
     states (one frontier per side) must satisfy the pair postcondition
     and pair frame, which enumerates the nested exact-count quantifier.
-    Pairs are checked in order and the first failing one refutes.
+    The first failing pair in order refutes.
 
-    Pair blocks with a FactoredPost, a product frame and StepFn step
-    counts are checked per state instead (`_first_failing_block_pair`);
-    the first failing pair is then compared as above, so the verdict,
-    counterexample and stats are those of the pairwise loop.
-    stats["explored"] is the number of distinct explorations made.
-    Never Unknown."""
+    That pair is found by comparing the pairs in order or, for pair
+    blocks with a FactoredPost, a product frame and StepFn step counts,
+    per state (`_first_failing_block_pair`). One report path follows for
+    both: the pair's comparison gives the counterexample, and the stats'
+    `steps0`, `steps1` and `reached` are LazyTuples read back from the
+    explorations, for every pair up to the failing one (all of them
+    when proven). stats["explored"] is the number of distinct
+    explorations made. Never Unknown."""
     pairs.validate()
     memo: dict = {}  # (start state, step rule) -> (n, finals, fail)
 
@@ -922,8 +905,8 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
         return memo[s, rule]
 
     def compare(i, pair):
-        """Explore both sides of the i-th pair; (n0, finals0, n1,
-        finals1, counterexample or None)."""
+        """Explore both sides of the i-th pair; its counterexample, or
+        None when it holds."""
         s0, s1 = pair
         q2 = _at(post2, pair)
         f2 = _at(frame2, pair)
@@ -931,34 +914,24 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
         n1, finals1, fail1 = explore(steps1, i, s1)
         if fail0 is not None:
             reason, depth, witness = fail0
-            return n0, (), n1, (), Counterexample(
+            return Counterexample(
                 reason, pair, (_choices(sys, s0, depth, witness), ()),
                 (witness, s1), sides=2, detail="left side died early")
         if fail1 is not None:
             reason, depth, witness = fail1
-            return n0, (), n1, (), Counterexample(
+            return Counterexample(
                 reason, pair, ((), _choices(sys, s1, depth, witness)),
                 (s0, witness), sides=2, detail="right side died early")
         for a in finals0:
             for b in finals1:
                 if not (q2.holds(a, b) and f2.related(pair, (a, b))):
-                    return n0, finals0, n1, finals1, Counterexample(
+                    return Counterexample(
                         "post", pair,
                         (_choices(sys, s0, n0, a), _choices(sys, s1, n1, b)),
                         (a, b), sides=2,
                         detail=f"pair post {q2.description!r} with frame "
                                f"{f2.description!r}")
-        return n0, finals0, n1, finals1, None
-
-    def verdict(ce, count, res0, res1, reached) -> Verdict:
-        stats = dict(instances=count, steps0=res0, steps1=res1,
-                     warnings=() if count else ("EmptyPrecondition",),
-                     explored=len(memo))
-        if ce is None:
-            return proven(reached=reached, **stats)
-        if ce.reason != "post":  # a side died early: no step counts
-            del stats["steps0"], stats["steps1"]
-        return refuted(ce, **stats)
+        return None
 
     if (pairs.blocks is not None and isinstance(post2, FactoredPost)
             and isinstance(frame2, PairFrame) and frame2.product_of
@@ -966,35 +939,36 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
         count = sum(len(pairs.rights_of(a)) for a in pairs.lefts)
         first = _first_failing_block_pair(pairs, explore, steps0, steps1,
                                           post2, frame2.product_of)
-        ce, walked = None, None
-        if first is not None:
-            i, pair = first
-            ce, walked = compare(i, pair)[4], i + 1
-            if ce is None:
-                raise KernelError("a pair refuted by its blocks holds "
-                                  "when compared pairwise")
+        ce = None if first is None else compare(*first)
+        if first is not None and ce is None:
+            raise KernelError("a pair refuted by its blocks holds when "
+                              "compared pairwise")
+    else:
+        count, first, ce = len(pairs.pairs), None, None
+        for i, pair in enumerate(pairs.pairs):
+            ce = compare(i, pair)
+            if ce is not None:
+                first = i, pair
+                break
+    walked = None if first is None else first[0] + 1
 
-        def column(f):
-            # read back from the memo for the pairs walked, in scan order
-            return LazyTuple(lambda: (
-                f(explore(steps0, None, a), explore(steps1, None, b))
-                for a, b in itertools.islice(pairs.scan(), walked)))
+    def column(f):
+        # read back from the memo for the pairs walked, in order
+        return LazyTuple(lambda: (
+            f(explore(steps0, i, a), explore(steps1, i, b))
+            for i, (a, b) in enumerate(itertools.islice(pairs.scan(),
+                                                        walked))))
 
-        return verdict(ce, count, column(lambda r0, r1: r0[0]),
-                       column(lambda r0, r1: r1[0]),
-                       column(lambda r0, r1: tuple(
-                           (a, b) for a in r0[1] for b in r1[1])))
-
-    res0, res1, reached, ce = [], [], [], None
-    for i, pair in enumerate(pairs.pairs):
-        n0, finals0, n1, finals1, ce = compare(i, pair)
-        res0.append(n0)
-        res1.append(n1)
-        if ce is not None:
-            break
-        reached.append(tuple((a, b) for a in finals0 for b in finals1))
-    return verdict(ce, len(pairs.pairs), tuple(res0), tuple(res1),
-                   tuple(reached))
+    stats = dict(instances=count, steps0=column(lambda r0, r1: r0[0]),
+                 steps1=column(lambda r0, r1: r1[0]),
+                 warnings=() if count else ("EmptyPrecondition",),
+                 explored=len(memo))
+    if ce is None:
+        return proven(reached=column(lambda r0, r1: tuple(
+            (a, b) for a in r0[1] for b in r1[1])), **stats)
+    if ce.reason != "post":  # a side died early: no step counts
+        del stats["steps0"], stats["steps1"]
+    return refuted(ce, **stats)
 
 
 _MIXED = object()  # the rel key of a side whose finals cannot share one
@@ -1039,7 +1013,7 @@ def _first_failing_block_pair(pairs: PairEnumeration, explore, steps0,
     i = 0
     for a in pairs.lefts:
         block = pairs.pre2.key0(a)
-        rights = pairs._rights.get(block, ())
+        rights = pairs.rights_of(a)
         for j, b in enumerate(rights[:1] if block in walked else rights):
             # lookups first and unguarded, as in the pairwise comparison
             qa, qb = _at(q[0], a), _at(q[1], b)
@@ -1074,18 +1048,15 @@ def _all_hold(s, finals, q: PropertyFn, f: FrameFn) -> bool:
 
 
 def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:
-    """Relational check plus the three hybrid side conditions: partner
-    existence for every unary precondition state, projection of reached
-    postcondition pairs into the unary postcondition, and factorization
-    of the pair frame as a product whose right component is the unary
-    frame."""
+    """Relational check plus the hybrid side conditions: partner
+    existence for every unary precondition state, and projection of
+    reached postcondition pairs into the unary postcondition. The pair
+    frame must be a product; its right factor is the unary frame, so it
+    factors by construction."""
     rel = hybrid.rel
-    frame2 = rel.frame2
-    plain_frame = frame2 if isinstance(frame2, PairFrame) else None
-    if plain_frame is not None and plain_frame.product_of is None \
-            and hybrid.left_frame is None:
+    if not (isinstance(rel.frame2, PairFrame) and rel.frame2.product_of):
         raise FactorizationWitnessMissing(
-            "pair frame has no product structure and no left-frame witness")
+            "a hybrid needs a product pair frame")
 
     verdict = check_ensures2(sys, rel.pairs, rel.steps0, rel.steps1,
                              rel.post2, rel.frame2)
@@ -1111,25 +1082,6 @@ def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:
                     detail="relational postcondition pair fails to project "
                            "into the unary postcondition")
                 return refuted(ce)
-    if hybrid.domain is not None:
-        if isinstance(rel.post2, PerState) or isinstance(hybrid.upost, PerState):
-            raise SchemaMismatch(
-                "domain-based projection needs a single relational "
-                "postcondition and a single unary postcondition")
-        for a in hybrid.domain:
-            for b in hybrid.domain:
-                if rel.post2.holds(a, b) and not hybrid.upost.holds(b):
-                    ce = Counterexample(
-                        "projection", (a, b), ((), ()), (a, b), sides=2,
-                        detail="a domain pair in the relational "
-                               "postcondition fails to project")
-                    return refuted(ce)
-
-    if plain_frame is not None and plain_frame.product_of is not None:
-        right = plain_frame.product_of[1]
-        if not _frames_equal(right, hybrid.uframe):
-            raise SideConditionFailed(
-                "pair frame does not factor with the unary frame on the right")
     verdict.stats["side_conditions"] = (
         "partner existence: enumeration",
         "postcondition projection: enumeration over reached pairs",
@@ -1365,24 +1317,29 @@ def _rule_pre(premises, inputs):
 def _rule_post(premises, inputs):
     (j,) = premises
     new_post = inputs["post"]
-    domain = inputs.get("domain", ())
+    domain = tuple(inputs.get("domain", ()))
     if j.form not in ("ensures", "ensures_n"):
         raise SchemaMismatch("post applies to unary judgments")
-    reached = _reached(j)
+    states = j.parts.enum.states
     checked = 0
-    for s, finals in zip(j.parts.enum.states, reached):
+    for s, finals in zip(states, _reached(j)):
+        q = _at(new_post, s)
         for t in finals:
             checked += 1
-            if not _at(new_post, t).holds(t):
+            if not q.holds(t):
                 raise SideConditionFailed(
                     "weakened postcondition fails on a reached state")
-    for t in domain:
-        if _at(j.parts.post, t).holds(t) and not _at(new_post, t).holds(t):
-            raise SideConditionFailed(
-                "weakened postcondition does not contain the old one")
+    # tables are keyed by start state; each distinct (old, new) pair of
+    # conditions is compared on the domain once
+    for old_q, new_q in dict.fromkeys((_at(j.parts.post, s), _at(new_post, s))
+                                      for s in states):
+        for t in domain:
+            if old_q.holds(t) and not new_q.holds(t):
+                raise SideConditionFailed(
+                    "weakened postcondition does not contain the old one")
     cond = [SideCondition("postcondition containment", "enumeration",
                           f"checked on {checked} reached state(s) and "
-                          f"{len(tuple(domain))} domain state(s)")]
+                          f"{len(domain)} domain state(s)")]
     if j.form == "ensures":
         return (EnsuresParts(j.parts.enum, new_post, j.parts.frame,
                              j.parts.budget), "ensures", cond)
@@ -1410,7 +1367,7 @@ def _rule_frame(premises, inputs):
                 if not _at(new_frame, s).related(s, t):
                     raise SideConditionFailed(
                         "extended frame fails on a reached state")
-    cond = [SideCondition("frame extension", method, _describe(new_frame))]
+    cond = [SideCondition("frame extension", method, new_frame.description)]
     if j.form == "ensures":
         return (EnsuresParts(j.parts.enum, j.parts.post, new_frame,
                              j.parts.budget), "ensures", cond)
@@ -1455,9 +1412,9 @@ def _rule_branch_cases(premises, inputs):
     if set(whole.states) != union:
         raise SideConditionFailed(
             "case split does not cover exactly the joint precondition")
-    if _describe(j1.parts.post) != _describe(j2.parts.post):
+    if j1.parts.post.description != j2.parts.post.description:
         raise SideConditionFailed("branch cases must share a postcondition")
-    if _describe(j1.parts.frame) != _describe(j2.parts.frame):
+    if j1.parts.frame.description != j2.parts.frame.description:
         raise SideConditionFailed("branch cases must share a frame")
     cond = [SideCondition("case coverage", "enumeration",
                           f"{len(whole.states)} state(s) split into "
@@ -1466,7 +1423,7 @@ def _rule_branch_cases(premises, inputs):
     post = per_state(
         {s: _at((j1 if s in set(j1.parts.enum.states) else j2).parts.post, s)
          for s in whole.states},
-        _describe(j1.parts.post)) if isinstance(j1.parts.post, PerState) \
+        j1.parts.post.description) if isinstance(j1.parts.post, PerState) \
         else j1.parts.post
     parts = EnsuresParts(whole, post, j1.parts.frame,
                          max(j1.parts.budget, j2.parts.budget))
@@ -1524,12 +1481,12 @@ def _rule_conj(premises, inputs):
         raise SideConditionFailed(
             f"conj premises disagree on step counts ({diff[1]} vs {diff[2]}); "
             f"exact-count triples only conjoin at one count")
-    if _describe(j1.parts.frame) != _describe(j2.parts.frame):
+    if j1.parts.frame.description != j2.parts.frame.description:
         raise SideConditionFailed("conj premises must share a frame")
     cond = [SideCondition("step agreement", "enumeration",
                           "per-state step counts identical"),
             SideCondition("shared frame", "structural",
-                          _describe(j1.parts.frame))]
+                          j1.parts.frame.description)]
     post = _conj_conditions(j1.parts.post, j2.parts.post,
                             j1.parts.enum.states)
     parts = EnsuresNParts(j1.parts.enum, j1.parts.steps, post,
@@ -1540,7 +1497,7 @@ def _rule_conj(premises, inputs):
 def _conj_conditions(p1, p2, keys):
     if isinstance(p1, PerState) or isinstance(p2, PerState):
         return per_state({k: prop_and(_at(p1, k), _at(p2, k)) for k in keys},
-                         f"({_describe(p1)} and {_describe(p2)})")
+                         f"({p1.description} and {p2.description})")
     return prop_and(p1, p2)
 
 
@@ -1554,17 +1511,17 @@ def _rule_conj2(premises, inputs):
     if j1.parts.steps0 != j2.parts.steps0 or j1.parts.steps1 != j2.parts.steps1:
         raise SideConditionFailed("relational conj premises disagree on "
                                   "step counts")
-    if _describe(j1.parts.frame2) != _describe(j2.parts.frame2):
+    if j1.parts.frame2.description != j2.parts.frame2.description:
         raise SideConditionFailed("relational conj premises must share a "
                                   "pair frame")
     cond = [SideCondition("step agreement", "enumeration", "both sides"),
             SideCondition("shared frame", "structural",
-                          _describe(j1.parts.frame2))]
+                          j1.parts.frame2.description)]
     if isinstance(j1.parts.post2, PerState) or isinstance(j2.parts.post2, PerState):
         post2 = per_state(
             {p: pair_and(_at(j1.parts.post2, p), _at(j2.parts.post2, p))
              for p in j1.parts.pairs.pairs},
-            f"({_describe(j1.parts.post2)} and {_describe(j2.parts.post2)})")
+            f"({j1.parts.post2.description} and {j2.parts.post2.description})")
     else:
         post2 = pair_and(j1.parts.post2, j2.parts.post2)
     parts = Ensures2Parts(j1.parts.pairs, j1.parts.steps0, j1.parts.steps1,
@@ -1584,11 +1541,11 @@ def _rule_comm(premises, inputs):
         f"swap({p.pairs.description})")
     post2 = (per_state({(b, a): swap_pair_property(_at(p.post2, (a, b)))
                         for a, b in p.pairs.pairs},
-                       f"swap({_describe(p.post2)})")
+                       f"swap({p.post2.description})")
              if isinstance(p.post2, PerState) else swap_pair_property(p.post2))
     frame2 = (per_state({(b, a): swap_pair_frame(_at(p.frame2, (a, b)))
                          for a, b in p.pairs.pairs},
-                        f"swap({_describe(p.frame2)})")
+                        f"swap({p.frame2.description})")
               if isinstance(p.frame2, PerState) else swap_pair_frame(p.frame2))
     cond = [SideCondition("component swap", "structural",
                           "pairs, step functions, postcondition and frame "
@@ -1642,7 +1599,7 @@ def _rule_comp(premises, inputs):
                     "continuation postconditions differ between reached "
                     "pairs")
             table[pair] = posts.pop()
-        post2 = per_state(table, _describe(j2.parts.post2))
+        post2 = per_state(table, j2.parts.post2.description)
     parts = Ensures2Parts(j1.parts.pairs, tuple(steps0), tuple(steps1),
                           post2, frame2)
     return parts, "ensures2", cond
@@ -1665,7 +1622,7 @@ def _compose_pair_frames(fa, fb, j1, mids_index):
                    for m in mids)
 
     return PairFrame(related,
-                     description=f"({_describe(fa)} o {_describe(fb)})")
+                     description=f"({fa.description} o {fb.description})")
 
 
 def _rule_frame_compose(premises, inputs):
@@ -1728,8 +1685,8 @@ def _rule_frame_compose(premises, inputs):
                             "reached-join membership")
 
     post2 = per_state({key: make_post(key) for key in composed},
-                      f"({_describe(j1.parts.post2)} o "
-                      f"{_describe(j2.parts.post2)})")
+                      f"({j1.parts.post2.description} o "
+                      f"{j2.parts.post2.description})")
     pre2 = PairProperty(lambda a, c: (a, c) in witness,
                         f"({j1.parts.pairs.pre2.description} o "
                         f"{j2.parts.pairs.pre2.description})")
@@ -1738,7 +1695,7 @@ def _rule_frame_compose(premises, inputs):
     cond = [SideCondition("middle state join", "enumeration",
                           f"{len(composed)} composed pair(s)"),
             SideCondition("middle frame agreement", "intensional",
-                          _describe(f1_left)),
+                          f1_left.description),
             SideCondition("middle step agreement", "enumeration",
                           "counts equal on every join")]
     parts = Ensures2Parts(pairs, tuple(steps0), tuple(steps1), post2,
@@ -1769,10 +1726,11 @@ def _rule_post2(premises, inputs):
     _expect_form(j, "ensures2", "premise")
     new_post = inputs["post"]
     checked = 0
-    for finals in _reached(j):
+    for pair, finals in zip(j.parts.pairs.pairs, _reached(j)):
+        q = _at(new_post, pair)
         for a, b in finals:
             checked += 1
-            if not _at(new_post, (a, b)).holds(a, b):
+            if not q.holds(a, b):
                 raise SideConditionFailed(
                     "weakened pair postcondition fails on a reached pair")
     cond = [SideCondition("postcondition containment", "enumeration",
@@ -1803,7 +1761,7 @@ def _rule_frame2(premises, inputs):
                 if not _at(new_frame, pair).related(pair, pq):
                     raise SideConditionFailed(
                         "extended pair frame fails on a reached pair")
-    cond = [SideCondition("frame extension", method, _describe(new_frame))]
+    cond = [SideCondition("frame extension", method, new_frame.description)]
     parts = Ensures2Parts(j.parts.pairs, j.parts.steps0, j.parts.steps1,
                           j.parts.post2, new_frame)
     return parts, "ensures2", cond
@@ -1837,7 +1795,7 @@ def _rule_restrict2(premises, inputs):
     post2 = (pair_and(j.parts.post2, f) if not isinstance(j.parts.post2, PerState)
              else per_state({p: pair_and(_at(j.parts.post2, p), f)
                              for p in pairs.pairs},
-                            f"({_describe(j.parts.post2)} and {f.description})"))
+                            f"({j.parts.post2.description} and {f.description})"))
     cond = [SideCondition("frame invariance", "enumeration",
                           f"{checked} frame-related pair combination(s)")]
     parts = Ensures2Parts(pairs, tuple(j.parts.steps0[i] for i in keep),
@@ -1950,14 +1908,14 @@ def _conv_product(j, aux):
         post2 = per_state(
             {(a, b): product_property(_at(left.post, a), _at(right.post, b))
              for a, b in pairs},
-            f"({_describe(left.post)} x {_describe(right.post)})")
+            f"({left.post.description} x {right.post.description})")
     else:
         post2 = product_property(left.post, right.post)
     if isinstance(left.frame, PerState) or isinstance(right.frame, PerState):
         frame2 = per_state(
             {(a, b): product_frame(_at(left.frame, a), _at(right.frame, b))
              for a, b in pairs},
-            f"({_describe(left.frame)} x {_describe(right.frame)})")
+            f"({left.frame.description} x {right.frame.description})")
     else:
         frame2 = product_frame(left.frame, right.frame)
     enum = PairEnumeration(pairs, pre2, left.enum.states, right.enum.states,
@@ -1972,8 +1930,10 @@ def _conv_hybridize(j, aux):
     """Attach a unary exact-count judgment for the first component to a
     relational judgment, producing the hybrid form: the relational pre
     and post are restricted by the unary conditions on the left, the
-    frame gains the unary frame on the left, and the unary components for
-    the second program come from aux."""
+    frame gains the unary frame on the left, and the unary precondition
+    and postcondition for the second program come from aux. The
+    relational frame must be a product; its right factor becomes the
+    second program's frame."""
     rel = aux.get("relational")
     if rel is None:
         raise SchemaMismatch("hybridize needs aux['relational']")
@@ -1982,7 +1942,21 @@ def _conv_hybridize(j, aux):
     _same_sys((j, rel))
     unary_pre: Enumeration = aux["unary_pre"]
     upost = aux["upost"]
-    uframe: FrameFn = aux["uframe"]
+
+    frame2 = rel.parts.frame2
+    if not (isinstance(frame2, PairFrame) and frame2.product_of):
+        raise FactorizationWitnessMissing(
+            "hybridize needs a product pair frame")
+    fl, fr = frame2.product_of
+    jf = j.parts.frame
+    if isinstance(jf, FrameFn) and jf.intensional_form is not None \
+            and fl.intensional_form is not None:
+        inter = fl.intensional_form & jf.intensional_form
+        frame2 = product_frame(
+            FrameFn(lambda s, t, L=inter: _delta_within(s, t, L),
+                    intensional_form=inter,
+                    description=f"({fl.description} and {jf.description})"),
+            fr)
 
     left_states = set(j.parts.enum.states)
     li = dict(zip(j.parts.enum.states, j.parts.steps))
@@ -2009,29 +1983,8 @@ def _conv_hybridize(j, aux):
             f"({q2.description} and left {q0.description})")
 
     post2 = per_state({p: restricted_post(p) for p in pairs},
-                      f"({_describe(rel.parts.post2)} and left "
-                      f"{_describe(j.parts.post)})")
-
-    rel_frame = rel.parts.frame2
-    left_frame = None
-    if isinstance(rel_frame, PairFrame) and rel_frame.product_of:
-        fl, fr = rel_frame.product_of
-        jf = j.parts.frame
-        if isinstance(jf, FrameFn) and jf.intensional_form is not None \
-                and fl.intensional_form is not None:
-            inter = fl.intensional_form & jf.intensional_form
-            from_labels = FrameFn(
-                lambda s, t, L=inter: _delta_within(s, t, L),
-                intensional_form=inter,
-                description=f"({fl.description} and {jf.description})")
-            left_frame = from_labels
-            frame2 = product_frame(from_labels, fr)
-        else:
-            frame2 = rel_frame
-            left_frame = fl
-    else:
-        raise FactorizationWitnessMissing(
-            "hybridize needs a product pair frame")
+                      f"({rel.parts.post2.description} and left "
+                      f"{j.parts.post.description})")
 
     pre2 = PairProperty(
         lambda a, b: rel.parts.pairs.pre2.holds(a, b) and a in left_states,
@@ -2040,8 +1993,7 @@ def _conv_hybridize(j, aux):
                                 rel.parts.pairs.domain1,
                                 rel.parts.pairs.description)
     rel_parts = Ensures2Parts(pair_enum, steps0, steps1, post2, frame2)
-    hybrid = HybridParts(rel_parts, unary_pre, upost, uframe,
-                         left_frame=left_frame)
+    hybrid = HybridParts(rel_parts, unary_pre, upost)
     v = check_hybrid(j.sys, hybrid)
     if not v.is_proven:
         raise SideConditionFailed(
@@ -2053,7 +2005,7 @@ def _conv_hybridize(j, aux):
             SideCondition("postcondition projection", "enumeration",
                           "checked over reached pairs"),
             SideCondition("frame factorization", "intensional",
-                          _describe(frame2))]
+                          frame2.description)]
     return hybrid, "hybrid", cond, (rel,)
 
 

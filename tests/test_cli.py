@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, verdict lines, replay scripts."""
 
+import importlib
 import os
 import shutil
 import subprocess
@@ -299,6 +300,18 @@ def test_selftest_smoke(capsys):
     assert code == 0
     assert out.splitlines()[0] == "VERDICT: Proven"
     assert "trials" in out
+
+
+def test_console_script_names_the_cli_entry_point(capsys):
+    # the installed script calls this target; checked without installing
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    module, _, name = scripts["relhoare"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    assert entry(["--help"]) == 0
+    assert "check" in capsys.readouterr().out
 
 
 def test_console_script_is_installed(tmp_path):

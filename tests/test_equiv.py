@@ -327,6 +327,22 @@ def test_transfer_carries_correctness_to_the_rewrite():
     assert kernel.audit_replay(transferred)
 
 
+def test_transfer_crosses_a_composed_equivalence():
+    # a derived equivalence judgment records no reached pairs of its own
+    e = equiv.compose_transitive(link(C0, 0x1000, C1, 0x2000),
+                                 link(C1, 0x2000, C2, 0x3000))
+    s0 = e.judgment.parts.pairs.pairs[0][0]
+    done = kernel.prop(lambda s: s.reg(3) == 4 and machine.is_stuck(s),
+                       "stuck with x3 = 4")
+    correctness = kernel.prove_ensures_n(
+        machine.oracle(), kernel.Enumeration((s0,)), kernel.StepFn.auto(),
+        done, SMALL_FRAME)
+    transferred = equiv.transfer_correctness(correctness, e)
+    assert [s.pc for s in transferred.parts.enum.states] == [0x3000]
+    assert transferred.parts.frame is SMALL_FRAME
+    assert kernel.recheck(transferred).is_proven
+
+
 def test_transfer_fails_without_a_stopper():
     correctness = unary_correctness(load_problem("compare_nostopper.spec"))
     e = equiv.check_equiv(load_problem("compare_equiv.spec"))

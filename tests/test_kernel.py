@@ -294,6 +294,26 @@ def test_rule_post_domain_catches_non_containment():
         apply_rule("post", [j], {"post": at(2), "domain": (4,)})
 
 
+def test_rule_post_reads_per_state_tables_at_the_start_state():
+    sys = sys_of((0, 1), (10, 11))
+    j = kernel.prove_ensures_n(sys, Enumeration((0, 10)), StepFn.constant(1),
+                               per_state({0: at(1), 10: at(11, 12)}), ANY)
+    wider = per_state({0: at(1, 2), 10: at(11, 12)}, "wider")
+    j2 = apply_rule("post", [j], {"post": wider})
+    assert kernel.recheck(j2).is_proven and kernel.audit_replay(j2)
+    # each start's entry must hold on that start's reached states
+    swapped = per_state({0: at(11, 12), 10: at(1, 2)}, "swapped")
+    with pytest.raises(SideConditionFailed):
+        apply_rule("post", [j], {"post": swapped})
+    # and contain that start's old entry on the domain: 10 loses 12
+    narrow = per_state({0: at(1), 10: at(11)}, "narrow")
+    assert kernel.recheck(apply_rule("post", [j], {"post": narrow})).is_proven
+    with pytest.raises(SideConditionFailed):
+        apply_rule("post", [j], {"post": narrow, "domain": (1, 12)})
+    assert kernel.recheck(apply_rule(
+        "post", [j], {"post": narrow, "domain": (1, 11)})).is_proven
+
+
 def test_rule_frame_extends_by_enumeration():
     sys = sys_of((0, 2))
     exact = FrameFn(lambda s, t: (s, t) in {(0, 2)}, description="0 to 2")
@@ -426,6 +446,17 @@ def test_rule_post2_weakens_pair_posts():
                    {"post": PairProperty(lambda a, b: a != b, "unequal")})
 
 
+def test_rule_post2_reads_per_pair_tables_at_the_start_pair():
+    sys = sys_of((0, 1), (10, 11))
+    j = rel_judgment(sys, [(0, 10)], (1,), (1,), pairs_at((1, 11)))
+    wider = per_state({(0, 10): pairs_at((1, 11), (2, 12))}, "wider")
+    j2 = apply_rule("post2", [j], {"post": wider})
+    assert kernel.recheck(j2).is_proven and kernel.audit_replay(j2)
+    with pytest.raises(SideConditionFailed):
+        apply_rule("post2", [j], {"post": per_state(
+            {(0, 10): pairs_at((2, 12))}, "elsewhere")})
+
+
 def test_rule_frame2_extends_product_frames_intensionally():
     from relhoare import machine as m
     f_small = m.maychange({m.PC})
@@ -481,6 +512,87 @@ def test_unknown_rule_and_conversion_ids():
         apply_rule("modus_ponens", [j])
     with pytest.raises(SchemaMismatch):
         convert(j, "transmogrify")
+
+
+# ---------------------------------------------------------------------------
+# per-state conditions, keyed by start state or start pair as spec
+# checks build them
+
+TWO = sys_of((0, 1), (1, 2), (10, 11), (11, 12))
+EACH = per_state({0: at(1), 10: at(11)}, "each its own")
+EACH2 = per_state({(0, 10): pairs_at((1, 11))}, "each pair its own")
+
+
+def assert_derived(j):
+    assert kernel.recheck(j).is_proven and kernel.audit_replay(j)
+
+
+def test_rule_conj_on_a_per_state_post():
+    enum, one = Enumeration((0, 10)), StepFn.constant(1)
+    j1 = kernel.prove_ensures_n(TWO, enum, one, EACH, ANY)
+    j2 = kernel.prove_ensures_n(TWO, enum, one,
+                                prop(lambda s: s % 10 == 1, "ends in 1"), ANY)
+    both = apply_rule("conj", [j1, j2])
+    assert isinstance(both.parts.post, kernel.PerState)
+    assert_derived(both)
+
+
+def test_rule_branch_cases_on_per_state_posts():
+    own = {s: per_state({s: EACH.at(s)}, "each its own") for s in (0, 10)}
+    cases = [kernel.prove_ensures(TWO, Enumeration((s,)), own[s], ANY, 4)
+             for s in (0, 10)]
+    union = apply_rule("branch_cases", cases, {"pre": Enumeration((0, 10))})
+    assert union.parts.post.at(10) is EACH.at(10)
+    assert_derived(union)
+
+
+def test_rule_conj2_on_a_per_pair_post():
+    j1 = rel_judgment(TWO, [(0, 10)], (1,), (1,), EACH2)
+    j2 = rel_judgment(TWO, [(0, 10)], (1,), (1,),
+                      PairProperty(lambda a, b: b == a + 10, "10 apart"))
+    assert_derived(apply_rule("conj2", [j1, j2]))
+
+
+def test_rule_comm_on_a_per_pair_post_and_frame():
+    j = rel_judgment(TWO, [(0, 10)], (1,), (1,), EACH2,
+                     per_state({(0, 10): ANY2}, "each pair anything"))
+    swapped = apply_rule("comm", [j])
+    assert swapped.parts.pairs.pairs == ((10, 0),)
+    assert swapped.parts.post2.at((10, 0)).holds(11, 1)
+    assert_derived(swapped)
+
+
+def test_rule_comp_with_a_per_pair_post_in_the_second_premise():
+    j1 = rel_judgment(TWO, [(0, 10)], (1,), (1,), EACH2)
+    j2 = rel_judgment(TWO, [(1, 11)], (1,), (1,), per_state(
+        {(1, 11): pairs_at((2, 12))}, "each pair its own"))
+    j = apply_rule("comp", [j1, j2])
+    assert j.parts.post2.at((0, 10)) is j2.parts.post2.at((1, 11))
+    assert_derived(j)
+
+
+def test_rule_restrict2_on_a_per_pair_post():
+    sys = sys_of((0, 2), (1, 3))
+    left_at_2 = PairProperty(lambda a, b: a == 2, "left at 2")
+    j = kernel.prove_ensures2(
+        sys, PairEnumeration(((0, 0), (0, 1))), (1, 1), (1, 1),
+        per_state({(0, 0): left_at_2, (0, 1): left_at_2}, "left at 2"),
+        kernel.PairFrame(lambda p, q: (p[0] - p[1]) % 2 == (q[0] - q[1]) % 2,
+                         description="parity preserved"))
+    restricted = apply_rule("restrict2", [j], {"restriction": PairProperty(
+        lambda a, b: (a - b) % 2 == 0, "same parity")})
+    assert restricted.parts.pairs.pairs == ((0, 0),)
+    assert_derived(restricted)
+
+
+def test_product_conversion_of_per_state_posts_and_frames():
+    one = StepFn.constant(1)
+    j0 = kernel.prove_ensures_n(TWO, Enumeration((0,)), one, EACH,
+                                per_state({0: ANY}, "each anything"))
+    j1 = kernel.prove_ensures_n(TWO, Enumeration((10,)), one, EACH, ANY)
+    prod = convert(j0, "product", {"other": j1})
+    assert prod.parts.frame2.at((0, 10)).product_of == (ANY, ANY)
+    assert_derived(prod)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +654,17 @@ def test_promote_requires_evidence():
     assert kernel.recheck(promoted).is_proven
 
 
+def test_first_stop_evidence_rechecks_and_has_a_signature():
+    sys = sys_of((0, 4))
+    ev = kernel.first_stop_evidence(sys, Enumeration((0,)), 8)
+    assert kernel.recheck(ev).is_proven
+    assert kernel.judgment_signature(ev) == (
+        "eventually_n_at_pc", (0,), 0, ((4, 1),))
+    late = kernel.Judgment(ev.form, sys, kernel.PcParts(
+        ev.parts.enum, 0, ((4, 2),)), ev.evidence)
+    assert kernel.recheck(late).counterexample.reason == "pc_hit_early"
+
+
 def test_first_stop_evidence_failure_modes():
     enum = Enumeration((0,))
     with pytest.raises(PromotionFailed):  # never gets stuck
@@ -563,14 +686,49 @@ def test_hybridize_and_extract_round_trip():
         "relational": rel,
         "unary_pre": Enumeration((10,)),
         "upost": at(11),
-        "uframe": ANY,
     })
     assert hybrid.form == "hybrid"
+    assert kernel.recheck(hybrid).is_proven and kernel.audit_replay(hybrid)
     extracted = convert(hybrid, "hybrid_extract")
     assert extracted.form == "ensures_n"
     assert extracted.parts.enum.states == (10,)
+    assert extracted.parts.frame is ANY2.product_of[1]
     assert kernel.recheck(extracted).is_proven
     assert kernel.audit_replay(extracted)
+
+
+STILL = FrameFn(lambda s, t: s == t, description="no change")
+
+
+def hybrid_of(frame2):
+    """Pair (0, 10) runs to (1, 11) under frame2; the unary side is 10."""
+    rel = kernel.Ensures2Parts(PairEnumeration(((0, 10),)), (1,), (1,),
+                               pairs_at((1, 11)), frame2)
+    return sys_of((0, 1), (10, 11)), kernel.HybridParts(
+        rel, Enumeration((10,)), at(11))
+
+
+@pytest.mark.parametrize("frame2", [
+    kernel.PairFrame(lambda p, q: True, description="no factors"),
+    per_state({(0, 10): ANY2}, "a product per pair"),
+])
+def test_check_hybrid_needs_a_product_pair_frame(frame2):
+    # no unary frame can be read off these, so none is checked either
+    sys, hybrid = hybrid_of(frame2)
+    with pytest.raises(kernel.FactorizationWitnessMissing):
+        kernel.check_hybrid(sys, hybrid)
+
+
+def test_a_hybrid_unary_frame_is_its_pair_frames_right_factor():
+    sys, hybrid = hybrid_of(ANY2)
+    assert hybrid.uframe is ANY2.product_of[1]
+    assert kernel.check_hybrid(sys, hybrid).is_proven
+    with pytest.raises(TypeError):  # no separate frame that could mismatch
+        kernel.HybridParts(hybrid.rel, hybrid.unary, hybrid.upost, STILL)
+    # a right factor that the run 10 -> 11 breaks refutes the hybrid
+    sys, still = hybrid_of(product_frame(ANY, STILL))
+    assert still.uframe is STILL
+    assert kernel.check_hybrid(sys, still).is_refuted
 
 
 def test_audit_replay_walks_the_whole_derivation():
