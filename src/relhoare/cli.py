@@ -185,9 +185,13 @@ def _cmd_check(args) -> int:
 
 
 def _check_unary(problem):
-    enum, post, frame = problem.unary_parts()
-    v = kernel.check_ensures(machine.oracle(), enum, post, frame,
-                             budget=problem.spec.budget)
+    # instances of one start state may meet their posts at different steps
+    for layer in problem.layers():
+        enum, post, frame = layer.unary_parts()
+        v = kernel.check_ensures(machine.oracle(), enum, post, frame,
+                                 budget=problem.spec.budget)
+        if not v.is_proven:
+            break
     return v, [f"form: reaches the postcondition within "
                f"{problem.spec.budget} steps"]
 

@@ -15,8 +15,8 @@ enumeration, never symbolically:
                 count per side, evaluated as the nested exact-count
                 quantifier: every pair of frontier states (one frontier
                 per side) must satisfy the pair postcondition and frame.
-                Pairs of a key join come as blocks, and a postcondition
-                that factors per side is then checked per state.
+                Every spec pair check factors its postcondition per side;
+                on the blocks of a key join it is then checked per state.
   hybrid        an ensures2 judgment whose pair frame is a product,
                 together with a unary precondition and postcondition for
                 the second component; its unary frame is the product's
@@ -283,27 +283,25 @@ def _at(cond, key):
 @dataclass(frozen=True)
 class FactoredPost(PerState):
     """A pair postcondition in factored form: at a pair (a, b), final
-    states x and y must satisfy rel (a KeyJoin), q0(x) and q1(y), where
-    q0 and q1 are PropertyFns or PerState tables keyed by the side's
-    start state. As a per-pair table, `at` builds a pair's PairProperty
-    on demand, named describe(d0, d1) from the two sides' descriptions.
-    Since each conjunct reads one side, `check_ensures2` checks it once
-    per (start state, final state) on pair blocks."""
+    states x and y must satisfy rel(x, y), q0(x) and q1(y), where q0 and
+    q1 are PropertyFns or PerState tables keyed by the side's start
+    state. `at` builds a pair's PairProperty, named describe(d0, d1) of
+    the two sides' descriptions. With a KeyJoin rel each conjunct reads
+    one side, so `check_ensures2` checks it per (start, final) state."""
 
-    rel: KeyJoin = None
+    rel: Callable[[Any, Any], bool] = None
     q0: Any = None
     q1: Any = None
     describe: Callable[[str, str], str] = None
 
     def at(self, pair) -> PairProperty:
         qa, qb = _at(self.q0, pair[0]), _at(self.q1, pair[1])
-        rel = self.rel.holds
         return PairProperty(
-            lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
+            lambda x, y: self.rel(x, y) and qa.holds(x) and qb.holds(y),
             self.describe(qa.description, qb.description))
 
 
-def factored_post(rel: KeyJoin, q0, q1, description: str,
+def factored_post(rel: Callable, q0, q1, description: str,
                   describe: Optional[Callable] = None) -> FactoredPost:
     """rel and then each side's postcondition; every pair's is named
     describe(d0, d1), or else description."""
@@ -888,13 +886,13 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     The first failing pair in order refutes.
 
     That pair is found by comparing the pairs in order or, for pair
-    blocks with a FactoredPost, a product frame and StepFn step counts,
-    per state (`_first_failing_block_pair`). One report path follows for
-    both: the pair's comparison gives the counterexample, and the stats'
-    `steps0`, `steps1` and `reached` are LazyTuples read back from the
-    explorations, for every pair up to the failing one (all of them
-    when proven). stats["explored"] is the number of distinct
-    explorations made. Never Unknown."""
+    blocks with a FactoredPost over a KeyJoin rel, a product frame and
+    StepFn step counts, per state (`_first_failing_block_pair`). One
+    report path follows for both: the pair's comparison gives the
+    counterexample, and the stats' `steps0`, `steps1` and `reached` are
+    LazyTuples read back from the explorations, for every pair up to
+    the failing one (all of them when proven). stats["explored"] is the
+    number of distinct explorations made. Never Unknown."""
     pairs.validate()
     memo: dict = {}  # (start state, step rule) -> (n, finals, fail)
 
@@ -934,6 +932,7 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
         return None
 
     if (pairs.blocks is not None and isinstance(post2, FactoredPost)
+            and isinstance(post2.rel, KeyJoin)
             and isinstance(frame2, PairFrame) and frame2.product_of
             and isinstance(steps0, StepFn) and isinstance(steps1, StepFn)):
         count = sum(len(pairs.rights_of(a)) for a in pairs.lefts)
@@ -1420,12 +1419,13 @@ def _rule_branch_cases(premises, inputs):
                           f"{len(whole.states)} state(s) split into "
                           f"{len(j1.parts.enum.states)} + "
                           f"{len(j2.parts.enum.states)}")]
-    post = per_state(
-        {s: _at((j1 if s in set(j1.parts.enum.states) else j2).parts.post, s)
-         for s in whole.states},
-        j1.parts.post.description) if isinstance(j1.parts.post, PerState) \
-        else j1.parts.post
-    parts = EnsuresParts(whole, post, j1.parts.frame,
+    first = set(j1.parts.enum.states)
+    # each start state keeps the condition of its own case
+    post, frame = (c1 if c1 is c2 else per_state(
+        {s: _at(c1 if s in first else c2, s) for s in whole.states},
+        c1.description) for c1, c2 in ((j1.parts.post, j2.parts.post),
+                                       (j1.parts.frame, j2.parts.frame)))
+    parts = EnsuresParts(whole, post, frame,
                          max(j1.parts.budget, j2.parts.budget))
     return parts, "ensures", cond
 
@@ -1494,11 +1494,11 @@ def _rule_conj(premises, inputs):
     return parts, "ensures_n", cond
 
 
-def _conj_conditions(p1, p2, keys):
+def _conj_conditions(p1, p2, keys, both=prop_and):
     if isinstance(p1, PerState) or isinstance(p2, PerState):
-        return per_state({k: prop_and(_at(p1, k), _at(p2, k)) for k in keys},
+        return per_state({k: both(_at(p1, k), _at(p2, k)) for k in keys},
                          f"({p1.description} and {p2.description})")
-    return prop_and(p1, p2)
+    return both(p1, p2)
 
 
 def _rule_conj2(premises, inputs):
@@ -1517,13 +1517,8 @@ def _rule_conj2(premises, inputs):
     cond = [SideCondition("step agreement", "enumeration", "both sides"),
             SideCondition("shared frame", "structural",
                           j1.parts.frame2.description)]
-    if isinstance(j1.parts.post2, PerState) or isinstance(j2.parts.post2, PerState):
-        post2 = per_state(
-            {p: pair_and(_at(j1.parts.post2, p), _at(j2.parts.post2, p))
-             for p in j1.parts.pairs.pairs},
-            f"({j1.parts.post2.description} and {j2.parts.post2.description})")
-    else:
-        post2 = pair_and(j1.parts.post2, j2.parts.post2)
+    post2 = _conj_conditions(j1.parts.post2, j2.parts.post2,
+                             j1.parts.pairs.pairs, pair_and)
     parts = Ensures2Parts(j1.parts.pairs, j1.parts.steps0, j1.parts.steps1,
                           post2, j1.parts.frame2)
     return parts, "ensures2", cond
@@ -1559,10 +1554,11 @@ def _rule_comp(premises, inputs):
     _expect_form(j1, "ensures2", "first premise")
     _expect_form(j2, "ensures2", "second premise")
     mid_pairs = {pair: i for i, pair in enumerate(j2.parts.pairs.pairs)}
+    reached = _reached(j1)
     steps0, steps1 = [], []
     checked = 0
     for i, pair in enumerate(j1.parts.pairs.pairs):
-        mids = _reached(j1)[i]
+        mids = reached[i]
         if not mids:
             raise SideConditionFailed("first premise recorded no reached "
                                       "pairs to continue from")
@@ -1587,12 +1583,11 @@ def _rule_comp(premises, inputs):
             SideCondition("step arithmetic", "structural",
                           "counts add per side")]
     frame2 = _compose_pair_frames(j1.parts.frame2, j2.parts.frame2,
-                                  j1, dict(enumerate(_reached(j1))))
+                                  dict(zip(j1.parts.pairs.pairs, reached)))
     post2 = j2.parts.post2
     if isinstance(post2, PerState):
         table = {}
-        for i, pair in enumerate(j1.parts.pairs.pairs):
-            mids = _reached(j1)[i]
+        for pair, mids in zip(j1.parts.pairs.pairs, reached):
             posts = {_at(j2.parts.post2, mid) for mid in mids}
             if len({q.description for q in posts}) != 1:
                 raise SideConditionFailed(
@@ -1605,7 +1600,7 @@ def _rule_comp(premises, inputs):
     return parts, "ensures2", cond
 
 
-def _compose_pair_frames(fa, fb, j1, mids_index):
+def _compose_pair_frames(fa, fb, mids_of: dict):
     if isinstance(fa, PairFrame) and isinstance(fb, PairFrame) \
             and fa.product_of and fb.product_of:
         l0, l1 = fa.product_of
@@ -1613,13 +1608,10 @@ def _compose_pair_frames(fa, fb, j1, mids_index):
         if all(f.intensional_form is not None for f in (l0, l1, r0, r1)):
             return product_frame(
                 compose_frames(l0, r0), compose_frames(l1, r1))
-    pairs_list = j1.parts.pairs.pairs
-    index = {pair: i for i, pair in enumerate(pairs_list)}
 
     def related(pre, post):
-        mids = mids_index.get(index.get(pre, -1), ())
         return any(_at(fa, pre).related(pre, m) and _at(fb, m).related(m, post)
-                   for m in mids)
+                   for m in mids_of.get(pre, ()))
 
     return PairFrame(related,
                      description=f"({fa.description} o {fb.description})")
@@ -1776,10 +1768,12 @@ def _rule_restrict2(premises, inputs):
     f: PairProperty = inputs["restriction"]
     domain = tuple(inputs.get("domain", ()))
     frame2 = j.parts.frame2
+    later = domain + tuple(pq for finals in _reached(j) for pq in finals)
     checked = 0
-    for p in list(j.parts.pairs.pairs) + list(domain):
-        for q in list(domain) + [pq for finals in _reached(j) for pq in finals]:
-            if _at(frame2, p).related(p, q):
+    for p in j.parts.pairs.pairs:
+        f2 = _at(frame2, p)
+        for q in later:
+            if f2.related(p, q):
                 checked += 1
                 if f.holds(*p) != f.holds(*q):
                     raise SideConditionFailed(
@@ -1792,10 +1786,7 @@ def _rule_restrict2(premises, inputs):
                      f"({j.parts.pairs.pre2.description} and {f.description})"),
         j.parts.pairs.domain0, j.parts.pairs.domain1,
         j.parts.pairs.description)
-    post2 = (pair_and(j.parts.post2, f) if not isinstance(j.parts.post2, PerState)
-             else per_state({p: pair_and(_at(j.parts.post2, p), f)
-                             for p in pairs.pairs},
-                            f"({j.parts.post2.description} and {f.description})"))
+    post2 = _conj_conditions(j.parts.post2, f, pairs.pairs, pair_and)
     cond = [SideCondition("frame invariance", "enumeration",
                           f"{checked} frame-related pair combination(s)")]
     parts = Ensures2Parts(pairs, tuple(j.parts.steps0[i] for i in keep),

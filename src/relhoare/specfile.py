@@ -39,7 +39,9 @@ an oversized domain is an error, never a silent sample.
 `Problem` also builds each check kind's kernel inputs: `unary_parts` for
 one-run checks and `pair_parts` for two-run checks. An undeclared frame
 allows anything; an undeclared `f1` is `f0` for ct_relational (both runs
-are of [program0]) and `auto` for the two-program kinds.
+are of [program0]) and `auto` for the two-program kinds. Instances that
+build one start state share its run, and their postconditions must all
+hold on it; exact step counts that differ between them are an error.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -890,75 +892,76 @@ class Problem:
         return tuple(i.state1 if side else i.state0 for i in self.instances)
 
     def frame(self, side) -> kernel.FrameFn:
-        items = self.spec.frames.get(side)
-        if items is None and side is not None:
-            items = self.spec.frames.get(None)
-        if items is None:
-            return kernel.ANYTHING
-        return machine.maychange(self.resolve_labels(items))
+        items = self._conditions(self.spec.frames, side)
+        return (machine.maychange(self.resolve_labels(items)) if items
+                else kernel.ANYTHING)
 
     def unary_parts(self, post_of: Optional[Callable] = None,
                     description: str = "declared postcondition") -> tuple:
         """(Enumeration, per-state postcondition, frame) of a one-run
         check over the side-0 states. post_of maps an instance to its
         postcondition, the declared one by default."""
-        post_of = post_of or (lambda inst: self.post_property(0, inst))
         enum = kernel.Enumeration(self.states(0),
                                   description="spec instances")
-        post = kernel.per_state(
-            {i.state0: post_of(i) for i in self.instances}, description)
-        return enum, post, self.frame(0)
+        return enum, self._posts(0, description, post_of), self.frame(0)
 
     def pair_parts(self, pre2: kernel.PairProperty, description: str,
                    post_description: str, pairs: Optional[tuple] = None,
                    rel: Callable = lambda a, b: True,
                    describe: Optional[Callable] = None) -> tuple:
-        """(PairEnumeration, per-pair postcondition, product frame, left
-        steps, right steps) of a two-run check. A pair's postcondition
-        is rel and then each side's declared postcondition, named by
-        describe(d0, d1) of the two sides' descriptions or else
-        post_description. With no pairs given, each instance's own two
-        start states form a pair, checked against that instance's
-        postconditions. Otherwise each side's postcondition comes from
-        the instance of its start state: given pairs are checked as they
-        are, and a KeyJoin pre2 (with a KeyJoin rel) joins every left
-        start state with each right one of equal key, as pair blocks
-        with a factored postcondition."""
+        """(PairEnumeration, factored pair postcondition, product frame,
+        left steps, right steps) of a two-run check. A KeyJoin pre2 joins
+        every left start state with each right one of equal key, as pair
+        blocks; otherwise the pairs are the given ones, or else each
+        instance's own two start states. A pair's postcondition is rel and
+        each side's postcondition at its start state, named describe(d0,
+        d1) of their descriptions or else post_description."""
         right = self.right
-        describe = describe or (lambda d0, d1: post_description)
         lefts, rights = self.states(0), self.states(right)
-        if pairs is None and not isinstance(pre2, kernel.KeyJoin):
-            pairs = tuple(zip(lefts, rights))
-            enum = kernel.PairEnumeration(pairs, pre2, lefts, rights,
-                                          description)
-            post2 = kernel.per_state(
-                {p: _pair_post(rel, self.post_property(0, i),
-                               self.post_property(right, i), describe)
-                 for i, p in zip(self.instances, pairs)}, post_description)
+        if isinstance(pre2, kernel.KeyJoin):
+            enum = kernel.PairEnumeration.join(pre2, lefts, rights,
+                                               description)
         else:
-            post0 = {i.state0: self.post_property(0, i)
-                     for i in self.instances}
-            post1 = post0 if not right else {
-                i.state1: self.post_property(1, i) for i in self.instances}
-            if isinstance(pre2, kernel.KeyJoin):
-                enum = kernel.PairEnumeration.join(pre2, lefts, rights,
-                                                   description)
-                post2 = kernel.factored_post(
-                    rel, kernel.per_state(post0, "left postconditions"),
-                    kernel.per_state(post1, "right postconditions"),
-                    post_description, describe)
-            else:
-                enum = kernel.PairEnumeration(pairs, pre2, lefts, rights,
-                                              description)
-                post2 = kernel.per_state(
-                    {p: _pair_post(rel, post0[p[0]], post1[p[1]], describe)
-                     for p in pairs}, post_description)
+            enum = kernel.PairEnumeration(
+                tuple(zip(lefts, rights)) if pairs is None else pairs,
+                pre2, lefts, rights, description)
+        post0 = self._posts(0, "left postconditions")
+        post1 = self._posts(1, "right postconditions") if right else post0
+        post2 = kernel.factored_post(rel, post0, post1, post_description,
+                                     describe)
         frame2 = kernel.product_frame(self.frame(0), self.frame(right))
         steps0 = self.steps("f0", 0)
         # a CT check with no f1 runs both sides by f0
         steps1 = (self.steps("f1", right)
                   if right or "f1" in self.spec.steps else steps0)
         return enum, post2, frame2, steps0, steps1
+
+    def _starts(self, side) -> dict:
+        """The instances by the start state they build on a side, in
+        order: several do when a parameter is only in [post] or [steps]."""
+        groups: dict = {}
+        for s, inst in zip(self.states(side), self.instances):
+            groups.setdefault(s, []).append(inst)
+        return groups
+
+    def layers(self) -> list:
+        """The problem in parts, the k-th holding the k-th instance of
+        each side-0 start state, so that no part repeats a start state."""
+        return [replace(self, instances=[i for i in part if i]) for part in
+                itertools.zip_longest(*self._starts(0).values())] or [self]
+
+    def _posts(self, side, description: str,
+               post_of: Optional[Callable] = None) -> kernel.PerState:
+        """A side's postconditions by start state, post_of(instance) or the
+        declared one, conjoined over the instances that build the state."""
+        post_of = post_of or functools.partial(self.post_property, side)
+        table = {}
+        for s, insts in self._starts(side).items():
+            qs = [post_of(i) for i in insts]
+            table[s] = qs[0] if len(qs) == 1 else kernel.PropertyFn(
+                lambda x, qs=qs: all(q.holds(x) for q in qs),
+                " and ".join(dict.fromkeys(q.description for q in qs)))
+        return kernel.per_state(table, description)
 
     def post_property(self, side, inst: Instance) -> kernel.PropertyFn:
         return self._property("post", side, inst)
@@ -980,22 +983,18 @@ class Problem:
             return kernel.StepFn.auto(self.spec.budget)
         count = compile_expr(value)
         table = {}
-        for inst in self.instances:
-            state = inst.state0 if side == 0 else inst.state1
-            table[state] = count(inst.env, None)
+        for state, (first, *rest) in self._starts(side).items():
+            table[state] = n = count(first.env, None)
+            for inst in rest:
+                if count(inst.env, None) != n:
+                    raise SpecError(
+                        f"instances #{first.index} and #{inst.index} build "
+                        f"one start state, but {key} gives them {n} and "
+                        f"{count(inst.env, None)} steps")
         return kernel.StepFn.table(table, f"{key} expression")
 
     def _conditions(self, store, side):
-        got = store.get(side)
-        if got is None and side is not None:
-            got = store.get(None)
-        return got or []
-
-
-def _pair_post(rel, qa, qb, describe) -> kernel.PairProperty:
-    return kernel.PairProperty(
-        lambda x, y: rel(x, y) and qa.holds(x) and qb.holds(y),
-        describe(qa.description, qb.description))
+        return store.get(side) or store.get(None) or []
 
 
 def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem:

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, verdict lines, replay scripts."""
 
+import dataclasses
 import importlib
 import os
 import shutil
@@ -8,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relhoare import asm
+from relhoare import asm, cli, specfile
 from relhoare.cli import main
 
 from conftest import CORPUS, ROOT
@@ -138,6 +141,18 @@ maychange = pc, x2, events
 f0 = 1
 """
 
+
+def _shared(kind, post, steps="", x1="1", more=""):
+    """One add of x0 = 5 and x1 under n in 0..9: n is in no [pre] line,
+    so the ten instances of each x1 build one start state per side, and
+    its run ends with x2 = 5 + x1."""
+    return (f"[check]\nkind = {kind}\nbudget = 8\n\n"
+            "[program0]\nfile = add.masm\nbase = 0x1000\n\n"
+            "[params]\nn in 0..9\n\n"
+            f"[pre]\nx0 = 5\nx1 = {x1}\n\n"
+            f"[post]\n{post}\n\n[steps]\n{steps}\n\n{more}")
+
+
 # specs written next to _PROGRAMS; corpus specs are checked in place
 _TMP_SPECS = {
     "relational_proven.spec": _PAIR_SPEC.format(right="swapped.masm"),
@@ -167,6 +182,18 @@ _TMP_SPECS = {
         "[pre]\nx0 = 1\n\n"
         "[post]\npc = base0 + 4\nx0 = 3\n\n"
         "[frame]\nmaychange = pc, x0, flag_n, flag_z, events\n"),
+    "shared_start_unary_n.spec": _shared("unary_n", "x2 <= n", "f0 = 1"),
+    "shared_start_unary.spec": _shared(
+        "unary", "terminated(base0 + 4) and x2 <= n"),
+    "shared_start_relational.spec": _shared(
+        "relational", "x2 <= n", "f0 = 1\nf1 = 1",
+        more="[program1]\nfile = add.masm\nbase = 0x2000\n"),
+    "shared_start_ct_relational.spec": _shared(
+        "ct_relational", "x2 <= n", "f0 = 1", x1="s",
+        more="[params]\ns in 1..2\n\n[private]\nx1\n"),
+    # the instances of one start state disagree on its step count
+    "shared_start_steps.spec": _shared(
+        "unary_n", "x2 = 6", "f0 = min(n, 1)"),
 }
 
 _PROGRAMS = {
@@ -201,6 +228,56 @@ def _golden_run(capsys, name, tmp_path):
 def test_check_output_matches_golden(capsys, tmp_path, name):
     expected = (GOLDEN / name).with_suffix(".txt").read_text()
     assert _golden_run(capsys, name, tmp_path) == expected
+
+
+def test_instances_of_one_start_state_agree_on_its_step_count(capsys,
+                                                             tmp_path):
+    path = _spec_path("shared_start_steps.spec", tmp_path)
+    code, _, err = run_main(capsys, "check", str(path))
+    assert code == 3
+    assert "instances #0 and #1 build one start state" in err
+    assert "f0 gives them 0 and 1 steps" in err
+
+
+@st.composite
+def post_only_specs(draw):
+    """A unary, unary_n or relational spec over add.masm whose parameter
+    n appears only in its postconditions, so start states repeat."""
+    kind = draw(st.sampled_from(("unary", "unary_n", "relational")))
+    post = lambda: (f"x2 {draw(st.sampled_from(('<=', '>=', '=', '!=')))} "
+                    f"n + {draw(st.integers(0, 3))}")
+    text = (f"[check]\nkind = {kind}\nbudget = 8\n\n"
+            "[program0]\nfile = add.masm\nbase = 0x1000\n\n"
+            f"[params]\na in 0..1\nn in 0..{draw(st.integers(0, 3))}\n\n"
+            "[pre]\nx0 = a\nx1 = 1\n\n"
+            f"[post0]\n{post()}\n\n[post1]\n{post()}\n\n"
+            "[steps]\nf0 = 1\nf1 = 1\n")
+    if kind == "relational":
+        right = draw(st.sampled_from(
+            ("add.masm", "swapped.masm", "sub.masm", "inc.masm")))
+        text += f"\n[program1]\nfile = {right}\nbase = 0x2000\n"
+    return kind, text
+
+
+@pytest.fixture(scope="module")
+def programs_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("programs")
+    for program, source in _PROGRAMS.items():
+        (root / program).write_text(source)
+    return root
+
+
+@given(case=post_only_specs())
+@settings(max_examples=60, deadline=None)
+def test_shared_start_states_keep_every_instances_postcondition(
+        programs_dir, case):
+    kind, text = case
+    problem = specfile.build_problem(specfile.parse_spec(text), programs_dir)
+    check = lambda p: cli._CHECKERS[kind](p)[0].outcome
+    # the reference: each instance checked as a problem of its own
+    each = {check(dataclasses.replace(problem, instances=[inst]))
+            for inst in problem.instances}
+    assert check(problem) == ("proven" if each == {"proven"} else "refuted")
 
 
 # ---------------------------------------------------------------------------

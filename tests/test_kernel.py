@@ -585,6 +585,50 @@ def test_rule_restrict2_on_a_per_pair_post():
     assert_derived(restricted)
 
 
+def test_rule_branch_cases_keeps_each_cases_own_postcondition():
+    # two postconditions that share a description but not a meaning
+    sys = sys_of((0, 2), (1, 3))
+    cases = [kernel.prove_ensures(sys, Enumeration((s,)),
+                                  prop(lambda t, s=s: t == s + 2, "done"),
+                                  ANY, budget=4)
+             for s in (0, 1)]
+    union = apply_rule("branch_cases", cases, {"pre": Enumeration((0, 1))})
+    assert_derived(union)
+
+
+def test_rule_restrict2_reads_a_pair_frame_table_only_at_start_pairs():
+    sys = sys_of((0, 2))
+    j = rel_judgment(sys, [(0, 0)], (1,), (1,), pairs_at((2, 2)),
+                     per_state({(0, 0): ANY2}, "each pair anything"))
+    restricted = apply_rule("restrict2", [j], {
+        "restriction": PairProperty(lambda a, b: a == b, "equal"),
+        "domain": ((1, 1),)})
+    assert restricted.parts.pairs.pairs == ((0, 0),)
+    assert_derived(restricted)
+
+
+def test_rule_comp_rechecks_a_derived_premise_once():
+    calls = []
+    base = sys_of(*[(i, i + 10) for i in range(10)],
+                  *[(i + 10, i + 20) for i in range(10)])
+    sys = kernel.StepOracle(lambda s: calls.append(s) or base.successors(s))
+    j1 = apply_rule("post2", [rel_judgment(
+        sys, [(i, i) for i in range(10)], (1,) * 10, (1,) * 10,
+        PairProperty(lambda a, b: a == b, "equal"))],
+        {"post": PairProperty(lambda a, b: a >= 10, "moved")})
+    j2 = rel_judgment(sys, [(i + 10, i + 10) for i in range(10)],
+                      (1,) * 10, (1,) * 10,
+                      PairProperty(lambda a, b: a == b, "equal"))
+    calls.clear()
+    kernel.recheck(j1)
+    once = len(calls)
+    calls.clear()
+    j = apply_rule("comp", [j1, j2])
+    assert len(calls) == once == 10
+    assert j.parts.steps0 == (2,) * 10
+    assert_derived(j)
+
+
 def test_product_conversion_of_per_state_posts_and_frames():
     one = StepFn.constant(1)
     j0 = kernel.prove_ensures_n(TWO, Enumeration((0,)), one, EACH,
