@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass, field
 
 from .machine import (
-    MASK64, WORD, LOAD_SIZES, STORE_SIZES, Instruction, MachineState,
-    decode_word, encode_instruction,
+    FORMATS, MASK64, WORD, LOAD_SIZES, STORE_SIZES, Instruction,
+    MachineState, decode_word, encode_instruction,
 )
 
 
@@ -178,6 +178,26 @@ def _expect(operands: list, n: int, lineno: int, mnemonic: str) -> None:
                        lineno)
 
 
+def _operand_tokens(op: str, ops: list, lineno: int) -> list:
+    """The text of each of op's fields, in the order of `FORMATS`. A load
+    or store writes its rn and imm as one `[xN]` or `[xN, #imm]` operand,
+    which is checked here, before its rd."""
+    fields = FORMATS[op][1]
+    if op not in LOAD_SIZES and op not in STORE_SIZES:
+        _expect(ops, len(fields), lineno, op)
+        return ops
+    _expect(ops, 2, lineno, op)
+    m = _MEM_RE.match(ops[1])
+    if not m:
+        raise AsmError(f"expected [xN] or [xN, #imm], got {ops[1]!r}", lineno)
+    imm = _parse_int(m.group(2) or "0")
+    _, _, (_, _, width) = fields
+    high = (1 << width) - 1
+    if not 0 <= imm <= high:
+        raise ImmediateOutOfRange(f"offset {imm} outside [0, {high}]", lineno)
+    return [ops[0], m.group(1), f"#{imm}"]
+
+
 def assemble(text: str) -> Program:
     """Assemble source text into a Program. Raises AsmError subclasses
     with line numbers on malformed input."""
@@ -199,60 +219,19 @@ def assemble(text: str) -> Program:
                 raise ImmediateOutOfRange(".word value outside 32 bits", lineno)
             words.append(value)
             continue
-        if op == "movi":
-            _expect(ops, 2, lineno, op)
-            ins = Instruction(op, rd=_reg(ops[0], lineno),
-                              imm=_imm(ops[1], lineno, 0, 0xFFFF))
-        elif op == "movr":
-            _expect(ops, 2, lineno, op)
-            ins = Instruction(op, rd=_reg(ops[0], lineno),
-                              rn=_reg(ops[1], lineno))
-        elif op in ("add", "sub", "mul", "umulh", "mulnd"):
-            _expect(ops, 3, lineno, op)
-            ins = Instruction(op, rd=_reg(ops[0], lineno),
-                              rn=_reg(ops[1], lineno), rm=_reg(ops[2], lineno))
-        elif op in ("addi", "subi"):
-            _expect(ops, 3, lineno, op)
-            ins = Instruction(op, rd=_reg(ops[0], lineno),
-                              rn=_reg(ops[1], lineno),
-                              imm=_imm(ops[2], lineno, 0, 0xFFF))
-        elif op == "cmp":
-            _expect(ops, 2, lineno, op)
-            ins = Instruction(op, rn=_reg(ops[0], lineno),
-                              rm=_reg(ops[1], lineno))
-        elif op == "cmpi":
-            _expect(ops, 2, lineno, op)
-            ins = Instruction(op, rn=_reg(ops[0], lineno),
-                              imm=_imm(ops[1], lineno, 0, 0xFFF))
-        elif op in ("b", "beq", "bne"):
-            _expect(ops, 1, lineno, op)
-            ins = Instruction(op, off=_branch_offset(ops[0], here, symbols,
-                                                     lineno, 20))
-        elif op in ("cbz", "cbnz"):
-            _expect(ops, 2, lineno, op)
-            ins = Instruction(op, rd=_reg(ops[0], lineno),
-                              off=_branch_offset(ops[1], here, symbols,
-                                                 lineno, 16))
-        elif op == "br":
-            _expect(ops, 1, lineno, op)
-            ins = Instruction(op, rn=_reg(ops[0], lineno))
-        elif op in LOAD_SIZES or op in STORE_SIZES:
-            _expect(ops, 2, lineno, op)
-            m = _MEM_RE.match(ops[1])
-            if not m:
-                raise AsmError(f"expected [xN] or [xN, #imm], got {ops[1]!r}",
-                               lineno)
-            imm = 0
-            if m.group(2) is not None:
-                imm = _parse_int(m.group(2))
-                if not 0 <= imm <= 0xFFF:
-                    raise ImmediateOutOfRange(
-                        f"offset {imm} outside [0, 4095]", lineno)
-            ins = Instruction(op, rd=_reg(ops[0], lineno),
-                              rn=_reg(m.group(1), lineno), imm=imm)
-        else:
+        if op not in FORMATS:
             raise UnknownMnemonic(f"unknown mnemonic {op!r}", lineno)
-        words.append(encode_instruction(ins))
+        values = {}
+        for (name, _, width), token in zip(FORMATS[op][1],
+                                           _operand_tokens(op, ops, lineno)):
+            if name == "off":
+                values[name] = _branch_offset(token, here, symbols, lineno,
+                                              width)
+            elif name == "imm":
+                values[name] = _imm(token, lineno, 0, (1 << width) - 1)
+            else:
+                values[name] = _reg(token, lineno)
+        words.append(encode_instruction(Instruction(op, **values)))
 
     for name, off in symbols.items():
         if off > len(words) * WORD:
@@ -263,29 +242,14 @@ def assemble(text: str) -> Program:
 
 def format_instruction(ins: Instruction) -> str:
     op = ins.op
-    if op == "movi":
-        return f"movi x{ins.rd}, #{ins.imm}"
-    if op == "movr":
-        return f"movr x{ins.rd}, x{ins.rn}"
-    if op in ("add", "sub", "mul", "umulh", "mulnd"):
-        return f"{op} x{ins.rd}, x{ins.rn}, x{ins.rm}"
-    if op in ("addi", "subi"):
-        return f"{op} x{ins.rd}, x{ins.rn}, #{ins.imm}"
-    if op == "cmp":
-        return f"cmp x{ins.rn}, x{ins.rm}"
-    if op == "cmpi":
-        return f"cmpi x{ins.rn}, #{ins.imm}"
-    if op in ("b", "beq", "bne"):
-        return f"{op} #{ins.off}"
-    if op in ("cbz", "cbnz"):
-        return f"{op} x{ins.rd}, #{ins.off}"
-    if op == "br":
-        return f"br x{ins.rn}"
+    if op not in FORMATS:
+        raise ValueError(f"cannot format {op}")
+    text = [f"{'#' if name in ('imm', 'off') else 'x'}{getattr(ins, name)}"
+            for name, _, _ in FORMATS[op][1]]
     if op in LOAD_SIZES or op in STORE_SIZES:
-        if ins.imm:
-            return f"{op} x{ins.rd}, [x{ins.rn}, #{ins.imm}]"
-        return f"{op} x{ins.rd}, [x{ins.rn}]"
-    raise ValueError(f"cannot format {op}")
+        rd, rn, imm = text
+        return f"{op} {rd}, [{rn}, {imm}]" if ins.imm else f"{op} {rd}, [{rn}]"
+    return f"{op} {', '.join(text)}"
 
 
 def disassemble(data: bytes) -> str:

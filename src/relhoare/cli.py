@@ -107,9 +107,9 @@ def _cmd_disasm(args) -> int:
 def _parse_reg_flag(text: str) -> tuple:
     name, _, value = text.partition("=")
     m = specfile._REG_RE.match(name.strip())
-    if not m or not value:
+    if not m or not value or int(m.group(1)) >= 16:
         raise argparse.ArgumentTypeError(
-            f"--reg wants xN=value, got {text!r}")
+            f"--reg wants xN=value with N in 0..15, got {text!r}")
     return int(m.group(1)), int(value, 0) & machine.MASK64
 
 

@@ -845,11 +845,12 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
                   reached=tuple(reached))
 
 
-def check_ensures_n(sys: StepOracle, enum: Enumeration, steps: StepFn, post,
+def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
                     frame) -> Verdict:
-    """Exact-count check. Resolves the step function per start state and,
-    in the same walk, requires the post and frame on the whole depth-n
-    frontier with no earlier stuck state. Never Unknown."""
+    """Exact-count check. Resolves the step count per start state, from a
+    StepFn or a tuple aligned with the states, and in the same walk
+    requires the post and frame on the whole depth-n frontier with no
+    earlier stuck state. Never Unknown."""
     enum.validate()
     warnings = []
     if not enum.states:
@@ -1228,8 +1229,7 @@ def recheck(j: Judgment) -> Verdict:
     if j.form == "ensures":
         return check_ensures(j.sys, p.enum, p.post, p.frame, p.budget)
     if j.form == "ensures_n":
-        return check_ensures_n(j.sys, p.enum, _steps_table(p.enum.states, p.steps),
-                               p.post, p.frame)
+        return check_ensures_n(j.sys, p.enum, p.steps, p.post, p.frame)
     if j.form == "ensures2":
         return check_ensures2(j.sys, p.pairs, p.steps0, p.steps1,
                               p.post2, p.frame2)
@@ -1243,10 +1243,6 @@ def recheck(j: Judgment) -> Verdict:
                 return v
         return proven(instances=len(p.enum.states))
     raise SchemaMismatch(f"unknown judgment form {j.form}")
-
-
-def _steps_table(states, steps) -> StepFn:
-    return StepFn.table(dict(zip(states, steps)), "recorded")
 
 
 # ---------------------------------------------------------------------------
@@ -1588,12 +1584,16 @@ def _rule_comp(premises, inputs):
     if isinstance(post2, PerState):
         table = {}
         for pair, mids in zip(j1.parts.pairs.pairs, reached):
-            posts = {_at(j2.parts.post2, mid) for mid in mids}
+            posts = tuple(dict.fromkeys(_at(j2.parts.post2, mid)
+                                        for mid in mids))
             if len({q.description for q in posts}) != 1:
                 raise SideConditionFailed(
                     "continuation postconditions differ between reached "
                     "pairs")
-            table[pair] = posts.pop()
+            # a final pair meets the post of the middle it passed through
+            table[pair] = posts[0] if len(posts) == 1 else PairProperty(
+                lambda a, b, posts=posts: any(q.holds(a, b) for q in posts),
+                posts[0].description)
         post2 = per_state(table, j2.parts.post2.description)
     parts = Ensures2Parts(j1.parts.pairs, tuple(steps0), tuple(steps1),
                           post2, frame2)

@@ -15,15 +15,18 @@ program counter is not 4-byte aligned or the word under it does not
 decode; the all-zero word never decodes, which makes an explicit zero word
 (written `halt` in assembly) the conventional stopper.
 
-Instruction words are 32-bit little-endian. The opcode sits in bits
-[31:24], rd in [23:20], rn in [19:16], rm in [15:12], and a zero-extended
-imm12 in [11:0]. `movi` carries a 16-bit immediate in [15:0], `b`, `beq`
-and `bne` a signed word offset in [19:0], and `cbz`/`cbnz` their register
-in [23:20] with a signed word offset in [15:0]. Branch offsets are
-relative to the fall-through address, so a self-loop encodes as -1. A
-word decodes only if the fields its opcode does not use are zero; that
-makes decoding a partial inverse of encoding, and the disassembler's
-output always reassembles to the original bytes.
+Instruction words are 32-bit little-endian. `FORMATS` is the one
+description of the word format, which the encoder, the decoder, the
+assembler and the disassembler all read: each mnemonic's opcode, in bits
+[31:24], and its operand fields in assembly order. rd sits in [23:20], rn
+in [19:16], rm in [15:12] and a zero-extended imm12 in [11:0]. `movi`
+carries a 16-bit immediate in [15:0], `b`, `beq` and `bne` a signed word
+offset in [19:0], and `cbz`/`cbnz` their register in [23:20] with a signed
+word offset in [15:0]. Branch offsets are relative to the fall-through
+address, so a self-loop encodes as -1. A word decodes only if no bit
+outside its opcode and that opcode's fields is set; that makes decoding a
+partial inverse of encoding, and the disassembler's output always
+reassembles to the original bytes.
 """
 
 from __future__ import annotations
@@ -35,14 +38,28 @@ from typing import Callable, Iterable, Iterator, Optional
 MASK64 = (1 << 64) - 1
 WORD = 4
 
-# opcode numbers, fixed by the binary format
-OPCODES = {
-    "movi": 0x01, "movr": 0x02, "add": 0x03, "addi": 0x04, "sub": 0x05,
-    "subi": 0x06, "mul": 0x07, "umulh": 0x08, "mulnd": 0x09, "cmp": 0x0A,
-    "cmpi": 0x0B, "b": 0x10, "beq": 0x11, "bne": 0x12, "cbz": 0x13,
-    "cbnz": 0x14, "br": 0x15, "ldrb": 0x20, "ldrw": 0x21, "ldr": 0x22,
-    "strb": 0x28, "strw": 0x29, "str": 0x2A,
+# operand fields as (name, shift, width); off is a signed word offset,
+# every other field is unsigned
+_RD, _RN, _RM = ("rd", 20, 4), ("rn", 16, 4), ("rm", 12, 4)
+_IMM12, _IMM16 = ("imm", 0, 12), ("imm", 0, 16)
+_OFF16, _OFF20 = ("off", 0, 16), ("off", 0, 20)
+_RRR, _RRI = (_RD, _RN, _RM), (_RD, _RN, _IMM12)
+
+# the word format: each mnemonic's opcode and its operand fields in
+# assembly order (a load's or store's rn and imm form its [xN, #imm])
+FORMATS = {
+    "movi": (0x01, (_RD, _IMM16)), "movr": (0x02, (_RD, _RN)),
+    "add": (0x03, _RRR), "addi": (0x04, _RRI), "sub": (0x05, _RRR),
+    "subi": (0x06, _RRI), "mul": (0x07, _RRR), "umulh": (0x08, _RRR),
+    "mulnd": (0x09, _RRR), "cmp": (0x0A, (_RN, _RM)),
+    "cmpi": (0x0B, (_RN, _IMM12)), "b": (0x10, (_OFF20,)),
+    "beq": (0x11, (_OFF20,)), "bne": (0x12, (_OFF20,)),
+    "cbz": (0x13, (_RD, _OFF16)), "cbnz": (0x14, (_RD, _OFF16)),
+    "br": (0x15, (_RN,)), "ldrb": (0x20, _RRI), "ldrw": (0x21, _RRI),
+    "ldr": (0x22, _RRI), "strb": (0x28, _RRI), "strw": (0x29, _RRI),
+    "str": (0x2A, _RRI),
 }
+OPCODES = {op: code for op, (code, _) in FORMATS.items()}
 MNEMONICS = {v: k for k, v in OPCODES.items()}
 
 LOAD_SIZES = {"ldrb": 1, "ldrw": 4, "ldr": 8}
@@ -252,8 +269,8 @@ class Mem:
 
 @dataclass(frozen=True)
 class Instruction:
-    """Decoded instruction. Field meaning depends on op: reg-reg ALU ops
-    use rd/rn/rm, immediates use imm, branches use off (signed words)."""
+    """Decoded instruction. `FORMATS` names the fields each op uses; the
+    others stay 0. Branches read off as a signed word offset."""
 
     op: str
     rd: int = 0
@@ -264,84 +281,32 @@ class Instruction:
 
 
 def encode_instruction(ins: Instruction) -> int:
-    op = ins.op
-    code = OPCODES[op] << 24
-    if op == "movi":
-        return code | ins.rd << 20 | (ins.imm & 0xFFFF)
-    if op == "movr":
-        return code | ins.rd << 20 | ins.rn << 16
-    if op in ("add", "sub", "mul", "umulh", "mulnd"):
-        return code | ins.rd << 20 | ins.rn << 16 | ins.rm << 12
-    if op in ("addi", "subi"):
-        return code | ins.rd << 20 | ins.rn << 16 | (ins.imm & 0xFFF)
-    if op == "cmp":
-        return code | ins.rn << 16 | ins.rm << 12
-    if op == "cmpi":
-        return code | ins.rn << 16 | (ins.imm & 0xFFF)
-    if op in ("b", "beq", "bne"):
-        return code | (ins.off & 0xFFFFF)
-    if op in ("cbz", "cbnz"):
-        return code | ins.rd << 20 | (ins.off & 0xFFFF)
-    if op == "br":
-        return code | ins.rn << 16
-    if op in LOAD_SIZES or op in STORE_SIZES:
-        return code | ins.rd << 20 | ins.rn << 16 | (ins.imm & 0xFFF)
-    raise ValueError(f"cannot encode {op}")
+    code, fields = FORMATS[ins.op]
+    word = code << 24
+    for name, shift, width in fields:
+        word |= (getattr(ins, name) & ((1 << width) - 1)) << shift
+    return word
+
+
+# the bits below the opcode that each opcode's fields leave unused
+_SPARE = {op: ((1 << 24) - 1) & ~sum(((1 << width) - 1) << shift
+                                     for _, shift, width in fields)
+          for op, (_, fields) in FORMATS.items()}
 
 
 @lru_cache(maxsize=65536)
 def decode_word(word: int) -> Optional[Instruction]:
-    """Decode one 32-bit word, or None. Fields an opcode does not use must
-    be zero; anything else, including the all-zero stopper word, is
+    """Decode one 32-bit word, or None. Bits an opcode's fields do not use
+    must be zero; anything else, including the all-zero stopper word, is
     undecodable."""
     op = MNEMONICS.get((word >> 24) & 0xFF)
-    if op is None:
+    if op is None or word & _SPARE[op]:
         return None
-    rd = (word >> 20) & 0xF
-    rn = (word >> 16) & 0xF
-    rm = (word >> 12) & 0xF
-    imm12 = word & 0xFFF
-    if op == "movi":
-        if rn:
-            return None
-        return Instruction(op, rd=rd, imm=word & 0xFFFF)
-    if op == "movr":
-        if word & 0xFFFF:
-            return None
-        return Instruction(op, rd=rd, rn=rn)
-    if op in ("add", "sub", "mul", "umulh", "mulnd"):
-        if imm12:
-            return None
-        return Instruction(op, rd=rd, rn=rn, rm=rm)
-    if op in ("addi", "subi"):
-        if rm:
-            return None
-        return Instruction(op, rd=rd, rn=rn, imm=imm12)
-    if op == "cmp":
-        if rd or imm12:
-            return None
-        return Instruction(op, rn=rn, rm=rm)
-    if op == "cmpi":
-        if rd or rm:
-            return None
-        return Instruction(op, rn=rn, imm=imm12)
-    if op in ("b", "beq", "bne"):
-        if rd:
-            return None
-        return Instruction(op, off=_sext(word & 0xFFFFF, 20))
-    if op in ("cbz", "cbnz"):
-        if rn:
-            return None
-        return Instruction(op, rd=rd, off=_sext(word & 0xFFFF, 16))
-    if op == "br":
-        if rd or word & 0xFFFF:
-            return None
-        return Instruction(op, rn=rn)
-    if op in LOAD_SIZES or op in STORE_SIZES:
-        if rm:
-            return None
-        return Instruction(op, rd=rd, rn=rn, imm=imm12)
-    return None
+    values = {}
+    for name, shift, width in FORMATS[op][1]:
+        value = (word >> shift) & ((1 << width) - 1)
+        values[name] = _sext(value, width) if name == "off" else value
+    return Instruction(op, **values)
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,7 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
                 raise SpecSyntaxError(f"unknown kind {value!r}", lineno)
             spec.kind = value
         elif key == "budget":
-            spec.budget = int(value, 0)
+            spec.budget = _int_of(value, lineno)
         elif key in ("x0", "xw", "n"):
             spec.promote[key] = _expr_of(value, lineno)
         else:
@@ -477,7 +477,7 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
         if key == "file":
             spec.programs[side] = ProgramRef(value, ref.base)
         elif key == "base":
-            spec.programs[side] = ProgramRef(ref.path, int(value, 0))
+            spec.programs[side] = ProgramRef(ref.path, _int_of(value, lineno))
         else:
             raise SpecSyntaxError(f"unknown program key {key!r}", lineno)
     elif section == "params":
@@ -554,6 +554,14 @@ def _expr_of(text: str, lineno: int):
     if not ts.done():
         raise SpecSyntaxError("trailing tokens after expression", lineno)
     return ast
+
+
+def _int_of(text: str, lineno: int) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise SpecSyntaxError(f"expected an integer, got {text!r}",
+                              lineno) from None
 
 
 def _domain_of(text: str, lineno: int) -> tuple:

@@ -363,9 +363,10 @@ def test_run_notes_nondeterministic_forks(capsys):
 
 
 def test_bad_reg_flag_is_a_usage_error(capsys):
-    code = run_main(capsys, "run", str(CORPUS / "compare.masm"),
-                    "--steps", "1", "--reg", "y1=2")[0]
-    assert code == 64
+    for flag in ("y1=2", "x16=1"):
+        code = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                        "--steps", "1", "--reg", flag)[0]
+        assert code == 64, flag
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +437,18 @@ def test_a_cell_domain_outside_the_byte_values_exits_3(capsys, tmp_path,
     assert (code, out) == (3, "")
     assert err == (f"error: line {line}: cell domain {domain} is not "
                    "within the byte values 0..255\n")
+
+
+@pytest.mark.parametrize("line, bad", [("budget = 64", "budget = lots"),
+                                       ("base = 0x1000", "base = 0x10zz")])
+def test_a_malformed_integer_key_exits_3_naming_its_line(capsys, tmp_path,
+                                                         line, bad):
+    shutil.copy(CORPUS / "compare_constant.masm", tmp_path)
+    text = (CORPUS / "compare_constant_ct_unary.spec").read_text()
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text.replace(line, bad, 1))
+    lineno = text.splitlines().index(line) + 1
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err == (f"error: line {lineno}: expected an integer, got "
+                   f"{bad.split(' = ')[1]!r}\n")

@@ -629,6 +629,21 @@ def test_rule_comp_rechecks_a_derived_premise_once():
     assert_derived(j)
 
 
+def test_rule_comp_keeps_every_continuation_postcondition():
+    # one postcondition per middle pair, all sharing a description
+    sys = sys_of((0, 1), (0, 2), (1, 3), (2, 4))
+    j1 = rel_judgment(sys, [(0, 0)], (1,), (1,),
+                      PairProperty(lambda a, b: True, "moved"))
+    mids = [(a, b) for a in (1, 2) for b in (1, 2)]
+    j2 = rel_judgment(sys, mids, (1,) * 4, (1,) * 4, per_state(
+        {(a, b): PairProperty(lambda x, y, a=a, b=b: (x, y) == (a + 2, b + 2),
+                              "done")
+         for a, b in mids}, "done"))
+    j = apply_rule("comp", [j1, j2])
+    assert j.parts.post2.at((0, 0)).description == "done"
+    assert_derived(j)
+
+
 def test_product_conversion_of_per_state_posts_and_frames():
     one = StepFn.constant(1)
     j0 = kernel.prove_ensures_n(TWO, Enumeration((0,)), one, EACH,

@@ -6,7 +6,8 @@ and frame test as they were before steps were compiled per instruction
 word: one `if op == ...` chain per step, a fetch through `Mem.read`, two
 state constructions per register write, and a frame test that builds the
 whole label delta. They are kept verbatim (as functions over states) and
-must not be tuned; they define what the fast core has to compute.
+must not be tuned; they define what the fast core has to compute. Their
+fetches decode through the frozen decoder of `test_isa_reference.py`.
 
 Random programs mix encoded instructions with raw words. Their registers
 start out holding code addresses (aligned, misaligned, unmapped), encoded
@@ -25,9 +26,11 @@ from hypothesis import strategies as st
 from relhoare import asm, machine
 from relhoare.machine import (
     EVENTS, FLAG_N, FLAG_Z, LOAD_SIZES, MASK64, OPCODES, PC, STORE_SIZES,
-    WORD, Instruction, MachineState, Mem, branch_event, decode_word,
+    WORD, Instruction, MachineState, Mem, branch_event,
     encode_instruction, load_event, mem_label, reg_label, store_event,
 )
+
+from test_isa_reference import ref_decode_word
 
 BASE = 0x1000
 UNMAPPED = 0x9000
@@ -57,7 +60,7 @@ def ref_with_reg(s: MachineState, i: int, value: int) -> MachineState:
 
 
 def ref_decode_at(s: MachineState, addr: int):
-    return decode_word(s.mem.read(addr, WORD))
+    return ref_decode_word(s.mem.read(addr, WORD))
 
 
 def ref_successors(s: MachineState) -> list:
