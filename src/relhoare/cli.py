@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="assemble, load and execute a program")
     p.add_argument("source", type=Path)
     p.add_argument("--base", type=lambda v: int(v, 0), default=0x1000)
-    p.add_argument("--steps", type=int, default=4096,
+    p.add_argument("--steps", type=_at_least(0), default=4096,
                    help="step limit (default 4096)")
     p.add_argument("--reg", action="append", default=[], metavar="xN=V",
                    type=_parse_reg_flag,
@@ -80,9 +80,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="random-system soundness suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_at_least(1), default=10000)
     p.set_defaults(func=_cmd_selftest)
     return parser
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low, so that a count
+    it cannot mean is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"wants an integer of at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 # ---------------------------------------------------------------------------

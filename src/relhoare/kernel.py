@@ -30,10 +30,10 @@ enumeration, never symbolically:
 Checks return a Verdict: Proven, Refuted with a replayable counterexample
 (initial state plus branch choices), or Unknown when a budget ran out.
 Exact-count checks never return Unknown. Proof rules and conversions are
-separate, audited steps: apply_rule and convert take checked judgments,
-discharge their side conditions by enumeration, record how each one was
-discharged, and produce a derived judgment that can be re-checked
-directly or replayed from its recorded evidence.
+separate, audited steps: apply_rule and convert take judgments, discharge
+side conditions by enumeration (a failed one raises SideConditionFailed,
+naming it) and record rule, premises and inputs in the derived judgment.
+recheck re-checks it directly; audit_replay replays its whole derivation.
 """
 
 from __future__ import annotations
@@ -768,20 +768,12 @@ class Checked:
 
 
 @dataclass(frozen=True)
-class SideCondition:
-    name: str
-    method: str  # "enumeration" | "intensional" | "structural" | "simulation"
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class Derived:
-    """Evidence from a rule or conversion: premises, inputs, and how each
-    side condition was discharged. Deterministic enough to replay."""
+    """Evidence from a rule or conversion: the rule, its premises and its
+    inputs, which is all that audit_replay needs to apply it again."""
 
     rule_id: str
     premises: tuple
-    side_conditions: tuple
     side_inputs: tuple = ()
 
 
@@ -1048,11 +1040,10 @@ def _all_hold(s, finals, q: PropertyFn, f: FrameFn) -> bool:
 
 
 def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:
-    """Relational check plus the hybrid side conditions: partner
-    existence for every unary precondition state, and projection of
-    reached postcondition pairs into the unary postcondition. The pair
-    frame must be a product; its right factor is the unary frame, so it
-    factors by construction."""
+    """Relational check plus the hybrid side conditions, each refuting
+    when it fails: every unary precondition state has a partner, and
+    reached postcondition pairs project into the unary postcondition. The
+    pair frame must be a product; its right factor is the unary frame."""
     rel = hybrid.rel
     if not (isinstance(rel.frame2, PairFrame) and rel.frame2.product_of):
         raise FactorizationWitnessMissing(
@@ -1082,11 +1073,6 @@ def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:
                     detail="relational postcondition pair fails to project "
                            "into the unary postcondition")
                 return refuted(ce)
-    verdict.stats["side_conditions"] = (
-        "partner existence: enumeration",
-        "postcondition projection: enumeration over reached pairs",
-        "frame factorization: intensional product structure",
-    )
     return verdict
 
 
@@ -1272,18 +1258,17 @@ def _reached(j: Judgment) -> tuple:
 def apply_rule(rule_id: str, premises: Sequence[Judgment],
                side_inputs: Optional[Mapping] = None) -> Judgment:
     """Apply one audited proof rule. Side conditions are discharged by
-    enumeration or on intensional frame forms and recorded in the derived
-    judgment's evidence; any failure raises SideConditionFailed (or a
-    more specific error) rather than producing a judgment."""
+    enumeration or on intensional frame forms; a failure raises
+    SideConditionFailed (or a more specific error), else the judgment's
+    evidence records rule_id, the premises and side_inputs."""
     side_inputs = dict(side_inputs or {})
     handler = _RULES.get(rule_id)
     if handler is None:
         raise SchemaMismatch(f"unknown rule {rule_id!r}")
     premises = tuple(premises)
-    parts, form, conditions = handler(premises, side_inputs)
+    parts, form = handler(premises, side_inputs)
     sys = _same_sys(premises)
-    ev = Derived(rule_id, premises, tuple(conditions),
-                 tuple(side_inputs.items()))
+    ev = Derived(rule_id, premises, tuple(side_inputs.items()))
     return Judgment(form, sys, parts, ev)
 
 
@@ -1297,16 +1282,14 @@ def _rule_pre(premises, inputs):
         if s not in old:
             raise SideConditionFailed("new precondition is not a subset of "
                                       "the old one")
-    cond = [SideCondition("precondition subset", "enumeration",
-                          f"{len(new_enum.states)} of {len(old)} states kept")]
     if j.form == "ensures":
         parts = EnsuresParts(new_enum, j.parts.post, j.parts.frame,
                              j.parts.budget)
-        return parts, "ensures", cond
+        return parts, "ensures"
     index = dict(zip(j.parts.enum.states, j.parts.steps))
     steps = tuple(index[s] for s in new_enum.states)
     return (EnsuresNParts(new_enum, steps, j.parts.post, j.parts.frame),
-            "ensures_n", cond)
+            "ensures_n")
 
 
 def _rule_post(premises, inputs):
@@ -1316,11 +1299,9 @@ def _rule_post(premises, inputs):
     if j.form not in ("ensures", "ensures_n"):
         raise SchemaMismatch("post applies to unary judgments")
     states = j.parts.enum.states
-    checked = 0
     for s, finals in zip(states, _reached(j)):
         q = _at(new_post, s)
         for t in finals:
-            checked += 1
             if not q.holds(t):
                 raise SideConditionFailed(
                     "weakened postcondition fails on a reached state")
@@ -1332,14 +1313,11 @@ def _rule_post(premises, inputs):
             if old_q.holds(t) and not new_q.holds(t):
                 raise SideConditionFailed(
                     "weakened postcondition does not contain the old one")
-    cond = [SideCondition("postcondition containment", "enumeration",
-                          f"checked on {checked} reached state(s) and "
-                          f"{len(domain)} domain state(s)")]
     if j.form == "ensures":
         return (EnsuresParts(j.parts.enum, new_post, j.parts.frame,
-                             j.parts.budget), "ensures", cond)
+                             j.parts.budget), "ensures")
     return (EnsuresNParts(j.parts.enum, j.parts.steps, new_post,
-                          j.parts.frame), "ensures_n", cond)
+                          j.parts.frame), "ensures_n")
 
 
 def _rule_frame(premises, inputs):
@@ -1348,26 +1326,23 @@ def _rule_frame(premises, inputs):
     if j.form not in ("ensures", "ensures_n"):
         raise SchemaMismatch("frame applies to unary judgments")
     old = j.parts.frame
-    method = "enumeration"
     if isinstance(old, FrameFn) and isinstance(new_frame, FrameFn) \
             and old.intensional_form is not None \
             and new_frame.intensional_form is not None:
         if not old.intensional_form <= new_frame.intensional_form:
             raise SideConditionFailed(
                 "extended frame does not contain the old label set")
-        method = "intensional"
     else:
         for s, finals in zip(j.parts.enum.states, _reached(j)):
             for t in finals:
                 if not _at(new_frame, s).related(s, t):
                     raise SideConditionFailed(
                         "extended frame fails on a reached state")
-    cond = [SideCondition("frame extension", method, new_frame.description)]
     if j.form == "ensures":
         return (EnsuresParts(j.parts.enum, j.parts.post, new_frame,
-                             j.parts.budget), "ensures", cond)
+                             j.parts.budget), "ensures")
     return (EnsuresNParts(j.parts.enum, j.parts.steps, j.parts.post,
-                          new_frame), "ensures_n", cond)
+                          new_frame), "ensures_n")
 
 
 def _rule_seq(premises, inputs):
@@ -1375,12 +1350,10 @@ def _rule_seq(premises, inputs):
     _expect_form(j1, "ensures", "first premise")
     _expect_form(j2, "ensures", "second premise")
     mid_states = set(j2.parts.enum.states)
-    count = 0
     mids_by_state = {}
     for s, finals in zip(j1.parts.enum.states, _reached(j1)):
         mids_by_state[s] = tuple(finals)
         for t in finals:
-            count += 1
             if t not in mid_states:
                 raise SideConditionFailed(
                     "a state reached by the first premise is not covered "
@@ -1390,12 +1363,9 @@ def _rule_seq(premises, inputs):
     if f1 is None or f2 is None:
         raise SchemaMismatch("seq needs plain frames on both premises")
     composed = compose_frames(f1, f2, mids=lambda s: mids_by_state.get(s, ()))
-    cond = [SideCondition("middle coverage", "enumeration",
-                          f"{count} reached state(s) all enumerated by the "
-                          f"second premise")]
     parts = EnsuresParts(j1.parts.enum, j2.parts.post, composed,
                          j1.parts.budget + j2.parts.budget)
-    return parts, "ensures", cond
+    return parts, "ensures"
 
 
 def _rule_branch_cases(premises, inputs):
@@ -1411,10 +1381,6 @@ def _rule_branch_cases(premises, inputs):
         raise SideConditionFailed("branch cases must share a postcondition")
     if j1.parts.frame.description != j2.parts.frame.description:
         raise SideConditionFailed("branch cases must share a frame")
-    cond = [SideCondition("case coverage", "enumeration",
-                          f"{len(whole.states)} state(s) split into "
-                          f"{len(j1.parts.enum.states)} + "
-                          f"{len(j2.parts.enum.states)}")]
     first = set(j1.parts.enum.states)
     # each start state keeps the condition of its own case
     post, frame = (c1 if c1 is c2 else per_state(
@@ -1423,7 +1389,7 @@ def _rule_branch_cases(premises, inputs):
                                        (j1.parts.frame, j2.parts.frame)))
     parts = EnsuresParts(whole, post, frame,
                          max(j1.parts.budget, j2.parts.budget))
-    return parts, "ensures", cond
+    return parts, "ensures"
 
 
 def _rule_loop(premises, inputs):
@@ -1443,24 +1409,17 @@ def _rule_loop(premises, inputs):
         raise SideConditionFailed(
             "loop needs a frame known to be transitive (a maychange frame "
             "or one marked transitive)")
-    count = 0
     for ja, jb in zip(premises, premises[1:]):
         allowed = set(jb.parts.enum.states)
         for s, finals in zip(ja.parts.enum.states, _reached(ja)):
             for t in finals:
-                count += 1
                 if t not in allowed:
                     raise SideConditionFailed(
                         "an invariant stage does not cover the states "
                         "reached by the previous stage")
-    cond = [SideCondition("invariant chain coverage", "enumeration",
-                          f"{count} reached state(s) across "
-                          f"{len(premises) - 1} stage boundaries"),
-            SideCondition("frame transitivity", "intensional",
-                          "maychange frames are transitive")]
     parts = EnsuresParts(premises[0].parts.enum, premises[-1].parts.post,
                          frame, sum(j.parts.budget for j in premises))
-    return parts, "ensures", cond
+    return parts, "ensures"
 
 
 def _rule_conj(premises, inputs):
@@ -1479,15 +1438,11 @@ def _rule_conj(premises, inputs):
             f"exact-count triples only conjoin at one count")
     if j1.parts.frame.description != j2.parts.frame.description:
         raise SideConditionFailed("conj premises must share a frame")
-    cond = [SideCondition("step agreement", "enumeration",
-                          "per-state step counts identical"),
-            SideCondition("shared frame", "structural",
-                          j1.parts.frame.description)]
     post = _conj_conditions(j1.parts.post, j2.parts.post,
                             j1.parts.enum.states)
     parts = EnsuresNParts(j1.parts.enum, j1.parts.steps, post,
                           j1.parts.frame)
-    return parts, "ensures_n", cond
+    return parts, "ensures_n"
 
 
 def _conj_conditions(p1, p2, keys, both=prop_and):
@@ -1510,14 +1465,11 @@ def _rule_conj2(premises, inputs):
     if j1.parts.frame2.description != j2.parts.frame2.description:
         raise SideConditionFailed("relational conj premises must share a "
                                   "pair frame")
-    cond = [SideCondition("step agreement", "enumeration", "both sides"),
-            SideCondition("shared frame", "structural",
-                          j1.parts.frame2.description)]
     post2 = _conj_conditions(j1.parts.post2, j2.parts.post2,
                              j1.parts.pairs.pairs, pair_and)
     parts = Ensures2Parts(j1.parts.pairs, j1.parts.steps0, j1.parts.steps1,
                           post2, j1.parts.frame2)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _rule_comm(premises, inputs):
@@ -1538,11 +1490,8 @@ def _rule_comm(premises, inputs):
                          for a, b in p.pairs.pairs},
                         f"swap({p.frame2.description})")
               if isinstance(p.frame2, PerState) else swap_pair_frame(p.frame2))
-    cond = [SideCondition("component swap", "structural",
-                          "pairs, step functions, postcondition and frame "
-                          "all swapped")]
     parts = Ensures2Parts(swapped_pairs, p.steps1, p.steps0, post2, frame2)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _rule_comp(premises, inputs):
@@ -1552,7 +1501,6 @@ def _rule_comp(premises, inputs):
     mid_pairs = {pair: i for i, pair in enumerate(j2.parts.pairs.pairs)}
     reached = _reached(j1)
     steps0, steps1 = [], []
-    checked = 0
     for i, pair in enumerate(j1.parts.pairs.pairs):
         mids = reached[i]
         if not mids:
@@ -1560,7 +1508,6 @@ def _rule_comp(premises, inputs):
                                       "pairs to continue from")
         counts = set()
         for mid in mids:
-            checked += 1
             if mid not in mid_pairs:
                 raise SideConditionFailed(
                     "a pair reached by the first premise is not enumerated "
@@ -1573,11 +1520,6 @@ def _rule_comp(premises, inputs):
         m0, m1 = counts.pop()
         steps0.append(j1.parts.steps0[i] + m0)
         steps1.append(j1.parts.steps1[i] + m1)
-    cond = [SideCondition("middle coverage", "enumeration",
-                          f"{checked} reached pair(s) all enumerated by the "
-                          f"second premise"),
-            SideCondition("step arithmetic", "structural",
-                          "counts add per side")]
     frame2 = _compose_pair_frames(j1.parts.frame2, j2.parts.frame2,
                                   dict(zip(j1.parts.pairs.pairs, reached)))
     post2 = j2.parts.post2
@@ -1597,7 +1539,7 @@ def _rule_comp(premises, inputs):
         post2 = per_state(table, j2.parts.post2.description)
     parts = Ensures2Parts(j1.parts.pairs, tuple(steps0), tuple(steps1),
                           post2, frame2)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _compose_pair_frames(fa, fb, mids_of: dict):
@@ -1684,15 +1626,9 @@ def _rule_frame_compose(premises, inputs):
                         f"{j2.parts.pairs.pre2.description})")
     pairs = PairEnumeration(tuple(composed), pre2,
                             description="joined on middle states")
-    cond = [SideCondition("middle state join", "enumeration",
-                          f"{len(composed)} composed pair(s)"),
-            SideCondition("middle frame agreement", "intensional",
-                          f1_left.description),
-            SideCondition("middle step agreement", "enumeration",
-                          "counts equal on every join")]
     parts = Ensures2Parts(pairs, tuple(steps0), tuple(steps1), post2,
                           product_frame(f0, f2))
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _rule_pre2(premises, inputs):
@@ -1706,30 +1642,24 @@ def _rule_pre2(premises, inputs):
                                       "old one")
     steps0 = tuple(j.parts.steps0[old[p]] for p in new_pairs.pairs)
     steps1 = tuple(j.parts.steps1[old[p]] for p in new_pairs.pairs)
-    cond = [SideCondition("pair subset", "enumeration",
-                          f"{len(new_pairs.pairs)} of {len(old)} pairs kept")]
     parts = Ensures2Parts(new_pairs, steps0, steps1, j.parts.post2,
                           j.parts.frame2)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _rule_post2(premises, inputs):
     (j,) = premises
     _expect_form(j, "ensures2", "premise")
     new_post = inputs["post"]
-    checked = 0
     for pair, finals in zip(j.parts.pairs.pairs, _reached(j)):
         q = _at(new_post, pair)
         for a, b in finals:
-            checked += 1
             if not q.holds(a, b):
                 raise SideConditionFailed(
                     "weakened pair postcondition fails on a reached pair")
-    cond = [SideCondition("postcondition containment", "enumeration",
-                          f"checked on {checked} reached pair(s)")]
     parts = Ensures2Parts(j.parts.pairs, j.parts.steps0, j.parts.steps1,
                           new_post, j.parts.frame2)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _rule_frame2(premises, inputs):
@@ -1737,7 +1667,7 @@ def _rule_frame2(premises, inputs):
     _expect_form(j, "ensures2", "premise")
     new_frame = inputs["frame"]
     old = j.parts.frame2
-    method = "enumeration"
+    intensional = False
     if isinstance(old, PairFrame) and isinstance(new_frame, PairFrame) \
             and old.product_of and new_frame.product_of:
         (a0, a1), (b0, b1) = old.product_of, new_frame.product_of
@@ -1746,17 +1676,16 @@ def _rule_frame2(premises, inputs):
                     and a1.intensional_form <= b1.intensional_form):
                 raise SideConditionFailed(
                     "extended pair frame does not contain the old one")
-            method = "intensional"
-    if method == "enumeration":
+            intensional = True
+    if not intensional:
         for pair, finals in zip(j.parts.pairs.pairs, _reached(j)):
             for pq in finals:
                 if not _at(new_frame, pair).related(pair, pq):
                     raise SideConditionFailed(
                         "extended pair frame fails on a reached pair")
-    cond = [SideCondition("frame extension", method, new_frame.description)]
     parts = Ensures2Parts(j.parts.pairs, j.parts.steps0, j.parts.steps1,
                           j.parts.post2, new_frame)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 def _rule_restrict2(premises, inputs):
@@ -1769,12 +1698,10 @@ def _rule_restrict2(premises, inputs):
     domain = tuple(inputs.get("domain", ()))
     frame2 = j.parts.frame2
     later = domain + tuple(pq for finals in _reached(j) for pq in finals)
-    checked = 0
     for p in j.parts.pairs.pairs:
         f2 = _at(frame2, p)
         for q in later:
             if f2.related(p, q):
-                checked += 1
                 if f.holds(*p) != f.holds(*q):
                     raise SideConditionFailed(
                         "restriction property is not invariant under the "
@@ -1787,12 +1714,10 @@ def _rule_restrict2(premises, inputs):
         j.parts.pairs.domain0, j.parts.pairs.domain1,
         j.parts.pairs.description)
     post2 = _conj_conditions(j.parts.post2, f, pairs.pairs, pair_and)
-    cond = [SideCondition("frame invariance", "enumeration",
-                          f"{checked} frame-related pair combination(s)")]
     parts = Ensures2Parts(pairs, tuple(j.parts.steps0[i] for i in keep),
                           tuple(j.parts.steps1[i] for i in keep), post2,
                           j.parts.frame2)
-    return parts, "ensures2", cond
+    return parts, "ensures2"
 
 
 _RULES = {
@@ -1821,24 +1746,23 @@ def convert(j: Judgment, conversion_id: str,
             aux: Optional[Mapping] = None) -> Judgment:
     """Convert between judgment forms. Each conversion validates its
     premises, discharges side conditions by enumeration or simulation,
-    and returns a derived judgment that re-checks directly."""
+    and returns a derived judgment that re-checks directly; its evidence
+    records "convert:<id>", j and any further premises, and aux."""
     aux = dict(aux or {})
     handler = _CONVERSIONS.get(conversion_id)
     if handler is None:
         raise SchemaMismatch(f"unknown conversion {conversion_id!r}")
-    parts, form, conditions, extra_premises = handler(j, aux)
+    parts, form, extra_premises = handler(j, aux)
     ev = Derived("convert:" + conversion_id, (j, *extra_premises),
-                 tuple(conditions), tuple(aux.items()))
+                 tuple(aux.items()))
     return Judgment(form, j.sys, parts, ev)
 
 
 def _conv_drop_steps(j, aux):
     _expect_form(j, "ensures_n", "premise")
     budget = (max(j.parts.steps) if j.parts.steps else 0) + 1
-    cond = [SideCondition("budget covers counts", "structural",
-                          f"budget {budget}")]
     return (EnsuresParts(j.parts.enum, j.parts.post, j.parts.frame, budget),
-            "ensures", cond, ())
+            "ensures", ())
 
 
 def _conv_synthesize_steps(j, aux):
@@ -1847,14 +1771,12 @@ def _conv_synthesize_steps(j, aux):
     _expect_form(j, "ensures", "premise")
     sys = j.sys
     steps = []
-    visited = 0
     for s in j.parts.enum.states:
         q = _at(j.parts.post, s)
         f = _at(j.parts.frame, s)
         cur, n = s, 0
         while not (q.holds(cur) and f.related(s, cur)):
             succ = sys.successors(cur)
-            visited += 1
             if len(succ) > 1:
                 raise NotDeterministic(
                     "state has multiple successors; step synthesis needs a "
@@ -1868,13 +1790,8 @@ def _conv_synthesize_steps(j, aux):
             cur = succ[0]
             n += 1
         steps.append(n)
-    cond = [SideCondition("determinism", "simulation",
-                          f"{visited} visited state(s), each with one "
-                          f"successor"),
-            SideCondition("step synthesis", "simulation",
-                          f"counts {tuple(steps)}")]
     return (EnsuresNParts(j.parts.enum, tuple(steps), j.parts.post,
-                          j.parts.frame), "ensures_n", cond, ())
+                          j.parts.frame), "ensures_n", ())
 
 
 def _conv_product(j, aux):
@@ -1911,10 +1828,8 @@ def _conv_product(j, aux):
         frame2 = product_frame(left.frame, right.frame)
     enum = PairEnumeration(pairs, pre2, left.enum.states, right.enum.states,
                            "product of two unary enumerations")
-    cond = [SideCondition("product construction", "structural",
-                          f"{len(pairs)} pair(s)")]
     return (Ensures2Parts(enum, tuple(steps0), tuple(steps1), post2, frame2),
-            "ensures2", cond, (other,))
+            "ensures2", (other,))
 
 
 def _conv_hybridize(j, aux):
@@ -1989,15 +1904,7 @@ def _conv_hybridize(j, aux):
     if not v.is_proven:
         raise SideConditionFailed(
             f"hybrid side conditions fail: {v.summary()}")
-    cond = [SideCondition("step agreement on shared starts", "enumeration",
-                          f"{len(keep)} pair(s)"),
-            SideCondition("partner existence", "enumeration",
-                          f"{len(unary_pre.states)} unary state(s)"),
-            SideCondition("postcondition projection", "enumeration",
-                          "checked over reached pairs"),
-            SideCondition("frame factorization", "intensional",
-                          frame2.description)]
-    return hybrid, "hybrid", cond, (rel,)
+    return hybrid, "hybrid", (rel,)
 
 
 def _conv_hybrid_extract(j, aux):
@@ -2017,10 +1924,8 @@ def _conv_hybrid_extract(j, aux):
             raise SideConditionFailed(
                 "partners disagree on the right-side step count")
         steps.append(counts.pop())
-    cond = [SideCondition("partner step agreement", "enumeration",
-                          f"{len(steps)} state(s)")]
     parts = EnsuresNParts(p.unary, tuple(steps), p.upost, p.uframe)
-    return parts, "ensures_n", cond, ()
+    return parts, "ensures_n", ()
 
 
 def _conv_promote(j, aux):
@@ -2039,12 +1944,8 @@ def _conv_promote(j, aux):
             "promotion evidence covers different start states")
     index = dict(zip(pc_j.parts.enum.states, pc_j.parts.stops))
     steps = tuple(index[s][1] for s in j.parts.enum.states)
-    cond = [SideCondition("first-stop evidence", "simulation",
-                          f"per-state stop counts {steps}"),
-            SideCondition("stopper termination", "simulation",
-                          "each stop address is stuck on arrival")]
     parts = EnsuresNParts(j.parts.enum, steps, j.parts.post, j.parts.frame)
-    return parts, "ensures_n", cond, (pc_j,)
+    return parts, "ensures_n", (pc_j,)
 
 
 _CONVERSIONS = {
@@ -2058,14 +1959,27 @@ _CONVERSIONS = {
 
 
 def audit_replay(j: Judgment) -> bool:
-    """Re-run the recorded rule application of a derived judgment and
-    confirm it reproduces the same conclusion."""
-    ev = j.evidence
-    if not isinstance(ev, Derived):
+    """Re-run every rule application in the derivation of j: each Derived
+    judgment reachable through the premises, once and deepest first, then
+    j itself. True iff every replay reproduces its judgment's signature.
+    Checked premises end the walk; their audit is recheck."""
+    if not isinstance(j.evidence, Derived):
         raise SchemaMismatch("only derived judgments replay")
-    inputs = dict(ev.side_inputs)
-    if ev.rule_id.startswith("convert:"):
-        replayed = convert(ev.premises[0], ev.rule_id.split(":", 1)[1], inputs)
-    else:
-        replayed = apply_rule(ev.rule_id, ev.premises, inputs)
-    return judgment_signature(replayed) == judgment_signature(j)
+    steps: dict = {}  # id -> derived judgment, premises before conclusions
+
+    def walk(d: Judgment) -> None:
+        if isinstance(d.evidence, Derived) and id(d) not in steps:
+            for premise in d.evidence.premises:
+                walk(premise)
+            steps[id(d)] = d
+
+    walk(j)
+    for d in steps.values():
+        ev, inputs = d.evidence, dict(d.evidence.side_inputs)
+        if ev.rule_id.startswith("convert:"):
+            again = convert(ev.premises[0], ev.rule_id.split(":", 1)[1], inputs)
+        else:
+            again = apply_rule(ev.rule_id, ev.premises, inputs)
+        if judgment_signature(again) != judgment_signature(d):
+            return False
+    return True

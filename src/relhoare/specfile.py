@@ -463,6 +463,8 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
             spec.kind = value
         elif key == "budget":
             spec.budget = _int_of(value, lineno)
+            if spec.budget < 0:
+                raise SpecSyntaxError(f"budget {value} is negative", lineno)
         elif key in ("x0", "xw", "n"):
             spec.promote[key] = _expr_of(value, lineno)
         else:

@@ -452,3 +452,36 @@ def test_a_malformed_integer_key_exits_3_naming_its_line(capsys, tmp_path,
     assert (code, out) == (3, "")
     assert err == (f"error: line {lineno}: expected an integer, got "
                    f"{bad.split(' = ')[1]!r}\n")
+
+
+@pytest.mark.parametrize("name", ["compare_correct.spec",
+                                  "compare_constant_ct.spec"])
+def test_a_negative_budget_exits_3_naming_its_line(capsys, tmp_path, name):
+    text = (CORPUS / name).read_text()
+    line = next(l for l in text.splitlines() if l.startswith("budget = "))
+    lineno = text.splitlines().index(line) + 1
+    spec = tmp_path / name
+    spec.write_text(text.replace(line, "budget = -5", 1))
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err == f"error: line {lineno}: budget -5 is negative\n"
+    # no steps at all is still a budget
+    assert specfile.parse_spec(text.replace(line, "budget = 0", 1)).budget == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", str(CORPUS / "compare.masm"), "--steps", "-1"),
+    ("selftest", "--trials", "0"),
+    ("selftest", "--trials", "-3"),
+])
+def test_a_count_flag_below_its_least_value_is_a_usage_error(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert f"{argv[-2]}: wants an integer of at least" in err
+
+
+def test_a_run_of_zero_steps_is_allowed(capsys):
+    code, out, _ = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                            "--steps", "0")
+    assert code == 0
+    assert out.startswith("stopped after 0 step(s) (step limit)\n")

@@ -6,6 +6,8 @@ the same kernel is exercised by the constant-time and equivalence
 tests.
 """
 
+import dataclasses
+
 import pytest
 
 from relhoare import kernel
@@ -797,3 +799,148 @@ def test_audit_replay_walks_the_whole_derivation():
     seq = apply_rule("seq", [j1, j2])
     narrowed = apply_rule("post", [seq], {"post": at(1, 2)})
     assert kernel.audit_replay(narrowed)
+
+
+def test_audit_replay_finds_a_forged_step_below_the_last():
+    sys = sys_of((0, 1), (1, 2))
+    j1 = kernel.prove_ensures(sys, Enumeration((0,)), at(1), ANY, budget=4)
+    j2 = kernel.prove_ensures(sys, Enumeration((1,)), at(2), ANY, budget=4)
+    seq = apply_rule("seq", [j1, j2])
+    inner = apply_rule("post", [seq], {"post": at(1, 2)})
+    # the recorded input no longer gives the recorded conclusion
+    forged = dataclasses.replace(inner, evidence=dataclasses.replace(
+        inner.evidence, side_inputs=(("post", at(1, 2, 3)),)))
+    assert not kernel.audit_replay(forged)
+    outer = apply_rule("post", [forged], {"post": at(0, 1, 2)})
+    assert kernel.recheck(outer).is_proven
+    assert not kernel.audit_replay(outer)
+
+
+def test_audit_replay_replays_a_shared_premise_once(monkeypatch):
+    sys = sys_of((0, 1), (1, 2))
+    j = kernel.prove_ensures(sys, Enumeration((0,)), at(2), ANY, budget=4)
+    shared = apply_rule("post", [j], {"post": at(2, 3)})
+    both = apply_rule("branch_cases", [shared, shared],
+                      {"pre": Enumeration((0,))})
+    calls = []
+    for rule_id, handler in list(kernel._RULES.items()):
+        monkeypatch.setitem(kernel._RULES, rule_id, lambda p, i, r=rule_id,
+                            h=handler: calls.append(r) or h(p, i))
+    assert kernel.audit_replay(both)
+    assert calls == ["post", "branch_cases"]
+
+
+# ---------------------------------------------------------------------------
+# one small derivation per rule and conversion: each key of the two
+# registries maps to (premises, inputs), or for a conversion to (premise,
+# aux, the further premises its evidence records)
+
+def _rule_cases():
+    chain = sys_of((0, 1), (1, 2))
+    j01 = kernel.prove_ensures(chain, Enumeration((0,)), at(1), ANY, 4)
+    j12 = kernel.prove_ensures(chain, Enumeration((1,)), at(2), ANY, 4)
+    mono = FrameFn(lambda s, t: t >= s, description="monotone",
+                   transitive=True)
+    exact = FrameFn(lambda s, t: (s, t) == (0, 2), description="0 to 2")
+    one = StepFn.constant(1)
+    fork = sys_of((0, 2), (1, 2))
+    rel = rel_judgment(chain, [(0, 0), (1, 1)], (1, 1), (1, 1),
+                       PairProperty(lambda a, b: a == b, "equal"))
+    moved = rel_judgment(chain, [(0, 0)], (1,), (1,), pairs_at((1, 1)))
+    parity = kernel.PairFrame(
+        lambda p, q: (p[0] - p[1]) % 2 == (q[0] - q[1]) % 2,
+        description="parity preserved")
+    apart = sys_of((0, 1), (10, 11), (20, 21))
+    still2 = kernel.PairFrame(lambda p, q: (p, q) == ((0, 0), (1, 1)),
+                              description="(0, 0) to (1, 1)")
+    return {
+        "pre": ([chain_judgment(fork, states=(0, 1))],
+                {"pre": Enumeration((1,))}),
+        "post": ([chain_judgment(chain)], {"post": at(2, 3)}),
+        "frame": ([kernel.prove_ensures(sys_of((0, 2)), Enumeration((0,)),
+                                        at(2), exact, 4)], {"frame": ANY}),
+        "seq": ([j01, j12], {}),
+        "branch_cases": ([chain_judgment(fork, states=(s,)) for s in (0, 1)],
+                         {"pre": Enumeration((0, 1))}),
+        "loop": ([kernel.prove_ensures(chain, Enumeration((s,)), at(s + 1),
+                                       mono, 2) for s in (0, 1)], {}),
+        "conj": ([kernel.prove_ensures_n(chain, Enumeration((0,)), one, q,
+                                         ANY)
+                  for q in (at(1), prop(lambda s: s > 0, "positive"))], {}),
+        "conj2": ([moved, rel_judgment(chain, [(0, 0)], (1,), (1,),
+                                       PairProperty(lambda a, b: a == b,
+                                                    "equal"))], {}),
+        "comm": ([rel_judgment(chain, [(0, 0)], (0,), (1,),
+                               pairs_at((0, 1)))], {}),
+        "comp": ([moved, rel_judgment(chain, [(1, 1)], (1,), (1,),
+                                      pairs_at((2, 2)))], {}),
+        "frame_compose": ([rel_judgment(apart, [(0, 10)], (1,), (1,),
+                                        pairs_at((1, 11))),
+                           rel_judgment(apart, [(10, 20)], (1,), (1,),
+                                        pairs_at((11, 21)))], {}),
+        "pre2": ([rel], {"pre": PairEnumeration(((1, 1),))}),
+        "post2": ([moved], {"post": PairProperty(lambda a, b: a == b,
+                                                 "equal")}),
+        "frame2": ([rel_judgment(chain, [(0, 0)], (1,), (1,),
+                                 pairs_at((1, 1)), still2)],
+                   {"frame": ANY2}),
+        "restrict2": ([kernel.prove_ensures2(
+            sys_of((0, 2), (1, 3)), PairEnumeration(((0, 0), (0, 1))),
+            (1, 1), (1, 1), PairProperty(lambda a, b: a == 2, "left at 2"),
+            parity)], {"restriction": PairProperty(
+                lambda a, b: (a - b) % 2 == 0, "same parity")}),
+    }
+
+
+def _conversion_cases():
+    chain = sys_of((0, 1), (1, 2))
+    one = StepFn.constant(1)
+    left = kernel.prove_ensures_n(chain, Enumeration((0,)), one, at(1), ANY)
+    right = kernel.prove_ensures_n(chain, Enumeration((1,)), one, at(2), ANY)
+    apart = sys_of((0, 1), (10, 11))
+    rel = kernel.prove_ensures2(
+        apart, PairEnumeration(((0, 10),)), (1,), (1,),
+        PairProperty(lambda a, b: (a, b) == (1, 11), "at (1,11)"), ANY2)
+    unary = kernel.prove_ensures_n(apart, Enumeration((0,)), one, at(1), ANY)
+    hybrid_aux = {"relational": rel, "unary_pre": Enumeration((10,)),
+                  "upost": at(11)}
+    stops = sys_of((0, 4))
+    budgeted = kernel.prove_ensures(stops, Enumeration((0,)), at(4), ANY, 4)
+    first_stop = kernel.first_stop_evidence(stops, budgeted.parts.enum, 8)
+    return {
+        "drop_steps": (left, {}, ()),
+        "synthesize_steps": (kernel.prove_ensures(
+            chain, Enumeration((0, 1)), at(2), ANY, 8), {}, ()),
+        "product": (left, {"other": right}, (right,)),
+        "hybridize": (unary, hybrid_aux, (rel,)),
+        "hybrid_extract": (convert(unary, "hybridize", hybrid_aux), {}, ()),
+        "promote": (budgeted, {"pc_evidence": first_stop}, (first_stop,)),
+    }
+
+
+def test_every_rule_and_conversion_has_a_derivation_case():
+    assert set(_rule_cases()) == set(kernel._RULES)
+    assert set(_conversion_cases()) == set(kernel._CONVERSIONS)
+
+
+def assert_records(j, rule_id, premises, inputs):
+    assert_derived(j)
+    ev = j.evidence
+    assert ev.rule_id == rule_id
+    assert len(ev.premises) == len(premises)
+    assert all(a is b for a, b in zip(ev.premises, premises))
+    assert ev.side_inputs == tuple(inputs.items())
+
+
+@pytest.mark.parametrize("rule_id", sorted(kernel._RULES))
+def test_each_rule_derives_rechecks_and_replays(rule_id):
+    premises, inputs = _rule_cases()[rule_id]
+    j = apply_rule(rule_id, premises, inputs)
+    assert_records(j, rule_id, premises, inputs)
+
+
+@pytest.mark.parametrize("conversion_id", sorted(kernel._CONVERSIONS))
+def test_each_conversion_derives_rechecks_and_replays(conversion_id):
+    premise, aux, further = _conversion_cases()[conversion_id]
+    j = convert(premise, conversion_id, aux)
+    assert_records(j, "convert:" + conversion_id, (premise, *further), aux)
