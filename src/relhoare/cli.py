@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the check described by a .spec "
                                      "file")
     p.add_argument("spec", type=Path)
-    p.add_argument("--enum-cap", type=lambda v: int(v, 0), default=None,
+    p.add_argument("--enum-cap", type=_at_least(1, base=0), default=None,
                    help="max enumerated instances (default 65536, env "
                         "RELHOARE_ENUM_CAP)")
     p.set_defaults(func=_cmd_check)
@@ -85,12 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_least(low: int):
+def _at_least(low: int, base: int = 10):
     """An argparse type: an integer no smaller than low, so that a count
-    it cannot mean is a usage error."""
+    it cannot mean is a usage error. Base 0 also takes 0x, 0o and 0b
+    prefixes."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = int(text, base)
         except ValueError:
             value = None
         if value is None or value < low:
@@ -178,11 +179,11 @@ def _cmd_check(args) -> int:
     if cap is None:
         env = os.environ.get("RELHOARE_ENUM_CAP")
         try:
-            cap = int(env, 0) if env else specfile.DEFAULT_ENUM_CAP
-        except ValueError:
+            cap = _at_least(1, base=0)(env) if env \
+                else specfile.DEFAULT_ENUM_CAP
+        except argparse.ArgumentTypeError as e:
             # a usage error, like a malformed --enum-cap
-            print(f"error: RELHOARE_ENUM_CAP wants an integer, got {env!r}",
-                  file=sys.stderr)
+            print(f"error: RELHOARE_ENUM_CAP {e}", file=sys.stderr)
             return 64
     spec = specfile.parse_spec(args.spec.read_text())
     problem = specfile.build_problem(spec, args.spec.parent, cap=cap)
@@ -268,6 +269,9 @@ def _check_promote(problem):
         x0 = x0_of(inst.env, None) & machine.MASK64
         xw = xw_of(inst.env, None) & machine.MASK64
         n = n_of(inst.env, None)
+        if n < 0:
+            raise specfile.SpecError(
+                f"n gives instance #{inst.index} the negative step count {n}")
         enum = kernel.Enumeration((inst.state0,))
         v = kernel.check_eventually_n_at_pc(machine.oracle(), enum, x0,
                                             xw, n)

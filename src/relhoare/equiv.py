@@ -2,11 +2,11 @@
 
 Two loaded programs are equivalent over enumerated inputs when every
 input pair related by `equiv_in` runs (each side to its exact step
-count) to output pairs related by `equiv_out`. Relations are usually
-given in the kept-label form: related states agree on every label in a
-kept set, and may differ arbitrarily elsewhere — the complement reading
-of a maychange set. Fully general pair predicates are supported but
-give up the intensional side conditions that composition needs.
+count) to output pairs related by `equiv_out`. Every relation is a
+kept label set: related states agree on every label in it, and may
+differ arbitrarily elsewhere — the complement reading of a maychange
+set. So a state's values at the kept labels are its key, and two states
+are related exactly when their keys are equal.
 
 Equivalence judgments compose sequentially (same program pair, the
 first judgment's exit anchors feeding the second's entries) and
@@ -22,14 +22,13 @@ on the far side. Every derived judgment re-checks directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import kernel, machine, specfile
 
 __all__ = [
     "AnchorMismatch", "EquivRel", "EquivJudgment", "check_equiv",
     "compose_sequential", "compose_transitive", "transfer_correctness",
-    "register_predicate",
 ]
 
 
@@ -40,11 +39,9 @@ class AnchorMismatch(Exception):
 
 @dataclass(frozen=True)
 class EquivRel:
-    """State relation: either agreement on a kept label set, or a
-    general pair predicate (kept is None then)."""
+    """State relation: agreement on a kept label set."""
 
-    kept: Optional[frozenset]
-    predicate: Optional[Callable]
+    kept: frozenset
     description: str
     _keys: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -54,11 +51,7 @@ class EquivRel:
         labels = frozenset(labels)
         if not description:
             description = f"agree on {{{machine.format_labels(labels)}}}"
-        return EquivRel(labels, None, description)
-
-    @staticmethod
-    def general(predicate: Callable, description: str) -> "EquivRel":
-        return EquivRel(None, predicate, description)
+        return EquivRel(labels, description)
 
     def key(self, s) -> tuple:
         """A state's values at the kept labels, read once per state and
@@ -70,23 +63,13 @@ class EquivRel:
         return k
 
     def related(self, s0, s1) -> bool:
-        if self.kept is not None:
-            return self.key(s0) == self.key(s1)
-        return self.predicate(s0, s1)
+        return self.key(s0) == self.key(s1)
 
-
-_PREDICATES: dict = {}
 
 # The most candidate pairs (left start states times right ones) that the
 # pair scan of `check_equiv` takes on: at about 0.7 us a candidate, this
 # is some 12 s of scanning.
 MAX_CANDIDATES = 1 << 24
-
-
-def register_predicate(name: str, predicate: Callable,
-                       description: str = "") -> None:
-    """Make a pair predicate available to spec files under a name."""
-    _PREDICATES[name] = EquivRel.general(predicate, description or name)
 
 
 @dataclass(frozen=True)
@@ -106,13 +89,6 @@ class EquivJudgment:
 
 def _rel_from_spec(spec: specfile.CheckSpec, problem: specfile.Problem,
                    which: str) -> EquivRel:
-    pred_name = getattr(spec, f"{which}_pred")
-    if pred_name is not None:
-        try:
-            return _PREDICATES[pred_name]
-        except KeyError:
-            raise specfile.SpecError(
-                f"no registered predicate named {pred_name!r}")
     items = getattr(spec, which)
     if not items:
         raise specfile.SpecError(f"[{which}] declares no relation")
@@ -177,9 +153,6 @@ def compose_sequential(e1: EquivJudgment, e2: EquivJudgment
             f"exit anchors ({e1.anchors[1]:#x}, {e1.anchors[3]:#x}) do not "
             f"meet the entry anchors ({e2.anchors[0]:#x}, "
             f"{e2.anchors[2]:#x})")
-    if e1.equiv_out.kept is None or e2.equiv_in.kept is None:
-        raise kernel.SideConditionFailed(
-            "sequential composition needs kept-label relation forms")
     if not (e2.equiv_in.kept <= e1.equiv_out.kept):
         missing = e2.equiv_in.kept - e1.equiv_out.kept
         raise kernel.SideConditionFailed(
@@ -191,48 +164,20 @@ def compose_sequential(e1: EquivJudgment, e2: EquivJudgment
                          anchors, j)
 
 
-def compose_transitive(e1: EquivJudgment, e2: EquivJudgment,
-                       middle_witness: Optional[Callable] = None
+def compose_transitive(e1: EquivJudgment, e2: EquivJudgment
                        ) -> EquivJudgment:
     """Chain e1 over (C0, C1) with e2 over (C1, C2) into (C0, C2),
-    joining on identical middle states. General relations need a
-    middle-state witness (a callable mapping an outer pair to its
-    middle state), which is validated against the enumerated pairs."""
+    joining on identical middle states. An outer pair related through a
+    middle state agrees on the labels both judgments keep, so the
+    composed relations are the intersections of the kept sets."""
     if e1.programs[1] != e2.programs[0] or e1.bases[1] != e2.bases[0]:
         raise AnchorMismatch("no shared middle program")
     if (e1.anchors[2], e1.anchors[3]) != (e2.anchors[0], e2.anchors[1]):
         raise AnchorMismatch("middle anchors disagree")
 
-    general = e1.equiv_in.kept is None or e2.equiv_in.kept is None
-    if general and middle_witness is None:
-        raise kernel.FactorizationWitnessMissing(
-            "general relations need a middle-state witness to factor "
-            "the composed relation through")
-    if middle_witness is not None:
-        left_pairs = set(e1.judgment.parts.pairs.pairs)
-        right_pairs = set(e2.judgment.parts.pairs.pairs)
-        for a, _ in e1.judgment.parts.pairs.pairs:
-            for _, c in e2.judgment.parts.pairs.pairs:
-                b = middle_witness(a, c)
-                if b is None:
-                    continue
-                if (a, b) not in left_pairs or (b, c) not in right_pairs:
-                    raise kernel.SideConditionFailed(
-                        "middle-state witness points outside the "
-                        "enumerated pairs")
-
     j = kernel.apply_rule("frame_compose", (e1.judgment, e2.judgment))
-    if not general:
-        ein = EquivRel.kept_equal(e1.equiv_in.kept & e2.equiv_in.kept)
-        eout = EquivRel.kept_equal(e1.equiv_out.kept & e2.equiv_out.kept)
-    else:
-        pairs = set(j.parts.pairs.pairs)
-        ein = EquivRel.general(lambda a, c: (a, c) in pairs,
-                               "joined through enumerated middles")
-        outs = frozenset(pair for finals in kernel._reached(j)
-                         for pair in finals)
-        eout = EquivRel.general(lambda x, y: (x, y) in outs,
-                                "outputs joined through a middle state")
+    ein = EquivRel.kept_equal(e1.equiv_in.kept & e2.equiv_in.kept)
+    eout = EquivRel.kept_equal(e1.equiv_out.kept & e2.equiv_out.kept)
     programs = (e1.programs[0], e2.programs[1])
     bases = (e1.bases[0], e2.bases[1])
     anchors = (e1.anchors[0], e1.anchors[1], e2.anchors[2], e2.anchors[3])

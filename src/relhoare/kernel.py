@@ -763,8 +763,6 @@ class Checked:
 
     instances: int
     reached: tuple  # aligned with states or pairs
-    warnings: tuple = ()
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -1169,8 +1167,7 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
                 f"step {early[1]})")
         stops.append((xw, n))
     parts = PcParts(enum, x0s.pop(), tuple(stops))
-    evidence = Checked(instances=len(enum.states), reached=tuple(stops),
-                       notes="first-stop resolution by simulation")
+    evidence = Checked(instances=len(enum.states), reached=tuple(stops))
     return Judgment("eventually_n_at_pc", sys, parts, evidence)
 
 
@@ -1182,8 +1179,7 @@ def prove_ensures(sys, enum, post, frame, budget) -> Judgment:
     if not v.is_proven:
         raise CheckFailed(v)
     parts = EnsuresParts(enum, post, frame, budget)
-    ev = Checked(v.stats["instances"], v.stats.get("reached", ()),
-                 v.stats.get("warnings", ()))
+    ev = Checked(v.stats["instances"], v.stats.get("reached", ()))
     return Judgment("ensures", sys, parts, ev)
 
 
@@ -1192,8 +1188,7 @@ def prove_ensures_n(sys, enum, steps, post, frame) -> Judgment:
     if not v.is_proven:
         raise CheckFailed(v)
     parts = EnsuresNParts(enum, v.stats["steps"], post, frame)
-    ev = Checked(v.stats["instances"], v.stats.get("reached", ()),
-                 v.stats.get("warnings", ()))
+    ev = Checked(v.stats["instances"], v.stats.get("reached", ()))
     return Judgment("ensures_n", sys, parts, ev)
 
 
@@ -1203,8 +1198,7 @@ def prove_ensures2(sys, pairs, steps0, steps1, post2, frame2) -> Judgment:
         raise CheckFailed(v)
     parts = Ensures2Parts(pairs, v.stats["steps0"], v.stats["steps1"],
                           post2, frame2)
-    ev = Checked(v.stats["instances"], v.stats.get("reached", ()),
-                 v.stats.get("warnings", ()))
+    ev = Checked(v.stats["instances"], v.stats.get("reached", ()))
     return Judgment("ensures2", sys, parts, ev)
 
 

@@ -530,19 +530,6 @@ def is_aligned_at(s: MachineState, base: int, code: bytes) -> bool:
 # ---------------------------------------------------------------------------
 # label deltas and projections
 
-def state_delta(s0: MachineState, s1: MachineState) -> frozenset[Label]:
-    """The set of labels on which two states differ."""
-    d0, d1 = s0.mem._d, s1.mem._d
-    return frozenset(
-        [label for label, a, b in zip(_REG_LABELS, s0.regs, s1.regs) if a != b]
-        + [label for label, a, b in (
-            (PC, s0.pc, s1.pc), (FLAG_N, s0.flag_n, s1.flag_n),
-            (FLAG_Z, s0.flag_z, s1.flag_z), (EVENTS, s0.events, s1.events))
-           if a != b]
-        + [mem_label(a) for a in d0.keys() | d1.keys()
-           if d0.get(a, 0) != d1.get(a, 0)])
-
-
 def agrees_outside(s0: MachineState, s1: MachineState,
                    labels: frozenset[Label]) -> bool:
     """True when every label where the states differ lies inside `labels`.

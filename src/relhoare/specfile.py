@@ -409,8 +409,6 @@ class CheckSpec:
     witness: tuple = ()
     equiv_in: list = field(default_factory=list)
     equiv_out: list = field(default_factory=list)
-    equiv_in_pred: Optional[str] = None
-    equiv_out_pred: Optional[str] = None
     promote: dict = field(default_factory=dict)  # "x0"/"xw"/"n" -> ast
 
 
@@ -531,16 +529,8 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
         (spec.public if section == "public" else spec.private).extend(items)
     elif section in ("equiv_in", "equiv_out"):
         m = _KEY_RE.match(line)
-        if m is None or m.group(1) not in ("keep", "predicate"):
-            raise SpecSyntaxError(
-                "expected keep = <labels> or predicate = <name>", lineno)
-        if m.group(1) == "predicate":
-            name = m.group(2).strip()
-            if section == "equiv_in":
-                spec.equiv_in_pred = name
-            else:
-                spec.equiv_out_pred = name
-            return
+        if m is None or m.group(1) != "keep":
+            raise SpecSyntaxError("expected keep = <labels>", lineno)
         ts = _Tokens(_tokenize(m.group(2), lineno), lineno)
         target = spec.equiv_in if section == "equiv_in" else spec.equiv_out
         target.extend(_parse_label_items(ts))
@@ -995,6 +985,9 @@ class Problem:
         table = {}
         for state, (first, *rest) in self._starts(side).items():
             table[state] = n = count(first.env, None)
+            if n < 0:
+                raise SpecError(f"{key} gives instance #{first.index} the "
+                                f"negative step count {n}")
             for inst in rest:
                 if count(inst.env, None) != n:
                     raise SpecError(

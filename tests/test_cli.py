@@ -305,6 +305,28 @@ def test_malformed_enum_cap_env_var_is_a_usage_error(capsys, monkeypatch):
     assert err.startswith("error: RELHOARE_ENUM_CAP") and "'lots'" in err
 
 
+@pytest.mark.parametrize("flag, env", [("-1", None), ("0", None),
+                                       (None, "-5")])
+def test_an_enum_cap_below_one_is_a_usage_error(capsys, monkeypatch, flag,
+                                                env):
+    # no instance fits under such a cap, so it cannot be meant
+    argv = ["check", str(CORPUS / "compare_ct.spec")]
+    if flag is not None:
+        argv += ["--enum-cap", flag]
+    if env is not None:
+        monkeypatch.setenv("RELHOARE_ENUM_CAP", env)
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert f"wants an integer of at least 1, got '{flag or env}'" in err
+
+
+def test_an_enum_cap_takes_a_base_prefix(capsys):
+    code, out, _ = run_main(capsys, "check", str(CORPUS / "compare_ct.spec"),
+                            "--enum-cap", "0x10")
+    assert code == 1
+    assert out.startswith("VERDICT: Refuted\n")
+
+
 def test_enum_cap_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("RELHOARE_ENUM_CAP", "2")
     code, out, _ = run_main(capsys, "check",
@@ -467,6 +489,31 @@ def test_a_negative_budget_exits_3_naming_its_line(capsys, tmp_path, name):
     assert err == f"error: line {lineno}: budget -5 is negative\n"
     # no steps at all is still a budget
     assert specfile.parse_spec(text.replace(line, "budget = 0", 1)).budget == 0
+
+
+@pytest.mark.parametrize("spec, line, bad, key", [
+    ("unary_n_refuted.spec", "f0 = 3", "f0 = a - 1", "f0"),
+    ("shared_start_relational.spec", "f1 = 1", "f1 = n - 1", "f1"),
+])
+def test_a_negative_step_count_names_its_key_and_instance(capsys, tmp_path,
+                                                          spec, line, bad,
+                                                          key):
+    path = _spec_path(spec, tmp_path)
+    path.write_text(path.read_text().replace(line, bad, 1))
+    code, out, err = run_main(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {key} gives instance #0 the negative step " \
+        "count -1\n"
+
+
+def test_a_negative_promote_count_names_its_instance(capsys, tmp_path):
+    shutil.copy(CORPUS / "add_stopper.masm", tmp_path)
+    text = (CORPUS / "add_stopper.spec").read_text()
+    spec = tmp_path / "add_stopper.spec"
+    spec.write_text(text.replace("n = 1\n", "n = a - 2\n", 1))
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err == "error: n gives instance #0 the negative step count -2\n"
 
 
 @pytest.mark.parametrize("argv", [

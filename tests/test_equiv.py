@@ -54,28 +54,6 @@ def test_kept_equal_matches_reading_every_kept_label(values, kept):
         assert rel.related(a, again)
 
 
-def test_general_relations_wrap_a_predicate():
-    rel = EquivRel.general(lambda a, b: a.reg(0) <= b.reg(0), "le on x0")
-    assert rel.kept is None
-    assert rel.related(zeroed_state(), zeroed_state().with_reg(0, 5))
-
-
-def test_registered_predicates_reach_spec_files(tmp_path):
-    equiv.register_predicate("x0_le", lambda a, b: a.reg(0) <= b.reg(0))
-    (tmp_path / "p.masm").write_text("halt\n")
-    text = (
-        "[check]\nkind = equiv\nbudget = 8\n\n"
-        "[program0]\nfile = p.masm\nbase = 0x1000\n\n"
-        "[program1]\nfile = p.masm\nbase = 0x1000\n\n"
-        "[post0]\nterminated(base0)\n\n[post1]\nterminated(base1)\n\n"
-        "[frame0]\nmaychange = pc\n\n[frame1]\nmaychange = pc\n\n"
-        "[equiv_in]\npredicate = x0_le\n\n[equiv_out]\npredicate = x0_le\n")
-    problem = specfile.build_problem(specfile.parse_spec(text), tmp_path)
-    result = equiv.check_equiv(problem)
-    assert isinstance(result, EquivJudgment)
-    assert result.equiv_in.description == "x0_le"
-
-
 # ---------------------------------------------------------------------------
 # whole-program checking via spec files
 
@@ -102,20 +80,6 @@ def test_check_equiv_refutes_on_an_overreaching_kept_set():
     assert isinstance(v, kernel.Verdict) and v.is_refuted
 
 
-def registered_predicate_spec(tmp_path) -> specfile.Problem:
-    equiv.register_predicate("x0_le", lambda a, b: a.reg(0) <= b.reg(0))
-    (tmp_path / "p.masm").write_text("halt\n")
-    text = (
-        "[check]\nkind = equiv\nbudget = 8\n\n"
-        "[program0]\nfile = p.masm\nbase = 0x1000\n\n"
-        "[program1]\nfile = p.masm\nbase = 0x1000\n\n"
-        "[params]\nx in 0..5\n\n[pre]\nx0 = x\n\n"
-        "[post0]\nterminated(base0)\n\n[post1]\nterminated(base1)\n\n"
-        "[frame0]\nmaychange = pc\n\n[frame1]\nmaychange = pc\n\n"
-        "[equiv_in]\npredicate = x0_le\n\n[equiv_out]\npredicate = x0_le\n")
-    return specfile.build_problem(specfile.parse_spec(text), tmp_path)
-
-
 def test_the_candidate_scan_stops_above_its_limit(monkeypatch, capsys):
     # 48 x 48 candidates on the corpus spec: at the limit it is checked,
     # one below it the spec is refused before any pair is scanned
@@ -131,15 +95,6 @@ def test_the_candidate_scan_stops_above_its_limit(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "2304 candidate pairs" in err and "limit of 2303" in err
     assert related == []
-
-
-def test_the_candidate_limit_covers_general_predicates(tmp_path,
-                                                       monkeypatch):
-    problem = registered_predicate_spec(tmp_path)
-    assert isinstance(equiv.check_equiv(problem), EquivJudgment)
-    monkeypatch.setattr(equiv, "MAX_CANDIDATES", 6 * 6 - 1)
-    with pytest.raises(specfile.SpecError, match="36 candidate pairs"):
-        equiv.check_equiv(problem)
 
 
 def test_a_warm_key_cache_does_not_excuse_an_unrelated_pair():
@@ -254,7 +209,7 @@ DONE4 = kernel.PairProperty(
     and machine.is_stuck(b), "both stuck with x3 = 4")
 
 
-def link(src0, base0, src1, base1, ein=None) -> EquivJudgment:
+def link(src0, base0, src1, base1) -> EquivJudgment:
     s0, p0 = boot(src0, base0)
     s1, p1 = boot(src1, base1)
     enum = kernel.PairEnumeration(((s0, s1),))
@@ -263,7 +218,7 @@ def link(src0, base0, src1, base1, ein=None) -> EquivJudgment:
         kernel.product_frame(SMALL_FRAME, SMALL_FRAME))
     return EquivJudgment(
         (p0, p1), (base0, base1),
-        ein or EquivRel.kept_equal(frozenset()),
+        EquivRel.kept_equal(frozenset()),
         EquivRel.kept_equal({X3}),
         (base0, base0 + 8, base1, base1 + 8), j)
 
@@ -293,23 +248,6 @@ def test_transitive_composition_rejects_a_wrong_middle():
     e1 = link(C0, 0x1000, C1, 0x2000)
     with pytest.raises(AnchorMismatch):
         equiv.compose_transitive(e1, e1)  # middle C1 vs left C0
-
-
-def test_general_relations_need_a_middle_witness():
-    always = EquivRel.general(lambda a, b: True, "anything goes")
-    e1 = link(C0, 0x1000, C1, 0x2000, ein=always)
-    e2 = link(C1, 0x2000, C2, 0x3000, ein=always)
-    with pytest.raises(kernel.FactorizationWitnessMissing):
-        equiv.compose_transitive(e1, e2)
-    mid = e2.judgment.parts.pairs.pairs[0][0]
-    e = equiv.compose_transitive(e1, e2,
-                                 middle_witness=lambda a, c: mid)
-    assert e.equiv_in.kept is None  # stays general
-    assert kernel.recheck(e.judgment).is_proven
-    bogus = boot(C1, 0x2000)[0].with_reg(9, 1)
-    with pytest.raises(kernel.SideConditionFailed):
-        equiv.compose_transitive(e1, e2,
-                                 middle_witness=lambda a, c: bogus)
 
 
 # ---------------------------------------------------------------------------

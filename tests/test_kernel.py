@@ -471,7 +471,7 @@ def test_rule_frame2_extends_product_frames_intensionally():
         "ensures2", sys,
         kernel.Ensures2Parts(PairEnumeration(()), (), (),
                              pairs_at(), small),
-        kernel.Checked(0, (), (), ""))
+        kernel.Checked(0, ()))
     j2 = apply_rule("frame2", [j], {"frame": big})
     assert j2.parts.frame2 is big
     with pytest.raises(SideConditionFailed):
@@ -479,7 +479,7 @@ def test_rule_frame2_extends_product_frames_intensionally():
             "ensures2", sys,
             kernel.Ensures2Parts(PairEnumeration(()), (), (),
                                  pairs_at(), big),
-            kernel.Checked(0, (), (), ""))], {"frame": small})
+            kernel.Checked(0, ()))], {"frame": small})
 
 
 def test_rule_restrict2_needs_frame_invariance():

@@ -314,8 +314,7 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
                     f"step {k})")
         stops.append(stop)
     parts = PcParts(enum, x0s.pop(), tuple(stops))
-    evidence = Checked(instances=len(enum.states), reached=tuple(stops),
-                       notes="first-stop resolution by simulation")
+    evidence = Checked(instances=len(enum.states), reached=tuple(stops))
     return Judgment("eventually_n_at_pc", sys, parts, evidence)
 
 

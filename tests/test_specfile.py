@@ -102,6 +102,21 @@ def test_syntax_error_on_bad_range():
     assert e.value.line == 5
 
 
+@pytest.mark.parametrize("section", ["equiv_in", "equiv_out"])
+def test_an_equivalence_relation_is_a_kept_label_set(section):
+    text = "[check]\nkind = equiv\n\n[equiv_in]\nkeep = x6\n\n" \
+        "[equiv_out]\nkeep = x6\n"
+    lines = text.splitlines()
+    lineno = lines.index(f"[{section}]") + 2
+    lines[lineno - 1] = "predicate = x0_le"
+    with pytest.raises(SpecSyntaxError,
+                       match=r"^line \d+: expected keep = <labels>$") as e:
+        parse_spec("\n".join(lines) + "\n")
+    assert e.value.line == lineno
+    spec = parse_spec(text)
+    assert spec.equiv_in == spec.equiv_out != []
+
+
 def test_domain_cap_is_enforced_not_sampled(tmp_path):
     path = tiny_spec(tmp_path, """
         [check]
