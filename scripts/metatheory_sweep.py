@@ -50,10 +50,22 @@ def random_pass(seed: int, trials: int) -> bool:
     return report.passed
 
 
+def trial_count(text: str) -> int:
+    """An argparse type: at least one trial, or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"wants an integer of at least 1, got {text!r}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--trials", type=int, default=10000)
+    parser.add_argument("--trials", type=trial_count, default=10000)
     parser.add_argument("--skip-exhaustive", action="store_true")
     args = parser.parse_args()
     if not args.skip_exhaustive:

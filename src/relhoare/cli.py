@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import asm, ct, equiv, finsys, kernel, machine, specfile
 
@@ -60,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="assemble, load and execute a program")
     p.add_argument("source", type=Path)
-    p.add_argument("--base", type=lambda v: int(v, 0), default=0x1000)
+    p.add_argument("--base", type=_at_least(0, base=0, most=machine.MASK64),
+                   default=0x1000)
     p.add_argument("--steps", type=_at_least(0), default=4096,
                    help="step limit (default 4096)")
     p.add_argument("--reg", action="append", default=[], metavar="xN=V",
@@ -85,18 +87,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_least(low: int, base: int = 10):
-    """An argparse type: an integer no smaller than low, so that a count
-    it cannot mean is a usage error. Base 0 also takes 0x, 0o and 0b
-    prefixes."""
+def _at_least(low: int, base: int = 10, most: Optional[int] = None):
+    """An argparse type: an integer no smaller than low (and no larger
+    than most, if given), so that a count or address it cannot mean is a
+    usage error. Base 0 also takes 0x, 0o and 0b prefixes."""
     def parse(text: str) -> int:
         try:
             value = int(text, base)
         except ValueError:
             value = None
-        if value is None or value < low:
+        if value is None or value < low or (most is not None and value > most):
+            want = (f"of at least {low}" if most is None
+                    else f"in {low}..{most:#x}")
             raise argparse.ArgumentTypeError(
-                f"wants an integer of at least {low}, got {text!r}")
+                f"wants an integer {want}, got {text!r}")
         return value
     return parse
 

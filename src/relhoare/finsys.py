@@ -18,12 +18,20 @@ two fixpoint iterations:
   eventually        least fixpoint: grow q with states whose successor
                     set is nonempty and already inside.
   eventually at n   backward iteration of the same step, n times.
+
+The suite's trials are independent, so run_soundness_suite runs them in
+contiguous slices on every usable CPU: the calling process runs the
+first slice, forked workers the rest. Every trial draws from its own
+place in one seeded stream, and the slices' results are merged in trial
+order, so the report is the same as a serial run's.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -906,14 +914,129 @@ def run_soundness_suite(seed: int, trials: int,
     the premises hold exactly, then assert the conclusion exactly. The
     _break hook deliberately mutates one rule's conclusion so tests can
     confirm the harness detects unsound rules; it must never be set in
-    real runs."""
+    real runs.
+
+    The trials run on every usable CPU (see _run_slices), and the report
+    is the same as one serial run's: the same systems, draws, instance
+    counts and violations, in trial order. An exception in any slice is
+    raised here, so a report never covers a subset of the trials."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     t0 = time.perf_counter()
-    master = random.Random(f"suite|{seed}")
+    ran = 0
     violations: list = []
     counts: dict = {}
-    for trial in range(trials):
+    for n, part_violations, part_counts in _run_slices(seed, trials, _break):
+        ran += n
+        violations.extend(part_violations)
+        for rule, c in part_counts.items():
+            counts[rule] = counts.get(rule, 0) + c
+    if ran != trials:
+        raise RuntimeError(f"the suite's slices ran {ran} of {trials} trials")
+    elapsed = time.perf_counter() - t0
+    return SuiteReport(trials=trials,
+                       rules_tested=tuple(r for r, _ in _CHECKS),
+                       violations=violations, elapsed=elapsed,
+                       instances=counts)
+
+
+# Fewest trials per slice. A run of fewer than two slices' worth stays in
+# the calling process: forking would save it at most a few tenths of a
+# second, and short runs (the tests' 20 to 1,000 trials) stay easy to
+# trace and debug.
+_SLICE_FLOOR = 1000
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_slices(seed: int, trials: int, _break: Optional[str]) -> list:
+    """The results of _run_slice over contiguous slices of the trials, in
+    slice order: one slice per usable CPU, each of at least _SLICE_FLOOR
+    trials. The calling process runs the first slice and a forked worker
+    runs each of the others. With one slice, without fork, or while
+    another thread runs (a forked child gets only the calling thread, so
+    a lock another thread holds would never be released in it), the
+    whole run stays in this process. Every worker is reaped before this
+    returns or raises; when anything fails, the workers are killed
+    first."""
+    k = min(_usable_cpus(), trials // _SLICE_FLOOR)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_run_slice(seed, 0, trials, _break)]
+    import pickle
+    import signal
+    cuts = [trials * i // k for i in range(k + 1)]
+    workers: list = []  # (pid, read end of its pipe)
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            workers.append(_fork_slice(seed, start, stop, _break))
+        parts = [_run_slice(seed, 0, cuts[1], _break)]
+        for (_, fd), start, stop in zip(workers, cuts[1:], cuts[2:]):
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            ok, value = pickle.loads(data) if data \
+                else (False, "the worker exited without a result")
+            if not ok:
+                raise RuntimeError(f"suite trials {start}..{stop - 1} "
+                                   f"failed in a worker:\n{value}")
+            parts.append(value)
+        return parts
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
+def _fork_slice(seed: int, start: int, stop: int,
+                _break: Optional[str]) -> tuple:
+    """Fork a worker that runs trials start..stop-1 and writes to a pipe
+    either (True, the slice's result) or (False, the traceback text),
+    pickled; return its pid and the pipe's read end. The worker never
+    returns into the caller."""
+    import pickle
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        try:
+            out = pickle.dumps((True, _run_slice(seed, start, stop, _break)))
+        except BaseException:
+            import traceback
+            out = pickle.dumps((False, traceback.format_exc()))
+        with open(write, "wb") as pipe:
+            pipe.write(out)
+    finally:
+        os._exit(0)
+
+
+def _run_slice(seed: int, start: int, stop: int,
+               _break: Optional[str]) -> tuple:
+    """Trials start..stop-1 of the suite for this seed, as (trial count,
+    violations, instance counts). The master stream skips the draws of
+    the trials before start, so trial t tests the same system with the
+    same draws whichever slice runs it."""
+    master = random.Random(f"suite|{seed}")
+    for _ in range(start):
+        master.getrandbits(64)
+    violations: list = []
+    counts: dict = {}
+    for trial in range(start, stop):
         rng = random.Random(master.getrandbits(64))
         g = random_system(rng.getrandbits(32), rng.randint(1, 6),
                           rng.randint(0, 3))
@@ -926,8 +1049,4 @@ def run_soundness_suite(seed: int, trials: int,
                 violations.extend(fn(g, tb, rng, counts, break_rule=_break))
             else:
                 violations.extend(fn(g, tb, rng, counts))
-    elapsed = time.perf_counter() - t0
-    return SuiteReport(trials=trials,
-                       rules_tested=tuple(r for r, _ in _CHECKS),
-                       violations=violations, elapsed=elapsed,
-                       instances=counts)
+    return stop - start, violations, counts

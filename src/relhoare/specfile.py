@@ -477,7 +477,12 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
         if key == "file":
             spec.programs[side] = ProgramRef(value, ref.base)
         elif key == "base":
-            spec.programs[side] = ProgramRef(ref.path, _int_of(value, lineno))
+            base = _int_of(value, lineno)
+            if not 0 <= base <= machine.MASK64:
+                raise SpecSyntaxError(
+                    f"base {value} is not an address in "
+                    f"0..{machine.MASK64:#x}", lineno)
+            spec.programs[side] = ProgramRef(ref.path, base)
         else:
             raise SpecSyntaxError(f"unknown program key {key!r}", lineno)
     elif section == "params":

@@ -527,6 +527,29 @@ def test_a_count_flag_below_its_least_value_is_a_usage_error(capsys, argv):
     assert f"{argv[-2]}: wants an integer of at least" in err
 
 
+@pytest.mark.parametrize("base", ["-4", "0x10000000000000000"])
+def test_a_run_base_outside_the_address_space_is_a_usage_error(capsys, base):
+    code, out, err = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                              "--base", base)
+    assert (code, out) == (64, "")
+    assert (f"--base: wants an integer in 0..0xffffffffffffffff, "
+            f"got {base!r}") in err
+
+
+@pytest.mark.parametrize("base", ["-4", "0x10000000000001000"])
+def test_a_program_base_outside_the_address_space_exits_3(capsys, tmp_path,
+                                                          base):
+    shutil.copy(CORPUS / "mulnd_square.masm", tmp_path)
+    text = (CORPUS / "mulnd_square.spec").read_text()
+    spec = tmp_path / "mulnd_square.spec"
+    spec.write_text(text.replace("base = 0x1000", f"base = {base}", 1))
+    lineno = text.splitlines().index("base = 0x1000") + 1
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err == (f"error: line {lineno}: base {base} is not an address "
+                   "in 0..0xffffffffffffffff\n")
+
+
 def test_a_run_of_zero_steps_is_allowed(capsys):
     code, out, _ = run_main(capsys, "run", str(CORPUS / "compare.masm"),
                             "--steps", "0")

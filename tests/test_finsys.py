@@ -1,5 +1,10 @@
 """Finite-system oracle: exact fixpoints, products, soundness suite."""
 
+import multiprocessing
+import os
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +111,94 @@ def test_suite_detects_a_deliberately_broken_rule():
 def test_suite_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_soundness_suite(seed=1, trials=0)
+
+
+def _fail_on_call(monkeypatch, on_call: int, how: str) -> None:
+    """Make the first check fail on its on_call-th call in a process:
+    raise in every worker ("worker"), end every worker without a result
+    ("exit"), or raise in the calling process while every worker hangs
+    for a minute ("caller")."""
+    caller = os.getpid()
+    rule, check = finsys._CHECKS[0]
+    calls = [0]
+
+    def failing(g, tb, rng, report):
+        calls[0] += 1
+        if calls[0] == on_call:
+            in_worker = os.getpid() != caller
+            if how == "worker" and in_worker:
+                raise RuntimeError("check failed in the worker")
+            if how == "exit" and in_worker:
+                os._exit(0)
+            if how == "caller" and in_worker:
+                time.sleep(60)  # only a kill ends this worker soon
+            if how == "caller" and not in_worker:
+                raise RuntimeError("check failed in the caller")
+        return check(g, tb, rng, report)
+
+    monkeypatch.setattr(finsys, "_CHECKS",
+                        ((rule, failing),) + finsys._CHECKS[1:])
+
+
+def _assert_no_child_process() -> None:
+    """No worker is left running, and none is left unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("worker", "(?s)suite trials 10..19 failed in a worker:\n.*"
+               "RuntimeError: check failed in the worker"),
+    ("caller", "check failed in the caller"),
+    ("exit", "suite trials 10..19 failed in a worker:\n"
+             "the worker exited without a result"),
+])
+def test_a_failing_slice_fails_the_suite(monkeypatch, how, message):
+    monkeypatch.setattr(finsys, "_SLICE_FLOOR", 1)
+    monkeypatch.setattr(finsys, "_usable_cpus", lambda: 3)
+    _fail_on_call(monkeypatch, 3, how)
+    report = None
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=message):
+        report = run_soundness_suite(seed=0, trials=30)
+    assert report is None
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_process()
+
+
+def test_a_parallel_run_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(finsys, "_SLICE_FLOOR", 1)
+    monkeypatch.setattr(finsys, "_usable_cpus", lambda: 3)
+    report = run_soundness_suite(seed=0, trials=30)
+    assert report.passed and report.trials == 30
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("cpus, floor, fork, thread, trials", [
+    (1, 1, True, False, 30),       # one CPU
+    (3, 1, False, False, 30),      # no fork
+    (3, 1, True, True, 30),        # another thread runs
+    (3, 1000, True, False, 1999),  # too few trials for two slices
+])
+def test_the_suite_stays_in_one_process(monkeypatch, cpus, floor, fork,
+                                        thread, trials):
+    monkeypatch.setattr(finsys, "_SLICE_FLOOR", floor)
+    monkeypatch.setattr(finsys, "_usable_cpus", lambda: cpus)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    _fail_on_call(monkeypatch, 1, "worker")
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(60,))
+    if thread:
+        other.start()
+    try:
+        assert run_soundness_suite(seed=0, trials=trials).passed
+    finally:
+        done.set()
+        if thread:
+            other.join(timeout=60)
+    assert not other.is_alive()
 
 
 # Per-rule instance counts and violation lists captured before the oracles

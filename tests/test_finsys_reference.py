@@ -10,12 +10,22 @@ copied verbatim. It walks every mask one bit at a time and builds every
 product one pair at a time. On random systems of 1 to 6 states, with
 random masks, rows, pair lists and step counts, the oracles must agree
 with it exactly.
+
+`ref_run_soundness_suite` is the suite's trial loop as it was when it
+ran every trial in one process, copied verbatim (with its module's names
+qualified). With the slice floor lowered to 1 and one, two or three
+CPUs, the sliced suite must report the same instance counts, violations
+and text.
 """
 
 from __future__ import annotations
 
+import functools
+import random
+import time
 from typing import Iterator, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +183,40 @@ def _frame_join(g: FinSys, q1: int, q2: int) -> int:
     return joined
 
 
+def ref_run_soundness_suite(seed: int, trials: int,
+                            _break: Optional[str] = None
+                            ) -> finsys.SuiteReport:
+    """Generate random systems and, for every rule, build instances where
+    the premises hold exactly, then assert the conclusion exactly. The
+    _break hook deliberately mutates one rule's conclusion so tests can
+    confirm the harness detects unsound rules; it must never be set in
+    real runs."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    t0 = time.perf_counter()
+    master = random.Random(f"suite|{seed}")
+    violations: list = []
+    counts: dict = {}
+    for trial in range(trials):
+        rng = random.Random(master.getrandbits(64))
+        g = finsys.random_system(rng.getrandbits(32), rng.randint(1, 6),
+                                 rng.randint(0, 3))
+        tb = finsys._Tables(g)
+        run_kernel_checks = trial % 10 == 0
+        for rule_id, fn in finsys._CHECKS:
+            if rule_id in finsys._KERNEL_CHECKS and not run_kernel_checks:
+                continue
+            if rule_id == "comp":
+                violations.extend(fn(g, tb, rng, counts, break_rule=_break))
+            else:
+                violations.extend(fn(g, tb, rng, counts))
+    elapsed = time.perf_counter() - t0
+    return finsys.SuiteReport(trials=trials,
+                              rules_tested=tuple(r for r, _ in finsys._CHECKS),
+                              violations=violations, elapsed=elapsed,
+                              instances=counts)
+
+
 # ---------------------------------------------------------------------------
 # random inputs
 
@@ -277,3 +321,33 @@ def test_spread_puts_one_bit_per_row():
         for m in range(1 << n):
             want = sum(1 << (x * n) for x in _bits(m))
             assert finsys._SPREAD[n][m] == want
+
+
+# ---------------------------------------------------------------------------
+# the sliced suite against the serial loop
+
+def _summary(report: finsys.SuiteReport) -> tuple:
+    """Everything a report says except how long it took."""
+    text = [line for line in report.format().splitlines()
+            if not line.startswith("elapsed:")]
+    violations = [(rule, g.n_states, sorted(g.edges), inputs)
+                  for rule, g, inputs in report.violations]
+    return report.trials, report.instances, violations, text
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_summary(seed: int, trials: int, brk: Optional[str]) -> tuple:
+    return _summary(ref_run_soundness_suite(seed, trials, brk))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("brk", [None, "comp"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_sliced_suite_matches_the_serial_loop(monkeypatch, seed, brk, cpus):
+    """A slice floor of 1 splits even 7 trials into a slice per CPU, and
+    3 CPUs cut 7, 999 and 2,001 trials into uneven slices."""
+    monkeypatch.setattr(finsys, "_SLICE_FLOOR", 1)
+    monkeypatch.setattr(finsys, "_usable_cpus", lambda: cpus)
+    for trials in (1, 7, 999, 2001):
+        got = _summary(finsys.run_soundness_suite(seed, trials, _break=brk))
+        assert got == _reference_summary(seed, trials, brk), trials

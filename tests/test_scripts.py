@@ -8,6 +8,8 @@ themselves.
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
 
 SCRIPTS = ROOT / "scripts"
@@ -31,3 +33,13 @@ def test_metatheory_sweep_finds_no_violation(tmp_path):
                       "--trials", "200")
     assert proc.returncode == 0, proc.stderr
     assert "violations: none" in proc.stdout
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_metatheory_sweep_refuses_fewer_than_one_trial(tmp_path, trials):
+    proc = run_script(tmp_path, "metatheory_sweep.py", "--skip-exhaustive",
+                      "--trials", trials)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ")
+    assert (f"--trials: wants an integer of at least 1, got {trials!r}"
+            in proc.stderr)

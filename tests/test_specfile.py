@@ -102,6 +102,19 @@ def test_syntax_error_on_bad_range():
     assert e.value.line == 5
 
 
+@pytest.mark.parametrize("base", ["-4", "0x10000000000001000"])
+def test_a_program_base_is_an_address(base):
+    text = "[check]\nkind = unary\n\n[program0]\nfile = p.masm\n" \
+        "base = {}\n"
+    assert parse_spec(text.format("0xfffffffffffff000")).programs[0].base \
+        == 0xfffffffffffff000
+    with pytest.raises(SpecSyntaxError,
+                       match=f"^line 6: base {base} is not an address in "
+                             r"0\.\.0xffffffffffffffff$") as e:
+        parse_spec(text.format(base))
+    assert e.value.line == 6
+
+
 @pytest.mark.parametrize("section", ["equiv_in", "equiv_out"])
 def test_an_equivalence_relation_is_a_kept_label_set(section):
     text = "[check]\nkind = equiv\n\n[equiv_in]\nkeep = x6\n\n" \
