@@ -8,10 +8,11 @@ selftest (the random-system soundness suite).
 Check reports start with the stable line `VERDICT: Proven|Refuted|
 Unknown`; a refutation prints the counterexample and a standalone
 replay script that re-executes it. Exit status is 0 for Proven or
-plain success, 1 for Refuted, 2 for Unknown, 3 for input or checking
-errors, 64 for usage errors. The instance enumeration cap defaults to
-2^16 and can be overridden by --enum-cap or the RELHOARE_ENUM_CAP
-environment variable; an oversized domain is an error, never a sample.
+plain success, 1 for Refuted, 2 for Unknown, 3 for input, checking and
+internal errors, 64 for usage errors. The instance enumeration cap
+defaults to 2^16 and can be overridden by --enum-cap or the
+RELHOARE_ENUM_CAP environment variable; an oversized domain is an error,
+never a sample.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def main(argv=None) -> int:
             ct.TemplateExpansionFailure, equiv.AnchorMismatch,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        # a bug, not a verdict: exit 1 would read as Refuted
+        import traceback  # only here, to keep it out of start-up
+        print(f"internal error: {e!r}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 
@@ -127,14 +134,24 @@ def _cmd_disasm(args) -> int:
 def _parse_reg_flag(text: str) -> tuple:
     name, _, value = text.partition("=")
     m = specfile._REG_RE.match(name.strip())
-    if not m or not value or int(m.group(1)) >= 16:
+    try:
+        v = int(value, 0)
+    except ValueError:
+        v = None
+    if (not m or int(m.group(1)) >= 16 or v is None
+            or not 0 <= v <= machine.MASK64):
         raise argparse.ArgumentTypeError(
-            f"--reg wants xN=value with N in 0..15, got {text!r}")
-    return int(m.group(1)), int(value, 0) & machine.MASK64
+            f"wants xN=V with N in 0..15 and V in "
+            f"0..{machine.MASK64:#x}, got {text!r}")
+    return int(m.group(1)), v
 
 
 def _cmd_run(args) -> int:
     program = asm.assemble(args.source.read_text())
+    if args.base + program.byte_len > 1 << 64:
+        print(f"error: --base {args.base:#x} puts the {program.byte_len}-byte "
+              f"image past the top of the address space", file=sys.stderr)
+        return 64
     state = asm.load_program(machine.zeroed_state(), program, args.base)
     for idx, value in args.reg:
         state = state.with_reg(idx, value)

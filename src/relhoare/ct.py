@@ -202,7 +202,7 @@ def _unary_parts(problem: specfile.Problem):
 
         return kernel.PropertyFn(holds,
                                  f"trace is the {len(expected)}-event "
-                                 f"witness and ({q.description})")
+                                 f"witness and ({q.description})", q.pcs)
 
     enum, post, frame = problem.unary_parts(
         inst_post, "witness trace and the declared postcondition")

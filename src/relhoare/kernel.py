@@ -110,10 +110,13 @@ class StepOracle:
 
 @dataclass(frozen=True)
 class PropertyFn:
-    """Decidable state predicate with a printable description."""
+    """Decidable state predicate with a printable description. pcs, when
+    set, is a guard: the predicate can hold only at states whose pc is in
+    it, which lets a search skip the others."""
 
     holds: Callable[[Any], bool]
     description: str = ""
+    pcs: Optional[frozenset] = None
 
     def __call__(self, s) -> bool:
         return self.holds(s)
@@ -599,7 +602,10 @@ def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
                 _NO_COMMON_STOP if target is None else
                 "branches disagree on the first step count satisfying "
                 "the target")
-        frontier = list(dict.fromkeys(t for ss in succs for t in ss))
+        if len(succs) == 1 and len(succs[0]) == 1:
+            frontier = list(succs[0])  # one state, nothing to dedupe
+        else:
+            frontier = list(dict.fromkeys(t for ss in succs for t in ss))
     raise StepFnUnresolvable(f"no resolution within {depth} steps")
 
 
@@ -629,48 +635,72 @@ def eventually_n_holds(sys: StepOracle, s, n: int, q: PropertyFn) -> bool:
     return _explore(sys, s, n, target)[2] is None
 
 
-def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool):
+def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
+               pcs: Optional[frozenset] = None):
     """Budgeted all-paths reachability of target. Returns a tuple
     (outcome, reason, choices, witness, frontier) where outcome is
     "proven", "refuted" or "unknown". On finite systems a repeated state
     along one path refutes (a target-avoiding cycle); otherwise running
-    out of budget yields unknown."""
+    out of budget yields unknown.
+
+    pcs, with the oracle's pc reader, guards target: it is called only at
+    s0 and at states whose pc is in pcs. Off finite systems, a state
+    outside the guard with one successor is stepped through in its frame
+    (one budget, a 0 in the choices, no frame, target call or memo
+    lookup); the memo keeps each frame's first and last state, so a state
+    walked twice is re-walked at most to the next fork. Where a
+    stepped-through state recurs deeper, that may give unknown where the
+    full memo proves. A wrong guard never proves."""
+    if sys.pc_of is None:
+        pcs = None
+    pc_of, successors = sys.pc_of, sys.successors
     proven_states: set = set()
     frontier: set = set()
-    stack = [[s0, None, 0, budget, False]]
+    # a frame: state, successors, next index, budget, unknown child seen,
+    # the choices its state adds to the path, and its first state
+    stack = [[s0, None, 0, budget, False, 0, s0]]
     choices: list = []
     on_path: set = set()
     outcome: Optional[str] = None
+    chained = False
 
     def pop_frame(expanded: bool, state) -> None:
-        stack.pop()
+        n = stack.pop()[5]
         if expanded:
             on_path.discard(state)
-        if stack:
-            choices.pop()
+        if n:
+            del choices[-n:]
 
     while stack:
         frame = stack[-1]
-        state, succs, idx, b, _ = frame
+        state, succs, idx, b, _, _, first = frame
         if succs is None:
-            if state in proven_states:
+            if not chained and state in proven_states:
                 outcome = "proven"
                 pop_frame(False, state)
                 continue
-            if target(state):
-                proven_states.add(state)
+            guarded = pcs is None or pc_of(state) in pcs
+            chained = False
+            if (guarded or state is s0) and target(state):
+                proven_states.update((state, first))
                 frontier.add(state)
                 outcome = "proven"
                 pop_frame(False, state)
                 continue
             if finite and state in on_path:
                 return "refuted", "cycle", tuple(choices), state, frontier
-            ss = list(sys.successors(state))
+            ss = list(successors(state))
             if not ss:
                 return "refuted", "stuck", tuple(choices), state, frontier
             if b <= 0:
                 outcome = "unknown"
                 pop_frame(False, state)
+                continue
+            if len(ss) == 1 and not guarded and not finite:
+                frame[0], frame[3] = ss[0], b - 1
+                frame[5] += 1
+                choices.append(0)
+                chained = True
                 continue
             frame[1] = succs = ss
             on_path.add(state)
@@ -681,13 +711,13 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool)
         if idx < len(succs):
             frame[2] = idx + 1
             choices.append(idx)
-            stack.append([succs[idx], None, 0, b - 1, False])
+            stack.append([succs[idx], None, 0, b - 1, False, 1, succs[idx]])
             outcome = None
             continue
         if frame[4]:
             outcome = "unknown"
         else:
-            proven_states.add(state)
+            proven_states.update((state, first))
             outcome = "proven"
         pop_frame(True, state)
 
@@ -698,7 +728,7 @@ def eventually_holds(sys: StepOracle, s, q: PropertyFn, budget: int) -> Verdict:
     """Three-valued all-paths reachability of q from s within a budget."""
     target = q.holds if isinstance(q, PropertyFn) else q
     outcome, reason, choices, witness, frontier = _ev_search(
-        sys, s, target, budget, sys.finite_hint)
+        sys, s, target, budget, sys.finite_hint, getattr(q, "pcs", None))
     if outcome == "proven":
         return proven(frontier=len(frontier))
     if outcome == "refuted":
@@ -821,7 +851,7 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
         f = _at(frame, s)
         target = lambda t, q=q, f=f, s=s: q.holds(t) and f.related(s, t)
         outcome, reason, choices, witness, frontier = _ev_search(
-            sys, s, target, budget, sys.finite_hint)
+            sys, s, target, budget, sys.finite_hint, q.pcs)
         if outcome == "refuted":
             ce = Counterexample(reason, s, choices, witness,
                                 detail=f"post {q.description!r} with frame "

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 MASK64 = (1 << 64) - 1
 WORD = 4
@@ -132,10 +132,10 @@ def format_labels(labels: Iterable[Label]) -> str:
 # ---------------------------------------------------------------------------
 # events
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A trace entry: ("load", addr, size), ("store", addr, size) or
-    ("branch", from, to). Not-taken conditionals record to = from + 4."""
+    ("branch", from, to). Not-taken conditionals record to = from + 4.
+    A tuple, so that hashing and comparing a state's events runs in C."""
 
     kind: str
     a: int

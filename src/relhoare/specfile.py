@@ -840,6 +840,27 @@ def _compile_all(constraints, programs=None) -> Callable:
     return holds
 
 
+def _guard(ast, names) -> Optional[Callable[[dict], frozenset]]:
+    """The pcs at which a constraint can hold, as a function of an
+    instance's values, or None where it may hold at any pc. names are
+    the names every instance binds. terminated(e) holds only at pc e when
+    e reads nothing else; `and` holds only where each guarded side
+    does, and `or` only where one of two guarded sides does."""
+    kind = ast[0]
+    if kind == "terminated" and _stateless(ast[1], names):
+        addr = compile_expr(ast[1])
+        return lambda values: frozenset(
+            (addr(values, None) & machine.MASK64,))
+    if kind in ("and", "or"):
+        p, q = _guard(ast[1], names), _guard(ast[2], names)
+        if p is None or q is None:
+            return (p or q) if kind == "and" else None
+        if kind == "and":
+            return lambda values: p(values) & q(values)
+        return lambda values: p(values) | q(values)
+    return None
+
+
 def eval_constraint(ast, values: dict, state=None, programs=None) -> bool:
     """Evaluate a constraint once. Code that evaluates one AST for many
     instances or states compiles it once with compile_constraint."""
@@ -872,6 +893,8 @@ class Problem:
     builtins: dict
     _compiled: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    _guards: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def count(self) -> int:
         return len(self.instances)
@@ -965,8 +988,18 @@ class Problem:
             qs = [post_of(i) for i in insts]
             table[s] = qs[0] if len(qs) == 1 else kernel.PropertyFn(
                 lambda x, qs=qs: all(q.holds(x) for q in qs),
-                " and ".join(dict.fromkeys(q.description for q in qs)))
+                " and ".join(dict.fromkeys(q.description for q in qs)),
+                self._meet(q.pcs for q in qs))
         return kernel.per_state(table, description)
+
+    def _meet(self, guards) -> Optional[frozenset]:
+        """The intersection of the guards that are not None (None if
+        none is), as one shared frozenset per distinct value."""
+        guards = [g for g in guards if g is not None]
+        if not guards:
+            return None
+        pcs = frozenset.intersection(*guards)
+        return self._guards.setdefault(pcs, pcs)
 
     def post_property(self, side, inst: Instance) -> kernel.PropertyFn:
         return self._property("post", side, inst)
@@ -976,11 +1009,17 @@ class Problem:
         key = (section, side)
         if key not in self._compiled:
             constraints = self._conditions(getattr(self.spec, section), side)
+            names = set(self.builtins) | {p.name for p in self.spec.scalars}
             self._compiled[key] = (
                 _compile_all(constraints, self.programs),
-                " and ".join(c.text for c in constraints) or "true")
-        holds, text = self._compiled[key]
-        return kernel.PropertyFn(functools.partial(holds, inst.env), text)
+                " and ".join(c.text for c in constraints) or "true",
+                _guard(functools.reduce(lambda a, b: ("and", a, b),
+                                        [c.ast for c in constraints]), names)
+                if constraints else None)
+        holds, text, guard = self._compiled[key]
+        return kernel.PropertyFn(
+            functools.partial(holds, inst.env), text,
+            None if guard is None else self._meet((guard(inst.env),)))
 
     def steps(self, key: str, side) -> kernel.StepFn:
         value = self.spec.steps.get(key, "auto")
@@ -1016,6 +1055,11 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
             raise SpecSyntaxError(f"[program{side}] has no file")
         programs[side] = asm.assemble((root / ref.path).read_text())
         bases[side] = ref.base
+        if ref.base + programs[side].byte_len > 1 << 64:
+            raise SpecError(
+                f"[program{side}] base {ref.base:#x} puts the "
+                f"{programs[side].byte_len}-byte image of {ref.path} past "
+                "the top of the address space")
     if programs[0] is None:
         raise SpecSyntaxError("spec names no [program0]")
     two_sided = spec.kind in TWO_PROGRAM_KINDS

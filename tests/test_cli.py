@@ -550,6 +550,68 @@ def test_a_program_base_outside_the_address_space_exits_3(capsys, tmp_path,
                    "in 0..0xffffffffffffffff\n")
 
 
+@pytest.mark.parametrize("value", ["-1", "0x10000000000000005"])
+def test_a_run_register_value_outside_64_bits_is_a_usage_error(capsys,
+                                                                value):
+    code, out, err = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                              "--steps", "0", "--reg", f"x0={value}")
+    assert (code, out) == (64, "")
+    assert (f"--reg: wants xN=V with N in 0..15 and V in "
+            f"0..0xffffffffffffffff, got 'x0={value}'") in err
+
+
+def test_a_run_register_takes_the_largest_64_bit_value(capsys):
+    code, out, _ = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                            "--steps", "0", "--reg", "x0=0xffffffffffffffff")
+    assert code == 0
+    assert "x0=0xffffffffffffffff " in out
+
+
+def test_a_run_image_past_the_top_of_memory_is_a_usage_error(capsys):
+    code, out, err = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                              "--base", "0xfffffffffffffff8")
+    assert (code, out) == (64, "")
+    assert err == ("error: --base 0xfffffffffffffff8 puts the 52-byte image "
+                   "past the top of the address space\n")
+    # an image that ends at the top of memory is still one image
+    code, out, _ = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                            "--base", hex((1 << 64) - 52), "--steps", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("base, code", [("0xfffffffffffffff4", 3),
+                                        ("0xfffffffffffffff0", 0)])
+def test_a_program_image_past_the_top_of_memory_exits_3(capsys, tmp_path,
+                                                        base, code):
+    shutil.copy(CORPUS / "mulnd_square.masm", tmp_path)
+    text = (CORPUS / "mulnd_square.spec").read_text()
+    spec = tmp_path / "mulnd_square.spec"
+    spec.write_text(text.replace("base = 0x1000", f"base = {base}", 1))
+    got, out, err = run_main(capsys, "check", str(spec))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == (f"error: [program0] base {base} puts the 16-byte "
+                       "image of mulnd_square.masm past the top of the "
+                       "address space\n")
+    else:
+        # the 16 bytes end at 2^64: the stopper is the last word of memory
+        assert out.startswith("VERDICT: Proven\n")
+
+
+def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
+    def broken(problem):
+        return 1 // 0
+
+    monkeypatch.setitem(cli._CHECKERS, "unary", broken)
+    code, out, err = run_main(capsys, "check",
+                              str(CORPUS / "compare_correct.spec"))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ZeroDivisionError(")
+    assert "Traceback (most recent call last)" in err
+    assert "in broken" in err
+
+
 def test_a_run_of_zero_steps_is_allowed(capsys):
     code, out, _ = run_main(capsys, "run", str(CORPUS / "compare.masm"),
                             "--steps", "0")

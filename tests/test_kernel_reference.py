@@ -12,22 +12,42 @@ systems (forks, dead ends and cycles) the kernel must agree with it:
 the same outcome, counterexample and stats, except the `explored` count
 the reference does not keep, or the same exception with the same
 message.
+
+A second reference holds `_explore`, `_ev_search` and `check_ensures`
+as they were before the unary walk stepped through straight-line code:
+every state gets a stack frame, a memo lookup and a target call, and
+every frontier is deduplicated. With a correct pc guard the kernel must
+give the same outcome, reason, choices, witness and frontier on random
+machine states, on random finite systems and on every corpus and
+benchmark spec, and the same report on each. With a wrong guard it must
+never prove what the reference does not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import importlib.util
+import io
+import sys
+from pathlib import Path
 from typing import Callable, Optional
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relhoare import finsys, kernel
+from relhoare import asm, cli, finsys, kernel, machine, specfile
 from relhoare.kernel import (
     AUTO_BUDGET, Checked, Counterexample, Enumeration, FrameFn, Judgment,
     PairEnumeration, PairProperty, PcParts, PromotionFailed, PropertyFn,
-    SchemaMismatch, StepFn, StepFnUnresolvable, StepOracle, Verdict, _at,
-    product_frame, proven, refuted,
+    SchemaMismatch, StepFn, StepFnUnresolvable, StepOracle, Verdict,
+    _NO_COMMON_STOP, _at, product_frame, proven, refuted, unknown,
+)
+
+from conftest import CORPUS, ROOT, load_problem
+from test_machine_reference import (
+    BASE, FIXED, REWRITE, SLOTS, UNMAPPED, WORD, label_sets, start_states,
 )
 
 
@@ -319,6 +339,142 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
 
 
 # ---------------------------------------------------------------------------
+# frozen reference of the unary walks: every state gets a frame, a target
+# call and a memo lookup, and every frontier is deduplicated
+
+def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
+    """The kernel's one walk: the deduplicated frontiers from s, calling
+    successors once per frontier state.
+
+    n_or_auto is an exact depth or an automatic StepFn, resolved here to
+    the first depth at which the whole frontier satisfies target (with no
+    target: is stuck); a branch dying first, or the budget running out,
+    raises StepFnUnresolvable. Returns (n, finals, fail): the depth, the
+    depth-n frontier and the first failure at an exact depth, as
+    (reason, depth, state) with reason "stuck" (no successors before
+    depth n) or "post" (fails target at depth n), or None."""
+    auto = isinstance(n_or_auto, StepFn)
+    depth = int(n_or_auto.value) if auto else n_or_auto
+    if not auto and depth < 0:
+        raise StepFnUnresolvable(f"step count {depth} is negative")
+    frontier = [s]
+    for k in range(depth + 1):
+        if auto and target is not None and all(target(x) for x in frontier):
+            return k, tuple(frontier), None
+        if not auto and k == depth:
+            for x in frontier:
+                if target is not None and not target(x):
+                    return depth, (), ("post", depth, x)
+            return depth, tuple(frontier), None
+        succs = [sys.successors(x) for x in frontier]
+        stuck = [x for x, ss in zip(frontier, succs) if not ss]
+        if stuck:
+            if not auto:
+                return depth, (), ("stuck", k, stuck[0])
+            if target is None and len(stuck) == len(frontier):
+                return k, tuple(frontier), None
+            raise StepFnUnresolvable(
+                _NO_COMMON_STOP if target is None else
+                "branches disagree on the first step count satisfying "
+                "the target")
+        frontier = list(dict.fromkeys(t for ss in succs for t in ss))
+    raise StepFnUnresolvable(f"no resolution within {depth} steps")
+
+
+def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool):
+    """Budgeted all-paths reachability of target. Returns a tuple
+    (outcome, reason, choices, witness, frontier) where outcome is
+    "proven", "refuted" or "unknown". On finite systems a repeated state
+    along one path refutes (a target-avoiding cycle); otherwise running
+    out of budget yields unknown."""
+    proven_states: set = set()
+    frontier: set = set()
+    stack = [[s0, None, 0, budget, False]]
+    choices: list = []
+    on_path: set = set()
+    outcome: Optional[str] = None
+
+    def pop_frame(expanded: bool, state) -> None:
+        stack.pop()
+        if expanded:
+            on_path.discard(state)
+        if stack:
+            choices.pop()
+
+    while stack:
+        frame = stack[-1]
+        state, succs, idx, b, _ = frame
+        if succs is None:
+            if state in proven_states:
+                outcome = "proven"
+                pop_frame(False, state)
+                continue
+            if target(state):
+                proven_states.add(state)
+                frontier.add(state)
+                outcome = "proven"
+                pop_frame(False, state)
+                continue
+            if finite and state in on_path:
+                return "refuted", "cycle", tuple(choices), state, frontier
+            ss = list(sys.successors(state))
+            if not ss:
+                return "refuted", "stuck", tuple(choices), state, frontier
+            if b <= 0:
+                outcome = "unknown"
+                pop_frame(False, state)
+                continue
+            frame[1] = succs = ss
+            on_path.add(state)
+            idx = 0
+        else:
+            if outcome == "unknown":
+                frame[4] = True
+        if idx < len(succs):
+            frame[2] = idx + 1
+            choices.append(idx)
+            stack.append([succs[idx], None, 0, b - 1, False])
+            outcome = None
+            continue
+        if frame[4]:
+            outcome = "unknown"
+        else:
+            proven_states.add(state)
+            outcome = "proven"
+        pop_frame(True, state)
+
+    return outcome, None, None, None, frontier
+
+
+def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
+                  budget: int) -> Verdict:
+    """Budgeted check of the step-free triple, one instance at a time.
+    The first non-proven instance decides the verdict."""
+    enum.validate()
+    warnings = []
+    if not enum.states:
+        warnings.append("EmptyPrecondition")
+    reached = []
+    for s in enum.states:
+        q = _at(post, s)
+        f = _at(frame, s)
+        target = lambda t, q=q, f=f, s=s: q.holds(t) and f.related(s, t)
+        outcome, reason, choices, witness, frontier = _ev_search(
+            sys, s, target, budget, sys.finite_hint)
+        if outcome == "refuted":
+            ce = Counterexample(reason, s, choices, witness,
+                                detail=f"post {q.description!r} with frame "
+                                       f"{f.description!r}")
+            return refuted(ce, instances=len(enum.states), warnings=tuple(warnings))
+        if outcome == "unknown":
+            return unknown(instances=len(enum.states), budget=budget,
+                           warnings=tuple(warnings))
+        reached.append(tuple(frontier))
+    return proven(instances=len(enum.states), warnings=tuple(warnings),
+                  reached=tuple(reached))
+
+
+# ---------------------------------------------------------------------------
 # random inputs
 
 @st.composite
@@ -518,3 +674,264 @@ def test_explored_counts_start_states_per_step_rule():
                                   ANY2)
     assert early.is_refuted and early.stats["explored"] == 2
     assert early.counterexample.initial == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the unary walks against their frozen reference
+
+MACHINE = machine.oracle()
+
+# guard candidates: every code slot, the slot past the code, a misaligned
+# and an unmapped pc
+PC_POOL = [BASE + WORD * i for i in range(SLOTS + 1)] + [BASE + 2, UNMAPPED]
+guards = st.sets(st.sampled_from(PC_POOL)).map(frozenset)
+
+TARGETS = {
+    "stuck": machine.is_stuck,
+    "x0 even": lambda t: t.regs[0] % 2 == 0,
+    # holds on the first branch of a mulnd fork only, so the second
+    # branch is walked after the first came back
+    "n clear": lambda t: t.flag_n == 0,
+    "anywhere": lambda t: True,
+}
+
+
+# a mulnd fork, then straight code to a stopper: with the target "n
+# clear" the first branch is proven and the second stuck at BASE + 12
+FORK = asm.load_program(machine.zeroed_state(), asm.assemble(
+    "mulnd x2, x1, x1\nmovr x4, x0\nmul x3, x4, x2\nhalt"), BASE)
+
+
+def guarded(pcs: frozenset, name: str) -> Callable:
+    """A target that holds only at the pcs in pcs, so that pcs is a
+    correct guard of it."""
+    holds = TARGETS[name]
+    return lambda t: t.pc in pcs and holds(t)
+
+
+def walk_fields(v: Verdict) -> tuple:
+    """A check_ensures verdict, its reached frontiers as sets."""
+    ce = v.counterexample
+    stats = dict(v.stats)
+    stats["reached"] = tuple(map(frozenset, stats.get("reached", ())))
+    return v.outcome, None if ce is None else (
+        ce.reason, ce.initial, ce.choices, ce.witness, ce.detail), stats
+
+
+@given(start_states(), guards, st.sampled_from(sorted(TARGETS)),
+       st.integers(0, 16))
+@example(FIXED, frozenset(PC_POOL), "stuck", 16)
+@example(REWRITE, frozenset({BASE}), "x0 even", 16)
+@example(FORK, frozenset({BASE + 12}), "n clear", 16)
+@settings(max_examples=400, deadline=None)
+def test_ev_search_matches_the_reference_on_machine_states(s0, pcs, name,
+                                                           budget):
+    target = guarded(pcs, name)
+    want = _ev_search(MACHINE, s0, target, budget, False)
+    assert kernel._ev_search(MACHINE, s0, target, budget, False, pcs) == want
+    assert kernel._ev_search(MACHINE, s0, target, budget, False) == want
+
+
+@given(st.lists(start_states(), min_size=1, max_size=3), guards,
+       st.sampled_from(sorted(TARGETS)), st.integers(0, 16),
+       st.one_of(st.none(), label_sets))
+@settings(max_examples=200, deadline=None)
+def test_check_ensures_matches_the_reference_on_machine_states(
+        states, pcs, name, budget, labels):
+    post = PropertyFn(guarded(pcs, name), name, pcs)
+    frame = kernel.ANYTHING if labels is None else machine.maychange(labels)
+    args = (MACHINE, Enumeration(tuple(states)), post, frame, budget)
+    assert walk_fields(kernel.check_ensures(*args)) == \
+        walk_fields(check_ensures(*args))
+
+
+@given(start_states(),
+       st.one_of(st.integers(-1, 12), st.integers(0, 12).map(StepFn.auto)),
+       st.sampled_from([None] + sorted(TARGETS)))
+@example(FIXED, 12, "stuck")
+@example(FIXED, StepFn.auto(12), None)
+@settings(max_examples=300, deadline=None)
+def test_explore_matches_the_reference_on_machine_states(s0, rule, name):
+    target = None if name is None else TARGETS[name]
+    assert outcome(kernel._explore, MACHINE, s0, rule, target) == \
+        outcome(_explore, MACHINE, s0, rule, target)
+
+
+@given(start_states(), guards, guards, st.integers(0, 16))
+@settings(max_examples=300, deadline=None)
+def test_a_wrong_guard_never_proves_on_machine_states(s0, exits, pcs,
+                                                      budget):
+    # the target holds at the stuck states at exits; pcs guards it at
+    # random, so it may leave out an exit the walk reaches
+    target = guarded(exits, "stuck")
+    got = kernel._ev_search(MACHINE, s0, target, budget, False, pcs)
+    if got[0] == "proven":
+        assert _ev_search(MACHINE, s0, target, budget, False)[0] == "proven"
+
+
+def finite_cases(data, g):
+    """The oracle of g with pc = state mod m, a correct guard and the
+    target it guards, and a budget."""
+    m = data.draw(st.integers(1, g.n_states))
+    sys = dataclasses.replace(g.oracle(), pc_of=lambda s: s % m)
+    pcs = frozenset(data.draw(st.sets(st.integers(0, m - 1))))
+    mask = data.draw(masks(g.n_states))
+    target = lambda s: s % m in pcs and bool(mask >> s & 1)
+    return sys, pcs, target, data.draw(st.integers(0, 8))
+
+
+@given(g=systems(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_ev_search_matches_the_reference_on_finite_systems(g, data):
+    sys, pcs, target, budget = finite_cases(data, g)
+    for s in range(g.n_states):
+        want = _ev_search(sys, s, target, budget, True)
+        assert kernel._ev_search(sys, s, target, budget, True, pcs) == want
+        # not marked finite, the walk steps through one-successor states
+        # without the memo of proven states; a state that recurs at a
+        # greater depth may then run out of budget where the memo proved
+        # it, so a Proven may become Unknown, and nothing else may change
+        got = kernel._ev_search(sys, s, target, budget, False, pcs)
+        want = _ev_search(sys, s, target, budget, False)
+        assert got == want or (got[0], want[0]) == ("unknown", "proven")
+
+
+def test_a_stepped_through_branch_leaves_its_choices_behind():
+    # 0 forks to 1 and 3; 1 steps to the target 2, 3 to the dead end 4
+    g = finsys.finsys(5, [(0, 1), (0, 3), (1, 2), (3, 4)])
+    sys = dataclasses.replace(g.oracle(), finite_hint=False)
+    target = lambda s: s == 2
+    want = ("refuted", "stuck", (1, 0), 4, {2})
+    assert _ev_search(sys, 0, target, 8, False) == want
+    assert kernel._ev_search(sys, 0, target, 8, False,
+                             frozenset({2})) == want
+
+
+@given(g=systems(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_ensures_matches_the_reference_on_finite_systems(g, data):
+    sys, pcs, target, budget = finite_cases(data, g)
+    n = g.n_states
+    states = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=6)))
+    post = PropertyFn(target, "guarded", pcs)
+    args = (sys, Enumeration(states), post,
+            state_frame(n, data.draw(masks(n * n))), budget)
+    assert walk_fields(kernel.check_ensures(*args)) == \
+        walk_fields(check_ensures(*args))
+
+
+@given(g=systems(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_explore_matches_the_reference_on_finite_systems(g, data):
+    rule = data.draw(st.one_of(st.integers(-1, 5),
+                               st.integers(0, 6).map(StepFn.auto)))
+    target = data.draw(st.one_of(st.none(), masks(g.n_states).map(
+        lambda mask: lambda s: bool(mask >> s & 1))))
+    for s in range(g.n_states):
+        assert outcome(kernel._explore, g.oracle(), s, rule, target) == \
+            outcome(_explore, g.oracle(), s, rule, target)
+
+
+@given(g=systems(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_wrong_guard_never_proves_on_finite_systems(g, data):
+    sys, _, target, budget = finite_cases(data, g)
+    pcs = frozenset(data.draw(st.sets(st.integers(0, g.n_states - 1))))
+    for s in range(g.n_states):
+        for finite in (True, False):
+            if kernel._ev_search(sys, s, target, budget, finite,
+                                 pcs)[0] == "proven":
+                assert _ev_search(sys, s, target, budget, finite)[0] == \
+                    "proven"
+
+
+def _bench_unary_specs(work: Path) -> list:
+    """The benchmark's `unary` workload specs at its default seed,
+    written into work."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are made
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    inputs = workloads.generate("unary", workloads.DEFAULT_SEED, work)
+    return [Path(p) for _, p in sorted(inputs.items())]
+
+
+def _report(path: Path) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", str(path)])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def spec_paths(tmp_path_factory) -> list:
+    """Every corpus spec and every `unary` benchmark spec."""
+    return sorted(CORPUS.glob("*.spec")) + _bench_unary_specs(
+        tmp_path_factory.mktemp("bench_unary"))
+
+
+def test_every_spec_reports_what_the_reference_reports(spec_paths,
+                                                       monkeypatch):
+    got = [_report(p) for p in spec_paths]
+    monkeypatch.setattr(kernel, "_explore", _explore)
+    monkeypatch.setattr(kernel, "check_ensures", check_ensures)
+    assert got == [_report(p) for p in spec_paths]
+
+
+def test_every_unary_spec_walks_as_the_reference_walks(spec_paths):
+    guarded_posts = 0
+    for path in spec_paths:
+        spec = specfile.parse_spec(path.read_text())
+        if spec.kind != "unary":
+            continue
+        problem = specfile.build_problem(spec, path.parent)
+        for layer in problem.layers():
+            enum, post, frame = layer.unary_parts()
+            guarded_posts += sum(post.at(s).pcs is not None
+                                 for s in enum.states)
+            args = (MACHINE, enum, post, frame, spec.budget)
+            assert walk_fields(kernel.check_ensures(*args)) == \
+                walk_fields(check_ensures(*args)), path.name
+    assert guarded_posts > 0  # the walks stepped through straight code
+
+
+def test_a_guard_without_the_real_exit_does_not_prove():
+    problem = load_problem("compare_correct.spec")
+    base = problem.bases[0]
+    enum, post, frame = problem.layers()[0].unary_parts()
+    assert {post.at(s).pcs for s in enum.states} == {
+        frozenset({base + 40, base + 48})}
+    # the neq exit at base + 48 left out of every guard
+    wrong = kernel.per_state({
+        s: dataclasses.replace(post.at(s), pcs=frozenset({base + 40}))
+        for s in enum.states})
+    v = kernel.check_ensures(MACHINE, enum, wrong, frame,
+                             problem.spec.budget)
+    assert not v.is_proven
+    assert v.counterexample.witness.pc == base + 48
+
+
+def test_a_loop_of_forks_is_walked_once_per_fork():
+    # each mulnd forks on flag_n and the next one overwrites it, so the
+    # two branches of a fork meet at the children of the next fork: the
+    # memo must catch them there, or the walk takes 2^k paths
+    k = 12
+    loop = asm.load_program(machine.zeroed_state(), asm.assemble(
+        "loop:\nmulnd x2, x1, x1\nsubi x3, x3, #1\ncbnz x3, loop\nhalt"),
+        BASE).with_reg(3, k)
+    exit_pc = BASE + 12
+    target = lambda t: t.pc == exit_pc and machine.is_stuck(t)
+    sys, calls = counting(MACHINE)
+    want = _ev_search(sys, loop, target, 4 * k, False)
+    reference_calls = len(calls)
+    assert want[0] == "proven" and reference_calls < 8 * k
+    calls.clear()
+    got = kernel._ev_search(sys, loop, target, 4 * k, False,
+                            frozenset({exit_pc}))
+    assert got == want
+    assert len(calls) <= reference_calls

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from relhoare import kernel, machine, specfile
+from relhoare import cli, kernel, machine, specfile
 from relhoare.specfile import (
     DomainTooLarge, SpecEvalError, SpecSyntaxError, UndeclaredParam,
     UnknownSection, build_problem, parse_spec,
@@ -441,3 +441,92 @@ def test_cell_domains_span_the_byte_values():
             parse_spec(f"[check]\nkind = unary\n\n[params]\n"
                        f"mem[0 .. 2) in {domain}\n")
         assert e.value.line == 5
+
+
+# ---------------------------------------------------------------------------
+# pc guards of postconditions
+
+def post_guards(tmp_path, post: str, params: str = "a in 0..3") -> list:
+    """The pc guard of each instance's postcondition, for a [post] with
+    the given lines (one per line of post)."""
+    body = (BASIC.replace("terminated(base0 + 4) and x0 = 1",
+                          post.replace("\n", "\n    "))
+            .replace("a in 0..3", params))
+    problem = build_problem(parse_spec(tiny_spec(tmp_path, body).read_text()),
+                            tmp_path)
+    return [problem.post_property(0, inst).pcs for inst in problem.instances]
+
+
+@pytest.mark.parametrize("post, want", [
+    ("terminated(base0 + 4)", {0x1004}),
+    ("terminated(base0 + 4) and x0 = 1", {0x1004}),
+    ("x0 = 1 and terminated(base0 + 4)", {0x1004}),
+    ("terminated(base0 + 4) or terminated(base0 + 8)", {0x1004, 0x1008}),
+    ("(terminated(base0 + 4) or terminated(base0 + 8)) and "
+     "terminated(base0 + 8)", {0x1008}),
+    ("terminated(base0 + 4) and terminated(base0 + 8)", set()),
+    # the address is masked to 64 bits, as terminated() masks it
+    ("terminated(base0 - 0x1004)", {(1 << 64) - 4}),
+    # several lines are their `and`; a line without a guard adds nothing
+    ("terminated(base0 + 4) or terminated(base0 + 8)\nx0 = 1",
+     {0x1004, 0x1008}),
+    ("terminated(base0 + 4) or terminated(base0 + 8)\n"
+     "terminated(base0 + 8) or terminated(base0 + 12)", {0x1008}),
+])
+def test_a_guard_is_the_pcs_a_post_can_hold_at(tmp_path, post, want):
+    assert post_guards(tmp_path, post) == [frozenset(want)] * 4
+
+
+@pytest.mark.parametrize("post", [
+    "x0 = 1",
+    "terminated(x1)",                       # the address reads a register
+    "terminated(base0 + x1)",
+    "terminated(base0 + mem1(10))",         # ... or memory
+    "terminated(base0 + 4) or x0 = 1",      # a disjunct with no guard
+    "x0 = 1 or terminated(base0 + 4)",
+    "not terminated(base0 + 4)",
+    "terminated(base1 + 4)",                # a name no instance binds
+])
+def test_a_post_that_may_hold_at_any_pc_has_no_guard(tmp_path, post):
+    assert post_guards(tmp_path, post) == [None] * 4
+
+
+def test_a_guard_reads_the_instance_parameters(tmp_path):
+    assert post_guards(tmp_path, "terminated(base0 + 4 * a)") == [
+        frozenset({0x1000 + 4 * a}) for a in range(4)]
+
+
+def test_equal_guards_are_one_object(tmp_path):
+    guards = post_guards(tmp_path, "terminated(base0 + 4 * min(a, 1)) or "
+                                   "terminated(base0 + 8)")
+    assert guards[0] == frozenset({0x1000, 0x1008})
+    assert guards[1] == frozenset({0x1004, 0x1008})
+    assert guards[1] is guards[2] is guards[3]
+
+
+def test_the_posts_of_one_start_state_meet_their_guards(tmp_path):
+    # b is only in [post], so both values of b build each start state
+    body = (BASIC.replace("terminated(base0 + 4) and x0 = 1",
+                          "terminated(base0 + 4) or "
+                          "terminated(base0 + 4 + 4 * b)")
+            .replace("a in 0..3", "a in 0..3\n    b in 0..1"))
+    problem = build_problem(parse_spec(tiny_spec(tmp_path, body).read_text()),
+                            tmp_path)
+    _, post, _ = problem.unary_parts()
+    meets = [post.at(s).pcs for s in problem.states(0)]
+    assert meets == [frozenset({0x1004})] * 8
+    assert all(pcs is meets[0] for pcs in meets)
+    assert problem.post_property(0, problem.instances[0]).pcs is meets[0]
+
+
+def test_a_post_that_fails_to_evaluate_is_an_error_off_its_guard(
+        tmp_path, capsys):
+    # no run reaches base0 + 400, the guard, where the post would first
+    # be called; it is also called at each start state, so base1, which
+    # a one-program check does not bind, is an error and not a Refuted
+    body = BASIC.replace("terminated(base0 + 4) and x0 = 1",
+                         "x0 = base1 and terminated(base0 + 400)")
+    assert cli.main(["check", str(tiny_spec(tmp_path, body))]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unbound name 'base1'\n"
