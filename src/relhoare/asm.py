@@ -266,8 +266,13 @@ def disassemble(data: bytes) -> str:
 
 
 def load_program(s: MachineState, program: Program, base: int) -> MachineState:
-    """Copy program bytes into memory at base and point pc there."""
+    """Copy program bytes into memory at base and point pc there. An
+    image that would wrap past the top of the address space is refused."""
     if base % WORD != 0:
         raise MisalignedBase(f"base {base:#x} is not word aligned")
-    mem = s.mem.write_bytes(base & MASK64, program.data)
-    return s._replace(mem=mem, pc=base & MASK64)
+    base &= MASK64
+    if base + program.byte_len > 1 << 64:
+        raise AsmError(f"base {base:#x} puts the {program.byte_len}-byte "
+                       "image past the top of the address space")
+    mem = s.mem.write_bytes(base, program.data)
+    return s._replace(mem=mem, pc=base)

@@ -42,9 +42,8 @@ __all__ = [
 
 
 class PartitionOverlap(Exception):
-    """A label is claimed by both sides of a public/private partition.
-    The event trace and the program counter always count as public, so
-    declaring them private is an overlap too."""
+    """A label that is always public is declared private: the event
+    trace and the program counter."""
 
 
 class TemplateExpansionFailure(Exception):
@@ -53,18 +52,14 @@ class TemplateExpansionFailure(Exception):
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint split of the machine's labels into public and private.
-
-    `public=None` means "everything that is not private", the usual
-    case; an explicit public set is validated for disjointness but not
-    required to be exhaustive. Each state is projected once per
-    partition: a check builds its own partition, and the projection is
-    the key of the join that groups start states into public classes,
-    read again, from this cache, when the kernel validates the
-    classes."""
+    """Split of the machine's labels into private ones, listed, and
+    public ones: every label not listed, the pc and the event trace
+    included. Each state is projected once per partition: a check
+    builds its own partition, and the projection is the key of the join
+    that groups start states into public classes, read again, from this
+    cache, when the kernel validates the classes."""
 
     private: frozenset
-    public: Optional[frozenset] = None
     _projections: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
 
@@ -73,11 +68,6 @@ class Partition:
             if label in self.private:
                 raise PartitionOverlap(
                     f"{label} is public by definition and cannot be private")
-        if self.public is not None:
-            both = self.public & self.private
-            if both:
-                raise PartitionOverlap(
-                    f"labels on both sides: {machine.format_labels(both)}")
 
     def project_public(self, s):
         """Canonical form of a state with private labels blanked; two
@@ -92,10 +82,7 @@ class Partition:
 
 
 def partition_of(problem: specfile.Problem) -> Partition:
-    spec = problem.spec
-    private = problem.resolve_labels(spec.private)
-    public = problem.resolve_labels(spec.public) if spec.public else None
-    return Partition(private, public)
+    return Partition(problem.resolve_labels(problem.spec.private))
 
 
 # ---------------------------------------------------------------------------

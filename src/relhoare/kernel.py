@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -262,21 +262,18 @@ class PerState:
     """A table of properties or frames keyed by start state (or pair),
     for enumerations whose instances need their own conditions."""
 
-    table: tuple  # ((key, value), ...)
+    table: dict = field(hash=False)
     description: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", dict(self.table))
 
     def at(self, key):
         try:
-            return self._index[key]
+            return self.table[key]
         except KeyError:
             raise SchemaMismatch(f"no entry for state in {self.description!r}")
 
 
 def per_state(mapping: Mapping, description: str = "") -> PerState:
-    return PerState(tuple(mapping.items()), description)
+    return PerState(dict(mapping), description)
 
 
 def _at(cond, key):
@@ -309,7 +306,7 @@ def factored_post(rel: Callable, q0, q1, description: str,
     """rel and then each side's postcondition; every pair's is named
     describe(d0, d1), or else description."""
     describe = describe or (lambda d0, d1: description)
-    return FactoredPost((), description, rel, q0, q1, describe)
+    return FactoredPost({}, description, rel, q0, q1, describe)
 
 
 @dataclass(frozen=True)
@@ -826,9 +823,9 @@ def judgment_signature(j: Judgment) -> tuple:
         return (j.form, p.pairs.pairs, p.steps0, p.steps1,
                 p.post2.description, p.frame2.description)
     if j.form == "hybrid":
-        inner = (j.form, p.rel.pairs.pairs, p.rel.steps0, p.rel.steps1,
-                 p.rel.post2.description, p.rel.frame2.description)
-        return inner + (p.unary.states, p.upost.description, p.uframe.description)
+        inner = judgment_signature(replace(j, form="ensures2", parts=p.rel))
+        return ((j.form,) + inner[1:]
+                + (p.unary.states, p.upost.description, p.uframe.description))
     if j.form == "eventually_n_at_pc":
         return (j.form, p.enum.states, p.x0, p.stops)
     raise SchemaMismatch(f"unknown judgment form {j.form}")
@@ -842,9 +839,7 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
     """Budgeted check of the step-free triple, one instance at a time.
     The first non-proven instance decides the verdict."""
     enum.validate()
-    warnings = []
-    if not enum.states:
-        warnings.append("EmptyPrecondition")
+    warnings = () if enum.states else ("EmptyPrecondition",)
     reached = []
     for s in enum.states:
         q = _at(post, s)
@@ -856,12 +851,12 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
             ce = Counterexample(reason, s, choices, witness,
                                 detail=f"post {q.description!r} with frame "
                                        f"{f.description!r}")
-            return refuted(ce, instances=len(enum.states), warnings=tuple(warnings))
+            return refuted(ce, instances=len(enum.states), warnings=warnings)
         if outcome == "unknown":
             return unknown(instances=len(enum.states), budget=budget,
-                           warnings=tuple(warnings))
+                           warnings=warnings)
         reached.append(tuple(frontier))
-    return proven(instances=len(enum.states), warnings=tuple(warnings),
+    return proven(instances=len(enum.states), warnings=warnings,
                   reached=tuple(reached))
 
 
@@ -872,9 +867,7 @@ def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
     requires the post and frame on the whole depth-n frontier with no
     earlier stuck state. Never Unknown."""
     enum.validate()
-    warnings = []
-    if not enum.states:
-        warnings.append("EmptyPrecondition")
+    warnings = () if enum.states else ("EmptyPrecondition",)
     resolved, reached = [], []
     for i, s in enumerate(enum.states):
         q = _at(post, s)
@@ -887,10 +880,10 @@ def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
             ce = Counterexample(reason, s, _choices(sys, s, depth, witness),
                                 witness, detail=f"exact step count {n}")
             return refuted(ce, instances=len(enum.states),
-                           steps=tuple(resolved), warnings=tuple(warnings))
+                           steps=tuple(resolved), warnings=warnings)
         reached.append(finals)
     return proven(instances=len(enum.states), steps=tuple(resolved),
-                  warnings=tuple(warnings), reached=tuple(reached))
+                  warnings=warnings, reached=tuple(reached))
 
 
 def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
@@ -1174,6 +1167,7 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
     x0s = {pc_of(s) for s in enum.states}
     if len(x0s) != 1:
         raise PromotionFailed("start states disagree on the entry pc")
+    x0 = x0s.pop()
     stops = []
     for s in enum.states:
         try:
@@ -1188,15 +1182,15 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
         if len(pcs) != 1:
             raise PromotionFailed("branches stop at different addresses")
         xw = pcs.pop()
-        # no branch is stuck before n, so the first stuck state of the
-        # walk with xw made stuck is the first visit to xw
-        _, _, early = _explore(_halting_at(sys, xw), s, n, None)
-        if early is not None:
+        # every branch runs n steps and stops at xw, so only an early
+        # visit to xw can refute; its path is as long as the visit is early
+        v = check_eventually_n_at_pc(sys, Enumeration((s,)), x0, xw, n)
+        if not v.is_proven:
             raise PromotionFailed(
                 f"pc revisits the stop address {xw:#x} (first seen at "
-                f"step {early[1]})")
+                f"step {len(v.counterexample.choices)})")
         stops.append((xw, n))
-    parts = PcParts(enum, x0s.pop(), tuple(stops))
+    parts = PcParts(enum, x0, tuple(stops))
     evidence = Checked(instances=len(enum.states), reached=tuple(stops))
     return Judgment("eventually_n_at_pc", sys, parts, evidence)
 
@@ -1204,32 +1198,31 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
 # ---------------------------------------------------------------------------
 # prove helpers (check, then wrap as a judgment)
 
-def prove_ensures(sys, enum, post, frame, budget) -> Judgment:
-    v = check_ensures(sys, enum, post, frame, budget)
+def _proven(form: str, sys, v: Verdict, parts: Callable) -> Judgment:
+    """v as a judgment with parts built from its stats, if it is Proven."""
     if not v.is_proven:
         raise CheckFailed(v)
-    parts = EnsuresParts(enum, post, frame, budget)
     ev = Checked(v.stats["instances"], v.stats.get("reached", ()))
-    return Judgment("ensures", sys, parts, ev)
+    return Judgment(form, sys, parts(v.stats), ev)
+
+
+def prove_ensures(sys, enum, post, frame, budget) -> Judgment:
+    return _proven("ensures", sys,
+                   check_ensures(sys, enum, post, frame, budget),
+                   lambda _: EnsuresParts(enum, post, frame, budget))
 
 
 def prove_ensures_n(sys, enum, steps, post, frame) -> Judgment:
-    v = check_ensures_n(sys, enum, steps, post, frame)
-    if not v.is_proven:
-        raise CheckFailed(v)
-    parts = EnsuresNParts(enum, v.stats["steps"], post, frame)
-    ev = Checked(v.stats["instances"], v.stats.get("reached", ()))
-    return Judgment("ensures_n", sys, parts, ev)
+    return _proven("ensures_n", sys,
+                   check_ensures_n(sys, enum, steps, post, frame),
+                   lambda st: EnsuresNParts(enum, st["steps"], post, frame))
 
 
 def prove_ensures2(sys, pairs, steps0, steps1, post2, frame2) -> Judgment:
-    v = check_ensures2(sys, pairs, steps0, steps1, post2, frame2)
-    if not v.is_proven:
-        raise CheckFailed(v)
-    parts = Ensures2Parts(pairs, v.stats["steps0"], v.stats["steps1"],
-                          post2, frame2)
-    ev = Checked(v.stats["instances"], v.stats.get("reached", ()))
-    return Judgment("ensures2", sys, parts, ev)
+    return _proven("ensures2", sys,
+                   check_ensures2(sys, pairs, steps0, steps1, post2, frame2),
+                   lambda st: Ensures2Parts(pairs, st["steps0"], st["steps1"],
+                                            post2, frame2))
 
 
 def recheck(j: Judgment) -> Verdict:
@@ -1307,13 +1300,10 @@ def _rule_pre(premises, inputs):
             raise SideConditionFailed("new precondition is not a subset of "
                                       "the old one")
     if j.form == "ensures":
-        parts = EnsuresParts(new_enum, j.parts.post, j.parts.frame,
-                             j.parts.budget)
-        return parts, "ensures"
+        return replace(j.parts, enum=new_enum), j.form
     index = dict(zip(j.parts.enum.states, j.parts.steps))
     steps = tuple(index[s] for s in new_enum.states)
-    return (EnsuresNParts(new_enum, steps, j.parts.post, j.parts.frame),
-            "ensures_n")
+    return replace(j.parts, enum=new_enum, steps=steps), j.form
 
 
 def _rule_post(premises, inputs):
@@ -1337,11 +1327,7 @@ def _rule_post(premises, inputs):
             if old_q.holds(t) and not new_q.holds(t):
                 raise SideConditionFailed(
                     "weakened postcondition does not contain the old one")
-    if j.form == "ensures":
-        return (EnsuresParts(j.parts.enum, new_post, j.parts.frame,
-                             j.parts.budget), "ensures")
-    return (EnsuresNParts(j.parts.enum, j.parts.steps, new_post,
-                          j.parts.frame), "ensures_n")
+    return replace(j.parts, post=new_post), j.form
 
 
 def _rule_frame(premises, inputs):
@@ -1362,11 +1348,7 @@ def _rule_frame(premises, inputs):
                 if not _at(new_frame, s).related(s, t):
                     raise SideConditionFailed(
                         "extended frame fails on a reached state")
-    if j.form == "ensures":
-        return (EnsuresParts(j.parts.enum, j.parts.post, new_frame,
-                             j.parts.budget), "ensures")
-    return (EnsuresNParts(j.parts.enum, j.parts.steps, j.parts.post,
-                          new_frame), "ensures_n")
+    return replace(j.parts, frame=new_frame), j.form
 
 
 def _rule_seq(premises, inputs):
@@ -1464,9 +1446,7 @@ def _rule_conj(premises, inputs):
         raise SideConditionFailed("conj premises must share a frame")
     post = _conj_conditions(j1.parts.post, j2.parts.post,
                             j1.parts.enum.states)
-    parts = EnsuresNParts(j1.parts.enum, j1.parts.steps, post,
-                          j1.parts.frame)
-    return parts, "ensures_n"
+    return replace(j1.parts, post=post), "ensures_n"
 
 
 def _conj_conditions(p1, p2, keys, both=prop_and):
@@ -1491,9 +1471,7 @@ def _rule_conj2(premises, inputs):
                                   "pair frame")
     post2 = _conj_conditions(j1.parts.post2, j2.parts.post2,
                              j1.parts.pairs.pairs, pair_and)
-    parts = Ensures2Parts(j1.parts.pairs, j1.parts.steps0, j1.parts.steps1,
-                          post2, j1.parts.frame2)
-    return parts, "ensures2"
+    return replace(j1.parts, post2=post2), "ensures2"
 
 
 def _rule_comm(premises, inputs):
@@ -1666,9 +1644,8 @@ def _rule_pre2(premises, inputs):
                                       "old one")
     steps0 = tuple(j.parts.steps0[old[p]] for p in new_pairs.pairs)
     steps1 = tuple(j.parts.steps1[old[p]] for p in new_pairs.pairs)
-    parts = Ensures2Parts(new_pairs, steps0, steps1, j.parts.post2,
-                          j.parts.frame2)
-    return parts, "ensures2"
+    return (replace(j.parts, pairs=new_pairs, steps0=steps0, steps1=steps1),
+            "ensures2")
 
 
 def _rule_post2(premises, inputs):
@@ -1681,9 +1658,7 @@ def _rule_post2(premises, inputs):
             if not q.holds(a, b):
                 raise SideConditionFailed(
                     "weakened pair postcondition fails on a reached pair")
-    parts = Ensures2Parts(j.parts.pairs, j.parts.steps0, j.parts.steps1,
-                          new_post, j.parts.frame2)
-    return parts, "ensures2"
+    return replace(j.parts, post2=new_post), "ensures2"
 
 
 def _rule_frame2(premises, inputs):
@@ -1707,9 +1682,7 @@ def _rule_frame2(premises, inputs):
                 if not _at(new_frame, pair).related(pair, pq):
                     raise SideConditionFailed(
                         "extended pair frame fails on a reached pair")
-    parts = Ensures2Parts(j.parts.pairs, j.parts.steps0, j.parts.steps1,
-                          j.parts.post2, new_frame)
-    return parts, "ensures2"
+    return replace(j.parts, frame2=new_frame), "ensures2"
 
 
 def _rule_restrict2(premises, inputs):
@@ -1789,33 +1762,30 @@ def _conv_drop_steps(j, aux):
             "ensures", ())
 
 
+def _deterministic(sys: StepOracle) -> StepOracle:
+    """sys with a fork raising NotDeterministic."""
+    def successors(st):
+        succ = sys.successors(st)
+        if len(succ) > 1:
+            raise NotDeterministic("state has multiple successors; step "
+                                   "synthesis needs a deterministic system")
+        return succ
+    return StepOracle(successors)
+
+
 def _conv_synthesize_steps(j, aux):
-    """Deterministic systems admit exact counts: walk each start state,
-    requiring a single successor everywhere, until the target holds."""
+    """Deterministic systems admit exact counts: each start state's is the
+    first step at which the target holds, as the exact-count check
+    resolves it on the system with forks refused."""
     _expect_form(j, "ensures", "premise")
-    sys = j.sys
-    steps = []
-    for s in j.parts.enum.states:
-        q = _at(j.parts.post, s)
-        f = _at(j.parts.frame, s)
-        cur, n = s, 0
-        while not (q.holds(cur) and f.related(s, cur)):
-            succ = sys.successors(cur)
-            if len(succ) > 1:
-                raise NotDeterministic(
-                    "state has multiple successors; step synthesis needs a "
-                    "deterministic system")
-            if not succ:
-                raise SideConditionFailed(
-                    "execution died before reaching the postcondition")
-            if n >= j.parts.budget:
-                raise SideConditionFailed(
-                    "budget exhausted while synthesizing a step count")
-            cur = succ[0]
-            n += 1
-        steps.append(n)
-    return (EnsuresNParts(j.parts.enum, tuple(steps), j.parts.post,
-                          j.parts.frame), "ensures_n", ())
+    p = j.parts
+    try:
+        v = check_ensures_n(_deterministic(j.sys), p.enum,
+                            StepFn.auto(max(p.budget, 0)), p.post, p.frame)
+    except StepFnUnresolvable as e:
+        raise SideConditionFailed(f"no step count synthesized: {e}") from None
+    return (EnsuresNParts(p.enum, v.stats["steps"], p.post, p.frame),
+            "ensures_n", ())
 
 
 def _conv_product(j, aux):

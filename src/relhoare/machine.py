@@ -77,23 +77,14 @@ def _sext(value: int, bits: int) -> int:
 _KIND_RANK = {"reg": 0, "pc": 1, "flag_n": 2, "flag_z": 3, "mem": 4, "events": 5}
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """One architectural resource: a register, pc, a flag, one memory byte,
-    or the event trace as a whole."""
+    or the event trace as a whole. A tuple, so that hashing and comparing
+    labels runs in C; only this module makes them, each with a kind in
+    _KIND_RANK."""
 
     kind: str
     arg: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown label kind {self.kind!r}")
-
-    def _key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.arg)
-
-    def __lt__(self, other: "Label") -> bool:
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         if self.kind == "reg":
@@ -126,7 +117,8 @@ def mem_range(lo: int, hi: int) -> frozenset[Label]:
 
 
 def format_labels(labels: Iterable[Label]) -> str:
-    return "{" + ", ".join(str(l) for l in sorted(labels)) + "}"
+    ordered = sorted(labels, key=lambda l: (_KIND_RANK[l.kind], l.arg))
+    return "{" + ", ".join(map(str, ordered)) + "}"
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ A .spec file declares one check in a section-based text format:
     [frame]         `maychange = pc, x3, events, mem[16 .. 20)` (suffixed
                     forms [frame0]/[frame1] for two-program kinds)
     [steps]         `f0 = auto | <expr>`; `f1 = ...` for the second side
-    [public]        label lists, one or more per line, comma separated
-    [private]
+    [private]       the secret labels of a constant-time check, one or more
+                    per line, comma separated; every other label, pc and
+                    events included, is public
     [witness]       trace template: `load <expr>, <size>`, `store ...`,
                     `branch <comparison>`, `repeat i < <expr>:` ... `end`
     [equiv_in]      `keep = <labels>` — agreement on the kept labels
@@ -33,8 +34,9 @@ A .spec file declares one check in a section-based text format:
 Precondition lines of the shape `label = <parameter-only expression>` are
 applied as assignments to construct the enumerated states; every line is
 then verified on the constructed state. Enumeration is the product of
-all scalar and cell domains and is refused above a configurable cap —
-an oversized domain is an error, never a silent sample.
+all scalar and cell domains and is refused above a configurable cap,
+which also bounds the number of cells — an oversized domain is an
+error, never a silent sample.
 
 `Problem` also builds each check kind's kernel inputs: `unary_parts` for
 one-run checks and `pair_parts` for two-run checks. An undeclared frame
@@ -97,8 +99,7 @@ TWO_PROGRAM_KINDS = ("relational", "equiv")
 
 _SECTIONS = ("check", "program0", "program1", "params", "pre", "pre0",
              "pre1", "post", "post0", "post1", "frame", "frame0", "frame1",
-             "steps", "public", "private", "witness", "equiv_in",
-             "equiv_out")
+             "steps", "private", "witness", "equiv_in", "equiv_out")
 
 _BUILTINS = ("base0", "base1", "len0", "len1")
 
@@ -404,7 +405,6 @@ class CheckSpec:
     post: dict = field(default_factory=dict)
     frames: dict = field(default_factory=dict)  # side|None -> label items
     steps: dict = field(default_factory=dict)   # "f0"/"f1" -> "auto"|ast
-    public: list = field(default_factory=list)
     private: list = field(default_factory=list)
     witness: tuple = ()
     equiv_in: list = field(default_factory=list)
@@ -432,6 +432,11 @@ def parse_spec(text: str) -> CheckSpec:
             if not stripped.endswith("]"):
                 raise SpecSyntaxError("unterminated section header", lineno)
             name = stripped[1:-1].strip()
+            if name == "public":
+                raise UnknownSection(
+                    "there is no [public] section: every label not listed "
+                    "under [private] is public, so list the secret labels "
+                    "under [private]", lineno)
             if name not in _SECTIONS:
                 raise UnknownSection(f"unknown section [{name}]", lineno)
             if pending_repeat:
@@ -528,10 +533,9 @@ def _parse_section_line(spec, section, line, lineno, wstack, pending):
         value = m.group(2).strip()
         spec.steps[m.group(1)] = "auto" if value == "auto" \
             else _expr_of(value, lineno)
-    elif section in ("public", "private"):
+    elif section == "private":
         ts = _Tokens(_tokenize(line, lineno), lineno)
-        items = _parse_label_items(ts)
-        (spec.public if section == "public" else spec.private).extend(items)
+        spec.private.extend(_parse_label_items(ts))
     elif section in ("equiv_in", "equiv_out"):
         m = _KEY_RE.match(line)
         if m is None or m.group(1) != "keep":
@@ -684,8 +688,8 @@ def _validate(spec: CheckSpec) -> None:
 
     check_witness(spec.witness, frozenset())
 
-    for items in list(spec.frames.values()) + [spec.public, spec.private,
-                                               spec.equiv_in, spec.equiv_out]:
+    for items in list(spec.frames.values()) + [spec.private, spec.equiv_in,
+                                               spec.equiv_out]:
         for item in items:
             if item[0] == "memrange":
                 for ast in (item[1], item[2]):
@@ -1070,23 +1074,26 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
     if programs[1] is not None:
         builtins.update(base1=bases[1], len1=programs[1].byte_len)
 
-    cell_addrs: list = []
-    cell_domains: list = []
-    for cell in spec.cells:
-        lo = compile_expr(cell.lo_addr)(builtins, None)
-        hi = compile_expr(cell.hi_addr)(builtins, None)
-        for addr in range(lo, hi):
-            cell_addrs.append(addr)
-            cell_domains.append(range(cell.lo, cell.hi + 1))
+    # the cells are counted before any list of them is built, and the
+    # product stops once past the cap: a wide range is refused at once,
+    # with no huge number to format
+    ranges = [(compile_expr(cell.lo_addr)(builtins, None),
+               compile_expr(cell.hi_addr)(builtins, None),
+               range(cell.lo, cell.hi + 1)) for cell in spec.cells]
+    if sum(max(hi - lo, 0) for lo, hi, _ in ranges) > cap:
+        raise DomainTooLarge(
+            f"the [params] memory cells number more than the cap of {cap}")
+    cell_addrs = [addr for lo, hi, _ in ranges for addr in range(lo, hi)]
+    cell_domains = [values for lo, hi, values in ranges
+                    for _ in range(lo, hi)]
 
     total = 1
-    for p in spec.scalars:
-        total *= p.hi - p.lo + 1
-    for domain in cell_domains:
-        total *= len(domain)
-    if total > cap:
-        raise DomainTooLarge(
-            f"enumeration of {total} instances exceeds the cap of {cap}")
+    for size in itertools.chain((p.hi - p.lo + 1 for p in spec.scalars),
+                                map(len, cell_domains)):
+        total *= size
+        if total > cap:
+            raise DomainTooLarge(
+                f"enumeration exceeds the cap of {cap} instances")
 
     programs = tuple(programs)
     names = set(builtins) | {p.name for p in spec.scalars}

@@ -91,6 +91,15 @@ def test_load_program_rejects_misaligned_base():
         asm.load_program(machine.zeroed_state(), prog, 0x1001)
 
 
+def test_load_program_refuses_an_image_that_wraps_past_the_top():
+    prog = assemble((CORPUS / "compare.masm").read_text())
+    with pytest.raises(AsmError) as e:
+        asm.load_program(machine.zeroed_state(), prog, 2**64 - 8)
+    assert type(e.value) is AsmError and e.value.line == 0
+    top = 2**64 - prog.byte_len  # the image's last byte is memory's last
+    assert asm.load_program(machine.zeroed_state(), prog, top).pc == top
+
+
 def test_disassemble_rejects_ragged_input():
     with pytest.raises(asm.LengthNotAligned):
         disassemble(b"\x01\x02\x03")

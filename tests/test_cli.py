@@ -599,6 +599,38 @@ def test_a_program_image_past_the_top_of_memory_exits_3(capsys, tmp_path,
         assert out.startswith("VERDICT: Proven\n")
 
 
+def test_a_public_section_exits_3_naming_private(capsys, tmp_path):
+    # a [public] list used to be checked only for overlap, so this spec,
+    # with no private labels, paired identical states and came back Proven
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    text = (CORPUS / "compare_ct.spec").read_text()
+    old = "[private]\nmem[10 .. 11), mem[20 .. 21)\n"
+    assert text.endswith(old)
+    spec = tmp_path / "public.spec"
+    spec.write_text(text.replace(old, "[public]\npc, x0, x1, x2\n"))
+    code, out, err = run_main(capsys, "check", str(spec))
+    line = text.splitlines().index("[private]") + 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: line {line}: there is no [public] section: "
+                   "every label not listed under [private] is public, so "
+                   "list the secret labels under [private]\n")
+
+
+@pytest.mark.parametrize("hi", ["0x14e20", "0x104240"])
+def test_a_wide_cell_range_exits_3_naming_the_cap(capsys, tmp_path, hi):
+    # 20,000 cells: too many instances; 1,000,000: too many cells
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    text = (CORPUS / "compare_correct.spec").read_text()
+    spec = tmp_path / "wide.spec"
+    spec.write_text(text.replace("mem[10 .. 12) in 0..1",
+                                 f"mem[0x10000 .. {hi}) in 0..1"))
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith(
+        "the cap of 65536 instances\n" if hi == "0x14e20" else
+        "the cap of 65536\n")
+
+
 def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
     def broken(problem):
         return 1 // 0

@@ -31,12 +31,6 @@ def test_partition_rejects_private_pc_and_events():
         Partition(frozenset({machine.EVENTS}))
 
 
-def test_partition_rejects_overlap():
-    r3 = machine.reg_label(3)
-    with pytest.raises(PartitionOverlap):
-        Partition(frozenset({r3}), public=frozenset({r3}))
-
-
 def test_public_projection_blanks_private_labels():
     part = Partition(frozenset({machine.reg_label(5)}))
     a = machine.zeroed_state().with_reg(5, 111).with_reg(6, 7)

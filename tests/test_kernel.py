@@ -692,6 +692,20 @@ def test_synthesize_steps_rejects_forks():
                                       ANY).is_refuted
 
 
+@pytest.mark.parametrize("edges, budget", [
+    (((0, 1),), 8),  # stuck at 1, before the postcondition
+    (((0, 1), (1, 2)), 1),  # 2 is two steps away, the budget one
+])
+def test_synthesize_steps_refuses_a_stuck_run_and_a_spent_budget(edges,
+                                                                 budget):
+    # no check proves these premises, so they are made by hand: only the
+    # conversion's own side condition stands between them and a count
+    parts = kernel.EnsuresParts(Enumeration((0,)), at(2), ANY, budget)
+    j = kernel.Judgment("ensures", sys_of(*edges), parts, None)
+    with pytest.raises(SideConditionFailed, match="no step count"):
+        convert(j, "synthesize_steps")
+
+
 def test_product_conversion_pairs_two_unary_judgments():
     sys = sys_of((0, 1), (1, 2))
     j0 = kernel.prove_ensures_n(sys, Enumeration((0,)), StepFn.constant(1),

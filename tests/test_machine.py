@@ -338,6 +338,8 @@ def test_label_ordering_and_formatting():
     labels = [EVENTS, mem_label(3), reg_label(1), PC, FLAG_N]
     assert machine.format_labels(labels) == \
         "{x1, pc, flag_n, mem[0x3], events}"
+    # frozensets of labels keep their iteration order
+    assert all(hash(l) == hash((l.kind, l.arg)) for l in labels)
 
 
 # ---------------------------------------------------------------------------

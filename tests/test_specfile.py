@@ -154,6 +154,32 @@ def test_domain_cap_is_enforced_not_sampled(tmp_path):
     assert build_problem(spec, tmp_path, cap=70000).count() == 65536
 
 
+def with_cells(cells: str):
+    """compare_correct.spec with its first [params] cell line replaced."""
+    text = (CORPUS / "compare_correct.spec").read_text()
+    assert "mem[10 .. 12) in 0..1" in text
+    return parse_spec(text.replace("mem[10 .. 12) in 0..1", cells))
+
+
+def test_a_wide_cell_range_is_refused_before_it_is_enumerated():
+    # 20,000 cells of two values: 2^20000 instances, a number with more
+    # digits than an error message should hold
+    spec = with_cells("mem[0x10000 .. 0x14e20) in 0..1")
+    with pytest.raises(DomainTooLarge) as e:
+        build_problem(spec, CORPUS)
+    assert str(e.value) == ("enumeration exceeds the cap of 65536 "
+                            "instances")
+
+
+def test_more_cells_than_the_cap_are_refused_with_one_value_each():
+    # a single instance, but each of its states writes 300 cells
+    spec = with_cells("mem[0x10000 .. 0x1012c) in 0..0")
+    assert build_problem(spec, CORPUS, cap=400).count() == 3 * 4
+    with pytest.raises(DomainTooLarge,
+                       match="cells number more than the cap of 100$"):
+        build_problem(spec, CORPUS, cap=100)
+
+
 def test_expression_grammar(tmp_path):
     path = tiny_spec(tmp_path, """
         [check]
