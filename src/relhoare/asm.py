@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 
 from .machine import (
-    FORMATS, MASK64, WORD, LOAD_SIZES, STORE_SIZES, Instruction,
+    FORMATS, MASK64, WORD, LOAD_SIZES, STORE_SIZES, Image, Instruction,
     MachineState, decode_word, encode_instruction,
 )
 
@@ -266,13 +266,17 @@ def disassemble(data: bytes) -> str:
 
 
 def load_program(s: MachineState, program: Program, base: int) -> MachineState:
-    """Copy program bytes into memory at base and point pc there. An
-    image that would wrap past the top of the address space is refused."""
+    """Put the program's bytes at base and point pc there. The bytes
+    become a new shared Image; what the state held outside them is
+    written over it. An image that would wrap past the top of the address
+    space is refused."""
     if base % WORD != 0:
         raise MisalignedBase(f"base {base:#x} is not word aligned")
     base &= MASK64
     if base + program.byte_len > 1 << 64:
         raise AsmError(f"base {base:#x} puts the {program.byte_len}-byte "
                        "image past the top of the address space")
-    mem = s.mem.write_bytes(base, program.data)
+    end = base + program.byte_len
+    mem = Image(base, program.data).mem.write_cells(
+        (a, v) for a, v in s.mem.items() if not base <= a < end)
     return s._replace(mem=mem, pc=base)

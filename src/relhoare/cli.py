@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import asm, ct, equiv, finsys, kernel, machine, specfile
+from . import asm, ct, equiv, kernel, machine, specfile
 
 
 def main(argv=None) -> int:
@@ -186,6 +186,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import finsys  # only here: no other command uses it
     report = finsys.run_soundness_suite(seed=args.seed, trials=args.trials)
     print("VERDICT: " + ("Proven" if report.passed else "Refuted"))
     print(report.format())

@@ -7,6 +7,13 @@ so stores can overwrite instructions and `br` can enter code at a computed
 address. Loads, stores, and every control transfer (taken or not) append
 an event; the constant-time checkers compare exactly these traces.
 
+A state's memory is an `Image` that many states share, the bytes of a
+loaded program, plus an overlay of its own that holds only the bytes
+where it differs from the image. Writes copy the overlay, never the
+image. The image also keeps the compiled step of each pc fetched inside
+it, which any state whose overlay leaves the image's span alone looks
+up instead of decoding the word again.
+
 Exactly one instruction is nondeterministic: `mulnd` writes the low 64
 bits of the product like `mul` and then forks execution on the N flag,
 yielding two successors that are identical elsewhere (flag 0 first). Every
@@ -32,7 +39,8 @@ reassembles to the original bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 MASK64 = (1 << 64) - 1
@@ -183,77 +191,159 @@ def format_projected(trace: Iterable[tuple]) -> str:
 # ---------------------------------------------------------------------------
 # memory
 
-class Mem:
-    """Immutable sparse byte store. Unwritten bytes read as zero and zero
-    bytes are never stored, so equal contents mean equal objects' dicts."""
+def _cell_hash(cell: tuple) -> int:
+    """hash((addr, byte)), shuffled the way frozenset shuffles its
+    entries' hashes before it XORs them, so that contents that differ
+    only in small byte values hash apart."""
+    h = hash(cell)
+    return ((h ^ 89869747) ^ (h << 16)) * 3644798167 & MASK64
 
-    __slots__ = ("_d", "_hash")
+
+class Image:
+    """Bytes that many states share and none mutates: a program's image,
+    built once by `asm.load_program`. It keeps the XOR of its cells'
+    hashes, so that a Mem over it hashes in the time of its overlay; a
+    table of the compiled step of each pc fetched inside its span [lo,
+    hi) (None where the word there does not decode); and `mem`, the Mem
+    of its bytes alone, which every state with nothing written over them
+    shares."""
+
+    __slots__ = ("bytes", "lo", "hi", "hash", "steps", "mem")
+
+    def __init__(self, base: int = 0, data: bytes = b""):
+        self.bytes = {base + k: b for k, b in enumerate(data) if b}
+        self.lo, self.hi = base, base + len(data)
+        self.hash = reduce(xor, map(_cell_hash, self.bytes.items()), 0)
+        self.steps: dict = {}
+        self.mem = _mem(self, {}, self.steps)
+
+
+_NO_STEPS: dict = {}  # the table of a Mem whose overlay covers code; never filled
+
+
+class Mem:
+    """Immutable sparse byte store: a shared Image plus a per-state overlay
+    of the bytes that differ from it. Unwritten bytes read as zero. The
+    overlay never holds the image's own byte at an address, and holds 0
+    only where the image has a byte, so two Mems over one image are equal
+    iff their overlays are; Mems over different images compare and hash
+    by their contents."""
+
+    __slots__ = ("image", "_over", "_steps", "_hash")
 
     def __init__(self, entries: Optional[dict] = None):
-        self._d = dict(entries) if entries else {}
-        self._hash: Optional[int] = None
-
-    @classmethod
-    def _adopt(cls, d: dict) -> "Mem":
-        """A Mem over a dict no one else holds, without copying it."""
-        m = cls.__new__(cls)
-        m._d, m._hash = d, None
-        return m
+        self.image, self._steps, self._hash = _EMPTY, _EMPTY.steps, None
+        self._over = {a: v for a, v in entries.items() if v} if entries else {}
 
     def get(self, addr: int) -> int:
-        return self._d.get(addr & MASK64, 0)
+        addr &= MASK64
+        over = self._over
+        return over[addr] if addr in over else self.image.bytes.get(addr, 0)
 
     def read(self, addr: int, size: int) -> int:
+        over, base = self._over, self.image.bytes
         value = 0
         for k in range(size):
-            value |= self._d.get((addr + k) & MASK64, 0) << (8 * k)
+            a = (addr + k) & MASK64
+            value |= (over[a] if a in over else base.get(a, 0)) << (8 * k)
         return value
 
     def write(self, addr: int, value: int, size: int) -> "Mem":
-        d = dict(self._d)
-        for k in range(size):
-            a = (addr + k) & MASK64
-            byte = (value >> (8 * k)) & 0xFF
-            if byte:
-                d[a] = byte
-            else:
-                d.pop(a, None)
-        return Mem._adopt(d)
+        return self.write_cells((addr + k, value >> (8 * k))
+                                for k in range(size))
 
     def write_bytes(self, addr: int, data: bytes) -> "Mem":
         return self.write_cells(enumerate(data, addr))
 
     def write_cells(self, cells) -> "Mem":
-        """Write one byte per (addr, value) pair, in order, in one copy."""
-        d = dict(self._d)
+        """Write one byte per (addr, value) pair, in order, in one copy of
+        the overlay. The image's step table stays in use while no overlay
+        address lies inside its span."""
+        image = self.image
+        base, lo, hi = image.bytes, image.lo, image.hi
+        over = dict(self._over)
+        steps = self._steps
         for addr, value in cells:
-            a = addr & MASK64
-            byte = value & 0xFF
-            if byte:
-                d[a] = byte
+            a, byte = addr & MASK64, value & 0xFF
+            if byte == base.get(a, 0):
+                if over.pop(a, None) is not None and lo <= a < hi:
+                    steps = None
             else:
-                d.pop(a, None)
-        return Mem._adopt(d)
+                over[a] = byte
+                if lo <= a < hi:
+                    steps = None
+        if steps is None:
+            clean = not any(lo <= a < hi for a in over)
+            steps = image.steps if clean else _NO_STEPS
+        return _mem(image, over, steps) if over else image.mem
+
+    def contents(self) -> dict:
+        """Every nonzero byte by address, in a new dict."""
+        d = dict(self.image.bytes)
+        for a, v in self._over.items():
+            if v:
+                d[a] = v
+            else:
+                del d[a]
+        return d
+
+    def differences(self, other: "Mem") -> Iterator[int]:
+        """The addresses where the two hold different bytes."""
+        if self.image is other.image:
+            if self._over == other._over:
+                return
+            addrs = self._over.keys() | other._over.keys()
+        else:
+            addrs = self.contents().keys() | other.contents().keys()
+        for a in addrs:
+            if self.get(a) != other.get(a):
+                yield a
 
     def addresses(self) -> Iterator[int]:
-        return iter(self._d)
+        return iter(self.contents())
 
     def items(self):
-        return self._d.items()
+        return self.contents().items()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mem) and self._d == other._d
+        if not isinstance(other, Mem):
+            return False
+        if self.image is other.image:
+            return self._over == other._over
+        return hash(self) == hash(other) and \
+            self.contents() == other.contents()
 
     def __hash__(self) -> int:
+        """The XOR of _cell_hash over the nonzero bytes: the image's,
+        adjusted at each overlay address."""
         if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
+            base = self.image.bytes
+            h = self.image.hash
+            for cell in self._over.items():
+                a, v = cell
+                if v:
+                    h ^= _cell_hash(cell)
+                if a in base:
+                    h ^= _cell_hash((a, base[a]))
+            self._hash = h
         return self._hash
 
     def __len__(self) -> int:
-        return len(self._d)
+        base = self.image.bytes
+        return len(base) + sum((a not in base) - (not v)
+                               for a, v in self._over.items())
 
     def __repr__(self) -> str:
-        return f"Mem({len(self._d)} bytes set)"
+        return f"Mem({len(self)} bytes set)"
+
+
+def _mem(image: Image, over: dict, steps: dict) -> Mem:
+    m = object.__new__(Mem)
+    m.image, m._over, m._steps, m._hash = image, over, steps, None
+    return m
+
+
+_EMPTY = Image()
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +564,31 @@ def _compile(ins: Instruction) -> Callable:
 # compiled steps by instruction word; a store over code changes the word
 # fetched, so a rewritten instruction never meets the step of the old one
 _STEPS: dict = {}
+_UNSEEN = object()
+
+
+def _step_at(mem: Mem, pc: int) -> Optional[Callable]:
+    """The compiled step of the word at pc, or None where it does not
+    decode. While a Mem's overlay leaves its image's span alone, a pc
+    inside that span is one lookup in the image's table, filled on the
+    first fetch there; every other fetch reads and decodes the bytes."""
+    step = mem._steps.get(pc, _UNSEEN)
+    if step is not _UNSEEN:
+        return step
+    word = mem.read(pc, WORD)
+    ins = decode_word(word)
+    if ins is not None:
+        step = _STEPS.get(word)
+        if step is None:
+            if len(_STEPS) >= 65536:
+                _STEPS.clear()
+            step = _STEPS[word] = _compile(ins)
+    else:
+        step = None
+    image = mem.image
+    if mem._steps is image.steps and image.lo <= pc and pc + WORD <= image.hi:
+        image.steps[pc] = step
+    return step
 
 
 def successors(s: MachineState) -> list[MachineState]:
@@ -482,18 +597,8 @@ def successors(s: MachineState) -> list[MachineState]:
     pc = s.pc
     if pc % WORD:
         return []
-    d = s.mem._d  # an aligned fetch does not wrap
-    word = (d.get(pc, 0) | d.get(pc + 1, 0) << 8 | d.get(pc + 2, 0) << 16
-            | d.get(pc + 3, 0) << 24)
-    ins = decode_word(word)
-    if ins is None:
-        return []
-    step = _STEPS.get(word)
-    if step is None:
-        if len(_STEPS) >= 65536:
-            _STEPS.clear()
-        step = _STEPS[word] = _compile(ins)
-    return step(s, (pc + WORD) & MASK64)
+    step = _step_at(s.mem, pc)
+    return [] if step is None else step(s, (pc + WORD) & MASK64)
 
 
 def is_stuck(s: MachineState) -> bool:
@@ -505,7 +610,7 @@ def is_terminated_at(s: MachineState, addr: int) -> bool:
     independent of alignment: a misaligned pc already makes the state
     stuck, but termination here specifically means fetch failure."""
     addr &= MASK64
-    return s.pc == addr and decode_word(s.mem.read(addr, WORD)) is None
+    return s.pc == addr and _step_at(s.mem, addr) is None
 
 
 def is_aligned_at(s: MachineState, base: int, code: bytes) -> bool:
@@ -536,23 +641,21 @@ def agrees_outside(s0: MachineState, s1: MachineState,
             or s0.flag_z != s1.flag_z and FLAG_Z not in labels
             or s0.events != s1.events and EVENTS not in labels):
         return False
-    d0, d1 = s0.mem._d, s1.mem._d
-    return d0 is d1 or d0 == d1 or all(
-        mem_label(a) in labels for a in d0.keys() | d1.keys()
-        if d0.get(a, 0) != d1.get(a, 0))
+    m0, m1 = s0.mem, s1.mem
+    return m0 is m1 or all(mem_label(a) in labels
+                           for a in m0.differences(m1))
 
 
 def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
     """Overwrite the given labels with canonical zero values. Two states
     have equal public parts iff masking the private labels makes them
-    equal."""
-    regs = list(s.regs)
-    pc, fn, fz, events = s.pc, s.flag_n, s.flag_z, s.events
+    equal. What no label masks is shared with s, not copied."""
+    regs, pc, fn, fz, events = s.regs, s.pc, s.flag_n, s.flag_z, s.events
     mem = s.mem
     mem_clear = set()
     for label in labels:
         if label.kind == "reg":
-            regs[label.arg] = 0
+            regs = regs[:label.arg] + (0,) + regs[label.arg + 1:]
         elif label.kind == "pc":
             pc = 0
         elif label.kind == "flag_n":
@@ -564,9 +667,8 @@ def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
         else:
             mem_clear.add(label.arg)
     if mem_clear:
-        mem = Mem._adopt({a: v for a, v in mem.items()
-                          if a not in mem_clear})
-    return _make(tuple(regs), pc, fn, fz, mem, events)
+        mem = mem.write_cells((a, 0) for a in mem_clear)
+    return _make(regs, pc, fn, fz, mem, events)
 
 
 _ORACLE = None

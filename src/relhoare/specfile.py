@@ -874,7 +874,7 @@ def eval_constraint(ast, values: dict, state=None, programs=None) -> bool:
 # ---------------------------------------------------------------------------
 # building checkable instances
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     index: int
     env: dict           # scalar parameters + builtins
@@ -899,6 +899,10 @@ class Problem:
                             compare=False)
     _guards: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _groups: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _last: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def count(self) -> int:
         return len(self.instances)
@@ -970,17 +974,24 @@ class Problem:
 
     def _starts(self, side) -> dict:
         """The instances by the start state they build on a side, in
-        order: several do when a parameter is only in [post] or [steps]."""
-        groups: dict = {}
-        for s, inst in zip(self.states(side), self.instances):
-            groups.setdefault(s, []).append(inst)
+        order: several do when a parameter is only in [post] or [steps].
+        Built once per side."""
+        groups = self._groups.get(side)
+        if groups is None:
+            groups = self._groups[side] = {}
+            for s, inst in zip(self.states(side), self.instances):
+                groups.setdefault(s, []).append(inst)
         return groups
 
     def layers(self) -> list:
         """The problem in parts, the k-th holding the k-th instance of
-        each side-0 start state, so that no part repeats a start state."""
+        each side-0 start state, so that no part repeats a start state:
+        just the problem when none does."""
+        starts = self._starts(0)
+        if len(starts) == len(self.instances):
+            return [self]
         return [replace(self, instances=[i for i in part if i]) for part in
-                itertools.zip_longest(*self._starts(0).values())] or [self]
+                itertools.zip_longest(*starts.values())]
 
     def _posts(self, side, description: str,
                post_of: Optional[Callable] = None) -> kernel.PerState:
@@ -1009,8 +1020,14 @@ class Problem:
         return self._property("post", side, inst)
 
     def _property(self, section: str, side, inst: Instance):
-        """A side's [pre] or [post] lines at one instance's values."""
+        """A side's [pre] or [post] lines at one instance's values. The
+        instances of one scalar valuation share one values dict and come
+        one after another, so the last property built is kept and reused
+        while the dict stays the same."""
         key = (section, side)
+        last = self._last.get(key)
+        if last is not None and last[0] is inst.env:
+            return last[1]
         if key not in self._compiled:
             constraints = self._conditions(getattr(self.spec, section), side)
             names = set(self.builtins) | {p.name for p in self.spec.scalars}
@@ -1021,9 +1038,11 @@ class Problem:
                                         [c.ast for c in constraints]), names)
                 if constraints else None)
         holds, text, guard = self._compiled[key]
-        return kernel.PropertyFn(
+        prop = kernel.PropertyFn(
             functools.partial(holds, inst.env), text,
             None if guard is None else self._meet((guard(inst.env),)))
+        self._last[key] = (inst.env, prop)
+        return prop
 
     def steps(self, key: str, side) -> kernel.StepFn:
         value = self.spec.steps.get(key, "auto")
@@ -1080,21 +1099,26 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
     ranges = [(compile_expr(cell.lo_addr)(builtins, None),
                compile_expr(cell.hi_addr)(builtins, None),
                range(cell.lo, cell.hi + 1)) for cell in spec.cells]
+    for lo, hi, _ in ranges:
+        if lo < hi and (lo < 0 or hi > 1 << 64):
+            raise SpecError(f"memory cells mem[{lo:#x} .. {hi:#x}) lie "
+                            "outside the address space 0..2^64-1")
     if sum(max(hi - lo, 0) for lo, hi, _ in ranges) > cap:
         raise DomainTooLarge(
             f"the [params] memory cells number more than the cap of {cap}")
-    cell_addrs = [addr for lo, hi, _ in ranges for addr in range(lo, hi)]
-    cell_domains = [values for lo, hi, values in ranges
-                    for _ in range(lo, hi)]
 
     total = 1
     for size in itertools.chain((p.hi - p.lo + 1 for p in spec.scalars),
-                                map(len, cell_domains)):
+                                (len(values) for lo, hi, values in ranges
+                                 for _ in range(lo, hi))):
         total *= size
         if total > cap:
             raise DomainTooLarge(
                 f"enumeration exceeds the cap of {cap} instances")
 
+    # each cell's (addr, value) pairs, shared by the instances that pick them
+    choices = [[(addr, v) for v in values]
+               for lo, hi, values in ranges for addr in range(lo, hi)]
     programs = tuple(programs)
     names = set(builtins) | {p.name for p in spec.scalars}
     construct0 = _constructor(spec, programs, bases, 0, names)
@@ -1106,8 +1130,7 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
             *(range(p.lo, p.hi + 1) for p in spec.scalars)):
         env = dict(builtins)
         env.update(zip(scalar_names, scalar_values))
-        for cell_values in itertools.product(*cell_domains):
-            cells = tuple(zip(cell_addrs, cell_values))
+        for cells in itertools.product(*choices):
             s0 = construct0(env, cells)
             if s0 is None:
                 continue

@@ -631,6 +631,22 @@ def test_a_wide_cell_range_exits_3_naming_the_cap(capsys, tmp_path, hi):
         "the cap of 65536\n")
 
 
+def test_a_cell_range_past_the_top_of_memory_exits_3(capsys, tmp_path):
+    # the cell at 2^64 used to be written at address 0, and this printed
+    # VERDICT: Proven
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    text = (CORPUS / "compare_correct.spec").read_text()
+    spec = tmp_path / "wrap.spec"
+    spec.write_text(text.replace(
+        "mem[10 .. 12) in 0..1",
+        "mem[0xffffffffffffffff .. 0x10000000000000001) in 0..1"))
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err == ("error: memory cells mem[0xffffffffffffffff .. "
+                   "0x10000000000000001) lie outside the address space "
+                   "0..2^64-1\n")
+
+
 def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
     def broken(problem):
         return 1 // 0

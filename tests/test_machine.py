@@ -270,6 +270,60 @@ def test_projected_trace_keeps_addresses_and_taken_bits():
 
 
 # ---------------------------------------------------------------------------
+# the shared image and its step table
+
+def _poisoned(s, pc):
+    """Plant a marker step at pc in the table of s's image, so that a state
+    stepped through the table is told from one whose bytes are decoded."""
+    s.mem.image.steps[pc] = lambda state, nxt: ["from the table"]
+
+
+def test_loaded_states_share_one_image_and_copy_only_what_they_write():
+    s = boot("movi x0, #1\nmovi x1, #2\nhalt")
+    t = s.with_label(mem_label(0x40), 7)
+    assert t.mem.image is s.mem.image and len(t.mem) == len(s.mem) + 1
+    assert t.mem.write(0x40, 0, 1) == s.mem
+    assert hash(t.mem.write(0x40, 0, 1)) == hash(s.mem)
+
+
+def test_a_store_into_the_image_steps_by_its_own_bytes():
+    s = boot("movi x0, #1\nmovi x1, #2\nhalt")
+    word = encode_instruction(Instruction("movi", rd=1, imm=9))
+    rewritten = s._replace(mem=s.mem.write(0x1004, word, 4), pc=0x1004)
+    sibling = s._replace(pc=0x1004)
+    assert run(rewritten, 1).reg(1) == 9 and run(sibling, 1).reg(1) == 2
+    _poisoned(s, 0x1004)
+    assert machine.successors(sibling) == ["from the table"]
+    assert run(rewritten, 1).reg(1) == 9
+    # writing the old word back puts the state on the table again
+    restored = rewritten.mem.write(0x1004, s.mem.read(0x1004, 4), 4)
+    assert machine.successors(sibling._replace(mem=restored)) == \
+        ["from the table"]
+
+
+def test_a_store_outside_the_image_keeps_the_table_in_use():
+    s = boot("movi x0, #1\nstr x0, [x2]\nhalt", x2=0x2000)
+    stored = run(s, 2)
+    assert stored.mem.read(0x2000, 8) == 1 and stored.pc == 0x1008
+    assert machine.is_terminated_at(stored, 0x1008)
+    _poisoned(s, 0x1008)
+    assert machine.successors(stored) == ["from the table"]
+    assert not machine.is_terminated_at(stored, 0x1008)
+
+
+def test_a_fetch_outside_the_image_never_fills_its_table():
+    s = boot("b out\nhalt\nout: halt")
+    image = s.mem.image
+    code = encode_instruction(Instruction("movi", rd=3, imm=5))
+    away = s._replace(mem=s.mem.write(0x3000, code, 4), pc=0x3000)
+    assert run(away, 1).reg(3) == 5
+    assert machine.is_terminated_at(away._replace(pc=0x3004), 0x3004)
+    assert machine.is_stuck(away._replace(pc=0x100000))
+    assert all(image.lo <= pc < image.hi for pc in image.steps)
+    assert run(s, 5).pc == 0x1008 and set(image.steps) == {0x1000, 0x1008}
+
+
+# ---------------------------------------------------------------------------
 # labels, deltas, frames
 
 def test_label_readback_round_trip():

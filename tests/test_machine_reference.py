@@ -17,16 +17,28 @@ unmapped targets and undecodable fetches. Every state reached within a
 few steps is stepped by both cores, and their successor lists must agree
 in order, equality and hash. Two fixed programs, run before the drawn
 ones, make sure every run covers wrapping arithmetic, a fork, a branch
-event, a store over executed code and a rewritten loop.
+event, a store over executed code and a rewritten loop. The same draws
+run once more over a shared program image, whose step table they fill
+and whose span their stores write into.
+
+`RefMem` is the dict-backed byte store that `Mem` was before it became a
+shared image plus a per-state overlay, kept verbatim but for its name,
+and `ref_mask_mem` is the memory part of the `mask_labels` of that time.
+Drawn images take drawn sequences of writes and masks; the new `Mem`,
+once over the image and once over no image, must read, list, count and
+compare like the reference, and equal contents must hash equal.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import itertools
+from typing import Iterator, Optional
+
 from relhoare import asm, machine
 from relhoare.machine import (
     EVENTS, FLAG_N, FLAG_Z, LOAD_SIZES, MASK64, OPCODES, PC, STORE_SIZES,
-    WORD, Instruction, MachineState, Mem, branch_event,
+    WORD, Image, Instruction, MachineState, Mem, branch_event,
     encode_instruction, load_event, mem_label, reg_label, store_event,
 )
 
@@ -295,3 +307,207 @@ def test_state_updates_match_the_frozen_ones(s, i, value, pc):
     for kw in ({"mem": mem}, {"events": events}, {"flag_n": 1, "flag_z": 0},
                {"regs": tuple(range(16)), "pc": pc, "mem": mem}):
         assert_same_state(s._replace(**kw), ref_replace(s, **kw))
+
+
+def over_an_image(s: MachineState) -> MachineState:
+    """s with its program slots as a shared image, and its other bytes
+    (none, as drawn) written over that."""
+    code = bytes(s.mem.get(BASE + k) for k in range(WORD * SLOTS))
+    mem = Image(BASE, code).mem.write_cells(
+        (a, v) for a, v in s.mem.items()
+        if not BASE <= a < BASE + WORD * SLOTS)
+    assert mem == s.mem and hash(mem) == hash(s.mem)
+    return s._replace(mem=mem)
+
+
+@given(start_states())
+@settings(max_examples=200, deadline=None)
+def test_successors_over_a_shared_image_match_the_frozen_interpreter(s0):
+    # every reached state shares the image and its step table; a store
+    # into the span sends its state, and those after it, to the bytes
+    for s in reached(over_an_image(s0)):
+        new, ref = machine.successors(s), ref_successors(s)
+        assert len(new) == len(ref)
+        for t, u in zip(new, ref):
+            assert_same_state(t, u)
+        for a in (s.pc, s.pc + 1, BASE):
+            assert machine.is_terminated_at(s, a) == \
+                ref_is_terminated_at(s, a)
+
+
+# ---------------------------------------------------------------------------
+# the frozen memory
+
+class RefMem:
+    """Immutable sparse byte store. Unwritten bytes read as zero and zero
+    bytes are never stored, so equal contents mean equal objects' dicts."""
+
+    __slots__ = ("_d", "_hash")
+
+    def __init__(self, entries: Optional[dict] = None):
+        self._d = dict(entries) if entries else {}
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def _adopt(cls, d: dict) -> "RefMem":
+        """A RefMem over a dict no one else holds, without copying it."""
+        m = cls.__new__(cls)
+        m._d, m._hash = d, None
+        return m
+
+    def get(self, addr: int) -> int:
+        return self._d.get(addr & MASK64, 0)
+
+    def read(self, addr: int, size: int) -> int:
+        value = 0
+        for k in range(size):
+            value |= self._d.get((addr + k) & MASK64, 0) << (8 * k)
+        return value
+
+    def write(self, addr: int, value: int, size: int) -> "RefMem":
+        d = dict(self._d)
+        for k in range(size):
+            a = (addr + k) & MASK64
+            byte = (value >> (8 * k)) & 0xFF
+            if byte:
+                d[a] = byte
+            else:
+                d.pop(a, None)
+        return RefMem._adopt(d)
+
+    def write_bytes(self, addr: int, data: bytes) -> "RefMem":
+        return self.write_cells(enumerate(data, addr))
+
+    def write_cells(self, cells) -> "RefMem":
+        """Write one byte per (addr, value) pair, in order, in one copy."""
+        d = dict(self._d)
+        for addr, value in cells:
+            a = addr & MASK64
+            byte = value & 0xFF
+            if byte:
+                d[a] = byte
+            else:
+                d.pop(a, None)
+        return RefMem._adopt(d)
+
+    def addresses(self) -> Iterator[int]:
+        return iter(self._d)
+
+    def items(self):
+        return self._d.items()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RefMem) and self._d == other._d
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._d.items()))
+        return self._hash
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __repr__(self) -> str:
+        return f"Mem({len(self._d)} bytes set)"
+
+
+def ref_mask_mem(mem: RefMem, mem_clear: set) -> RefMem:
+    return RefMem._adopt({a: v for a, v in mem.items()
+                          if a not in mem_clear})
+
+
+# ---------------------------------------------------------------------------
+# memory diffs
+
+TOP = (1 << 64) - 32  # an image there ends at the top of memory
+# few byte values, so that writes often put back the image's own byte
+byte_values = st.sampled_from([0, 0, 1, 2, 0xFF])
+
+
+@st.composite
+def images(draw) -> tuple:
+    base = draw(st.sampled_from([0, BASE, TOP]))
+    data = bytes(draw(st.lists(byte_values, max_size=32)))
+    return base, data
+
+
+def mem_ops(base: int, size: int):
+    """Writes, byte lists, cell lists and masks at addresses in, around
+    and far from the image [base, base + size)."""
+    addrs = st.one_of(st.integers(base - 6, base + size + 6),
+                      st.sampled_from([0, 1, BASE, MASK64, MASK64 - 2]))
+    values = st.one_of(byte_values, st.integers(0, MASK64),
+                       st.integers(-(1 << 70), 1 << 70))
+    return st.lists(st.one_of(
+        st.tuples(st.just("write"), addrs, values, st.sampled_from([1, 4, 8])),
+        st.tuples(st.just("bytes"), addrs,
+                  st.lists(byte_values, max_size=6).map(bytes)),
+        st.tuples(st.just("cells"),
+                  st.lists(st.tuples(addrs, st.integers(0, 0x1FF)),
+                           max_size=6)),
+        st.tuples(st.just("mask"), st.sets(addrs, max_size=6))),
+        max_size=10)
+
+
+def apply_op(mem, op):
+    kind, *args = op
+    if kind == "write":
+        return mem.write(*args)
+    if kind == "bytes":
+        return mem.write_bytes(*args)
+    if kind == "cells":
+        return mem.write_cells(args[0])
+    clear = {a & MASK64 for a in args[0]}
+    if isinstance(mem, RefMem):
+        return ref_mask_mem(mem, clear)
+    s = machine.zeroed_state()._replace(mem=mem)
+    return machine.mask_labels(s, frozenset(map(mem_label, clear))).mem
+
+
+def assert_same_mem(new: Mem, ref: RefMem, probes) -> None:
+    assert dict(new.items()) == dict(ref.items())
+    assert set(new.addresses()) == set(ref.addresses())
+    assert len(new) == len(ref) and repr(new) == repr(ref)
+    for a in probes:
+        assert new.get(a) == ref.get(a)
+        for size in (1, 4, 8):
+            assert new.read(a, size) == ref.read(a, size)
+
+
+@given(st.data(), images())
+@settings(max_examples=300, deadline=None)
+def test_mem_over_an_image_matches_the_frozen_store(data, image):
+    base, code = image
+    ops = data.draw(mem_ops(base, len(code)))
+    shared = Image(base, code)
+    # the same contents over the image, over an equal copy of it, and
+    # over no image at all
+    mems = [shared.mem, Image(base, code).mem,
+            Mem().write_bytes(base, code)]
+    ref = RefMem().write_bytes(base, code)
+    probes = sorted({base - 1, base, base + len(code) - 1, base + len(code),
+                     0, MASK64, MASK64 - 3} | set(ref.addresses()))
+    history = [(mems[0], ref)]
+    for op in ops:
+        mems = [apply_op(m, op) for m in mems]
+        ref = apply_op(ref, op)
+        for m in mems:
+            assert_same_mem(m, ref, probes)
+            assert m == mems[0] and hash(m) == hash(mems[0])
+            assert m == Mem(dict(ref.items()))
+            assert hash(m) == hash(Mem(dict(ref.items())))
+        history.append((mems[0], ref))
+    for m0, r0 in history:
+        for m1, r1 in history:
+            assert (m0 == m1) == (r0 == r1)
+            if r0 == r1:
+                assert hash(m0) == hash(m1)
+
+
+def test_mems_that_differ_in_small_bytes_hash_apart():
+    # summing plain tuple hashes gives only 141 distinct values for these
+    # 1,296 contents, and dicts keyed by such states slow to a crawl
+    cells = (10, 11, 20, 21)
+    mems = [Image(0x1000, b"\x01\x02").mem.write_cells(zip(cells, v))
+            for v in itertools.product(range(1, 7), repeat=4)]
+    assert len(set(map(hash, mems))) == len(mems)

@@ -171,6 +171,23 @@ def test_a_wide_cell_range_is_refused_before_it_is_enumerated():
                             "instances")
 
 
+@pytest.mark.parametrize("cells, named", [
+    ("mem[0xffffffffffffffff .. 0x10000000000000001) in 0..1",
+     "mem[0xffffffffffffffff .. 0x10000000000000001)"),
+    ("mem[0 - 1 .. 1) in 0..1", "mem[-0x1 .. 0x1)")],
+    ids=["past_the_top", "below_zero"])
+def test_a_cell_range_outside_the_address_space_is_refused(cells, named):
+    # such cells used to wrap to the bottom of memory: a byte at 2^64 (or
+    # at -1) was written at 0 (or at 2^64 - 1)
+    with pytest.raises(specfile.SpecError) as e:
+        build_problem(with_cells(cells), CORPUS)
+    assert str(e.value) == (f"memory cells {named} lie outside the address "
+                            "space 0..2^64-1")
+    # a range that ends at the top of memory is still in it
+    top = with_cells("mem[0xfffffffffffffffe .. 0x10000000000000000) in 0..1")
+    assert build_problem(top, CORPUS).count() == 3 * 4 * 4
+
+
 def test_more_cells_than_the_cap_are_refused_with_one_value_each():
     # a single instance, but each of its states writes 300 cells
     spec = with_cells("mem[0x10000 .. 0x1012c) in 0..0")
