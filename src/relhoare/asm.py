@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .machine import (
     FORMATS, MASK64, WORD, LOAD_SIZES, STORE_SIZES, Image, Instruction,
-    MachineState, decode_word, encode_instruction,
+    MachineState, _REG_RE, decode_word, encode_instruction,
 )
 
 
@@ -72,9 +72,10 @@ class Program:
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):")
-_REG_RE = re.compile(r"^x([0-9]|1[0-5])$")
 _INT_RE = re.compile(r"^-?(0x[0-9a-fA-F]+|[0-9]+)$")
-_MEM_RE = re.compile(r"^\[\s*(x(?:[0-9]|1[0-5]))\s*(?:,\s*#(-?(?:0x[0-9a-fA-F]+|[0-9]+))\s*)?\]$")
+# groups: the register, its number, the offset
+_MEM_RE = re.compile(rf"^\[\s*({_REG_RE.pattern})\s*"
+                     r"(?:,\s*#(-?(?:0x[0-9a-fA-F]+|[0-9]+))\s*)?\]$")
 
 
 def _parse_int(text: str) -> int:
@@ -86,7 +87,7 @@ def _strip(line: str) -> str:
 
 
 def _reg(token: str, lineno: int) -> int:
-    m = _REG_RE.match(token.strip())
+    m = _REG_RE.fullmatch(token.strip())
     if not m:
         raise AsmError(f"expected register, got {token.strip()!r}", lineno)
     return int(m.group(1))
@@ -190,7 +191,7 @@ def _operand_tokens(op: str, ops: list, lineno: int) -> list:
     m = _MEM_RE.match(ops[1])
     if not m:
         raise AsmError(f"expected [xN] or [xN, #imm], got {ops[1]!r}", lineno)
-    imm = _parse_int(m.group(2) or "0")
+    imm = _parse_int(m.group(3) or "0")
     _, _, (_, _, width) = fields
     high = (1 << width) - 1
     if not 0 <= imm <= high:

@@ -133,13 +133,12 @@ def _cmd_disasm(args) -> int:
 
 def _parse_reg_flag(text: str) -> tuple:
     name, _, value = text.partition("=")
-    m = specfile._REG_RE.match(name.strip())
+    m = machine._REG_RE.fullmatch(name.strip())
     try:
         v = int(value, 0)
     except ValueError:
         v = None
-    if (not m or int(m.group(1)) >= 16 or v is None
-            or not 0 <= v <= machine.MASK64):
+    if not m or v is None or not 0 <= v <= machine.MASK64:
         raise argparse.ArgumentTypeError(
             f"wants xN=V with N in 0..15 and V in "
             f"0..{machine.MASK64:#x}, got {text!r}")

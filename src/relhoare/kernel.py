@@ -789,7 +789,7 @@ class Checked:
     """Evidence from a direct check: per-instance reached frontier."""
 
     instances: int
-    reached: tuple  # aligned with states or pairs
+    reached: Sequence  # aligned with states or pairs; may be a LazyTuple
 
 
 @dataclass(frozen=True)
@@ -837,17 +837,20 @@ def judgment_signature(j: Judgment) -> tuple:
 def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
                   budget: int) -> Verdict:
     """Budgeted check of the step-free triple, one instance at a time.
-    The first non-proven instance decides the verdict."""
+    The first non-proven instance decides the verdict. A Proven verdict's
+    `reached` frontiers are searched for again on first read."""
     enum.validate()
     warnings = () if enum.states else ("EmptyPrecondition",)
-    reached = []
+
+    def search(s):
+        q, f = _at(post, s), _at(frame, s)
+        return _ev_search(sys, s, lambda t: q.holds(t) and f.related(s, t),
+                          budget, sys.finite_hint, q.pcs)
+
     for s in enum.states:
-        q = _at(post, s)
-        f = _at(frame, s)
-        target = lambda t, q=q, f=f, s=s: q.holds(t) and f.related(s, t)
-        outcome, reason, choices, witness, frontier = _ev_search(
-            sys, s, target, budget, sys.finite_hint, q.pcs)
+        outcome, reason, choices, witness, _ = search(s)
         if outcome == "refuted":
+            q, f = _at(post, s), _at(frame, s)
             ce = Counterexample(reason, s, choices, witness,
                                 detail=f"post {q.description!r} with frame "
                                        f"{f.description!r}")
@@ -855,9 +858,9 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
         if outcome == "unknown":
             return unknown(instances=len(enum.states), budget=budget,
                            warnings=warnings)
-        reached.append(tuple(frontier))
     return proven(instances=len(enum.states), warnings=warnings,
-                  reached=tuple(reached))
+                  reached=LazyTuple(lambda: (tuple(search(s)[4])
+                                             for s in enum.states)))
 
 
 def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
@@ -865,15 +868,16 @@ def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
     """Exact-count check. Resolves the step count per start state, from a
     StepFn or a tuple aligned with the states, and in the same walk
     requires the post and frame on the whole depth-n frontier with no
-    earlier stuck state. Never Unknown."""
+    earlier stuck state. Never Unknown. A Proven verdict's `reached`
+    frontiers are walked again, at the resolved counts, on first read."""
     enum.validate()
     warnings = () if enum.states else ("EmptyPrecondition",)
-    resolved, reached = [], []
+    resolved = []
     for i, s in enumerate(enum.states):
         q = _at(post, s)
         f = _at(frame, s)
         target = lambda t, q=q, f=f, s=s: q.holds(t) and f.related(s, t)
-        n, finals, fail = _explore(sys, s, _rule(steps, i, sys, s), target)
+        n, _, fail = _explore(sys, s, _rule(steps, i, sys, s), target)
         resolved.append(n)
         if fail is not None:
             reason, depth, witness = fail
@@ -881,9 +885,11 @@ def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
                                 witness, detail=f"exact step count {n}")
             return refuted(ce, instances=len(enum.states),
                            steps=tuple(resolved), warnings=warnings)
-        reached.append(finals)
-    return proven(instances=len(enum.states), steps=tuple(resolved),
-                  warnings=warnings, reached=tuple(reached))
+    resolved = tuple(resolved)
+    return proven(instances=len(enum.states), steps=resolved,
+                  warnings=warnings, reached=LazyTuple(lambda: (
+                      _explore(sys, s, n, None)[1]
+                      for s, n in zip(enum.states, resolved))))
 
 
 def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
@@ -1191,8 +1197,8 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
                 f"step {len(v.counterexample.choices)})")
         stops.append((xw, n))
     parts = PcParts(enum, x0, tuple(stops))
-    evidence = Checked(instances=len(enum.states), reached=tuple(stops))
-    return Judgment("eventually_n_at_pc", sys, parts, evidence)
+    return Judgment("eventually_n_at_pc", sys, parts,
+                    Checked(instances=len(enum.states), reached=()))
 
 
 # ---------------------------------------------------------------------------
@@ -1272,6 +1278,19 @@ def _reached(j: Judgment) -> tuple:
     return j.evidence.reached
 
 
+def _all_reached(j: Judgment, holds: Callable, failure: str,
+                 reached=None) -> None:
+    """Every state (or pair) j reaches from each start satisfies
+    holds(start, state), else SideConditionFailed(failure). reached is
+    _reached(j) when the caller has read it already."""
+    p = j.parts
+    starts = p.pairs.pairs if j.form == "ensures2" else p.enum.states
+    for s, finals in zip(starts, _reached(j) if reached is None else reached):
+        for t in finals:
+            if not holds(s, t):
+                raise SideConditionFailed(failure)
+
+
 def apply_rule(rule_id: str, premises: Sequence[Judgment],
                side_inputs: Optional[Mapping] = None) -> Judgment:
     """Apply one audited proof rule. Side conditions are discharged by
@@ -1312,17 +1331,12 @@ def _rule_post(premises, inputs):
     domain = tuple(inputs.get("domain", ()))
     if j.form not in ("ensures", "ensures_n"):
         raise SchemaMismatch("post applies to unary judgments")
-    states = j.parts.enum.states
-    for s, finals in zip(states, _reached(j)):
-        q = _at(new_post, s)
-        for t in finals:
-            if not q.holds(t):
-                raise SideConditionFailed(
-                    "weakened postcondition fails on a reached state")
+    _all_reached(j, lambda s, t: _at(new_post, s).holds(t),
+                 "weakened postcondition fails on a reached state")
     # tables are keyed by start state; each distinct (old, new) pair of
     # conditions is compared on the domain once
     for old_q, new_q in dict.fromkeys((_at(j.parts.post, s), _at(new_post, s))
-                                      for s in states):
+                                      for s in j.parts.enum.states):
         for t in domain:
             if old_q.holds(t) and not new_q.holds(t):
                 raise SideConditionFailed(
@@ -1343,11 +1357,8 @@ def _rule_frame(premises, inputs):
             raise SideConditionFailed(
                 "extended frame does not contain the old label set")
     else:
-        for s, finals in zip(j.parts.enum.states, _reached(j)):
-            for t in finals:
-                if not _at(new_frame, s).related(s, t):
-                    raise SideConditionFailed(
-                        "extended frame fails on a reached state")
+        _all_reached(j, lambda s, t: _at(new_frame, s).related(s, t),
+                     "extended frame fails on a reached state")
     return replace(j.parts, frame=new_frame), j.form
 
 
@@ -1356,14 +1367,11 @@ def _rule_seq(premises, inputs):
     _expect_form(j1, "ensures", "first premise")
     _expect_form(j2, "ensures", "second premise")
     mid_states = set(j2.parts.enum.states)
-    mids_by_state = {}
-    for s, finals in zip(j1.parts.enum.states, _reached(j1)):
-        mids_by_state[s] = tuple(finals)
-        for t in finals:
-            if t not in mid_states:
-                raise SideConditionFailed(
-                    "a state reached by the first premise is not covered "
-                    "by the second premise's precondition")
+    reached = _reached(j1)
+    _all_reached(j1, lambda s, t: t in mid_states,
+                 "a state reached by the first premise is not covered by "
+                 "the second premise's precondition", reached)
+    mids_by_state = dict(zip(j1.parts.enum.states, reached))
     f1 = j1.parts.frame if isinstance(j1.parts.frame, FrameFn) else None
     f2 = j2.parts.frame if isinstance(j2.parts.frame, FrameFn) else None
     if f1 is None or f2 is None:
@@ -1417,12 +1425,9 @@ def _rule_loop(premises, inputs):
             "or one marked transitive)")
     for ja, jb in zip(premises, premises[1:]):
         allowed = set(jb.parts.enum.states)
-        for s, finals in zip(ja.parts.enum.states, _reached(ja)):
-            for t in finals:
-                if t not in allowed:
-                    raise SideConditionFailed(
-                        "an invariant stage does not cover the states "
-                        "reached by the previous stage")
+        _all_reached(ja, lambda s, t: t in allowed,
+                     "an invariant stage does not cover the states reached "
+                     "by the previous stage")
     parts = EnsuresParts(premises[0].parts.enum, premises[-1].parts.post,
                          frame, sum(j.parts.budget for j in premises))
     return parts, "ensures"
@@ -1652,12 +1657,8 @@ def _rule_post2(premises, inputs):
     (j,) = premises
     _expect_form(j, "ensures2", "premise")
     new_post = inputs["post"]
-    for pair, finals in zip(j.parts.pairs.pairs, _reached(j)):
-        q = _at(new_post, pair)
-        for a, b in finals:
-            if not q.holds(a, b):
-                raise SideConditionFailed(
-                    "weakened pair postcondition fails on a reached pair")
+    _all_reached(j, lambda pair, ab: _at(new_post, pair).holds(*ab),
+                 "weakened pair postcondition fails on a reached pair")
     return replace(j.parts, post2=new_post), "ensures2"
 
 
@@ -1677,11 +1678,8 @@ def _rule_frame2(premises, inputs):
                     "extended pair frame does not contain the old one")
             intensional = True
     if not intensional:
-        for pair, finals in zip(j.parts.pairs.pairs, _reached(j)):
-            for pq in finals:
-                if not _at(new_frame, pair).related(pair, pq):
-                    raise SideConditionFailed(
-                        "extended pair frame fails on a reached pair")
+        _all_reached(j, lambda p, pq: _at(new_frame, p).related(p, pq),
+                     "extended pair frame fails on a reached pair")
     return replace(j.parts, frame2=new_frame), "ensures2"
 
 

@@ -38,8 +38,9 @@ reassembles to the original bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -110,6 +111,11 @@ EVENTS = Label("events")
 
 def reg_label(i: int) -> Label:
     return Label("reg", i)
+
+
+# a register's name, x0 to x15 with no leading zero; the assembler, spec
+# files and `run --reg` all read register names by this one rule
+_REG_RE = re.compile(r"x([0-9]|1[0-5])")
 
 
 _REG_LABELS = tuple(reg_label(i) for i in range(16))
@@ -376,7 +382,6 @@ _SPARE = {op: ((1 << 24) - 1) & ~sum(((1 << width) - 1) << shift
           for op, (_, fields) in FORMATS.items()}
 
 
-@lru_cache(maxsize=65536)
 def decode_word(word: int) -> Optional[Instruction]:
     """Decode one 32-bit word, or None. Bits an opcode's fields do not use
     must be zero; anything else, including the all-zero stopper word, is
@@ -561,9 +566,6 @@ def _compile(ins: Instruction) -> Callable:
     return step
 
 
-# compiled steps by instruction word; a store over code changes the word
-# fetched, so a rewritten instruction never meets the step of the old one
-_STEPS: dict = {}
 _UNSEEN = object()
 
 
@@ -571,20 +573,13 @@ def _step_at(mem: Mem, pc: int) -> Optional[Callable]:
     """The compiled step of the word at pc, or None where it does not
     decode. While a Mem's overlay leaves its image's span alone, a pc
     inside that span is one lookup in the image's table, filled on the
-    first fetch there; every other fetch reads and decodes the bytes."""
+    first fetch there; every other fetch reads, decodes and compiles the
+    bytes."""
     step = mem._steps.get(pc, _UNSEEN)
     if step is not _UNSEEN:
         return step
-    word = mem.read(pc, WORD)
-    ins = decode_word(word)
-    if ins is not None:
-        step = _STEPS.get(word)
-        if step is None:
-            if len(_STEPS) >= 65536:
-                _STEPS.clear()
-            step = _STEPS[word] = _compile(ins)
-    else:
-        step = None
+    ins = decode_word(mem.read(pc, WORD))
+    step = None if ins is None else _compile(ins)
     image = mem.image
     if mem._steps is image.steps and image.lo <= pc and pc + WORD <= image.hi:
         image.steps[pc] = step

@@ -175,8 +175,6 @@ class _Tokens:
         return self.i >= len(self.toks)
 
 
-_REG_RE = re.compile(r"^x(\d{1,2})$")
-
 _CALLS = {"min": 2, "max": 2, "prefixlen": 3, "mem1": 1, "mem4": 1,
           "mem8": 1}
 _MEM_SIZES = {"mem1": 1, "mem4": 4, "mem8": 8}
@@ -220,8 +218,8 @@ def _parse_atom(ts: _Tokens):
     if t[0] != "name":
         raise SpecSyntaxError(f"unexpected token {t[1]!r}", ts.line)
     name = t[1]
-    m = _REG_RE.match(name)
-    if m and int(m.group(1)) < 16:
+    m = machine._REG_RE.fullmatch(name)
+    if m:
         return ("reg", int(m.group(1)))
     if name == "pc":
         return ("pc",)
@@ -344,8 +342,7 @@ def _parse_label_items(ts: _Tokens):
         t = ts.next()
         if t[0] == "name" and t[1] in _LABEL_NAMES:
             items.append(("label", _LABEL_NAMES[t[1]]))
-        elif t[0] == "name" and _REG_RE.match(t[1]) \
-                and int(t[1][1:]) < 16:
+        elif t[0] == "name" and machine._REG_RE.fullmatch(t[1]):
             items.append(("label", machine.reg_label(int(t[1][1:]))))
         elif t[0] == "name" and t[1] == "mem":
             ts.expect_op("[")

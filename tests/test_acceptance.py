@@ -6,6 +6,9 @@ scale and within the stated time budget. The conftest hook prints an
 run reads as a checklist.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,7 +19,7 @@ from relhoare.kernel import Enumeration, PairEnumeration, PairProperty, prop
 from relhoare.machine import (Instruction, decode_word, encode_instruction,
                               reg_label, zeroed_state)
 
-from conftest import CORPUS, load_problem
+from conftest import CORPUS, ROOT, load_problem
 
 ANY = kernel.FrameFn(lambda s, t: True, description="anything")
 ANY2 = kernel.product_frame(ANY, ANY)
@@ -268,3 +271,45 @@ def test_criterion_11_every_encoding_round_trips():
         assert len(program.data) % 4 == 0
         assert asm.assemble(asm.disassemble(program.data)).data \
             == program.data
+
+
+# 12. ---------------------------------------------------------------------
+
+# a child that checks one spec and then prints its own peak RSS in KiB
+_PEAK_CHILD = """
+import resource, sys
+from relhoare.cli import main
+code = main(["check", sys.argv[1]])
+print("exit", code, "peak_kib",
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_criterion_12_unary_scale_point_in_bounded_memory(tmp_path):
+    # compare_correct.spec with both buffers widened to 12 byte values:
+    # 3 * 144 * 144 = 62,208 instances
+    (tmp_path / "compare.masm").write_text(
+        (CORPUS / "compare.masm").read_text())
+    text = (CORPUS / "compare_correct.spec").read_text()
+    for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
+        old = f"{cells} in 0..1\n"
+        assert old in text
+        text = text.replace(old, f"{cells} in 1..12\n")
+    spec = tmp_path / "compare_correct_wide.spec"
+    spec.write_text(text)
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    t0 = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", _PEAK_CHILD, str(spec)],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path})
+    elapsed_under(t0, 60.0, "unary scale point")
+    lines = child.stdout.splitlines()
+    assert child.returncode == 0, child.stderr
+    assert lines[0] == "VERDICT: Proven"
+    assert lines[1] == ("check: unary on compare_correct_wide.spec, 62208 "
+                        "instance(s)")
+    _, code, _, peak_kib = lines[-1].split()
+    assert code == "0"
+    # the reached frontiers are not kept: about 85 MiB, 130 MiB if they are
+    assert int(peak_kib) / 1024 < 100, f"peak {int(peak_kib) / 1024:.1f} MiB"

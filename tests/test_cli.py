@@ -665,3 +665,43 @@ def test_a_run_of_zero_steps_is_allowed(capsys):
                             "--steps", "0")
     assert code == 0
     assert out.startswith("stopped after 0 step(s) (step limit)\n")
+
+
+# ---------------------------------------------------------------------------
+# register names: x0 to x15, written as the assembler writes them
+
+def test_a_leading_zero_register_in_an_expression_is_an_undeclared_parameter(
+        capsys, tmp_path):
+    # x01 used to read as x1, and this spec came back Proven
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    text = (CORPUS / "compare_correct.spec").read_text()
+    spec = tmp_path / "x01.spec"
+    spec.write_text(text.replace("[pre]\n", "[pre]\nx01 = 10\n"))
+    code, out, err = run_main(capsys, "check", str(spec))
+    line = text.splitlines().index("[pre]") + 2
+    assert (code, out) == (3, "")
+    assert err == f"error: line {line}: parameter 'x01' is not declared\n"
+
+
+def test_a_leading_zero_register_in_a_label_list_is_an_unknown_label(
+        capsys, tmp_path):
+    # x01 used to name x1, so the frame kept x0 and the check refuted
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    text = (CORPUS / "compare_correct.spec").read_text()
+    old = "maychange = pc, x0, "
+    assert old in text
+    spec = tmp_path / "x01.spec"
+    spec.write_text(text.replace(old, "maychange = pc, x01, "))
+    code, out, err = run_main(capsys, "check", str(spec))
+    line = next(i for i, l in enumerate(text.splitlines(), 1)
+                if l.startswith(old))
+    assert (code, out) == (3, "")
+    assert err == f"error: line {line}: unknown label 'x01'\n"
+
+
+def test_a_leading_zero_run_register_is_a_usage_error(capsys):
+    # --reg x07=5 used to set x7
+    code, out, err = run_main(capsys, "run", str(CORPUS / "compare.masm"),
+                              "--steps", "0", "--reg", "x07=5")
+    assert (code, out) == (64, "")
+    assert "--reg: wants xN=V with N in 0..15" in err and "'x07=5'" in err

@@ -845,6 +845,94 @@ def test_audit_replay_replays_a_shared_premise_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reached frontiers, read back on demand
+
+def counting(*edges):
+    """sys_of(*edges) and the list of states it hands to successors."""
+    base, calls = sys_of(*edges), []
+    return dataclasses.replace(
+        base, successors=lambda s: calls.append(s) or base.successors(s)), calls
+
+
+# 0 forks to 1 and 2, which end at 3 and 4; 10 runs on to 12
+FORKS = ((0, 1), (0, 2), (1, 3), (2, 4), (10, 11), (11, 12))
+
+
+@pytest.mark.parametrize("form", ["ensures", "ensures_n"])
+def test_reached_frontiers_are_walked_again_on_first_read_only(form):
+    sys, calls = counting(*FORKS)
+    enum, post = Enumeration((0, 10)), at(3, 4, 12)
+    v = (kernel.check_ensures(sys, enum, post, ANY, budget=8)
+         if form == "ensures" else
+         kernel.check_ensures_n(sys, enum, StepFn.constant(2), post, ANY))
+    assert v.is_proven
+    walked = list(calls)
+    assert sorted(walked) == [0, 1, 2, 10, 11]
+    calls.clear()
+    reached = v.stats["reached"]
+    assert calls == []
+    frontiers = [set(f) for f in reached]
+    assert calls == walked  # each start state walked once more, in order
+    calls.clear()
+    assert [set(f) for f in reached] == frontiers and calls == []
+    # an eager list: every state two steps from each start
+    table = dict.fromkeys(range(13), ())
+    for a, b in FORKS:
+        table[a] += (b,)
+    eager = []
+    for s in enum.states:
+        frontier = {s}
+        for _ in range(2):
+            frontier = {t for x in frontier for t in table[x]}
+        eager.append(frontier)
+    assert frontiers == eager == [{3, 4}, {12}]
+
+
+def test_rule_post_over_a_derived_premise():
+    sys, calls = counting(*FORKS)
+    j = kernel.prove_ensures(sys, Enumeration((0, 10)), at(3, 4, 12), ANY, 8)
+    derived = apply_rule("pre", [j], {"pre": Enumeration((0, 10))})
+    calls.clear()
+    kernel.recheck(derived)
+    walk = len(calls)
+    calls.clear()
+    wider = at(3, 4, 12, 13)
+    j2 = apply_rule("post", [derived], {"post": wider})
+    # the premise is re-checked, then walked again for its reached states
+    assert 0 < len(calls) <= 2 * walk
+    assert (j2.form, j2.parts.enum, j2.parts.post, j2.parts.frame,
+            j2.parts.budget) == ("ensures", derived.parts.enum, wider, ANY, 8)
+    assert j2.evidence.premises == (derived,)
+    assert_derived(j2)
+    with pytest.raises(SideConditionFailed,
+                       match="^weakened postcondition fails on a reached "
+                             "state$"):
+        apply_rule("post", [derived], {"post": at(3, 12)})
+
+
+def test_rule_seq_over_a_derived_first_premise():
+    # 0 forks to 1 and 2, which both step to 3
+    sys = sys_of((0, 1), (0, 2), (1, 3), (2, 3))
+    up = FrameFn(lambda s, t: 0 < t - s <= 2, description="up by 1 or 2")
+    j1 = kernel.prove_ensures(sys, Enumeration((0,)), at(1, 2), up, 4)
+    derived = apply_rule("pre", [j1], {"pre": Enumeration((0,))})
+    j2 = kernel.prove_ensures(sys, Enumeration((1, 2)), at(3), up, 4)
+    seq = apply_rule("seq", [derived, j2])
+    assert (seq.form, seq.parts.enum, seq.parts.post, seq.parts.budget) == (
+        "ensures", j1.parts.enum, j2.parts.post, 8)
+    # the composed frame reaches 3 from 0 only through the middles 1 and 2
+    assert seq.parts.frame.related(0, 3)
+    assert not seq.parts.frame.related(0, 5)
+    assert_derived(seq)
+    short = kernel.prove_ensures(sys, Enumeration((1,)), at(3), up, 4)
+    with pytest.raises(SideConditionFailed,
+                       match="^a state reached by the first premise is not "
+                             "covered by the second premise's "
+                             "precondition$"):
+        apply_rule("seq", [derived, short])
+
+
+# ---------------------------------------------------------------------------
 # one small derivation per rule and conversion: each key of the two
 # registries maps to (premises, inputs), or for a conversion to (premise,
 # aux, the further premises its evidence records)
