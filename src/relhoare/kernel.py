@@ -100,12 +100,22 @@ class StepOracle:
 
     finite_hint marks systems with finitely many states, which lets the
     budgeted search refute through cycle detection. pc_of, when present,
-    reads a program-counter analogue off a state."""
+    reads a program-counter analogue off a state.
+
+    run, when present, is a fast path over successors: run(s, limit,
+    stops) advances s while the state has exactly one successor, at most
+    limit steps, never stepping from a state whose pc (by pc_of) is in
+    the set stops (None: no stops), and returns (the state reached, the
+    steps taken), exactly what iterating successors gives. The walks take
+    straight-line stretches through it; an oracle without one gets a
+    loop over successors. A wrapper that replaces successors must also
+    replace or drop run, since dataclasses.replace keeps the old one."""
 
     successors: Callable[[Any], Sequence[Any]]
     pc_of: Optional[Callable[[Any], int]] = None
     finite_hint: bool = False
     description: str = ""
+    run: Optional[Callable[[Any, int, Optional[frozenset]], tuple]] = None
 
 
 @dataclass(frozen=True)
@@ -564,9 +574,33 @@ def replay(sys: StepOracle, initial, choices: Sequence[int]) -> list:
 _NO_COMMON_STOP = "branches disagree on the termination step count"
 
 
+def _walker(sys: StepOracle):
+    """(run, successors) for one walk over sys: the oracle's own, or for
+    an oracle without a run, a loop over successors that hands the list
+    it computed last, at the state it stopped at, to the walk's next
+    successors call of that state."""
+    if sys.run is not None:
+        return sys.run, sys.successors
+    successors, pc_of, last = sys.successors, sys.pc_of, [None, None]
+
+    def run(s, limit, stops=None):
+        steps = 0
+        while steps < limit and (stops is None or pc_of(s) not in stops):
+            ss = successors(s)
+            if len(ss) != 1:
+                last[:] = s, ss
+                break
+            s, steps = ss[0], steps + 1
+        return s, steps
+
+    return run, lambda s: last[1] if s is last[0] else successors(s)
+
+
 def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
     """The kernel's one walk: the deduplicated frontiers from s, calling
-    successors once per frontier state.
+    successors once per frontier state. A one-state frontier is advanced
+    by the oracle's run instead: to the exact depth, or with an automatic
+    StepFn and no target, to its first fork or stuck state.
 
     n_or_auto is an exact depth or an automatic StepFn, resolved here to
     the first depth at which the whole frontier satisfies target (with no
@@ -579,8 +613,14 @@ def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
     depth = int(n_or_auto.value) if auto else n_or_auto
     if not auto and depth < 0:
         raise StepFnUnresolvable(f"step count {depth} is negative")
+    run, successors = _walker(sys)
+    runs = not auto or target is None  # no target call between depths
     frontier = [s]
-    for k in range(depth + 1):
+    k = 0
+    while k <= depth:
+        if runs and len(frontier) == 1 and k < depth:
+            x, steps = run(frontier[0], depth - k)
+            frontier, k = [x], k + steps
         if auto and target is not None and all(target(x) for x in frontier):
             return k, tuple(frontier), None
         if not auto and k == depth:
@@ -588,7 +628,7 @@ def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
                 if target is not None and not target(x):
                     return depth, (), ("post", depth, x)
             return depth, tuple(frontier), None
-        succs = [sys.successors(x) for x in frontier]
+        succs = [successors(x) for x in frontier]
         stuck = [x for x, ss in zip(frontier, succs) if not ss]
         if stuck:
             if not auto:
@@ -603,6 +643,7 @@ def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
             frontier = list(succs[0])  # one state, nothing to dedupe
         else:
             frontier = list(dict.fromkeys(t for ss in succs for t in ss))
+        k += 1
     raise StepFnUnresolvable(f"no resolution within {depth} steps")
 
 
@@ -644,13 +685,16 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
     s0 and at states whose pc is in pcs. Off finite systems, a state
     outside the guard with one successor is stepped through in its frame
     (one budget, a 0 in the choices, no frame, target call or memo
-    lookup); the memo keeps each frame's first and last state, so a state
-    walked twice is re-walked at most to the next fork. Where a
-    stepped-through state recurs deeper, that may give unknown where the
-    full memo proves. A wrong guard never proves."""
+    lookup), and the states after it that are also outside the guard and
+    have one successor go by in one run of the oracle; the memo keeps
+    each frame's first and last state, so a state walked twice is
+    re-walked at most to the next fork. Where a stepped-through state
+    recurs deeper, that may give unknown where the full memo proves. A
+    wrong guard never proves."""
     if sys.pc_of is None:
         pcs = None
-    pc_of, successors = sys.pc_of, sys.successors
+    pc_of = sys.pc_of
+    run, successors = _walker(sys)
     proven_states: set = set()
     frontier: set = set()
     # a frame: state, successors, next index, budget, unknown child seen,
@@ -694,9 +738,10 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
                 pop_frame(False, state)
                 continue
             if len(ss) == 1 and not guarded and not finite:
-                frame[0], frame[3] = ss[0], b - 1
-                frame[5] += 1
-                choices.append(0)
+                x, steps = run(ss[0], b - 1, pcs)
+                frame[0], frame[3] = x, b - 1 - steps
+                frame[5] += 1 + steps
+                choices += [0] * (1 + steps)
                 chained = True
                 continue
             frame[1] = succs = ss

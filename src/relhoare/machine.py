@@ -12,7 +12,9 @@ loaded program, plus an overlay of its own that holds only the bytes
 where it differs from the image. Writes copy the overlay, never the
 image. The image also keeps the compiled step of each pc fetched inside
 it, which any state whose overlay leaves the image's span alone looks
-up instead of decoding the word again.
+up instead of decoding the word again, and the compiled straight-line
+stretch from each pc that `run` entered, which such a state executes in
+one call.
 
 Exactly one instruction is nondeterministic: `mulnd` writes the low 64
 bits of the product like `mul` and then forks execution on the N flag,
@@ -210,17 +212,19 @@ class Image:
     built once by `asm.load_program`. It keeps the XOR of its cells'
     hashes, so that a Mem over it hashes in the time of its overlay; a
     table of the compiled step of each pc fetched inside its span [lo,
-    hi) (None where the word there does not decode); and `mem`, the Mem
-    of its bytes alone, which every state with nothing written over them
-    shares."""
+    hi) (None where the word there does not decode); a table of the
+    compiled stretch from each pc that `run` entered inside the span
+    (None where none starts); and `mem`, the Mem of its bytes alone,
+    which every state with nothing written over them shares."""
 
-    __slots__ = ("bytes", "lo", "hi", "hash", "steps", "mem")
+    __slots__ = ("bytes", "lo", "hi", "hash", "steps", "stretches", "mem")
 
     def __init__(self, base: int = 0, data: bytes = b""):
         self.bytes = {base + k: b for k, b in enumerate(data) if b}
         self.lo, self.hi = base, base + len(data)
         self.hash = reduce(xor, map(_cell_hash, self.bytes.items()), 0)
         self.steps: dict = {}
+        self.stretches: dict = {}
         self.mem = _mem(self, {}, self.steps)
 
 
@@ -493,77 +497,101 @@ def zeroed_state() -> MachineState:
 
 
 # ---------------------------------------------------------------------------
-# single-step semantics
+# single-step semantics and compiled stretches
+
+# Each opcode's effect, written once: its kind and a Python expression
+# over its fields, where {n}, {m} and {d} read registers rn, rm and rd,
+# {imm} is the immediate, {jump} the branch offset in bytes, {nxt} the
+# fall-through pc and fz the Z flag. A "set" writes the value to rd, and
+# a "fork" does too before it forks on N; a "cmp" compares the pair; a
+# "branch" goes to the value; a "load" or "store" moves rd from or to
+# the address.
+_EFFECTS = {
+    "movi": ("set", "{imm}"), "movr": ("set", "{n}"),
+    "add": ("set", "({n} + {m}) & M"), "addi": ("set", "({n} + {imm}) & M"),
+    "sub": ("set", "({n} - {m}) & M"), "subi": ("set", "({n} - {imm}) & M"),
+    "mul": ("set", "({n} * {m}) & M"), "umulh": ("set", "({n} * {m}) >> 64"),
+    "mulnd": ("fork", "({n} * {m}) & M"),
+    "cmp": ("cmp", "{n}, {m}"), "cmpi": ("cmp", "{n}, {imm}"),
+    "b": ("branch", "({nxt} + {jump}) & M"),
+    "beq": ("branch", "({nxt} + {jump}) & M if fz else {nxt}"),
+    "bne": ("branch", "{nxt} if fz else ({nxt} + {jump}) & M"),
+    "cbz": ("branch", "{nxt} if {d} else ({nxt} + {jump}) & M"),
+    "cbnz": ("branch", "({nxt} + {jump}) & M if {d} else {nxt}"),
+    "br": ("branch", "{n}"),
+    **{op: ("load", "({n} + {imm}) & M") for op in LOAD_SIZES},
+    **{op: ("store", "({n} + {imm}) & M") for op in STORE_SIZES},
+}
+
+# What each kind does with its value {e}: statements over the flags fn
+# and fz, the memory mem and the next pc `to`, which leave the event the
+# kind appends, if it appends one, in {ev}. {size} is a load's or
+# store's access size.
+_KINDS = {
+    "set": "{d} = {e}",
+    "fork": "{d} = {e}",
+    "cmp": "a, b = {e}\nfn, fz = ((a - b) & M) >> 63, int(a == b)",
+    "branch": "to = {e}\n{ev} = Event('branch', {pc}, to)",
+    "load": "a = {e}\n{d} = mem.read(a, {size})\n"
+            "{ev} = Event('load', a, {size})",
+    "store": "a = {e}\nmem = mem.write(a, {d}, {size})\n"
+             "{ev} = Event('store', a, {size})",
+}
+_WRITES_RD = ("set", "fork", "load")
+_ADDS_EVENT = ("branch", "load", "store")
+_SIZES = {**LOAD_SIZES, **STORE_SIZES}
+_REGS = ", ".join(f"r{i}" for i in range(16))
+
+
+def _effect(op: str, names: dict) -> list:
+    """The lines of op's effect, its operands given by names."""
+    kind, value = _EFFECTS[op]
+    return _KINDS[kind].format(e=value.format(**names), size=_SIZES.get(op),
+                               **names).split("\n")
+
+
+def _define(name: str, lines: list, filename: str) -> Callable:
+    """The function `name` that the source lines define."""
+    scope: dict = {}
+    exec(compile("\n".join(lines) + "\n", filename, "exec"),
+         {"M": MASK64, "Event": Event, "_make": _make}, scope)
+    return scope[name]
+
+
+_STEP_MAKERS: dict = {}  # opcode -> (rd, rn, rm, imm, jump) -> its step
+
 
 def _compile(ins: Instruction) -> Callable:
     """The step of one decoded instruction as a closure (s, nxt) -> the
     successor list, where nxt is the fall-through pc; its fields are
-    bound once here instead of dispatched on at every step."""
-    op, rd, rn, rm, imm = ins.op, ins.rd, ins.rn, ins.rm, ins.imm
-    jump = WORD * ins.off
-    value = {
-        "movi": lambda r: imm,
-        "movr": lambda r: r[rn],
-        "add": lambda r: (r[rn] + r[rm]) & MASK64,
-        "sub": lambda r: (r[rn] - r[rm]) & MASK64,
-        "mul": lambda r: (r[rn] * r[rm]) & MASK64,
-        "mulnd": lambda r: (r[rn] * r[rm]) & MASK64,
-        "umulh": lambda r: (r[rn] * r[rm]) >> 64,
-        "addi": lambda r: (r[rn] + imm) & MASK64,
-        "subi": lambda r: (r[rn] - imm) & MASK64,
-    }.get(op)
-    dest = {
-        "b": lambda s, nxt: (nxt + jump) & MASK64,
-        "beq": lambda s, nxt: (nxt + jump) & MASK64 if s.flag_z == 1 else nxt,
-        "bne": lambda s, nxt: (nxt + jump) & MASK64 if s.flag_z == 0 else nxt,
-        "cbz": lambda s, nxt: nxt if s.regs[rd] else (nxt + jump) & MASK64,
-        "cbnz": lambda s, nxt: (nxt + jump) & MASK64 if s.regs[rd] else nxt,
-        "br": lambda s, nxt: s.regs[rn],
-    }.get(op)
-
-    if value is not None:
-        fork = op == "mulnd"
-
-        def step(s, nxt):
-            regs = list(s.regs)
-            regs[rd] = value(regs)
-            regs = tuple(regs)
-            if fork:
-                return [_make(regs, nxt, 0, s.flag_z, s.mem, s.events),
-                        _make(regs, nxt, 1, s.flag_z, s.mem, s.events)]
-            return [_make(regs, nxt, s.flag_n, s.flag_z, s.mem, s.events)]
-    elif op in ("cmp", "cmpi"):
-        by_reg = op == "cmp"
-
-        def step(s, nxt):
-            a = s.regs[rn]
-            b = s.regs[rm] if by_reg else imm
-            return [_make(s.regs, nxt, ((a - b) & MASK64) >> 63, int(a == b),
-                          s.mem, s.events)]
-    elif dest is not None:
-        def step(s, nxt):
-            to = dest(s, nxt)
-            return [_make(s.regs, to, s.flag_n, s.flag_z, s.mem,
-                          s.events + (Event("branch", s.pc, to),))]
-    elif op in LOAD_SIZES:
-        size = LOAD_SIZES[op]
-
-        def step(s, nxt):
-            regs = list(s.regs)
-            addr = (regs[rn] + imm) & MASK64
-            regs[rd] = s.mem.read(addr, size)
-            return [_make(tuple(regs), nxt, s.flag_n, s.flag_z, s.mem,
-                          s.events + (Event("load", addr, size),))]
-    else:
-        size = STORE_SIZES[op]
-
-        def step(s, nxt):
-            regs = s.regs
-            addr = (regs[rn] + imm) & MASK64
-            return [_make(regs, nxt, s.flag_n, s.flag_z,
-                          s.mem.write(addr, regs[rd], size),
-                          s.events + (Event("store", addr, size),))]
-    return step
+    bound once here instead of dispatched on at every step. Each opcode's
+    maker of such closures is generated from its effect on first use."""
+    op = ins.op
+    make = _STEP_MAKERS.get(op)
+    if make is None:
+        kind = _EFFECTS[op][0]
+        writes = kind in _WRITES_RD
+        body = ["r = list(s.regs)" if writes else "r = s.regs",
+                "fz, mem = s.flag_z, s.mem"]
+        body += _effect(op, dict(d="r[rd]", n="r[rn]", m="r[rm]",
+                                 imm="imm", jump="jump", nxt="nxt",
+                                 pc="s.pc", ev="ev"))
+        if kind == "fork":
+            body += ["r = tuple(r)",
+                     "return [_make(r, nxt, 0, fz, mem, s.events), "
+                     "_make(r, nxt, 1, fz, mem, s.events)]"]
+        else:
+            events = "s.events + (ev,)" if kind in _ADDS_EVENT else "s.events"
+            body.append(f"return [_make({'tuple(r)' if writes else 'r'}, "
+                        f"{'to' if kind == 'branch' else 'nxt'}, "
+                        f"{'fn' if kind == 'cmp' else 's.flag_n'}, fz, mem, "
+                        f"{events})]")
+        make = _STEP_MAKERS[op] = _define(
+            "make", ["def make(rd, rn, rm, imm, jump):",
+                     "    def step(s, nxt):"]
+            + ["        " + line for line in body] + ["    return step"],
+            f"<step {op}>")
+    return make(ins.rd, ins.rn, ins.rm, ins.imm, WORD * ins.off)
 
 
 _UNSEEN = object()
@@ -586,6 +614,49 @@ def _step_at(mem: Mem, pc: int) -> Optional[Callable]:
     return step
 
 
+def _stretch_at(image: Image, pc: int):
+    """The image's straight-line stretch from pc as (run, length, pcs),
+    or None where none starts there. A stretch runs from pc up to and
+    including the first branch, `br` or store, and stops before a
+    `mulnd`, a word that does not decode and the image's end; run(s)
+    executes it in one call, with the registers in locals, for a state
+    whose overlay leaves the image's span alone. Each is generated on the
+    first reach of its pc, which must lie inside the span, and kept in
+    the image; the only values in its source are integers: its pcs and
+    the fields decoded from its words."""
+    body, pcs, events, writes = [], [], [], False
+    kind, p = None, pc
+    while p % WORD == 0 and p <= image.hi - WORD:
+        ins = decode_word(image.mem.read(p, WORD))
+        if ins is None or ins.op == "mulnd":
+            break
+        kind = _EFFECTS[ins.op][0]
+        ev = f"e{len(events)}"
+        body += _effect(ins.op, dict(d=f"r{ins.rd}", n=f"r{ins.rn}",
+                                     m=f"r{ins.rm}", imm=ins.imm,
+                                     jump=WORD * ins.off, pc=p,
+                                     nxt=(p + WORD) & MASK64, ev=ev))
+        events += [ev] if kind in _ADDS_EVENT else []
+        writes = writes or kind in _WRITES_RD
+        pcs.append(p)
+        p += WORD
+        if kind in ("branch", "store"):
+            break
+    stretch = None
+    if pcs:
+        to = "to" if kind == "branch" else p & MASK64
+        new = "s.events + (" + "".join(e + ", " for e in events) + ")"
+        body.append(f"return _make({f'({_REGS})' if writes else 's.regs'}, "
+                    f"{to}, fn, fz, mem, {new if events else 's.events'})")
+        lines = ["def stretch(s):", f"    {_REGS} = s.regs",
+                 "    fn, fz, mem = s.flag_n, s.flag_z, s.mem"]
+        lines += ["    " + line for line in body]
+        stretch = (_define("stretch", lines, f"<stretch {pc:#x}>"),
+                   len(pcs), frozenset(pcs))
+    image.stretches[pc] = stretch
+    return stretch
+
+
 def successors(s: MachineState) -> list[MachineState]:
     """All one-step successors, in a fixed order. Empty when stuck (pc
     misaligned or fetch undecodable). Only mulnd returns two states."""
@@ -594,6 +665,49 @@ def successors(s: MachineState) -> list[MachineState]:
         return []
     step = _step_at(s.mem, pc)
     return [] if step is None else step(s, (pc + WORD) & MASK64)
+
+
+def run(s: MachineState, limit: int, stops=None) -> tuple:
+    """Advance s while it has exactly one successor, at most limit steps,
+    never stepping from a state whose pc is in stops: (the state reached,
+    the steps taken), exactly what iterating `successors` gives. While
+    the state's overlay leaves its image's span alone, each stretch of the
+    image runs as one call; single steps take over where a stretch is
+    longer than the steps left or holds a pc in stops, and everywhere
+    else."""
+    steps = 0
+    while steps < limit:
+        pc, mem = s.pc, s.mem
+        if stops is not None and pc in stops:
+            return s, steps
+        image = mem.image
+        if mem._steps is not image.steps or not (image.lo <= pc
+                                                 <= image.hi - WORD):
+            break
+        stretch = image.stretches.get(pc, _UNSEEN)
+        if stretch is _UNSEEN:
+            stretch = _stretch_at(image, pc)
+        if stretch is None:  # misaligned, a fork or a stuck state
+            return s, steps
+        go, length, pcs = stretch
+        if length > limit - steps or (stops is not None
+                                      and not pcs.isdisjoint(stops)):
+            break
+        s = go(s)
+        steps += length
+    while steps < limit:
+        pc = s.pc
+        if pc % WORD or stops is not None and pc in stops:
+            break
+        step = _step_at(s.mem, pc)
+        if step is None:
+            break
+        succ = step(s, (pc + WORD) & MASK64)
+        if len(succ) != 1:
+            break
+        s = succ[0]
+        steps += 1
+    return s, steps
 
 
 def is_stuck(s: MachineState) -> bool:
@@ -678,7 +792,8 @@ def oracle() -> "kernel.StepOracle":
     if _ORACLE is None:
         from . import kernel
         _ORACLE = kernel.StepOracle(successors, pc_of=lambda s: s.pc,
-                                    description="fetch-decode-execute machine")
+                                    description="fetch-decode-execute machine",
+                                    run=run)
     return _ORACLE
 
 

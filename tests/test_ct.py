@@ -181,14 +181,18 @@ def test_blocks_whose_keys_disagree_with_a_warm_cache_are_refused():
 
 
 def counting(sys: kernel.StepOracle):
-    """sys with a list of every state handed to successors."""
+    """sys with a list of every state handed to successors or run."""
     calls: list = []
 
     def successors(s):
         calls.append(s)
         return sys.successors(s)
 
-    return dataclasses.replace(sys, successors=successors), calls
+    def run(s, limit, stops=None):
+        calls.append(s)
+        return sys.run(s, limit, stops)
+
+    return dataclasses.replace(sys, successors=successors, run=run), calls
 
 
 def test_the_768_instance_scale_up_is_linear_in_start_states(tmp_path,

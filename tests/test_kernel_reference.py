@@ -47,7 +47,8 @@ from relhoare.kernel import (
 
 from conftest import CORPUS, ROOT, load_problem
 from test_machine_reference import (
-    BASE, FIXED, REWRITE, SLOTS, UNMAPPED, WORD, label_sets, start_states,
+    BASE, FIXED, REWRITE, SLOTS, UNMAPPED, WORD, label_sets, over_an_image,
+    start_states,
 )
 
 
@@ -625,14 +626,20 @@ def test_pc_checks_match_the_reference(g, data):
 # each start state explored once per check
 
 def counting(sys: StepOracle):
-    """sys with a list that records every state handed to successors."""
+    """sys with a list that records every state handed to successors or
+    to its run, if it has one."""
     calls: list = []
 
     def successors(s):
         calls.append(s)
         return sys.successors(s)
 
-    return dataclasses.replace(sys, successors=successors), calls
+    def run(s, limit, stops=None):
+        calls.append(s)
+        return sys.run(s, limit, stops)
+
+    return dataclasses.replace(sys, successors=successors,
+                               run=run if sys.run else None), calls
 
 
 # 0 forks to 1 and 2, which join at 3; 4 is a stuck end
@@ -845,8 +852,8 @@ def test_a_wrong_guard_never_proves_on_finite_systems(g, data):
                     "proven"
 
 
-def _bench_unary_specs(work: Path) -> list:
-    """The benchmark's `unary` workload specs at its default seed,
+def _bench_specs(workload: str, work: Path) -> list:
+    """The benchmark's generated specs of workload at its default seed,
     written into work."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
@@ -857,7 +864,7 @@ def _bench_unary_specs(work: Path) -> list:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    inputs = workloads.generate("unary", workloads.DEFAULT_SEED, work)
+    inputs = workloads.generate(workload, workloads.DEFAULT_SEED, work)
     return [Path(p) for _, p in sorted(inputs.items())]
 
 
@@ -871,8 +878,8 @@ def _report(path: Path) -> tuple:
 @pytest.fixture(scope="module")
 def spec_paths(tmp_path_factory) -> list:
     """Every corpus spec and every `unary` benchmark spec."""
-    return sorted(CORPUS.glob("*.spec")) + _bench_unary_specs(
-        tmp_path_factory.mktemp("bench_unary"))
+    return sorted(CORPUS.glob("*.spec")) + _bench_specs(
+        "unary", tmp_path_factory.mktemp("bench_unary"))
 
 
 def test_every_spec_reports_what_the_reference_reports(spec_paths,
@@ -935,3 +942,82 @@ def test_a_loop_of_forks_is_walked_once_per_fork():
                             frozenset({exit_pc}))
     assert got == want
     assert len(calls) <= reference_calls
+
+
+# ---------------------------------------------------------------------------
+# walks that take whole runs against walks that single-step
+
+NO_RUN = dataclasses.replace(MACHINE, run=None)  # the kernel's own loop
+
+
+@given(start_states(), st.booleans(),
+       st.sampled_from([None] + sorted(TARGETS)))
+@example(FIXED, True, None)
+@example(FORK, True, "n clear")
+@settings(max_examples=200, deadline=None)
+def test_explore_takes_runs_as_it_takes_single_steps(s0, shared, name):
+    # every exact depth up to 16, so that many end inside a stretch, and
+    # automatic counts with budgets that do
+    s0 = over_an_image(s0) if shared else s0
+    target = None if name is None else TARGETS[name]
+    for n in range(17):
+        for rule in (n, StepFn.auto(n)):
+            assert outcome(kernel._explore, MACHINE, s0, rule, target) == \
+                outcome(kernel._explore, NO_RUN, s0, rule, target)
+
+
+@given(start_states(), st.booleans(), guards, st.sampled_from(sorted(TARGETS)))
+@example(FIXED, True, frozenset({BASE + 8, BASE + 36}), "stuck")
+@example(REWRITE, True, frozenset({BASE + 4}), "x0 even")
+@example(FORK, True, frozenset({BASE + 8}), "n clear")
+@settings(max_examples=200, deadline=None)
+def test_ev_search_takes_runs_as_it_takes_single_steps(s0, shared, pcs,
+                                                       name):
+    # guards at any code slot, inside stretches too, and every budget up
+    # to 16, so that many run out inside a stretch
+    s0 = over_an_image(s0) if shared else s0
+    target = guarded(pcs, name)
+    for budget in range(17):
+        assert kernel._ev_search(MACHINE, s0, target, budget, False, pcs) \
+            == kernel._ev_search(NO_RUN, s0, target, budget, False, pcs)
+
+
+def _walks(paths, monkeypatch) -> tuple:
+    """Each spec's report, and the walk, start state, depth or budget and
+    result (or error) of every `_explore` and `_ev_search` call that its
+    check made."""
+    calls: list = []
+
+    def recording(walk, key):
+        def recorded(sys, s, *args):
+            try:
+                result = walk(sys, s, *args)
+            except kernel.KernelError as e:
+                calls.append((walk.__name__, s, key(*args), type(e), str(e)))
+                raise
+            calls.append((walk.__name__, s, key(*args), result))
+            return result
+        return recorded
+
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_explore", recording(
+            kernel._explore, lambda rule, target: rule))
+        m.setattr(kernel, "_ev_search", recording(
+            kernel._ev_search,
+            lambda target, budget, finite, pcs=None: (budget, finite, pcs)))
+        reports = [_report(p) for p in paths]
+    return reports, calls
+
+
+def test_every_spec_walks_with_runs_as_without(tmp_path, monkeypatch):
+    paths = sorted(CORPUS.glob("*.spec"))
+    for workload in ("ct_dense", "sparse_pairs", "unary"):
+        (tmp_path / workload).mkdir()
+        paths += _bench_specs(workload, tmp_path / workload)
+    got = _walks(paths, monkeypatch)
+    monkeypatch.setattr(machine, "_ORACLE", NO_RUN)
+    assert machine.oracle().run is None
+    want = _walks(paths, monkeypatch)
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1]) and got[1] == want[1]
+    assert {c[0] for c in got[1]} == {"_explore", "_ev_search"}

@@ -29,6 +29,7 @@ once over the image and once over no image, must read, list, count and
 compare like the reference, and equal contents must hash equal.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -333,6 +334,115 @@ def test_successors_over_a_shared_image_match_the_frozen_interpreter(s0):
         for a in (s.pc, s.pc + 1, BASE):
             assert machine.is_terminated_at(s, a) == \
                 ref_is_terminated_at(s, a)
+
+
+# ---------------------------------------------------------------------------
+# whole runs
+
+def ref_run(s: MachineState, limit: int, stops) -> tuple:
+    """`machine.run` by iterating the frozen interpreter."""
+    steps = 0
+    while steps < limit and (stops is None or s.pc not in stops):
+        succ = ref_successors(s)
+        if len(succ) != 1:
+            break
+        s, steps = succ[0], steps + 1
+    return s, steps
+
+
+def assert_runs_match(s: MachineState, stops, limits=range(DEPTH + 1)):
+    for limit in limits:
+        got, steps = machine.run(s, limit, stops)
+        want, want_steps = ref_run(s, limit, stops)
+        assert steps == want_steps, (limit, stops)
+        assert_same_state(got, want)
+
+
+STOP_POOL = [BASE + WORD * i for i in range(SLOTS + 1)] + [BASE + 2, UNMAPPED]
+stop_sets = st.one_of(st.none(), st.sets(st.sampled_from(STOP_POOL)).map(
+    frozenset))
+
+
+@given(start_states(), st.booleans(), stop_sets)
+@example(FIXED, True, None)
+@example(FIXED, False, frozenset({BASE + 16}))
+@example(REWRITE, True, frozenset())
+@settings(max_examples=200, deadline=None)
+def test_runs_match_iterating_the_frozen_interpreter(s0, shared, stops):
+    # from the start and the states it reaches, over a shared image, whose
+    # stretches the runs compile and whose span their stores write into,
+    # and over no image at all, where every step is a single step
+    s0 = over_an_image(s0) if shared else s0
+    for s in list(dict.fromkeys(reached(s0)))[:WIDTH]:
+        assert_runs_match(s, stops)
+
+
+def image_state(source: str, base: int = BASE, **regs) -> MachineState:
+    s = asm.load_program(machine.zeroed_state(), asm.assemble(source), base)
+    for i, v in regs.items():
+        s = s.with_reg(int(i[1:]), v)
+    return s
+
+
+def test_a_store_that_rewrites_the_next_instruction_of_its_stretch():
+    # the stretch from BASE ends at the store; the word after it is
+    # rewritten, and its own stretch, compiled by a first run that wrote
+    # elsewhere, must not run the old instruction
+    source = "movi x5, #7\nstrw x1, [x2]\nmovi x3, #1\nhalt"
+    new = encode_instruction(Instruction("movi", rd=3, imm=2))
+    elsewhere = image_state(source, x1=new, x2=UNMAPPED)
+    assert machine.run(elsewhere, 9)[0].regs[3] == 1
+    rewriting = image_state(source, x1=new, x2=BASE + 8)
+    s, steps = machine.run(rewriting, 9)
+    assert steps == 3 and s.regs[3] == 2
+    for t in (elsewhere, rewriting):
+        for stops in (None, frozenset({BASE + 8})):
+            assert_runs_match(t, stops)
+
+
+def test_a_branch_into_the_middle_of_a_compiled_stretch():
+    loop = image_state("movi x0, #1\nmid: addi x1, x1, #1\nsubi x3, x3, #1\n"
+                       "cbnz x3, mid\nhalt", x3=3)
+    s, steps = machine.run(loop, 64)
+    assert steps == 1 + 3 * 3 and s.pc == BASE + 16 and s.regs[1] == 3
+    assert loop.mem.image.stretches[BASE][1] == 4
+    assert loop.mem.image.stretches[BASE + 4][1] == 3
+    for stops in (None, frozenset({BASE + 4}), frozenset({BASE + 8}),
+                  frozenset({BASE + 16})):
+        assert_runs_match(loop, stops, range(14))
+
+
+TOP_CODE = MASK64 + 1 - 2 * WORD  # two words that end at the top of memory
+
+
+@pytest.mark.parametrize("base", [BASE, TOP_CODE])
+def test_a_stretch_that_ends_at_the_image_s_last_word(base):
+    # no stopper: the stretch stops at the image's end, and what lies
+    # past it is read from the state's own bytes
+    ends = image_state("movi x0, #1\naddi x0, x0, #1", base)
+    past = (base + 2 * WORD) & MASK64
+    assert ends.mem.image.stretches == {}
+    s, steps = machine.run(ends, 8)
+    assert steps == 2 and s.pc == past and s.regs[0] == 2
+    assert ends.mem.image.stretches[base][1] == 2
+    word = encode_instruction(Instruction("movi", rd=5, imm=9))
+    more = ends._replace(mem=ends.mem.write(past, word, WORD))
+    s, steps = machine.run(more, 8)
+    assert steps == 3 and s.regs[5] == 9
+    for t in (ends, more):
+        assert_runs_match(t, None)
+        assert_runs_match(t, frozenset({past}))
+
+
+def test_a_mulnd_right_after_a_stretch():
+    fork = image_state("movi x1, #3\naddi x2, x1, #1\nmulnd x3, x1, x2\n"
+                       "movi x4, #1\nhalt")
+    s, steps = machine.run(fork, 8)
+    assert steps == 2 and s.pc == BASE + 8 and len(machine.successors(s)) == 2
+    assert machine.run(s, 8) == (s, 0)
+    for t in [fork] + machine.successors(s):
+        assert_runs_match(t, None)
+        assert_runs_match(t, frozenset({BASE + 4}))
 
 
 # ---------------------------------------------------------------------------
