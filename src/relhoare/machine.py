@@ -43,7 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from operator import xor
+from operator import attrgetter, itemgetter, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 MASK64 = (1 << 64) - 1
@@ -803,5 +803,25 @@ def maychange(labels: Iterable[Label], description: str = "") -> "kernel.FrameFn
     labels = frozenset(labels)
     if not description:
         description = f"maychange {format_labels(labels)}"
-    return kernel.FrameFn(lambda s, t: agrees_outside(s, t, labels),
-                          intensional_form=labels, description=description)
+    return kernel.FrameFn(_related(labels), intensional_form=labels,
+                          description=description)
+
+
+def _related(labels: frozenset) -> Callable:
+    """agrees_outside(s, t, labels) with the label set split once: the
+    registers, pc, flags and trace outside it are compared as tuples, and
+    of two memories only the addresses where they differ are looked up."""
+    regs = [i for i, label in enumerate(_REG_LABELS) if label not in labels]
+    names = [label.kind for label in (PC, FLAG_N, FLAG_Z, EVENTS)
+             if label not in labels]
+    addrs = frozenset(label.arg for label in labels if label.kind == "mem")
+    get = itemgetter(*regs) if regs else (lambda r: ())
+    other = attrgetter(*names) if names else (lambda s: ())
+
+    def related(s, t):
+        a, b = s.regs, t.regs
+        if a is not b and get(a) != get(b) or other(s) != other(t):
+            return False
+        m, n = s.mem, t.mem
+        return m is n or all(map(addrs.__contains__, m.differences(n)))
+    return related

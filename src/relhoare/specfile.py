@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -129,7 +129,13 @@ def _tokenize(text: str, line: int) -> list:
         if m.lastgroup == "hex":
             out.append(("int", int(m.group(), 16)))
         elif m.lastgroup == "int":
-            out.append(("int", int(m.group())))
+            try:
+                out.append(("int", int(m.group())))
+            except ValueError:  # past the int-to-string digit limit
+                raise SpecSyntaxError(
+                    f"a decimal literal of {len(m.group())} digits is longer "
+                    f"than {sys.get_int_max_str_digits()} digits; write it "
+                    "in hex", line) from None
         elif m.lastgroup == "name":
             out.append(("name", m.group()))
         else:
@@ -699,146 +705,164 @@ def _validate(spec: CheckSpec) -> None:
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Each expression or constraint AST is compiled once into a closure over
-# (values, state): values maps parameter and builtin names to integers,
-# and state is the machine state that register, pc and memory reads see,
-# or None where there is none. A closure raises SpecEvalError when its
-# evaluation fails: on an unbound name, on a state read without a state,
-# and when aligned() names a program the check does not have.
+# Each expression and constraint AST, each side's [pre] and [post] lines
+# and each side's start-state constructor is one function generated
+# through machine._define. A condition takes (values, state): values maps
+# parameter and builtin names to integers, and state is the machine state
+# that register, pc and memory reads see, or None. The source holds only
+# integers, operators and fixed local names; any other value (a name, a
+# program's bytes, a helper) is a constant c0, c1, ... of its maker, so
+# no name from the spec reaches the source. Each check compiles its own
+# functions; nothing generated is kept between checks, and a constant
+# expression compiles to no code. Evaluation goes left to right
+# and short-circuits, and the first failure raises SpecEvalError: an
+# unbound name, a state read without a state, aligned() naming a missing
+# program, or a node that cannot be evaluated.
 
-def _need_state(state) -> None:
-    if state is None:
-        raise SpecEvalError("expression reads machine state")
-
-
-def compile_expr(ast) -> Callable[[dict, Any], int]:
-    kind = ast[0]
-    if kind == "int":
-        value = ast[1]
-        return lambda values, state: value
-    if kind == "param" or kind == "builtin":
-        name = ast[1]
-
-        def read(values, state):
-            try:
-                return values[name]
-            except KeyError:
-                raise SpecEvalError(f"unbound name {name!r}")
-        return read
-    if kind == "bin":
-        a, b = compile_expr(ast[2]), compile_expr(ast[3])
-        if ast[1] == "+":
-            return lambda values, state: a(values, state) + b(values, state)
-        if ast[1] == "-":
-            return lambda values, state: a(values, state) - b(values, state)
-        return lambda values, state: a(values, state) * b(values, state)
-    if kind == "reg":
-        i = ast[1]
-
-        def reg(values, state):
-            _need_state(state)
-            return state.regs[i]
-        return reg
-    if kind == "pc":
-        def pc(values, state):
-            _need_state(state)
-            return state.pc
-        return pc
-    if kind == "memread":
-        size, addr = ast[1], compile_expr(ast[2])
-
-        def memread(values, state):
-            _need_state(state)
-            return state.mem.read(addr(values, state) & machine.MASK64, size)
-        return memread
-    if kind == "call":
-        fns = [compile_expr(a) for a in ast[2]]
-        if ast[1] in ("min", "max"):
-            pick = min if ast[1] == "min" else max
-            return lambda values, state: pick([f(values, state) for f in fns])
-
-        def prefixlen(values, state):
-            args = [f(values, state) for f in fns]
-            _need_state(state)
-            a, b, n = args
-            get = state.mem.get
-            k = 0
-            while k < n and get((a + k) & machine.MASK64) \
-                    == get((b + k) & machine.MASK64):
-                k += 1
-            return k
-        return prefixlen
-
-    def fail(values, state):
-        raise SpecEvalError(f"cannot evaluate {kind} node")
-    return fail
+_PY_CMP = dict(zip(_CMP_OPS, ("==", "!=", "<", "<=", ">", ">=")))
+_TRUE = ("cmp", "=", ("int", 0), ("int", 0))  # the empty conjunction
 
 
-_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+def _literal(value: int) -> str:
+    """An integer in hex: a long decimal would not convert."""
+    return f"{value:#x}" if value >= 0 else f"(-{-value:#x})"
 
 
-def compile_constraint(ast, programs=None) -> Callable[[dict, Any], bool]:
+def _negation(ast) -> bool:
+    """Whether a `bin` node is `0 - e`, the parse of a unary minus."""
+    return ast[1] == "-" and ast[2] == ("int", 0)
+
+
+def _fail(message: str, *reads):
+    """Raise message once the source has made the state reads in reads."""
+    raise SpecEvalError(message)
+
+
+def _prefixlen(a: int, b: int, n: int, state) -> int:
+    """The length of the common byte prefix of a and b, up to n."""
+    get, k = state.mem.get, 0
+    while k < n and get((a + k) & machine.MASK64) \
+            == get((b + k) & machine.MASK64):
+        k += 1
+    return k
+
+
+def _eval_error(e: Exception, state) -> Exception:
+    """What a generated function raises for a KeyError (an unbound name)
+    or an AttributeError (a state read without a state)."""
+    if isinstance(e, KeyError):
+        return SpecEvalError(f"unbound name {e.args[0]!r}")
+    return SpecEvalError("expression reads machine state") \
+        if state is None else e
+
+
+class _Source:
+    """Generated source under construction, and the constants it names."""
+
+    def __init__(self, programs=None, line: int = 0):
+        self.programs, self.line = programs, line
+        self.consts: dict = {}  # (type, value) -> its name in the source
+
+    def const(self, value) -> str:
+        return self.consts.setdefault((type(value), value),
+                                      f"c{len(self.consts)}")
+
+    def fail(self, message: str, reads: str = "") -> str:
+        return f"{self.const(functools.partial(_fail, message))}({reads})"
+
+    def expr(self, ast) -> str:
+        kind = ast[0]
+        if kind == "int":
+            return _literal(ast[1])
+        if kind == "param" or kind == "builtin":
+            return f"values[{self.const(ast[1])}]"
+        if kind == "bin":
+            if _negation(ast):  # no parenthesis per unary minus
+                return f"-{self.expr(ast[3])}"
+            op = ast[1] if ast[1] in ("+", "-") else "*"
+            left = self.expr(ast[2])
+            if (ast[2][0] == "bin" and not _negation(ast[2])
+                    and (op == "*") == (ast[2][1] == "*")):
+                left = left[1:-1]  # a left-leaning chain stays flat
+            return f"({left} {op} {self.expr(ast[3])})"
+        if kind == "reg":
+            return f"state.regs[{_literal(ast[1])}]"
+        if kind == "pc":
+            return "state.pc"
+        if kind == "memread":  # state.mem is read before the address
+            return (f"state.mem.read({self.expr(ast[2])} & M, "
+                    f"{_literal(ast[1])})")
+        if kind == "call":
+            args = ", ".join(self.expr(a) for a in ast[2])
+            if ast[1] in ("min", "max"):
+                return f"{'min' if ast[1] == 'min' else 'max'}({args})"
+            return f"{self.const(_prefixlen)}({args}, state)"
+        return self.fail(f"cannot evaluate {kind} node")
+
+    def cond(self, ast) -> str:
+        kind = ast[0]
+        if kind == "and" or kind == "or":
+            left = self.cond(ast[1])
+            if ast[1][0] == kind:
+                left = left[1:-1]
+            return f"({left} {kind} {self.cond(ast[2])})"
+        if kind == "not":
+            return f"not {self.cond(ast[1])}"
+        if kind == "cmp":
+            return (f"{self.expr(ast[2])} {_PY_CMP[ast[1]]} "
+                    f"{self.expr(ast[3])}")
+        if kind == "flag":
+            attr = "flag_n" if ast[1] == "n" else "flag_z"
+            return f"state.{attr} == {self.expr(ast[2])}"
+        if kind == "terminated":
+            return (f"(state.pc == {self.expr(ast[1])} & M and "
+                    f"{self.const(machine.is_terminated_at)}(state, "
+                    "state.pc))")
+        if kind == "aligned":
+            program = self.programs and self.programs[ast[1]]
+            if program is None:
+                return self.fail("aligned() references a missing program",
+                                 "state.pc")
+            # state.pc first: a read without a state fails before the base
+            return (f"(state.pc, {self.const(machine.is_aligned_at)}(state, "
+                    f"{self.expr(ast[2])}, {self.const(program.data)}))[1]")
+        return self.fail(f"cannot evaluate {kind} constraint")
+
+    def define(self, name: str, body: list, prelude: list = (),
+               params: str = "values, state") -> Callable:
+        """The function name(params) that runs the prelude lines and then
+        the body, where an unbound name or a missing state raises its
+        SpecEvalError. Source that Python's parser or compiler refuses as
+        nested too deeply is a SpecSyntaxError on the source's line."""
+        handler = f"raise {self.const(_eval_error)}(e, state)"
+        lines = [*prelude, "try:", *("    " + line for line in body),
+                 "except (KeyError, AttributeError) as e:", "    " + handler]
+        try:
+            make = machine._define(
+                "make", [f"def make({', '.join(self.consts.values())}):",
+                         f"    def {name}({params}):"]
+                + ["        " + line for line in lines]
+                + [f"    return {name}"], "<spec>")
+        except (SyntaxError, RecursionError):
+            raise SpecSyntaxError("expression nested too deeply to compile",
+                                  self.line) from None
+        return make(*(value for _, value in self.consts))
+
+
+def compile_expr(ast, line: int = 0) -> Callable[[dict, Any], int]:
+    """line is the spec line that a compile error names."""
+    if ast[0] == "int":  # a constant, such as a cell address, needs no code
+        return lambda values, state: ast[1]
+    g = _Source(line=line)
+    return g.define("expr", [f"return {g.expr(ast)}"])
+
+
+def compile_constraint(ast, programs=None,
+                       line: int = 0) -> Callable[[dict, Any], bool]:
     """programs is the check's (program0, program1) pair, read by
     aligned(); either may be None."""
-    kind = ast[0]
-    if kind in ("and", "or"):
-        p = compile_constraint(ast[1], programs)
-        q = compile_constraint(ast[2], programs)
-        if kind == "and":
-            return lambda values, state: p(values, state) and q(values, state)
-        return lambda values, state: p(values, state) or q(values, state)
-    if kind == "not":
-        p = compile_constraint(ast[1], programs)
-        return lambda values, state: not p(values, state)
-    if kind == "cmp":
-        op, a, b = _CMP[ast[1]], compile_expr(ast[2]), compile_expr(ast[3])
-        return lambda values, state: op(a(values, state), b(values, state))
-    if kind == "flag":
-        attr = "flag_n" if ast[1] == "n" else "flag_z"
-        bit = compile_expr(ast[2])
-
-        def flag(values, state):
-            _need_state(state)
-            expected = bit(values, state)
-            return getattr(state, attr) == expected
-        return flag
-    if kind == "terminated":
-        addr = compile_expr(ast[1])
-
-        def terminated(values, state):
-            _need_state(state)
-            return machine.is_terminated_at(
-                state, addr(values, state) & machine.MASK64)
-        return terminated
-    if kind == "aligned":
-        base = compile_expr(ast[2])
-        program = None if programs is None else programs[ast[1]]
-
-        def aligned(values, state):
-            _need_state(state)
-            if program is None:
-                raise SpecEvalError("aligned() references a missing program")
-            return machine.is_aligned_at(state, base(values, state),
-                                         program.data)
-        return aligned
-
-    def fail(values, state):
-        raise SpecEvalError(f"cannot evaluate {kind} constraint")
-    return fail
-
-
-def _compile_all(constraints, programs=None) -> Callable:
-    """One closure that holds when every Constraint holds, evaluated in
-    order up to the first that fails."""
-    fns = [compile_constraint(c.ast, programs) for c in constraints]
-    if not fns:
-        return lambda values, state: True
-    holds = fns[0]
-    for q in fns[1:]:
-        holds = (lambda p, q: lambda values, state:
-                 p(values, state) and q(values, state))(holds, q)
-    return holds
+    g = _Source(programs, line)
+    return g.define("holds", [f"return {g.cond(ast)}"])
 
 
 def _guard(ast, names) -> Optional[Callable[[dict], frozenset]]:
@@ -860,6 +884,17 @@ def _guard(ast, names) -> Optional[Callable[[dict], frozenset]]:
             return lambda values: p(values) & q(values)
         return lambda values: p(values) | q(values)
     return None
+
+
+def _too_deep(constraints, programs) -> SpecSyntaxError:
+    """The error of the first of several lines, compiled as one function,
+    that is nested too deeply to compile on its own."""
+    for c in constraints:
+        try:
+            compile_constraint(c.ast, programs, c.line)
+        except SpecSyntaxError as e:
+            return e
+    return SpecSyntaxError("expression nested too deeply to compile", 0)
 
 
 def eval_constraint(ast, values: dict, state=None, programs=None) -> bool:
@@ -900,6 +935,8 @@ class Problem:
                           compare=False)
     _last: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    _frames: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def count(self) -> int:
         return len(self.instances)
@@ -925,9 +962,11 @@ class Problem:
         return tuple(i.state1 if side else i.state0 for i in self.instances)
 
     def frame(self, side) -> kernel.FrameFn:
-        items = self._conditions(self.spec.frames, side)
-        return (machine.maychange(self.resolve_labels(items)) if items
-                else kernel.ANYTHING)
+        if side not in self._frames:
+            items = self._conditions(self.spec.frames, side)
+            self._frames[side] = (machine.maychange(self.resolve_labels(
+                items)) if items else kernel.ANYTHING)
+        return self._frames[side]
 
     def unary_parts(self, post_of: Optional[Callable] = None,
                     description: str = "declared postcondition") -> tuple:
@@ -1028,12 +1067,15 @@ class Problem:
         if key not in self._compiled:
             constraints = self._conditions(getattr(self.spec, section), side)
             names = set(self.builtins) | {p.name for p in self.spec.scalars}
+            ast = functools.reduce(lambda a, b: ("and", a, b),
+                                   [c.ast for c in constraints] or [_TRUE])
+            try:
+                holds = compile_constraint(ast, self.programs)
+            except SpecSyntaxError:
+                raise _too_deep(constraints, self.programs) from None
             self._compiled[key] = (
-                _compile_all(constraints, self.programs),
-                " and ".join(c.text for c in constraints) or "true",
-                _guard(functools.reduce(lambda a, b: ("and", a, b),
-                                        [c.ast for c in constraints]), names)
-                if constraints else None)
+                holds, " and ".join(c.text for c in constraints) or "true",
+                _guard(ast, names))
         holds, text, guard = self._compiled[key]
         prop = kernel.PropertyFn(
             functools.partial(holds, inst.env), text,
@@ -1093,8 +1135,8 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
     # the cells are counted before any list of them is built, and the
     # product stops once past the cap: a wide range is refused at once,
     # with no huge number to format
-    ranges = [(compile_expr(cell.lo_addr)(builtins, None),
-               compile_expr(cell.hi_addr)(builtins, None),
+    ranges = [(compile_expr(cell.lo_addr, cell.line)(builtins, None),
+               compile_expr(cell.hi_addr, cell.line)(builtins, None),
                range(cell.lo, cell.hi + 1)) for cell in spec.cells]
     for lo, hi, _ in ranges:
         if lo < hi and (lo < 0 or hi > 1 << 64):
@@ -1142,35 +1184,63 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
 
 def _constructor(spec, programs, bases, side, names) -> Callable:
     """The builder of one side's initial state from an instance's values
-    and cells: None when a verify-only precondition line filters the
-    instance out. The side's program is loaded once, on first use, and
-    its [pre] lines are compiled once."""
+    and cells, None where a verify-only [pre] line filters the instance
+    out: one generated function that computes each assignment once, in
+    line order, builds the state in one `_make` and then checks the [pre]
+    lines on it in order. The program is loaded once, on first use."""
     constraints = spec.pre.get(side) or spec.pre.get(None, [])
-    assignments = {id(c): a for c in constraints
-                   if (a := _assignment(c, names)) is not None}
-    checks = [(compile_constraint(c.ast, programs), c) for c in constraints]
-    loaded: list = []
-
-    def construct(values, cells):
-        if not loaded:
-            loaded.append(asm.load_program(machine.zeroed_state(),
-                                           programs[side], bases[side]))
-        state = loaded[0]
-        if cells:
-            state = state._replace(mem=state.mem.write_cells(cells))
-        for assign in assignments.values():
-            state = assign(values, state)
-        for holds, c in checks:
-            if not holds(values, state):
-                if id(c) in assignments:
-                    raise SpecEvalError(
-                        f"assignment {c.text!r} does not hold on its own "
-                        "constructed state (conflicting assignments?)",
-                        c.line)
-                return None
-        return state
-
-    return construct
+    targets = [_assignment(c.ast, names) for c in constraints]
+    writers = [t[0] for t in targets if t is not None]
+    g = _Source(programs)
+    load = functools.cache(lambda: asm.load_program(
+        machine.zeroed_state(), programs[side], bases[side]))
+    build, fields, writes, checks = [f"s = {g.const(load)}()"], {}, [], []
+    for k, (c, target) in enumerate(zip(constraints, targets)):
+        if target is None:
+            checks += [f"if not {g.cond(c.ast)}:", "    return None"]
+            continue
+        label, value, bits = target
+        v = f"v{k}"
+        if value[0] == "int" and 0 <= value[1] < 1 << bits:
+            v = _literal(value[1])  # a constant that fits its label
+        else:
+            build += [f"{v} = {g.expr(value)}",
+                      f"if not 0 <= {v} <= {_literal((1 << bits) - 1)}:",
+                      f"    {g.const(functools.partial(_misfit, c, bits))}"
+                      f"({v})"]
+        if label[0] == "mem":
+            writes.append(f"mem = mem.write({g.expr(label[2])} & M, {v}, "
+                          f"{_literal(label[1])})")
+        else:
+            fields[label] = v
+        if label[0] == "mem" or writers.count(label) > 1:
+            # only a later write can make an assignment fail on the state
+            conflict = functools.partial(
+                SpecEvalError, f"assignment {c.text!r} does not hold on "
+                "its own constructed state (conflicting assignments?)",
+                c.line)
+            checks += [f"if not {g.cond(c.ast)}:",
+                       f"    raise {g.const(conflict)}()"]
+    build.append("mem = s.mem.write_cells(cells) if cells else s.mem")
+    build += writes
+    regs = "s.regs"
+    if any(label[0] == "reg" for label in fields):
+        build.append("r = s.regs")
+        items = []  # each run of registers not assigned is one slice
+        for assigned, run in itertools.groupby(
+                range(16), lambda i: ("reg", i) in fields):
+            run = list(run)
+            items += ([fields["reg", i] for i in run] if assigned else
+                      [f"*r[{_literal(run[0])}:{_literal(run[-1] + 1)}]"])
+        regs = "(" + ", ".join(items) + ",)"
+    build.append(f"state = _make({regs}, {fields.get(('pc',), 's.pc')}, "
+                 f"{fields.get(('flag_n',), 's.flag_n')}, "
+                 f"{fields.get(('flag_z',), 's.flag_z')}, mem, s.events)")
+    try:
+        return g.define("construct", checks + ["return state"], build,
+                        "values, cells")
+    except SpecSyntaxError:
+        raise _too_deep(constraints, programs) from None
 
 
 def _stateless(ast, names) -> bool:
@@ -1189,52 +1259,36 @@ def _stateless(ast, names) -> bool:
     return True
 
 
-def _assignment(c: Constraint, names) -> Optional[Callable]:
-    """A precondition line of the shape `label = <expression>` as a
-    function (values, state) -> the state with that label written; None
-    for any other line. The value, and a memory write's address, must
-    evaluate from the instance's values alone: a line that reads machine
-    state or an unbound name is only verified. Every instance binds the
-    same names, so which lines assign is fixed per spec. A value that
-    does not fit the label raises SpecEvalError."""
-    ast = c.ast
+def _assignment(ast, names) -> Optional[tuple]:
+    """A precondition line `label = <expression>` as (("reg", i), ("pc",),
+    ("flag_n",), ("flag_z",) or ("mem", size, address AST); the value's
+    AST; the label's width in bits), None for any other line. The value
+    and a write's address must evaluate from the values every instance
+    binds, names: a line that reads a state or another name is only
+    verified."""
     if ast[0] == "flag":
         if not _stateless(ast[2], names):
             return None
-        label = machine.FLAG_N if ast[1] == "n" else machine.FLAG_Z
-        bit = _fitted(c, compile_expr(ast[2]), 1)
-        return lambda values, state: state.with_label(label, bit(values))
+        return ("flag_n" if ast[1] == "n" else "flag_z",), ast[2], 1
     if ast[0] != "cmp" or ast[1] != "=" or not _stateless(ast[3], names):
         return None
-    lhs, expr = ast[2], compile_expr(ast[3])
+    lhs = ast[2]
     if lhs[0] == "reg":
-        i, value = lhs[1], _fitted(c, expr, 64)
-        return lambda values, state: state.with_reg(i, value(values))
+        return ("reg", lhs[1]), ast[3], 64
     if lhs[0] == "pc":
-        value = _fitted(c, expr, 64)
-        return lambda values, state: state._replace(pc=value(values))
+        return ("pc",), ast[3], 64
     if lhs[0] == "memread" and _stateless(lhs[2], names):
-        size, addr = lhs[1], compile_expr(lhs[2])
-        value = _fitted(c, expr, 8 * size)
-        return lambda values, state: state._replace(mem=state.mem.write(
-            addr(values, None) & machine.MASK64, value(values), size))
+        return ("mem", lhs[1], lhs[2]), ast[3], 8 * lhs[1]
     return None
 
 
-def _fitted(c: Constraint, expr: Callable, bits: int) -> Callable:
-    """An assignment's value as a function of the instance's values,
-    refusing one outside the `bits`-bit label it writes."""
-    hi = (1 << bits) - 1
-    allowed = f"0..{hi}" if bits <= 8 else f"0..2^{bits}-1"
-
-    def value(values) -> int:
-        v = expr(values, None)
-        if not 0 <= v <= hi:
-            raise SpecEvalError(f"assignment {c.text!r} sets {v}, outside "
-                                f"the label's range {allowed}", c.line)
-        return v
-
-    return value
+def _misfit(c: Constraint, bits: int, value: int):
+    """Refuse a value outside the `bits`-bit label an assignment writes,
+    named in hex past 64 bits, where decimal may not convert."""
+    allowed = f"0..{(1 << bits) - 1}" if bits <= 8 else f"0..2^{bits}-1"
+    shown = value if abs(value).bit_length() <= 64 else hex(value)
+    raise SpecEvalError(f"assignment {c.text!r} sets {shown}, outside the "
+                        f"label's range {allowed}", c.line)
 
 
 def pre_property(problem: Problem, side, inst: Instance) -> kernel.PropertyFn:

@@ -27,6 +27,11 @@ and `ref_mask_mem` is the memory part of the `mask_labels` of that time.
 Drawn images take drawn sequences of writes and masks; the new `Mem`,
 once over the image and once over no image, must read, list, count and
 compare like the reference, and equal contents must hash equal.
+
+`machine.agrees_outside` is in turn the reference for the relation that
+`maychange` builds per label set: both must agree on drawn label sets
+between states over no image, over one shared image and over two
+different images.
 """
 
 import pytest
@@ -295,6 +300,41 @@ def test_frame_test_matches_the_frozen_delta(s0, frames):
             want = ref_agrees_outside(a, b, labels)
             assert machine.agrees_outside(a, b, labels) == want
             assert machine.agrees_outside(b, a, labels) == want
+
+
+EVERY_LABEL = frozenset(LABEL_POOL) | {reg_label(i) for i in range(16)}
+
+
+def one_change_each(s: MachineState) -> list:
+    """s with one register, pc, flag, trace or memory byte changed."""
+    return [s.with_reg(2, s.regs[2] + 1), s.with_reg(15, 7),
+            s._replace(pc=s.pc + WORD), s._replace(flag_n=1 - s.flag_n),
+            s._replace(flag_z=1 - s.flag_z),
+            s._replace(events=s.events + (load_event(BASE, 4),))] + [
+        s.with_label(mem_label(a), s.mem.get(a) ^ 0x5A)
+        for a in (0, 4, BASE, BASE + 1, BASE + 3)]
+
+
+@given(start_states(), st.booleans(), st.lists(label_sets, min_size=1,
+                                               max_size=4))
+@example(FIXED, True, [FIXED_FRAME, EVERY_LABEL, frozenset()])
+@example(REWRITE, False, [EVERY_LABEL - {reg_label(15)}])
+@settings(max_examples=300, deadline=None)
+def test_maychange_frames_match_agrees_outside(s0, shared, frames):
+    """maychange's relation against agrees_outside, its
+    reference: from states over no image to states over one, over one
+    shared image, and to one change of each kind of label."""
+    image = over_an_image(s0)
+    states = reached(image if shared else s0)
+    pairs = [(start, t) for start in (s0, image) for t in states]
+    pairs += list(zip(states, states[1:]))
+    pairs += [(start, t) for start in (s0, image, states[-1])
+              for t in one_change_each(start)]
+    for labels in frames:
+        related = machine.maychange(labels).related
+        for a, b in pairs:
+            assert related(a, b) == machine.agrees_outside(a, b, labels)
+            assert related(b, a) == machine.agrees_outside(b, a, labels)
 
 
 @given(start_states(), st.integers(0, 15),

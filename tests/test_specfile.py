@@ -1,5 +1,6 @@
 """Spec-file parsing, validation errors, and problem construction."""
 
+import sys
 import textwrap
 
 import pytest
@@ -573,3 +574,72 @@ def test_a_post_that_fails_to_evaluate_is_an_error_off_its_guard(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: unbound name 'base1'\n"
+
+
+# ---------------------------------------------------------------------------
+# integer literals
+
+def test_a_decimal_literal_too_long_to_convert_is_a_syntax_error(
+        tmp_path, capsys):
+    body = BASIC.replace("x1 = a", "x1 = a\n    x2 = " + "9" * 5000)
+    path = tiny_spec(tmp_path, body)
+    with pytest.raises(SpecSyntaxError) as e:
+        parse_spec(path.read_text())
+    assert e.value.line == 14
+    assert cli.main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: line 14: a decimal literal of 5000 digits is "
+                   f"longer than {sys.get_int_max_str_digits()} digits; "
+                   "write it in hex\n")
+
+
+def test_a_huge_value_outside_its_label_is_named_in_hex(tmp_path, capsys):
+    big = "0x1" + "0" * 5000
+    body = BASIC.replace("x1 = a", f"x1 = a\n    x5 = {big}")
+    assert cli.main(["check", str(tiny_spec(tmp_path, body))]) == 3
+    assert capsys.readouterr().err == (
+        f"error: line 14: assignment 'x5 = {big}' sets {big}, outside the "
+        "label's range 0..2^64-1\n")
+
+
+def test_huge_hex_literals_are_evaluated_exactly(tmp_path, capsys):
+    big = "0x" + "f" * 5000
+    body = (BASIC.replace("x1 = a", f"x1 = a\n    x0 = {big} - {big}")
+            .replace("x0 = 1", f"x0 = 1 + {big} - {big}"))
+    assert cli.main(["check", str(tiny_spec(tmp_path, body))]) == 0
+    assert capsys.readouterr().out.startswith("VERDICT: Proven\n")
+
+
+# ---------------------------------------------------------------------------
+# nesting depth
+
+def test_nested_unary_minuses_check_like_the_closure_tree(tmp_path, capsys):
+    # one generated parenthesis per minus would pass Python's limit of
+    # 200 nested parentheses; the closure tree took these at this depth
+    body = (BASIC.replace("x1 = a", "x1 = a\n    x2 = " + "- " * 300 + "a")
+            .replace("x0 = 1", "x0 = " + "- " * 300 + "1"))
+    assert cli.main(["check", str(tiny_spec(tmp_path, body))]) == 0
+    assert capsys.readouterr().out.startswith("VERDICT: Proven\n")
+    problem = build_problem(parse_spec(tiny_spec(tmp_path, body).read_text()),
+                            tmp_path)
+    assert [i.state0.regs[2] for i in problem.instances] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("section, line", [("pre", 14), ("post", 16)])
+def test_source_nested_too_deeply_to_compile_names_its_line(
+        tmp_path, capsys, section, line):
+    # a deeper parse than the default recursion limit allows, so that the
+    # generated source passes Python's limit of 200 nested parentheses
+    deep = "min(" * 250 + "1" + ", 5)" * 250
+    old = "x1 = a" if section == "pre" else "x0 = 1"
+    new = f"x1 = a\n    x0 = {deep}" if section == "pre" else f"x0 = {deep}"
+    path = tiny_spec(tmp_path, BASIC.replace(old, new))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4000)
+    try:
+        assert cli.main(["check", str(path)]) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().err == (
+        f"error: line {line}: expression nested too deeply to compile\n")

@@ -7,25 +7,31 @@ it was before specs were compiled once per spec: the tree-walking
 `_grid`, `_construct` and `_apply_assignment`, which reload the program
 and re-walk every [pre] line for each instance, and `ct`'s witness
 template expansion over that evaluator. All are copied verbatim. The
-compiled closures must agree with the reference on every AST of the
-corpus and on drawn ASTs over small machine states: the same value, or
-the same exception with the same message. The builder must yield the
-same instances, in the same order, or raise the same error. The one
-exception is a [pre] assignment whose value does not fit its label: the
-reference masked the value and then reported the line as a conflict,
-the builder refuses it with its value and the label's range.
+functions that `specfile` generates for expressions, constraints, [pre]
+and [post] lines and start states must agree with the reference on
+every AST of the corpus and on drawn ASTs over small machine states:
+the same value, or the same exception with the same message. That holds
+also for parameters named like the generated code's locals and
+builtins, whose names must not reach the generated source. The builder
+must yield the same instances, in the same order, or raise the same
+error. The one exception is a [pre] assignment whose value does not fit
+its label: the reference masked the value and then reported the line as
+a conflict, the builder refuses it with its value and the label's
+range.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relhoare import asm, ct, machine, specfile
+from relhoare import asm, cli, ct, machine, specfile
 from relhoare.ct import TemplateExpansionFailure
 from relhoare.specfile import (
     DEFAULT_ENUM_CAP, TWO_PROGRAM_KINDS, CheckSpec, Constraint,
@@ -496,7 +502,19 @@ def states_of(draw):
 programs_of = st.sampled_from((None, (PROGRAM, None), (None, PROGRAM)))
 
 
+def _neg(e):
+    return ("bin", "-", ("int", 0), e)  # the parse of a unary minus
+
+
 @given(ast=exprs(), values=values_of(), state=states_of())
+@example(ast=("bin", "+", _neg(("param", "a")), ("param", "b")),
+         values={"a": 5, "b": 7}, state=None)
+@example(ast=("bin", "-", _neg(_neg(("param", "a"))), _neg(("int", 3))),
+         values={"a": 5}, state=None)
+@example(ast=("bin", "*", _neg(("param", "a")), ("bin", "*", _neg(
+    ("int", 2)), ("param", "b"))), values={"a": 5, "b": 7}, state=None)
+@example(ast=("call", "min", (_neg(("param", "a")), _neg(("param", "b")))),
+         values={"a": 5, "b": 7}, state=None)
 @settings(max_examples=400, deadline=None)
 def test_compiled_expressions_match_the_reference(ast, values, state):
     same_outcome((specfile.compile_expr(ast), values, state),
@@ -720,3 +738,93 @@ def test_a_misaligned_base_is_refused_like_the_reference(tmp_path):
     assert_same_build(text, tmp_path)
     with pytest.raises(asm.MisalignedBase):
         specfile.build_problem(specfile.parse_spec(text), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# names that clash with the generated code
+
+CLASH_SPEC = """\
+[check]
+kind = unary_n
+budget = 8
+
+[program0]
+file = p.masm
+base = 0x1000
+
+[params]
+{name} in 0..2
+b in 0..1
+mem[16 .. 18) in 0..1
+
+[pre]
+x0 = {use}
+x1 = {use} * 2 + b
+mem1(24) = {use}
+x0 < 2 or mem1(16) = {use}
+
+[post]
+terminated(base0 + 4) and x2 = 3 * {use} + b and mem1(24) = {use}
+x0 = {use} or not (x1 = 0 - {use})
+
+[frame]
+maychange = pc, x2
+
+[steps]
+f0 = 1 + 0 * {use}
+"""
+
+
+def generated_sources(monkeypatch, text: str, root: Path) -> list:
+    """Build the spec and read its properties, steps and frame; the
+    source of every function that defines, in order."""
+    sources = []
+    define = machine._define
+
+    def record(name, lines, filename):
+        sources.append("\n".join(lines))
+        return define(name, lines, filename)
+
+    with monkeypatch.context() as m:
+        m.setattr(machine, "_define", record)
+        problem = specfile.build_problem(specfile.parse_spec(text), root)
+        for inst in problem.instances:
+            problem.post_property(0, inst).holds(inst.state0)
+            specfile.pre_property(problem, 0, inst).holds(inst.state0)
+        problem.steps("f0", 0)
+        problem.frame(0)
+    return sources
+
+
+@pytest.mark.parametrize("name", ["values", "state", "M", "_make", "min",
+                                  "print", "__import__"])
+def test_names_that_clash_with_generated_code(tmp_path, monkeypatch, name):
+    (tmp_path / "p.masm").write_text("add x2, x0, x1\nhalt\n")
+    # min( is a call, so a parameter named min is only declared
+    use = "b" if name == "min" else name
+    text = CLASH_SPEC.format(name=name, use=use)
+    assert_same_build(text, tmp_path)
+    problem = specfile.build_problem(specfile.parse_spec(text), tmp_path)
+    assert problem.count() > 0
+    for inst in problem.instances:
+        states = [inst.state0] + machine.successors(inst.state0)
+        for q, constraints in (
+                (specfile.pre_property(problem, 0, inst), problem.spec.pre),
+                (problem.post_property(0, inst), problem.spec.post)):
+            for s in states:
+                e = _Env(dict(inst.env), s)
+                same_outcome((q.holds, s), (lambda: all(
+                    eval_constraint(c.ast, e) for c in constraints[None]),))
+    (tmp_path / "c.spec").write_text(text)
+    assert cli.main(["check", str(tmp_path / "c.spec")]) == 0
+    # the sources do not depend on the names, and hold no literal but
+    # integers
+    sources = generated_sources(monkeypatch, text, tmp_path)
+    assert any("def construct(" in source for source in sources)
+    plain = CLASH_SPEC.format(name="p", use="b" if name == "min" else "p")
+    assert sources == generated_sources(monkeypatch, plain, tmp_path)
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING, source
+            if tok.type == tokenize.NUMBER:
+                int(tok.string, 0)  # an integer, or ValueError
