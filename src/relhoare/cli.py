@@ -292,7 +292,8 @@ def _check_promote(problem):
         n = n_of(inst.env, None)
         if n < 0:
             raise specfile.SpecError(
-                f"n gives instance #{inst.index} the negative step count {n}")
+                f"n gives instance #{inst.index} the negative step count "
+                f"{specfile.show_int(n)}")
         enum = kernel.Enumeration((inst.state0,))
         v = kernel.check_eventually_n_at_pc(machine.oracle(), enum, x0,
                                             xw, n)

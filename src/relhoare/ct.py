@@ -7,8 +7,9 @@ Two formulations, checked against each other in the test suite:
   states are a join on the public projection, handed to the relational
   exact-count checker as blocks (one per public class, never stored as
   pairs) with trace equality conjoined onto the postcondition; since
-  trace equality is equality of a per-state key, the kernel checks each
-  start state once rather than each pair.
+  trace equality is equality of a per-state key, the kernel compares a
+  start state with one state of its class once another has passed the
+  whole class, rather than with every state of it.
 
 * Single-run with a witness: every run's trace must equal a template
   expanded at the run's public parameters. A program passing this is

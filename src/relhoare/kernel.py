@@ -16,7 +16,9 @@ enumeration, never symbolically:
                 quantifier: every pair of frontier states (one frontier
                 per side) must satisfy the pair postcondition and frame.
                 Every spec pair check factors its postcondition per side;
-                on the blocks of a key join it is then checked per state.
+                on the blocks of a key join, a later left state of a
+                block that one left has passed is then compared with the
+                block's first right state only.
   hybrid        an ensures2 judgment whose pair frame is a product,
                 together with a unary precondition and postcondition for
                 the second component; its unary frame is the product's
@@ -166,7 +168,7 @@ class PairProperty:
 class KeyJoin(PairProperty):
     """The pair predicate key0(a) == key1(b): a join of two sides on a
     per-side key. Its pairs fall into blocks, one per key, which lets a
-    check work per state instead of per pair."""
+    check compare a left state with one right of a block instead of all."""
 
     key0: Callable[[Any], Any] = None
     key1: Callable[[Any], Any] = None
@@ -297,7 +299,8 @@ class FactoredPost(PerState):
     q1 are PropertyFns or PerState tables keyed by the side's start
     state. `at` builds a pair's PairProperty, named describe(d0, d1) of
     the two sides' descriptions. With a KeyJoin rel each conjunct reads
-    one side, so `check_ensures2` checks it per (start, final) state."""
+    one side, so `check_ensures2` compares a later left of a pair block
+    with the block's first right only."""
 
     rel: Callable[[Any, Any], bool] = None
     q0: Any = None
@@ -950,14 +953,21 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     and pair frame, which enumerates the nested exact-count quantifier.
     The first failing pair in order refutes.
 
-    That pair is found by comparing the pairs in order or, for pair
-    blocks with a FactoredPost over a KeyJoin rel, a product frame and
-    StepFn step counts, per state (`_first_failing_block_pair`). One
-    report path follows for both: the pair's comparison gives the
-    counterexample, and the stats' `steps0`, `steps1` and `reached` are
-    LazyTuples read back from the explorations, for every pair up to
-    the failing one (all of them when proven). stats["explored"] is the
-    number of distinct explorations made. Never Unknown."""
+    That pair is found by comparing the pairs in order, with one skip
+    for pair blocks with a FactoredPost over a KeyJoin rel, a product
+    frame and StepFn step counts (`_block_scan`). There each condition
+    on a pair reads one side's start state and finals, and the rel is
+    equality of keys, an equivalence. So once a left holds with every
+    right of its block, the finals of those rights all carry one key
+    and satisfy their side's conditions, and a later left of the block
+    holds with every right iff it holds with the first: it is compared
+    with that one only, and a failure there is its first failing
+    pair. The
+    comparison of the failing pair gives the counterexample, and the
+    stats' `steps0`, `steps1` and `reached` are LazyTuples read back
+    from the explorations, for every pair up to the failing one (all of
+    them when proven). stats["explored"] is the number of distinct
+    explorations made. Never Unknown."""
     pairs.validate()
     memo: dict = {}  # (start state, step rule) -> (n, finals, fail)
 
@@ -1001,19 +1011,15 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
             and isinstance(frame2, PairFrame) and frame2.product_of
             and isinstance(steps0, StepFn) and isinstance(steps1, StepFn)):
         count = sum(len(pairs.rights_of(a)) for a in pairs.lefts)
-        first = _first_failing_block_pair(pairs, explore, steps0, steps1,
-                                          post2, frame2.product_of)
-        ce = None if first is None else compare(*first)
-        if first is not None and ce is None:
-            raise KernelError("a pair refuted by its blocks holds when "
-                              "compared pairwise")
+        tried = _block_scan(pairs)
     else:
-        count, first, ce = len(pairs.pairs), None, None
-        for i, pair in enumerate(pairs.pairs):
-            ce = compare(i, pair)
-            if ce is not None:
-                first = i, pair
-                break
+        count, tried = len(pairs.pairs), enumerate(pairs.pairs)
+    first = ce = None
+    for i, pair in tried:
+        ce = compare(i, pair)
+        if ce is not None:
+            first = i, pair
+            break
     walked = None if first is None else first[0] + 1
 
     def column(f):
@@ -1035,80 +1041,20 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     return refuted(ce, **stats)
 
 
-_MIXED = object()  # the rel key of a side whose finals cannot share one
-
-
-def _first_failing_block_pair(pairs: PairEnumeration, explore, steps0,
-                              steps1, post2: FactoredPost, frames):
-    """The first pair of a block-form enumeration, in scan order, that
-    the factored postcondition and product frame refute, as (index,
-    pair), or None when all hold.
-
-    Final states are never empty, so a pair (a, b) holds iff neither
-    side dies early, all finals of both sides share one rel key (keys
-    compare as an equivalence), and every final of each side satisfies
-    that side's postcondition and frame. Each (side, start state) gets
-    its key, and then its postcondition and frame, checked once. Once a
-    block's rights all hold with its first left, a later left of the
-    block holds with all of them iff it holds with the first. Start
-    states are explored in the pairwise loop's order: a left, then its
-    block's rights up to the first failing pair; and as there, a
-    postcondition is only evaluated where the rel keys agree."""
-    rel, q = post2.rel, (post2.q0, post2.q1)
-    key_of = (rel.key0, rel.key1)
-    steps = (steps0, steps1)
-    keys: dict = {}  # (side, start state) -> rel key its finals share
-    clean: dict = {}  # (side, start state) -> post and frame hold
-
-    def key(side, s):
-        if (side, s) not in keys:
-            _, finals, fail = explore(steps[side], None, s)
-            keys[side, s] = _MIXED if fail is not None else _common_key(
-                finals, key_of[side])
-        return keys[side, s]
-
-    def holds(side, s, qs):
-        if (side, s) not in clean:
-            finals = explore(steps[side], None, s)[1]
-            clean[side, s] = _all_hold(s, finals, qs, frames[side])
-        return clean[side, s]
-
-    walked: set = set()  # blocks whose rights all hold with one left
+def _block_scan(pairs: PairEnumeration):
+    """(index, pair) for the pairs of a block-form enumeration in scan
+    order, read by a loop that stops at its first failing pair: once a
+    left has met every right of its block, a later left of the block
+    meets only the block's first right."""
+    walked: set = set()  # blocks whose rights all held with one left
     i = 0
     for a in pairs.lefts:
         block = pairs.pre2.key0(a)
-        rights = pairs.rights_of(a)
+        rights = pairs._rights.get(block, ())
         for j, b in enumerate(rights[:1] if block in walked else rights):
-            # lookups first and unguarded, as in the pairwise comparison
-            qa, qb = _at(q[0], a), _at(q[1], b)
-            ka, kb = key(0, a), key(1, b)
-            if (ka is _MIXED or kb is _MIXED or ka != kb
-                    or not holds(0, a, qa) or not holds(1, b, qb)):
-                return i + j, (a, b)
+            yield i + j, (a, b)
         walked.add(block)
         i += len(rights)
-    return None
-
-
-# An error raised by a postcondition, frame or key below counts as a
-# failure: the pairwise comparison of the first pair it spoils, which
-# the check then runs, raises it again.
-
-def _common_key(finals, key: Callable):
-    """The key all finals share, or _MIXED."""
-    try:
-        k = key(finals[0])
-        return k if all(key(x) == k for x in finals) else _MIXED
-    except Exception:
-        return _MIXED
-
-
-def _all_hold(s, finals, q: PropertyFn, f: FrameFn) -> bool:
-    """Every final satisfies q and, from s, the frame f."""
-    try:
-        return all(q.holds(x) and f.related(s, x) for x in finals)
-    except Exception:
-        return False
 
 
 def check_hybrid(sys: StepOracle, hybrid: HybridParts) -> Verdict:

@@ -48,6 +48,7 @@ hold on it; exact step counts that differ between them are an error.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import re
@@ -448,8 +449,9 @@ def parse_spec(text: str) -> CheckSpec:
             continue
         if section is None:
             raise SpecSyntaxError("content before any section", lineno)
-        _parse_section_line(spec, section, stripped, lineno,
-                            witness_stack, pending_repeat)
+        with _nesting(lineno, "parse"):
+            _parse_section_line(spec, section, stripped, lineno,
+                                witness_stack, pending_repeat)
     if pending_repeat:
         raise SpecSyntaxError("repeat block not closed", len(lines))
     spec.witness = tuple(witness_stack[0])
@@ -619,28 +621,21 @@ def _parse_witness_line(line, lineno, wstack, pending):
 # validation
 
 def _walk_exprs(node):
-    yield node
-    kind = node[0]
-    if kind == "bin":
-        yield from _walk_exprs(node[2])
-        yield from _walk_exprs(node[3])
-    elif kind == "memread":
-        yield from _walk_exprs(node[2])
-    elif kind == "call":
-        for a in node[2]:
-            yield from _walk_exprs(a)
-    elif kind in ("and", "or"):
-        yield from _walk_exprs(node[1])
-        yield from _walk_exprs(node[2])
-    elif kind == "not":
-        yield from _walk_exprs(node[1])
-    elif kind == "cmp":
-        yield from _walk_exprs(node[2])
-        yield from _walk_exprs(node[3])
-    elif kind in ("aligned", "terminated"):
-        yield from _walk_exprs(node[-1])
-    elif kind == "flag":
-        yield from _walk_exprs(node[2])
+    """The nodes of an expression or constraint AST, in pre-order, by a
+    loop: a flat chain is as deep as it is long."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        kind = node[0]
+        if kind in ("bin", "cmp"):
+            stack += node[3], node[2]
+        elif kind in ("and", "or", "not"):
+            stack += reversed(node[1:])
+        elif kind == "call":
+            stack += reversed(node[2])
+        elif kind in ("memread", "flag", "aligned", "terminated"):
+            stack.append(node[-1])
 
 
 def _validate(spec: CheckSpec) -> None:
@@ -728,6 +723,12 @@ def _literal(value: int) -> str:
     return f"{value:#x}" if value >= 0 else f"(-{-value:#x})"
 
 
+def show_int(value: int) -> str:
+    """An integer for a message: decimal up to 64 bits, and hex past
+    them, where decimal may not convert."""
+    return str(value) if abs(value).bit_length() <= 64 else hex(value)
+
+
 def _negation(ast) -> bool:
     """Whether a `bin` node is `0 - e`, the parse of a unary minus."""
     return ast[1] == "-" and ast[2] == ("int", 0)
@@ -759,8 +760,8 @@ def _eval_error(e: Exception, state) -> Exception:
 class _Source:
     """Generated source under construction, and the constants it names."""
 
-    def __init__(self, programs=None, line: int = 0):
-        self.programs, self.line = programs, line
+    def __init__(self, programs=None):
+        self.programs = programs
         self.consts: dict = {}  # (type, value) -> its name in the source
 
     def const(self, value) -> str:
@@ -832,37 +833,47 @@ class _Source:
                params: str = "values, state") -> Callable:
         """The function name(params) that runs the prelude lines and then
         the body, where an unbound name or a missing state raises its
-        SpecEvalError. Source that Python's parser or compiler refuses as
-        nested too deeply is a SpecSyntaxError on the source's line."""
+        SpecEvalError."""
         handler = f"raise {self.const(_eval_error)}(e, state)"
         lines = [*prelude, "try:", *("    " + line for line in body),
                  "except (KeyError, AttributeError) as e:", "    " + handler]
-        try:
-            make = machine._define(
-                "make", [f"def make({', '.join(self.consts.values())}):",
-                         f"    def {name}({params}):"]
-                + ["        " + line for line in lines]
-                + [f"    return {name}"], "<spec>")
-        except (SyntaxError, RecursionError):
-            raise SpecSyntaxError("expression nested too deeply to compile",
-                                  self.line) from None
+        make = machine._define(
+            "make", [f"def make({', '.join(self.consts.values())}):",
+                     f"    def {name}({params}):"]
+            + ["        " + line for line in lines]
+            + [f"    return {name}"], "<spec>")
         return make(*(value for _, value in self.consts))
+
+
+@contextlib.contextmanager
+def _nesting(line: int, doing: str = "compile"):
+    """Python's limits on nesting met inside, in the parse of a spec line
+    or in the source generated for it and its compile (the recursion
+    limit, and the parser's limit of 200 nested parentheses), as a
+    SpecSyntaxError on that line."""
+    try:
+        yield
+    except (SyntaxError, RecursionError):
+        raise SpecSyntaxError(f"expression nested too deeply to {doing}",
+                              line) from None
 
 
 def compile_expr(ast, line: int = 0) -> Callable[[dict, Any], int]:
     """line is the spec line that a compile error names."""
     if ast[0] == "int":  # a constant, such as a cell address, needs no code
         return lambda values, state: ast[1]
-    g = _Source(line=line)
-    return g.define("expr", [f"return {g.expr(ast)}"])
+    g = _Source()
+    with _nesting(line):
+        return g.define("expr", [f"return {g.expr(ast)}"])
 
 
 def compile_constraint(ast, programs=None,
                        line: int = 0) -> Callable[[dict, Any], bool]:
     """programs is the check's (program0, program1) pair, read by
     aligned(); either may be None."""
-    g = _Source(programs, line)
-    return g.define("holds", [f"return {g.cond(ast)}"])
+    g = _Source(programs)
+    with _nesting(line):
+        return g.define("holds", [f"return {g.cond(ast)}"])
 
 
 def _guard(ast, names) -> Optional[Callable[[dict], frozenset]]:
@@ -887,8 +898,8 @@ def _guard(ast, names) -> Optional[Callable[[dict], frozenset]]:
 
 
 def _too_deep(constraints, programs) -> SpecSyntaxError:
-    """The error of the first of several lines, compiled as one function,
-    that is nested too deeply to compile on its own."""
+    """The error of the first of several lines, generated and compiled as
+    one function, that is nested too deeply to compile on its own."""
     for c in constraints:
         try:
             compile_constraint(c.ast, programs, c.line)
@@ -1071,11 +1082,12 @@ class Problem:
                                    [c.ast for c in constraints] or [_TRUE])
             try:
                 holds = compile_constraint(ast, self.programs)
-            except SpecSyntaxError:
+                guard = _guard(ast, names)
+            except (SpecSyntaxError, RecursionError):
                 raise _too_deep(constraints, self.programs) from None
             self._compiled[key] = (
                 holds, " and ".join(c.text for c in constraints) or "true",
-                _guard(ast, names))
+                guard)
         holds, text, guard = self._compiled[key]
         prop = kernel.PropertyFn(
             functools.partial(holds, inst.env), text,
@@ -1093,13 +1105,14 @@ class Problem:
             table[state] = n = count(first.env, None)
             if n < 0:
                 raise SpecError(f"{key} gives instance #{first.index} the "
-                                f"negative step count {n}")
+                                f"negative step count {show_int(n)}")
             for inst in rest:
                 if count(inst.env, None) != n:
                     raise SpecError(
                         f"instances #{first.index} and #{inst.index} build "
-                        f"one start state, but {key} gives them {n} and "
-                        f"{count(inst.env, None)} steps")
+                        f"one start state, but {key} gives them "
+                        f"{show_int(n)} and "
+                        f"{show_int(count(inst.env, None))} steps")
         return kernel.StepFn.table(table, f"{key} expression")
 
     def _conditions(self, store, side):
@@ -1195,51 +1208,54 @@ def _constructor(spec, programs, bases, side, names) -> Callable:
     load = functools.cache(lambda: asm.load_program(
         machine.zeroed_state(), programs[side], bases[side]))
     build, fields, writes, checks = [f"s = {g.const(load)}()"], {}, [], []
-    for k, (c, target) in enumerate(zip(constraints, targets)):
-        if target is None:
-            checks += [f"if not {g.cond(c.ast)}:", "    return None"]
-            continue
-        label, value, bits = target
-        v = f"v{k}"
-        if value[0] == "int" and 0 <= value[1] < 1 << bits:
-            v = _literal(value[1])  # a constant that fits its label
-        else:
-            build += [f"{v} = {g.expr(value)}",
-                      f"if not 0 <= {v} <= {_literal((1 << bits) - 1)}:",
-                      f"    {g.const(functools.partial(_misfit, c, bits))}"
-                      f"({v})"]
-        if label[0] == "mem":
-            writes.append(f"mem = mem.write({g.expr(label[2])} & M, {v}, "
-                          f"{_literal(label[1])})")
-        else:
-            fields[label] = v
-        if label[0] == "mem" or writers.count(label) > 1:
-            # only a later write can make an assignment fail on the state
-            conflict = functools.partial(
-                SpecEvalError, f"assignment {c.text!r} does not hold on "
-                "its own constructed state (conflicting assignments?)",
-                c.line)
-            checks += [f"if not {g.cond(c.ast)}:",
-                       f"    raise {g.const(conflict)}()"]
-    build.append("mem = s.mem.write_cells(cells) if cells else s.mem")
-    build += writes
-    regs = "s.regs"
-    if any(label[0] == "reg" for label in fields):
-        build.append("r = s.regs")
-        items = []  # each run of registers not assigned is one slice
-        for assigned, run in itertools.groupby(
-                range(16), lambda i: ("reg", i) in fields):
-            run = list(run)
-            items += ([fields["reg", i] for i in run] if assigned else
-                      [f"*r[{_literal(run[0])}:{_literal(run[-1] + 1)}]"])
-        regs = "(" + ", ".join(items) + ",)"
-    build.append(f"state = _make({regs}, {fields.get(('pc',), 's.pc')}, "
-                 f"{fields.get(('flag_n',), 's.flag_n')}, "
-                 f"{fields.get(('flag_z',), 's.flag_z')}, mem, s.events)")
-    try:
+    try:  # generating or compiling source may meet Python's nesting limits
+        for k, (c, target) in enumerate(zip(constraints, targets)):
+            if target is None:
+                checks += [f"if not {g.cond(c.ast)}:", "    return None"]
+                continue
+            label, value, bits = target
+            v = f"v{k}"
+            if value[0] == "int" and 0 <= value[1] < 1 << bits:
+                v = _literal(value[1])  # a constant that fits its label
+            else:
+                misfit = g.const(functools.partial(_misfit, c, bits))
+                build += [f"{v} = {g.expr(value)}",
+                          f"if not 0 <= {v} <= {_literal((1 << bits) - 1)}:",
+                          f"    {misfit}({v})"]
+            if label[0] == "mem":
+                writes.append(f"mem = mem.write({g.expr(label[2])} & M, "
+                              f"{v}, {_literal(label[1])})")
+            else:
+                fields[label] = v
+            if label[0] == "mem" or writers.count(label) > 1:
+                # only a later write can make an assignment fail on the
+                # state
+                conflict = functools.partial(
+                    SpecEvalError, f"assignment {c.text!r} does not hold on "
+                    "its own constructed state (conflicting assignments?)",
+                    c.line)
+                checks += [f"if not {g.cond(c.ast)}:",
+                           f"    raise {g.const(conflict)}()"]
+        build.append("mem = s.mem.write_cells(cells) if cells else s.mem")
+        build += writes
+        regs = "s.regs"
+        if any(label[0] == "reg" for label in fields):
+            build.append("r = s.regs")
+            items = []  # each run of registers not assigned is one slice
+            for assigned, run in itertools.groupby(
+                    range(16), lambda i: ("reg", i) in fields):
+                run = list(run)
+                items += ([fields["reg", i] for i in run] if assigned else
+                          [f"*r[{_literal(run[0])}:"
+                           f"{_literal(run[-1] + 1)}]"])
+            regs = "(" + ", ".join(items) + ",)"
+        build.append(f"state = _make({regs}, "
+                     f"{fields.get(('pc',), 's.pc')}, "
+                     f"{fields.get(('flag_n',), 's.flag_n')}, "
+                     f"{fields.get(('flag_z',), 's.flag_z')}, mem, s.events)")
         return g.define("construct", checks + ["return state"], build,
                         "values, cells")
-    except SpecSyntaxError:
+    except (SyntaxError, RecursionError):
         raise _too_deep(constraints, programs) from None
 
 
@@ -1283,12 +1299,10 @@ def _assignment(ast, names) -> Optional[tuple]:
 
 
 def _misfit(c: Constraint, bits: int, value: int):
-    """Refuse a value outside the `bits`-bit label an assignment writes,
-    named in hex past 64 bits, where decimal may not convert."""
+    """Refuse a value outside the `bits`-bit label an assignment writes."""
     allowed = f"0..{(1 << bits) - 1}" if bits <= 8 else f"0..2^{bits}-1"
-    shown = value if abs(value).bit_length() <= 64 else hex(value)
-    raise SpecEvalError(f"assignment {c.text!r} sets {shown}, outside the "
-                        f"label's range {allowed}", c.line)
+    raise SpecEvalError(f"assignment {c.text!r} sets {show_int(value)}, "
+                        f"outside the label's range {allowed}", c.line)
 
 
 def pre_property(problem: Problem, side, inst: Instance) -> kernel.PropertyFn:

@@ -275,41 +275,65 @@ def test_criterion_11_every_encoding_round_trips():
 
 # 12. ---------------------------------------------------------------------
 
-# a child that checks one spec and then prints its own peak RSS in KiB
+# a child that checks one spec, with any further check arguments, and
+# then prints its own peak RSS in KiB
 _PEAK_CHILD = """
 import resource, sys
 from relhoare.cli import main
-code = main(["check", sys.argv[1]])
+code = main(["check", *sys.argv[1:]])
 print("exit", code, "peak_kib",
       resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_criterion_12_unary_scale_point_in_bounded_memory(tmp_path):
-    # compare_correct.spec with both buffers widened to 12 byte values:
-    # 3 * 144 * 144 = 62,208 instances
-    (tmp_path / "compare.masm").write_text(
-        (CORPUS / "compare.masm").read_text())
-    text = (CORPUS / "compare_correct.spec").read_text()
+def _wide_scale_point(tmp_path, name: str, masm: str, *args) -> tuple:
+    """Check a corpus spec with both buffers widened to 12 byte values
+    (3 * 144 * 144 = 62,208 instances) in a child: its report lines and
+    its peak RSS in MiB."""
+    (tmp_path / masm).write_text((CORPUS / masm).read_text())
+    text = (CORPUS / name).read_text()
     for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
         old = f"{cells} in 0..1\n"
         assert old in text
         text = text.replace(old, f"{cells} in 1..12\n")
-    spec = tmp_path / "compare_correct_wide.spec"
+    spec = tmp_path / name.replace(".spec", "_wide.spec")
     spec.write_text(text)
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     t0 = time.perf_counter()
-    child = subprocess.run([sys.executable, "-c", _PEAK_CHILD, str(spec)],
+    child = subprocess.run([sys.executable, "-c", _PEAK_CHILD, str(spec),
+                            *args],
                            capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path})
-    elapsed_under(t0, 60.0, "unary scale point")
+    elapsed_under(t0, 60.0, f"{name} scale point")
     lines = child.stdout.splitlines()
     assert child.returncode == 0, child.stderr
+    _, code, _, peak_kib = lines[-1].split()
+    assert code == "0"
+    return lines, int(peak_kib) / 1024
+
+
+def test_criterion_12_unary_scale_point_in_bounded_memory(tmp_path):
+    lines, peak = _wide_scale_point(tmp_path, "compare_correct.spec",
+                                    "compare.masm")
     assert lines[0] == "VERDICT: Proven"
     assert lines[1] == ("check: unary on compare_correct_wide.spec, 62208 "
                         "instance(s)")
-    _, code, _, peak_kib = lines[-1].split()
-    assert code == "0"
     # the reached frontiers are not kept: about 85 MiB, 130 MiB if they are
-    assert int(peak_kib) / 1024 < 100, f"peak {int(peak_kib) / 1024:.1f} MiB"
+    assert peak < 100, f"peak {peak:.1f} MiB"
+
+
+# 13. ---------------------------------------------------------------------
+
+def test_criterion_13_ct_scale_point_in_bounded_memory(tmp_path):
+    # 1.29e9 public-equal pairs, which only a check that compares a
+    # block's later lefts with one right ends
+    lines, peak = _wide_scale_point(tmp_path, "compare_constant_ct.spec",
+                                    "compare_constant.masm",
+                                    "--enum-cap", "100000")
+    assert lines[0] == "VERDICT: Proven"
+    assert lines[1] == ("check: ct_relational on compare_constant_ct_wide"
+                        ".spec, 62208 instance(s)")
+    assert "pairs: 1289945088 public-equal pair(s)" in lines
+    # about 157 MiB; 182 MiB with per-state tables of rel keys and checks
+    assert peak < 170, f"peak {peak:.1f} MiB"

@@ -516,6 +516,41 @@ def test_a_negative_promote_count_names_its_instance(capsys, tmp_path):
     assert err == "error: n gives instance #0 the negative step count -2\n"
 
 
+# a count with more decimal digits than Python converts is named in hex
+_HUGE = "0x" + "f" * 5000
+
+
+def test_a_huge_negative_step_count_is_named_in_hex(capsys, tmp_path):
+    path = _spec_path("unary_n_refuted.spec", tmp_path)
+    path.write_text(path.read_text().replace("f0 = 3", f"f0 = 0 - {_HUGE}",
+                                             1))
+    code, out, err = run_main(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: f0 gives instance #0 the negative step count " \
+        f"-{_HUGE}\n"
+
+
+def test_huge_step_counts_that_differ_are_named_in_hex(capsys, tmp_path):
+    path = _spec_path("shared_start_steps.spec", tmp_path)
+    path.write_text(path.read_text().replace(
+        "f0 = min(n, 1)", f"f0 = {_HUGE} * min(n, 1)", 1))
+    code, out, err = run_main(capsys, "check", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("error: instances #0 and #1 build one start state, but "
+                   f"f0 gives them 0 and {_HUGE} steps\n")
+
+
+def test_a_huge_negative_promote_count_is_named_in_hex(capsys, tmp_path):
+    shutil.copy(CORPUS / "add_stopper.masm", tmp_path)
+    text = (CORPUS / "add_stopper.spec").read_text()
+    spec = tmp_path / "add_stopper.spec"
+    spec.write_text(text.replace("n = 1\n", f"n = 0 - {_HUGE}\n", 1))
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out) == (3, "")
+    assert err == f"error: n gives instance #0 the negative step count " \
+        f"-{_HUGE}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("run", str(CORPUS / "compare.masm"), "--steps", "-1"),
     ("selftest", "--trials", "0"),

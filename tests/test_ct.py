@@ -113,6 +113,31 @@ def test_pairwise_proven_on_branchless_rewrite():
     assert v.stats["instances"] == 768
 
 
+def test_block_checks_evaluate_the_post_linearly_in_the_states(monkeypatch):
+    # once a left has met all of its block, a later left of the block
+    # meets only the block's first right, so the declared postcondition is
+    # evaluated a bounded number of times per start state, not per pair
+    calls = collections.Counter()
+    post_property = specfile.Problem.post_property
+
+    def counted(self, side, inst):
+        q = post_property(self, side, inst)
+
+        def holds(s):
+            calls[side] += 1
+            return q.holds(s)
+
+        return kernel.PropertyFn(holds, q.description, q.pcs)
+
+    monkeypatch.setattr(specfile.Problem, "post_property", counted)
+    problem = build((CORPUS / "compare_constant_ct.spec").read_text())
+    lefts = rights = len(problem.states(0))
+    v = ct.check_ct_relational(problem)
+    assert v.is_proven
+    assert (lefts, v.stats["instances"]) == (48, 768)
+    assert 0 < sum(calls.values()) <= 2 * (lefts + rights)
+
+
 def test_single_run_proven_with_witness_template():
     v = ct.check_ct_unary(load_problem("compare_constant_ct_unary.spec"))
     assert v.is_proven

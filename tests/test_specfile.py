@@ -643,3 +643,69 @@ def test_source_nested_too_deeply_to_compile_names_its_line(
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().err == (
         f"error: line {line}: expression nested too deeply to compile\n")
+
+
+def _nested(depth: int) -> str:
+    """x0 = 1 as an expression nested depth parentheses deep."""
+    return "x0 = 1 + 0 * " + "(1 - " * depth + "1" + ")" * depth
+
+
+def test_a_line_nested_too_deeply_to_parse_names_its_line(tmp_path, capsys):
+    path = tiny_spec(tmp_path, BASIC.replace("x0 = 1", _nested(300)))
+    with pytest.raises(SpecSyntaxError) as e:
+        parse_spec(path.read_text())
+    assert e.value.line == 16
+    assert cli.main(["check", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: line 16: expression nested too deeply to parse\n")
+
+
+@pytest.mark.parametrize("post", [
+    "x0 = 1" + " + 0" * 989,
+    " and ".join(["x0 = 1"] * 990),
+], ids=["sum", "and"])
+def test_a_chain_too_long_to_compile_names_its_line(tmp_path, capsys, post):
+    # the parse and the validating walk take a flat chain by loops; the
+    # generated source still recurses once per term
+    path = tiny_spec(tmp_path, BASIC.replace("x0 = 1", post))
+    parse_spec(path.read_text())
+    assert cli.main(["check", str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: line 16: expression nested too deeply to compile\n")
+
+
+def _walk_reference(node):
+    """The recursive pre-order walk that `_walk_exprs` replaced."""
+    yield node
+    kind = node[0]
+    if kind in ("bin", "cmp"):
+        yield from _walk_reference(node[2])
+        yield from _walk_reference(node[3])
+    elif kind in ("and", "or"):
+        yield from _walk_reference(node[1])
+        yield from _walk_reference(node[2])
+    elif kind == "not":
+        yield from _walk_reference(node[1])
+    elif kind == "call":
+        for a in node[2]:
+            yield from _walk_reference(a)
+    elif kind in ("memread", "flag", "aligned", "terminated"):
+        yield from _walk_reference(node[-1])
+
+
+def test_walk_exprs_keeps_the_recursive_pre_order():
+    line = ("not x0 = min(a, mem1(x1 - 2)) or flag z = -a and "
+            "aligned(program0, pc + prefixlen(x1, x2, 3) * 4)")
+    specs = [parse_spec(spec_text(BASIC.replace("x0 = 1", line)))] + [
+        parse_spec(p.read_text()) for p in sorted(CORPUS.glob("*.spec"))]
+    asts = [c.ast for spec in specs for store in (spec.pre, spec.post)
+            for lines in store.values() for c in lines]
+    assert len(asts) > 20
+    for ast in asts:
+        assert list(specfile._walk_exprs(ast)) == list(_walk_reference(ast))
+
+
+def test_a_line_nested_150_deep_still_checks(tmp_path, capsys):
+    path = tiny_spec(tmp_path, BASIC.replace("x0 = 1", _nested(150)))
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("VERDICT: Proven\n")
