@@ -4,12 +4,13 @@ Two formulations, checked against each other in the test suite:
 
 * Pairwise: every two runs that start equal on all public labels must
   produce identical event traces. The qualifying pairs of initial
-  states are a join on the public projection, handed to the relational
-  exact-count checker as blocks (one per public class, never stored as
-  pairs) with trace equality conjoined onto the postcondition; since
-  trace equality is equality of a per-state key, the kernel compares a
-  start state with one state of its class once another has passed the
-  whole class, rather than with every state of it.
+  states are a key join on the public projection, which the relational
+  exact-count checker builds itself (one block per public class, never
+  stored as pairs, each state projected once per side), with trace
+  equality conjoined onto the postcondition; since trace equality is
+  equality of a per-state key, the kernel compares a start state with
+  one state of its class once another has passed the whole class,
+  rather than with every state of it.
 
 * Single-run with a witness: every run's trace must equal a template
   expanded at the run's public parameters. A program passing this is
@@ -29,7 +30,7 @@ from the machine model).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import kernel, machine, specfile
@@ -55,14 +56,10 @@ class TemplateExpansionFailure(Exception):
 class Partition:
     """Split of the machine's labels into private ones, listed, and
     public ones: every label not listed, the pc and the event trace
-    included. Each state is projected once per partition: a check
-    builds its own partition, and the projection is the key of the join
-    that groups start states into public classes, read again, from this
-    cache, when the kernel validates the classes."""
+    included. The projection is the key of the join that groups start
+    states into public classes."""
 
     private: frozenset
-    _projections: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
 
     def __post_init__(self):
         for label in (machine.EVENTS, machine.PC):
@@ -73,10 +70,7 @@ class Partition:
     def project_public(self, s):
         """Canonical form of a state with private labels blanked; two
         states are public-equal iff their projections are equal."""
-        p = self._projections.get(s)
-        if p is None:
-            p = self._projections[s] = machine.mask_labels(s, self.private)
-        return p
+        return machine.mask_labels(s, self.private)
 
     def equal_public(self, s0, s1) -> bool:
         return self.project_public(s0) == self.project_public(s1)

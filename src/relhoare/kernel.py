@@ -15,10 +15,11 @@ enumeration, never symbolically:
                 count per side, evaluated as the nested exact-count
                 quantifier: every pair of frontier states (one frontier
                 per side) must satisfy the pair postcondition and frame.
-                Every spec pair check factors its postcondition per side;
-                on the blocks of a key join, a later left state of a
-                block that one left has passed is then compared with the
-                block's first right state only.
+                Pairs are explicit or a key join, which only the kernel
+                builds, keying each state once per side. Every spec pair
+                check factors its postcondition per side; on a key join,
+                a later left state of a block that one left has passed is
+                then compared with the block's first right state only.
   hybrid        an ensures2 judgment whose pair frame is a product,
                 together with a unary precondition and postcondition for
                 the second component; its unary frame is the product's
@@ -378,81 +379,66 @@ class LazyTuple(SequenceABC):
 class PairEnumeration:
     """Initial pairs; optional per-side domains are enforced.
 
-    Pairs are either explicit, or in block form: pre2 is a KeyJoin,
-    `blocks` holds (key, rights) per key, and the pairs are each state
-    of `lefts` with every right of its own key's block, in that order.
-    The block form keeps `pairs` as a LazyTuple expanded on first read,
-    and `validate` checks it per state, not per pair: each right must
-    carry its block's key, which makes every pair satisfy pre2."""
+    Pairs are explicit, or, with a KeyJoin pre2 and no pairs, the key
+    join of domain0 x domain1 in scan order, which the kernel builds: it
+    keys each right once with key1, grouping the rights into one tuple
+    per key in order, and each left once with key0. `blocks` holds each
+    left's tuple, and `pairs` is a LazyTuple expanded on first read. A
+    join needs no validation: its domains are its sides, and its pairs
+    come from the keys that define pre2."""
 
-    pairs: Any = None  # tuple of (s0, s1); a LazyTuple in block form
+    pairs: Any = None  # tuple of (s0, s1); a LazyTuple for a key join
     pre2: PairProperty = PairProperty(lambda a, b: True, "true")
     domain0: Optional[tuple] = None
     domain1: Optional[tuple] = None
     description: str = ""
-    lefts: Optional[tuple] = None
-    blocks: Optional[tuple] = None  # ((key, rights), ...)
+    blocks: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)  # per left, for a join
 
     def __post_init__(self):
-        if self.blocks is not None:
-            object.__setattr__(self, "_rights", dict(self.blocks))
-            object.__setattr__(self, "pairs", LazyTuple(self.scan))
+        if self.pairs is not None:
+            return
+        if not isinstance(self.pre2, KeyJoin) or None in (self.domain0,
+                                                          self.domain1):
+            raise SchemaMismatch("an enumeration without pairs needs a "
+                                 "key join and both domains")
+        groups: dict = {}
+        for b in self.domain1:
+            groups.setdefault(self.pre2.key1(b), []).append(b)
+        groups = {k: tuple(v) for k, v in groups.items()}
+        object.__setattr__(self, "blocks", tuple(
+            groups.get(self.pre2.key0(a), ()) for a in self.domain0))
+        object.__setattr__(self, "pairs", LazyTuple(self.scan))
 
     @staticmethod
     def join(pre2: KeyJoin, lefts, rights,
              description: str = "") -> "PairEnumeration":
-        """Every (a, b) in lefts x rights with pre2(a, b), as blocks of
-        the rights grouped by key in order, so the pairs come out in the
-        order of a scan of all of them. lefts and rights are also the
-        domains."""
-        lefts, rights = tuple(lefts), tuple(rights)
-        groups: dict = {}
-        for b in rights:
-            groups.setdefault(pre2.key1(b), []).append(b)
-        return PairEnumeration(None, pre2, lefts, rights, description,
-                               lefts, tuple((k, tuple(v))
-                                            for k, v in groups.items()))
-
-    def rights_of(self, left) -> tuple:
-        """A left state's partners in block form: its key's block."""
-        return self._rights.get(self.pre2.key0(left), ())
+        """Every (a, b) in lefts x rights with pre2(a, b), joined by the
+        kernel; lefts and rights are the domains."""
+        return PairEnumeration(None, pre2, tuple(lefts), tuple(rights),
+                               description)
 
     def scan(self):
-        """The pairs in order; in block form, without storing them."""
+        """The pairs in order; for a key join, without storing them."""
         if self.blocks is None:
-            yield from self.pairs
-            return
-        for a in self.lefts:
-            for b in self.rights_of(a):
-                yield a, b
+            return iter(self.pairs)
+        return ((a, b) for a, rights in zip(self.domain0, self.blocks)
+                for b in rights)
 
     def validate(self) -> None:
-        blocks = self.blocks
-        sides = ((self.lefts, (b for _, rights in blocks for b in rights))
-                 if blocks is not None else
-                 ((a for a, _ in self.pairs), (b for _, b in self.pairs)))
-        for i, (states, domain) in enumerate(zip(sides, (self.domain0,
-                                                         self.domain1))):
-            if domain is not None and not set(domain).issuperset(states):
+        if self.blocks is not None:
+            return
+        for i, domain in enumerate((self.domain0, self.domain1)):
+            if domain is not None and not set(domain).issuperset(
+                    pair[i] for pair in self.pairs):
                 raise AsymmetricEnumeration(
                     f"pair references a {('left', 'right')[i]} state "
                     f"outside domain{i}")
-        if blocks is None:
-            for s0, s1 in self.pairs:
-                if not self.pre2.holds(s0, s1):
-                    raise SchemaMismatch(
-                        f"enumerated pair fails its own precondition "
-                        f"{self.pre2.description!r}")
-            return
-        if not isinstance(self.pre2, KeyJoin):
-            raise SchemaMismatch("pair blocks need a key join as precondition")
-        if len(self._rights) != len(blocks):
-            raise SchemaMismatch("two pair blocks share one key")
-        for key, rights in blocks:
-            if any(self.pre2.key1(b) != key for b in rights):
+        for s0, s1 in self.pairs:
+            if not self.pre2.holds(s0, s1):
                 raise SchemaMismatch(
-                    f"a state sits in the block of a key other than its "
-                    f"own under {self.pre2.description!r}")
+                    f"enumerated pair fails its own precondition "
+                    f"{self.pre2.description!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -954,15 +940,15 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     The first failing pair in order refutes.
 
     That pair is found by comparing the pairs in order, with one skip
-    for pair blocks with a FactoredPost over a KeyJoin rel, a product
-    frame and StepFn step counts (`_block_scan`). There each condition
-    on a pair reads one side's start state and finals, and the rel is
-    equality of keys, an equivalence. So once a left holds with every
-    right of its block, the finals of those rights all carry one key
-    and satisfy their side's conditions, and a later left of the block
-    holds with every right iff it holds with the first: it is compared
-    with that one only, and a failure there is its first failing
-    pair. The
+    for a key join with a FactoredPost over a KeyJoin rel, a product
+    frame and StepFn step counts (`_block_scan`, which walks each left
+    with its block and keys nothing). There each condition on a pair
+    reads one side's start state and finals, and the rel is equality of
+    keys, an equivalence. So once a left holds with every right of its
+    block, the finals of those rights all carry one key and satisfy
+    their side's conditions, and a later left of the block holds with
+    every right iff it holds with the first: it is compared with that
+    one only, and a failure there is its first failing pair. The
     comparison of the failing pair gives the counterexample, and the
     stats' `steps0`, `steps1` and `reached` are LazyTuples read back
     from the explorations, for every pair up to the failing one (all of
@@ -973,9 +959,10 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
 
     def explore(steps, i, s):
         rule = _rule(steps, i, sys, s)
-        if (s, rule) not in memo:
-            memo[s, rule] = _explore(sys, s, rule, None)
-        return memo[s, rule]
+        found = memo.get((s, rule))
+        if found is None:
+            found = memo[s, rule] = _explore(sys, s, rule, None)
+        return found
 
     def compare(i, pair):
         """Explore both sides of the i-th pair; its counterexample, or
@@ -1010,7 +997,7 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
             and isinstance(post2.rel, KeyJoin)
             and isinstance(frame2, PairFrame) and frame2.product_of
             and isinstance(steps0, StepFn) and isinstance(steps1, StepFn)):
-        count = sum(len(pairs.rights_of(a)) for a in pairs.lefts)
+        count = sum(map(len, pairs.blocks))
         tried = _block_scan(pairs)
     else:
         count, tried = len(pairs.pairs), enumerate(pairs.pairs)
@@ -1042,18 +1029,16 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
 
 
 def _block_scan(pairs: PairEnumeration):
-    """(index, pair) for the pairs of a block-form enumeration in scan
-    order, read by a loop that stops at its first failing pair: once a
-    left has met every right of its block, a later left of the block
-    meets only the block's first right."""
-    walked: set = set()  # blocks whose rights all held with one left
+    """(index, pair) for the pairs of a key join in scan order, read by
+    a loop that stops at its first failing pair: once a left has met
+    every right of its block, a later left of the block meets only the
+    block's first right."""
+    done: set = set()  # ids of blocks whose rights all held with a left
     i = 0
-    for a in pairs.lefts:
-        block = pairs.pre2.key0(a)
-        rights = pairs._rights.get(block, ())
-        for j, b in enumerate(rights[:1] if block in walked else rights):
+    for a, rights in zip(pairs.domain0, pairs.blocks):
+        for j, b in enumerate(rights[:1] if id(rights) in done else rights):
             yield i + j, (a, b)
-        walked.add(block)
+        done.add(id(rights))
         i += len(rights)
 
 

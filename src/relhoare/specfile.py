@@ -829,6 +829,15 @@ class _Source:
                     f"{self.expr(ast[2])}, {self.const(program.data)}))[1]")
         return self.fail(f"cannot evaluate {kind} constraint")
 
+    def conjunction(self, asts) -> str:
+        """The `and` of several constraints, in the text of their
+        left-nested chain but generated by a loop, so that many lines
+        need no deeper recursion than one."""
+        texts = [self.cond(a) for a in asts]
+        if len(texts) > 1 and asts[0][0] == "and":
+            texts[0] = texts[0][1:-1]  # a left-leaning chain stays flat
+        return texts[0] if len(texts) == 1 else f"({' and '.join(texts)})"
+
     def define(self, name: str, body: list, prelude: list = (),
                params: str = "values, state") -> Callable:
         """The function name(params) that runs the prelude lines and then
@@ -921,7 +930,6 @@ def eval_constraint(ast, values: dict, state=None, programs=None) -> bool:
 class Instance:
     index: int
     env: dict           # scalar parameters + builtins
-    cells: tuple        # ((addr, value), ...)
     state0: Any
     state1: Any = None
 
@@ -993,12 +1001,12 @@ class Problem:
                    rel: Callable = lambda a, b: True,
                    describe: Optional[Callable] = None) -> tuple:
         """(PairEnumeration, factored pair postcondition, product frame,
-        left steps, right steps) of a two-run check. A KeyJoin pre2 joins
-        every left start state with each right one of equal key, as pair
-        blocks; otherwise the pairs are the given ones, or else each
-        instance's own two start states. A pair's postcondition is rel and
-        each side's postcondition at its start state, named describe(d0,
-        d1) of their descriptions or else post_description."""
+        left steps, right steps) of a two-run check. A KeyJoin pre2 asks
+        the kernel for its key join of the left and right start states,
+        each keyed once; otherwise the pairs are the given ones, or else
+        each instance's own two start states. A pair's postcondition is
+        rel and each side's postcondition at its start state, named
+        describe(d0, d1) of their descriptions or else post_description."""
         right = self.right
         lefts, rights = self.states(0), self.states(right)
         if isinstance(pre2, kernel.KeyJoin):
@@ -1078,20 +1086,22 @@ class Problem:
         if key not in self._compiled:
             constraints = self._conditions(getattr(self.spec, section), side)
             names = set(self.builtins) | {p.name for p in self.spec.scalars}
-            ast = functools.reduce(lambda a, b: ("and", a, b),
-                                   [c.ast for c in constraints] or [_TRUE])
+            asts = [c.ast for c in constraints] or [_TRUE]
+            g = _Source(self.programs)
             try:
-                holds = compile_constraint(ast, self.programs)
-                guard = _guard(ast, names)
+                with _nesting(0):
+                    holds = g.define("holds",
+                                     [f"return {g.conjunction(asts)}"])
+                guards = [_guard(a, names) for a in asts]
             except (SpecSyntaxError, RecursionError):
                 raise _too_deep(constraints, self.programs) from None
             self._compiled[key] = (
                 holds, " and ".join(c.text for c in constraints) or "true",
-                guard)
-        holds, text, guard = self._compiled[key]
+                [guard for guard in guards if guard is not None])
+        holds, text, guards = self._compiled[key]
         prop = kernel.PropertyFn(
             functools.partial(holds, inst.env), text,
-            None if guard is None else self._meet((guard(inst.env),)))
+            self._meet([guard(inst.env) for guard in guards]))
         self._last[key] = (inst.env, prop)
         return prop
 
@@ -1191,7 +1201,7 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
                 s1 = construct1(env, cells)
                 if s1 is None:
                     continue
-            instances.append(Instance(len(instances), env, cells, s0, s1))
+            instances.append(Instance(len(instances), env, s0, s1))
     return Problem(spec, programs, tuple(bases), instances, builtins)
 
 

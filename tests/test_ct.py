@@ -158,9 +158,9 @@ def test_forms_agree_on_the_same_program():
 
 
 def test_a_warm_projection_cache_does_not_excuse_a_foreign_pair(monkeypatch):
-    # the pairs a check builds are re-checked against pre2; a hand-built
-    # pair that is not public-equal must still be refused after the
-    # partition has projected every start state
+    # explicit pairs are checked against pre2: a hand-built pair that is
+    # not public-equal is refused, also by a partition that has just
+    # keyed every start state of a check
     problem = load_problem("compare_constant_ct.spec")
     part = ct.partition_of(problem)
     monkeypatch.setattr(ct, "partition_of", lambda problem: part)
@@ -177,32 +177,6 @@ def test_a_warm_projection_cache_does_not_excuse_a_foreign_pair(monkeypatch):
                               kernel.PairProperty(lambda x, y: True, "true"),
                               kernel.product_frame(kernel.ANYTHING,
                                                    kernel.ANYTHING))
-
-
-def test_blocks_whose_keys_disagree_with_a_warm_cache_are_refused():
-    problem = load_problem("compare_constant_ct.spec")
-    part = ct.partition_of(problem)
-    public = kernel.key_join(part.project_public, "equal public labels")
-    states = problem.states(0)
-    assert all(part.project_public(s) is not None for s in states)  # warm
-    # blocks keyed by a projection that also blanks x0 (the length n)
-    wider = part.private | {machine.reg_label(0)}
-    groups: dict = {}
-    for s in states:
-        groups.setdefault(machine.mask_labels(s, wider), []).append(s)
-    enum = kernel.PairEnumeration(
-        None, public, states, states, "blocks", lefts=states,
-        blocks=tuple((k, tuple(v)) for k, v in groups.items()))
-    with pytest.raises(kernel.SchemaMismatch, match="equal public labels"):
-        enum.validate()
-    # blocks built from the cache, which then changes under one state
-    enum = kernel.PairEnumeration.join(public, states, states)
-    enum.validate()
-    s = states[0]
-    part._projections[s] = next(part.project_public(t) for t in states
-                                if not part.equal_public(s, t))
-    with pytest.raises(kernel.SchemaMismatch):
-        enum.validate()
 
 
 def counting(sys: kernel.StepOracle):

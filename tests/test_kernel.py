@@ -155,40 +155,44 @@ PARITY = kernel.key_join(lambda s: s % 2, "same parity")
 NO_REL = kernel.key_join(lambda s: None, "no relation")
 
 
-def blocks_of(lefts, blocks, domain0=None, domain1=None):
-    return PairEnumeration(None, PARITY, domain0, domain1, "blocks",
-                           lefts=lefts, blocks=blocks)
-
-
 def test_pair_blocks_expand_in_scan_order_on_first_read():
     lefts, rights = (1, 2, 3, 1), (2, 3, 4, 5)
     enum = PairEnumeration.join(PARITY, lefts, rights)
     assert enum.pairs._items is None
     assert enum.pairs == tuple((a, b) for a in lefts for b in rights
                                if a % 2 == b % 2)
-    assert enum.blocks == ((0, (2, 4)), (1, (3, 5)))
+    assert enum.blocks == ((3, 5), (2, 4), (3, 5), (3, 5))
+    assert enum.blocks[0] is enum.blocks[2]  # one tuple per key
     enum.validate()
 
 
-def test_pair_blocks_refuse_a_state_in_a_foreign_block():
-    with pytest.raises(SchemaMismatch, match="block of a key other"):
-        blocks_of((1, 2), ((1, (3,)), (0, (2, 5)))).validate()
+def test_a_join_keys_each_state_once_per_side():
+    keyed: list = []
+
+    def key(side):
+        return lambda s: keyed.append((side, s)) or s % 2
+
+    lefts, rights = (1, 2, 3, 1), (2, 3, 4, 5)
+    join = kernel.key_join(key(0), "same parity", key(1))
+    enum = PairEnumeration.join(join, lefts, rights)
+    post = kernel.factored_post(PARITY, at(1, 2, 3, 4, 5),
+                                at(1, 2, 3, 4, 5), "post")
+    steps = StepFn.constant(0)
+    v = kernel.check_ensures2(sys_of(), enum, steps, steps, post, ANY2)
+    assert v.is_proven and v.stats["instances"] == 8
+    assert sorted(keyed) == sorted([(0, s) for s in lefts]
+                                   + [(1, s) for s in rights])
 
 
-def test_pair_blocks_refuse_states_outside_their_domains():
-    with pytest.raises(kernel.AsymmetricEnumeration, match="domain0"):
-        blocks_of((1, 7), ((1, (3,)),), (1, 3), (3,)).validate()
-    with pytest.raises(kernel.AsymmetricEnumeration, match="domain1"):
-        blocks_of((1,), ((1, (3, 5)),), (1,), (3,)).validate()
-
-
-def test_pair_blocks_refuse_a_shared_key_or_a_plain_precondition():
-    with pytest.raises(SchemaMismatch, match="share one key"):
-        blocks_of((1,), ((1, (3,)), (1, (5,)))).validate()
-    plain = PairEnumeration(None, PairProperty(lambda a, b: True, "true"),
-                            lefts=(1,), blocks=((1, (3,)),))
-    with pytest.raises(SchemaMismatch, match="key join"):
-        plain.validate()
+def test_a_key_join_needs_both_domains():
+    for domains in ((None, (2,)), ((1,), None), (None, None)):
+        with pytest.raises(SchemaMismatch, match="both domains"):
+            PairEnumeration(None, PARITY, *domains)
+    with pytest.raises(SchemaMismatch, match="both domains"):
+        PairEnumeration(None, PairProperty(lambda a, b: True, "true"),
+                        (1,), (2,))
+    with pytest.raises(TypeError):
+        PairEnumeration(None, PARITY, (1,), (2,), blocks=((1,),))
 
 
 def test_an_empty_block_set_warns_of_an_empty_precondition():

@@ -674,6 +674,21 @@ def test_a_chain_too_long_to_compile_names_its_line(tmp_path, capsys, post):
         "", "error: line 16: expression nested too deeply to compile\n")
 
 
+def test_many_post_lines_compile_as_one_flat_conjunction(tmp_path, capsys):
+    # each line is short; their `and` is generated by a loop, and the
+    # guard of the terminated(...) line still holds for the whole post
+    post = "\n    ".join(["terminated(base0 + 4)"] + ["x0 = 1"] * 990)
+    path = tiny_spec(tmp_path, BASIC.replace(
+        "terminated(base0 + 4) and x0 = 1", post))
+    problem = specfile.build_problem(parse_spec(path.read_text()), tmp_path)
+    q = problem.post_property(0, problem.instances[0])
+    assert q.pcs == frozenset({0x1004})
+    assert q.description == " and ".join(["terminated(base0 + 4)"]
+                                         + ["x0 = 1"] * 990)
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("VERDICT: Proven\n")
+
+
 def _walk_reference(node):
     """The recursive pre-order walk that `_walk_exprs` replaced."""
     yield node

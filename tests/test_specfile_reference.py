@@ -193,7 +193,7 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
                 s1 = _construct(spec, programs, bases, env, cells, 1)
                 if s1 is None:
                     continue
-            instances.append(Instance(len(instances), env, cells, s0, s1))
+            instances.append(Instance(len(instances), env, s0, s1))
     return Problem(spec, tuple(programs), tuple(bases), instances, builtins)
 
 
@@ -612,7 +612,7 @@ def test_the_corpus_witness_matches_the_reference():
 # the builder
 
 def instance_rows(problem: Problem) -> list:
-    return [(i.index, i.env, i.cells, i.state0, i.state1)
+    return [(i.index, i.env, i.state0, i.state1)
             for i in problem.instances]
 
 
