@@ -214,18 +214,15 @@ def prove_ct_unary(problem: specfile.Problem,
 
 def bridge(j: kernel.Judgment, partition: Partition) -> kernel.Judgment:
     """Recover the pairwise form from a single-run judgment: take the
-    product of the judgment with itself, keep only public-equal pairs,
-    and weaken the postcondition to trace equality. The result re-checks
-    directly, which the caller is expected to do."""
+    product of the judgment with itself, keep only public-equal pairs
+    (the kernel's key join on the public projection), and weaken the
+    postcondition to trace equality. The result re-checks directly,
+    which the caller is expected to do."""
     prod = kernel.convert(j, "product", {"other": j})
-    part_pairs = tuple(p for p in prod.parts.pairs.pairs
-                       if partition.equal_public(*p))
-    pre2 = kernel.PairProperty(partition.equal_public,
-                               "equal public labels")
-    enum = kernel.PairEnumeration(part_pairs, pre2,
-                                  prod.parts.pairs.domain0,
-                                  prod.parts.pairs.domain1,
-                                  "public-equal pairs")
+    enum = kernel.PairEnumeration.join(
+        kernel.key_join(partition.project_public, "equal public labels"),
+        prod.parts.pairs.domain0, prod.parts.pairs.domain1,
+        "public-equal pairs")
     restricted = kernel.apply_rule("pre2", (prod,), {"pre": enum})
     trace_eq = kernel.PairProperty(lambda a, b: a.events == b.events,
                                    "equal event traces")

@@ -247,24 +247,15 @@ def compose_frames(f0: FrameFn, f1: FrameFn,
     maychange of the union; otherwise a mid-state supplier is needed to
     witness the existential."""
     if f0.intensional_form is not None and f1.intensional_form is not None:
-        union = f0.intensional_form | f1.intensional_form
-        return FrameFn(lambda s, t: _delta_within(s, t, union),
-                       intensional_form=union,
-                       description=f"({f0.description} o {f1.description})")
+        from .machine import maychange  # local: the kernel stays machine-free
+        return maychange(f0.intensional_form | f1.intensional_form,
+                         f"({f0.description} o {f1.description})")
     if mids is None:
         raise FactorizationWitnessMissing(
             "cannot compose frames without label sets or a mid-state supplier")
     return FrameFn(
         lambda s, t: any(f0.related(s, m) and f1.related(m, t) for m in mids(s)),
         description=f"({f0.description} o {f1.description})")
-
-
-def _delta_within(s, t, labels) -> bool:
-    # local import keeps this module independent of the machine model
-    from .machine import MachineState, agrees_outside
-    if isinstance(s, MachineState):
-        return agrees_outside(s, t, labels)
-    raise KernelError("label frames only apply to machine states")
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +619,7 @@ def _explore(sys: StepOracle, s, n_or_auto, target: Optional[Callable]):
                 _NO_COMMON_STOP if target is None else
                 "branches disagree on the first step count satisfying "
                 "the target")
-        if len(succs) == 1 and len(succs[0]) == 1:
-            frontier = list(succs[0])  # one state, nothing to dedupe
-        else:
-            frontier = list(dict.fromkeys(t for ss in succs for t in ss))
+        frontier = list(dict.fromkeys(t for ss in succs for t in ss))
         k += 1
     raise StepFnUnresolvable(f"no resolution within {depth} steps")
 
@@ -1388,10 +1376,9 @@ def _rule_loop(premises, inputs):
                              "exit premise")
     for j in premises:
         _expect_form(j, "ensures", "loop premise")
-    frames = {j.parts.frame for j in premises
-              if isinstance(j.parts.frame, FrameFn)}
+    frames = {j.parts.frame for j in premises}
     if len(frames) > 1:
-        labels = {f.intensional_form for f in frames}
+        labels = {getattr(f, "intensional_form", None) for f in frames}
         if None in labels or len(labels) > 1:
             raise SideConditionFailed("loop premises must share one frame")
     frame = premises[0].parts.frame
@@ -1825,12 +1812,10 @@ def _conv_hybridize(j, aux):
     jf = j.parts.frame
     if isinstance(jf, FrameFn) and jf.intensional_form is not None \
             and fl.intensional_form is not None:
-        inter = fl.intensional_form & jf.intensional_form
+        from .machine import maychange  # local: the kernel stays machine-free
         frame2 = product_frame(
-            FrameFn(lambda s, t, L=inter: _delta_within(s, t, L),
-                    intensional_form=inter,
-                    description=f"({fl.description} and {jf.description})"),
-            fr)
+            maychange(fl.intensional_form & jf.intensional_form,
+                      f"({fl.description} and {jf.description})"), fr)
 
     left_states = set(j.parts.enum.states)
     li = dict(zip(j.parts.enum.states, j.parts.steps))

@@ -736,25 +736,6 @@ def is_aligned_at(s: MachineState, base: int, code: bytes) -> bool:
 # ---------------------------------------------------------------------------
 # label deltas and projections
 
-def agrees_outside(s0: MachineState, s1: MachineState,
-                   labels: frozenset[Label]) -> bool:
-    """True when every label where the states differ lies inside `labels`.
-    This is the maychange relation for that label set. Stops at the first
-    difference outside it."""
-    if s0.regs != s1.regs:
-        for label, a, b in zip(_REG_LABELS, s0.regs, s1.regs):
-            if a != b and label not in labels:
-                return False
-    if (s0.pc != s1.pc and PC not in labels
-            or s0.flag_n != s1.flag_n and FLAG_N not in labels
-            or s0.flag_z != s1.flag_z and FLAG_Z not in labels
-            or s0.events != s1.events and EVENTS not in labels):
-        return False
-    m0, m1 = s0.mem, s1.mem
-    return m0 is m1 or all(mem_label(a) in labels
-                           for a in m0.differences(m1))
-
-
 def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
     """Overwrite the given labels with canonical zero values. Two states
     have equal public parts iff masking the private labels makes them
@@ -808,9 +789,10 @@ def maychange(labels: Iterable[Label], description: str = "") -> "kernel.FrameFn
 
 
 def _related(labels: frozenset) -> Callable:
-    """agrees_outside(s, t, labels) with the label set split once: the
-    registers, pc, flags and trace outside it are compared as tuples, and
-    of two memories only the addresses where they differ are looked up."""
+    """The maychange relation for labels: true when every label where s
+    and t differ lies inside it. The set is split once: the registers,
+    pc, flags and trace outside it are compared as tuples, and of two
+    memories only the addresses where they differ are looked up."""
     regs = [i for i, label in enumerate(_REG_LABELS) if label not in labels]
     names = [label.kind for label in (PC, FLAG_N, FLAG_Z, EVENTS)
              if label not in labels]

@@ -7,6 +7,10 @@ tests.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -934,6 +938,230 @@ def test_rule_seq_over_a_derived_first_premise():
                              "covered by the second premise's "
                              "precondition$"):
         apply_rule("seq", [derived, short])
+
+
+# ---------------------------------------------------------------------------
+# side conditions: each test below fails if its rule stops checking the
+# condition it names
+
+def test_check_hybrid_refutes_a_unary_state_without_a_partner():
+    sys, hybrid = hybrid_of(ANY2)
+    lonely = dataclasses.replace(hybrid, unary=Enumeration((10, 11)))
+    v = kernel.check_hybrid(sys, lonely)
+    assert v.is_refuted and v.counterexample.reason == "no_partner"
+    assert v.counterexample.initial == 11
+
+
+def test_check_hybrid_refutes_a_pair_that_misses_the_unary_post():
+    sys, hybrid = hybrid_of(ANY2)
+    v = kernel.check_hybrid(sys, dataclasses.replace(hybrid, upost=at(12)))
+    assert v.is_refuted and v.counterexample.reason == "projection"
+    assert v.counterexample.witness == (1, 11)
+
+
+def test_hybridize_refuses_a_unary_post_the_pairs_miss():
+    sys = sys_of((0, 1), (10, 11))
+    rel = rel_judgment(sys, [(0, 10)], (1,), (1,), pairs_at((1, 11)))
+    unary = kernel.prove_ensures_n(sys, Enumeration((0,)),
+                                   StepFn.constant(1), at(1), ANY)
+    with pytest.raises(SideConditionFailed,
+                       match="^hybrid side conditions fail: refuted "
+                             r"\(projection\)$"):
+        convert(unary, "hybridize", {"relational": rel,
+                                     "unary_pre": Enumeration((10,)),
+                                     "upost": at(12)})
+
+
+def test_rule_frame_needs_the_old_label_set_inside_the_new():
+    from relhoare import machine as m
+    small, big = m.maychange({m.PC}), m.maychange({m.PC, m.reg_label(0)})
+    j = kernel.prove_ensures(sys_of(), Enumeration(()), at(), big, 0)
+    assert apply_rule("frame", [j], {"frame": big}).parts.frame is big
+    with pytest.raises(SideConditionFailed,
+                       match="^extended frame does not contain the old "
+                             "label set$"):
+        apply_rule("frame", [j], {"frame": small})
+
+
+def test_rule_loop_needs_one_frame_for_every_stage():
+    sys = sys_of((0, 1), (1, 2))
+    mono = FrameFn(lambda s, t: t >= s, description="monotone",
+                   transitive=True)
+    loose = FrameFn(lambda s, t: True, description="anything",
+                    transitive=True)
+    stages = [kernel.prove_ensures(sys, Enumeration((s,)), at(s + 1), f, 2)
+              for s, f in ((0, mono), (1, loose))]
+    with pytest.raises(SideConditionFailed,
+                       match="^loop premises must share one frame$"):
+        apply_rule("loop", stages)
+    # a per-state frame on a later stage is a frame too: 1 -> -5 is not
+    # monotone, so a loop under mono alone would not recheck
+    sys = sys_of((0, 1), (1, -5))
+    stages = [kernel.prove_ensures(sys, Enumeration((0,)), at(1), mono, 2),
+              kernel.prove_ensures(sys, Enumeration((1,)), at(-5),
+                                   per_state({1: loose}, "anything"), 2)]
+    with pytest.raises(SideConditionFailed,
+                       match="^loop premises must share one frame$"):
+        apply_rule("loop", stages)
+
+
+def branch_cases_of(posts, frames):
+    sys = sys_of((0, 2), (1, 2))
+    cases = [kernel.prove_ensures(sys, Enumeration((s,)), q, f, 4)
+             for s, q, f in zip((0, 1), posts, frames)]
+    return apply_rule("branch_cases", cases, {"pre": Enumeration((0, 1))})
+
+
+def test_rule_branch_cases_needs_a_shared_postcondition():
+    with pytest.raises(SideConditionFailed,
+                       match="^branch cases must share a postcondition$"):
+        branch_cases_of((at(2), at(2, 3)), (ANY, ANY))
+
+
+def test_rule_branch_cases_needs_a_shared_frame():
+    up = FrameFn(lambda s, t: t > s, description="up")
+    with pytest.raises(SideConditionFailed,
+                       match="^branch cases must share a frame$"):
+        branch_cases_of((at(2), at(2)), (ANY, up))
+
+
+def test_rule_frame_compose_needs_one_middle_frame():
+    sys = sys_of((0, 1), (10, 11), (20, 21))
+    up = FrameFn(lambda s, t: t > s, description="up")
+    j1 = rel_judgment(sys, [(0, 10)], (1,), (1,), pairs_at((1, 11)),
+                      product_frame(ANY, up))
+    j2 = rel_judgment(sys, [(10, 20)], (1,), (1,), pairs_at((11, 21)))
+    with pytest.raises(SideConditionFailed,
+                       match="^premises disagree on the middle frame$"):
+        apply_rule("frame_compose", [j1, j2])
+
+
+def test_rule_frame_compose_needs_one_step_count_for_the_middle():
+    # 10 and 11 swap, so the middle 10 comes back to 10 after 2 steps and
+    # both premises reach the same middle states at different counts
+    sys = sys_of((0, 1), (10, 11), (11, 10), (20, 21))
+    j1 = rel_judgment(sys, [(0, 10)], (1,), (2,), pairs_at((1, 10)))
+    j2 = rel_judgment(sys, [(10, 20)], (0,), (1,), pairs_at((10, 21)))
+    with pytest.raises(SideConditionFailed,
+                       match="^middle step counts disagree on a joined "
+                             "pair$"):
+        apply_rule("frame_compose", [j1, j2])
+
+
+def test_rule_frame_compose_refuses_disjoint_middle_states():
+    # two walks of one middle state at one count reach the same states,
+    # so only evidence made by hand can disagree on them
+    sys = sys_of((0, 1), (10, 11), (20, 21))
+    j1 = rel_judgment(sys, [(0, 10)], (1,), (1,), pairs_at((1, 11)))
+    j2 = rel_judgment(sys, [(10, 20)], (1,), (1,), pairs_at((11, 21)))
+    forged = dataclasses.replace(j1, evidence=kernel.Checked(1, (((1, 12),),)))
+    with pytest.raises(SideConditionFailed,
+                       match="^joined premises reach disjoint middle "
+                             "states$"):
+        apply_rule("frame_compose", [forged, j2])
+
+
+# (0, 0) reaches the middles (1, 1), (1, 2), (2, 1) and (2, 2); from 1 it
+# is one step to 3, from 2 two steps to 5
+FORK2 = sys_of((0, 1), (0, 2), (1, 3), (2, 4), (4, 5))
+MIDS = [(a, b) for a in (1, 2) for b in (1, 2)]
+MOVED = PairProperty(lambda a, b: True, "moved")
+
+
+def test_rule_comp_needs_one_continuation_step_count():
+    j1 = rel_judgment(FORK2, [(0, 0)], (1,), (1,), MOVED)
+    j2 = rel_judgment(FORK2, MIDS, tuple(a for a, _ in MIDS),
+                      tuple(b for _, b in MIDS), MOVED)
+    with pytest.raises(SideConditionFailed,
+                       match="^continuation step counts differ between "
+                             "reached pairs$"):
+        apply_rule("comp", [j1, j2])
+
+
+def test_rule_comp_needs_one_continuation_postcondition():
+    j1 = rel_judgment(FORK2, [(0, 0)], (1,), (1,), MOVED)
+    j2 = rel_judgment(FORK2, MIDS, (1,) * 4, (0,) * 4, per_state(
+        {mid: PairProperty(MOVED.holds, "left moved" if mid[0] == 1
+                           else "moved") for mid in MIDS}, "moved"))
+    with pytest.raises(SideConditionFailed,
+                       match="^continuation postconditions differ between "
+                             "reached pairs$"):
+        apply_rule("comp", [j1, j2])
+
+
+def test_rule_conj_needs_a_shared_frame():
+    sys = sys_of((0, 1))
+    up = FrameFn(lambda s, t: t > s, description="up")
+    j1, j2 = (kernel.prove_ensures_n(sys, Enumeration((0,)),
+                                     StepFn.constant(1), at(1), f)
+              for f in (ANY, up))
+    with pytest.raises(SideConditionFailed,
+                       match="^conj premises must share a frame$"):
+        apply_rule("conj", [j1, j2])
+
+
+def test_rule_conj2_needs_a_shared_pair_frame():
+    sys = sys_of((0, 1))
+    up = FrameFn(lambda s, t: t > s, description="up")
+    j1, j2 = (rel_judgment(sys, [(0, 0)], (1,), (1,), pairs_at((1, 1)), f)
+              for f in (ANY2, product_frame(up, up)))
+    with pytest.raises(SideConditionFailed,
+                       match="^relational conj premises must share a pair "
+                             "frame$"):
+        apply_rule("conj2", [j1, j2])
+
+
+def test_hybridize_needs_the_unary_step_counts():
+    sys = sys_of((0, 1), (1, 2), (10, 11))
+    rel = rel_judgment(sys, [(0, 10)], (2,), (1,), pairs_at((2, 11)))
+    unary = kernel.prove_ensures_n(sys, Enumeration((0,)),
+                                   StepFn.constant(1), at(1), ANY)
+    with pytest.raises(SideConditionFailed,
+                       match="^unary and relational step counts disagree "
+                             "on a shared start state$"):
+        convert(unary, "hybridize", {"relational": rel,
+                                     "unary_pre": Enumeration((10,)),
+                                     "upost": at(11)})
+
+
+def test_hybrid_extract_needs_one_step_count_per_partner():
+    # the right state 10 is paired with 0 at one step and with 1 at two
+    sys = sys_of((0, 5), (1, 5), (10, 11), (11, 12))
+    rel = rel_judgment(sys, [(0, 10), (1, 10)], (1, 1), (1, 2), MOVED)
+    unary = kernel.prove_ensures_n(sys, Enumeration((0, 1)),
+                                   StepFn.constant(1), at(5), ANY)
+    hybrid = convert(unary, "hybridize", {"relational": rel,
+                                          "unary_pre": Enumeration((10,)),
+                                          "upost": at(11, 12)})
+    assert_derived(hybrid)
+    with pytest.raises(SideConditionFailed,
+                       match="^partners disagree on the right-side step "
+                             "count$"):
+        convert(hybrid, "hybrid_extract")
+
+
+def test_promote_needs_evidence_for_exactly_the_start_states():
+    # 0 and 2 share the entry pc 0 and both stop at 5, whose pc is 1
+    base = sys_of((0, 5), (2, 5))
+    sys = dataclasses.replace(base, pc_of=lambda s: s % 2)
+    j = kernel.prove_ensures(sys, Enumeration((0,)), at(5), ANY, 4)
+    for states in ((0, 2), (2,)):
+        ev = kernel.first_stop_evidence(sys, Enumeration(states), 8)
+        with pytest.raises(SideConditionFailed,
+                           match="^promotion evidence covers different "
+                                 "start states$"):
+            convert(j, "promote", {"pc_evidence": ev})
+
+
+def test_the_kernel_imports_without_the_machine_model():
+    # rules reach machine frames through local imports only
+    src = str(Path(kernel.__file__).resolve().parent.parent)
+    probe = ("import sys, relhoare.kernel; "
+             "print('relhoare.machine' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
