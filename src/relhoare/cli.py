@@ -37,8 +37,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (specfile.SpecError, asm.AsmError, asm.LengthNotAligned,
             asm.MisalignedBase, kernel.KernelError, ct.PartitionOverlap,
-            ct.TemplateExpansionFailure, equiv.AnchorMismatch,
-            OSError) as e:
+            equiv.AnchorMismatch, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:

@@ -12,44 +12,39 @@ Two formulations, checked against each other in the test suite:
   one state of its class once another has passed the whole class,
   rather than with every state of it.
 
-* Single-run with a witness: every run's trace must equal a template
-  expanded at the run's public parameters. A program passing this is
-  constant time by construction, since the template cannot mention
-  private data; the pairwise form is recoverable from two copies of the
-  single-run judgment through the product conversion (`bridge`).
+* Single-run with a witness: every run's projected trace must equal
+  the [witness] template expanded at the run's public parameters, which
+  `specfile` compiles into the declared postcondition of a ct_unary
+  spec. A program passing this is constant time by construction, since
+  the template cannot mention private data; the pairwise form is
+  recoverable from two copies of the single-run judgment through the
+  product conversion (`bridge`).
 
 A verdict of Proven means constant-time over the enumerated domain,
 nothing stronger: the checker is exhaustive, not symbolic.
 
 Branch events in the pairwise postcondition compare in full (from, to)
-form, which is strictly stronger than the taken/not-taken projection;
-the projected form exists for reporting (`project_trace` re-exported
-from the machine model).
+form, which is strictly stronger than the taken/not-taken projection
+(`machine.project_trace`) that witnesses and reports use.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import kernel, machine, specfile
-from .machine import project_trace  # re-exported: simplified trace form
 
 __all__ = [
-    "Partition", "PartitionOverlap", "TemplateExpansionFailure",
-    "expand_template", "compile_template", "check_ct_relational",
-    "check_ct_unary", "bridge", "project_trace", "partition_of",
+    "Partition", "PartitionOverlap", "check_ct_relational", "check_ct_unary",
+    "bridge", "partition_of",
 ]
 
 
 class PartitionOverlap(Exception):
     """A label that is always public is declared private: the event
     trace and the program counter."""
-
-
-class TemplateExpansionFailure(Exception):
-    """A witness template mentions a name with no public value."""
 
 
 @dataclass(frozen=True)
@@ -72,68 +67,9 @@ class Partition:
         states are public-equal iff their projections are equal."""
         return machine.mask_labels(s, self.private)
 
-    def equal_public(self, s0, s1) -> bool:
-        return self.project_public(s0) == self.project_public(s1)
-
 
 def partition_of(problem: specfile.Problem) -> Partition:
     return Partition(problem.resolve_labels(problem.spec.private))
-
-
-# ---------------------------------------------------------------------------
-# witness templates
-
-def expand_template(items, values: dict) -> tuple:
-    """Expand a parsed witness template at one public valuation into a
-    projected trace: ("load", addr, size), ("store", addr, size) and
-    ("branch", taken) entries."""
-    return compile_template(items)(values)
-
-
-def compile_template(items) -> Callable[[dict], tuple]:
-    """expand_template with the template compiled once: the function it
-    returns expands the template at a public valuation."""
-    steps = [_compile_item(item) for item in items]
-
-    def expand(values: dict) -> tuple:
-        values = dict(values)
-        out: list = []
-        try:
-            for step in steps:
-                step(values, out)
-        except specfile.SpecEvalError as e:
-            raise TemplateExpansionFailure(
-                f"witness template needs non-public data: {e}") from e
-        return tuple(out)
-
-    return expand
-
-
-def _compile_item(item) -> Callable[[dict, list], None]:
-    if item[0] == "repeat":
-        _, var, bound, body, _line = item
-        stop_of = specfile.compile_expr(bound)
-        body_steps = [_compile_item(i) for i in body]
-
-        def repeat(values, out):
-            stop = stop_of(values, None)
-            saved = values.get(var)
-            for i in range(stop):
-                values[var] = i
-                for step in body_steps:
-                    step(values, out)
-            if saved is None:
-                values.pop(var, None)
-            else:
-                values[var] = saved
-        return repeat
-    if item[0] == "branch":
-        taken = specfile.compile_constraint(item[1])
-        return lambda values, out: out.append(("branch", taken(values, None)))
-    kind, addr_ast, size, _line = item
-    addr = specfile.compile_expr(addr_ast)
-    return lambda values, out: out.append(
-        (kind, addr(values, None) & machine.MASK64, size))
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +109,7 @@ def _with_traces(verdict: kernel.Verdict) -> kernel.Verdict:
 
 def _unary_parts(problem: specfile.Problem):
     partition_of(problem)  # validates the declaration
-    expand = compile_template(problem.spec.witness)
-
-    def inst_post(inst):
-        expected = project_trace(inst.state0.events) + expand(inst.env)
-        q = problem.post_property(0, inst)
-
-        def holds(s, expected=expected, q=q) -> bool:
-            return project_trace(s.events) == expected and q.holds(s)
-
-        return kernel.PropertyFn(holds,
-                                 f"trace is the {len(expected)}-event "
-                                 f"witness and ({q.description})", q.pcs)
-
-    enum, post, frame = problem.unary_parts(
-        inst_post, "witness trace and the declared postcondition")
+    enum, post, frame = problem.unary_parts()
     return enum, problem.steps("f0", 0), post, frame
 
 
@@ -195,9 +117,9 @@ def check_ct_unary(problem: specfile.Problem,
                    sys: Optional[kernel.StepOracle] = None
                    ) -> kernel.Verdict:
     """Single-run form: each enumerated run, after its exact step count,
-    must carry exactly its initial trace extended by the witness
-    template expanded at the run's public parameters (projected form),
-    along with the declared postcondition."""
+    must carry exactly the trace that the witness template spells out at
+    the run's public parameters (projected form), along with the
+    declared postcondition."""
     sys = sys or machine.oracle()
     enum, steps, post, frame = _unary_parts(problem)
     return kernel.check_ensures_n(sys, enum, steps, post, frame)

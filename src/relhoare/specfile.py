@@ -18,8 +18,10 @@ A .spec file declares one check in a section-based text format:
     [private]       the secret labels of a constant-time check, one or more
                     per line, comma separated; every other label, pc and
                     events included, is public
-    [witness]       trace template: `load <expr>, <size>`, `store ...`,
-                    `branch <comparison>`, `repeat i < <expr>:` ... `end`
+    [witness]       the projected trace of each ct_unary run, conjoined
+                    before its [post] lines and expanded at its values:
+                    `load <expr>, <size>`, `store ...`, `branch
+                    <comparison>`, `repeat i < <expr>:` ... `end`
     [equiv_in]      `keep = <labels>` — agreement on the kept labels
     [equiv_out]
 
@@ -51,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -86,6 +89,10 @@ class DomainTooLarge(SpecError):
 
 
 class SpecEvalError(SpecError):
+    pass
+
+
+class TemplateExpansionFailure(SpecError):
     pass
 
 
@@ -700,19 +707,20 @@ def _validate(spec: CheckSpec) -> None:
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Each expression and constraint AST, each side's [pre] and [post] lines
-# and each side's start-state constructor is one function generated
-# through machine._define. A condition takes (values, state): values maps
-# parameter and builtin names to integers, and state is the machine state
-# that register, pc and memory reads see, or None. The source holds only
-# integers, operators and fixed local names; any other value (a name, a
-# program's bytes, a helper) is a constant c0, c1, ... of its maker, so
-# no name from the spec reaches the source. Each check compiles its own
-# functions; nothing generated is kept between checks, and a constant
-# expression compiles to no code. Evaluation goes left to right
-# and short-circuits, and the first failure raises SpecEvalError: an
-# unbound name, a state read without a state, aligned() naming a missing
-# program, or a node that cannot be evaluated.
+# Each expression and constraint AST, each side's [pre] and [post] lines,
+# each side's start-state constructor and a [witness] template is one
+# function generated through machine._define. A condition takes (values,
+# state): values maps parameter and builtin names to integers, and state
+# is the machine state that register, pc and memory reads see, or None,
+# always so in a template. The source holds only integers, operators and
+# fixed local names; any other value (a name, a program's bytes, a
+# helper) is a constant c0, c1, ... of its maker, so no name from the
+# spec reaches the source. Each check compiles its own functions; nothing
+# generated is kept between checks, and a constant expression compiles to
+# no code. Evaluation goes left to right and short-circuits, and the
+# first failure raises SpecEvalError (TemplateExpansionFailure from a
+# template): an unbound name, a state read without a state, aligned()
+# naming a missing program, or a node that cannot be evaluated.
 
 _PY_CMP = dict(zip(_CMP_OPS, ("==", "!=", "<", "<=", ">", ">=")))
 _TRUE = ("cmp", "=", ("int", 0), ("int", 0))  # the empty conjunction
@@ -838,6 +846,32 @@ class _Source:
             texts[0] = texts[0][1:-1]  # a left-leaning chain stays flat
         return texts[0] if len(texts) == 1 else f"({' and '.join(texts)})"
 
+    def template(self, items, defs: list) -> list:
+        """The lines that append a witness template's entries to out. A
+        repeat is a function of its own in defs, which loops on a copy of
+        the values until a round leaves out longer than limit: repeats
+        nest no blocks, of which Python allows 20."""
+        lines = []
+        for item in items:
+            if item[0] == "repeat":
+                loop = self.template(item[3], defs)
+                lines.append(f"r{len(defs)}(values)")
+                defs.append([f"def r{len(defs)}(values):",
+                             "    values = dict(values)",
+                             f"    for values[{self.const(item[1])}] in "
+                             f"range({self.expr(item[2])}):",
+                             *("        " + line for line in loop),
+                             "        if len(out) > limit:",
+                             "            return"])
+            elif item[0] == "branch":
+                lines.append(f"out.append(({self.const('branch')}, "
+                             f"{self.cond(item[1])}))")
+            else:  # a load or a store
+                lines.append(f"out.append(({self.const(item[0])}, "
+                             f"{self.expr(item[1])} & M, "
+                             f"{_literal(item[2])}))")
+        return lines
+
     def define(self, name: str, body: list, prelude: list = (),
                params: str = "values, state") -> Callable:
         """The function name(params) that runs the prelude lines and then
@@ -883,6 +917,28 @@ def compile_constraint(ast, programs=None,
     g = _Source(programs)
     with _nesting(line):
         return g.define("holds", [f"return {g.cond(ast)}"])
+
+
+def compile_witness(items) -> Callable[..., tuple]:
+    """A [witness] template as one generated function: expand(values,
+    limit) is the projected trace the template spells out at the public
+    values, ("load", addr, size), ("store", addr, size) and ("branch",
+    taken) entries, cut short once longer than limit."""
+    g, defs = _Source(), []
+    with _nesting(0):
+        body = g.template(items, defs) + ["return tuple(out)"]
+        witness = g.define("witness", body, ["state = None", "out = []",
+                                             *itertools.chain(*defs)],
+                           "values, limit")
+
+    def expand(values: dict, limit=math.inf) -> tuple:
+        try:
+            return witness(values, limit)
+        except SpecEvalError as e:
+            raise TemplateExpansionFailure(
+                f"witness template needs non-public data: {e}") from e
+
+    return expand
 
 
 def _guard(ast, names) -> Optional[Callable[[dict], frozenset]]:
@@ -937,9 +993,9 @@ class Instance:
 @dataclass
 class Problem:
     """A parsed spec bound to its assembled programs and enumerated
-    instances, ready to hand to the checkers. Each side's [pre] and
-    [post] lines are compiled once, on first use, and shared by every
-    instance."""
+    instances, ready to hand to the checkers. Each side's [pre], [post]
+    and [steps] lines and frame are compiled once, on first use, and
+    shared by every instance and layer."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
@@ -954,8 +1010,6 @@ class Problem:
                           compare=False)
     _last: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    _frames: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def count(self) -> int:
         return len(self.instances)
@@ -981,20 +1035,20 @@ class Problem:
         return tuple(i.state1 if side else i.state0 for i in self.instances)
 
     def frame(self, side) -> kernel.FrameFn:
-        if side not in self._frames:
+        key = ("frame", side)
+        if key not in self._compiled:
             items = self._conditions(self.spec.frames, side)
-            self._frames[side] = (machine.maychange(self.resolve_labels(
+            self._compiled[key] = (machine.maychange(self.resolve_labels(
                 items)) if items else kernel.ANYTHING)
-        return self._frames[side]
+        return self._compiled[key]
 
-    def unary_parts(self, post_of: Optional[Callable] = None,
-                    description: str = "declared postcondition") -> tuple:
+    def unary_parts(self) -> tuple:
         """(Enumeration, per-state postcondition, frame) of a one-run
-        check over the side-0 states. post_of maps an instance to its
-        postcondition, the declared one by default."""
+        check over the side-0 states."""
         enum = kernel.Enumeration(self.states(0),
                                   description="spec instances")
-        return enum, self._posts(0, description, post_of), self.frame(0)
+        return (enum, self._posts(0, "declared postcondition"),
+                self.frame(0))
 
     def pair_parts(self, pre2: kernel.PairProperty, description: str,
                    post_description: str, pairs: Optional[tuple] = None,
@@ -1045,17 +1099,18 @@ class Problem:
         starts = self._starts(0)
         if len(starts) == len(self.instances):
             return [self]
-        return [replace(self, instances=[i for i in part if i]) for part in
-                itertools.zip_longest(*starts.values())]
+        layers = [replace(self, instances=[i for i in part if i])
+                  for part in itertools.zip_longest(*starts.values())]
+        for layer in layers:  # each condition and frame compiles once
+            layer._compiled, layer._guards = self._compiled, self._guards
+        return layers
 
-    def _posts(self, side, description: str,
-               post_of: Optional[Callable] = None) -> kernel.PerState:
-        """A side's postconditions by start state, post_of(instance) or the
-        declared one, conjoined over the instances that build the state."""
-        post_of = post_of or functools.partial(self.post_property, side)
+    def _posts(self, side, description: str) -> kernel.PerState:
+        """A side's declared postconditions by start state, conjoined over
+        the instances that build the state."""
         table = {}
         for s, insts in self._starts(side).items():
-            qs = [post_of(i) for i in insts]
+            qs = [self.post_property(side, i) for i in insts]
             table[s] = qs[0] if len(qs) == 1 else kernel.PropertyFn(
                 lambda x, qs=qs: all(q.holds(x) for q in qs),
                 " and ".join(dict.fromkeys(q.description for q in qs)),
@@ -1078,7 +1133,11 @@ class Problem:
         """A side's [pre] or [post] lines at one instance's values. The
         instances of one scalar valuation share one values dict and come
         one after another, so the last property built is kept and reused
-        while the dict stays the same."""
+        while the dict stays the same. A ct_unary check's side-0 post
+        first requires the run's projected trace to be the [witness]
+        template, expanded once per valuation and only until longer than
+        the run: its trace starts empty and gains at most an event a
+        step."""
         key = (section, side)
         last = self._last.get(key)
         if last is not None and last[0] is inst.env:
@@ -1087,29 +1146,47 @@ class Problem:
             constraints = self._conditions(getattr(self.spec, section), side)
             names = set(self.builtins) | {p.name for p in self.spec.scalars}
             asts = [c.ast for c in constraints] or [_TRUE]
+            text = " and ".join(c.text for c in constraints) or "true"
+            witness = key == ("post", 0) and self.spec.kind == "ct_unary"
             g = _Source(self.programs)
             try:
                 with _nesting(0):
-                    holds = g.define("holds",
-                                     [f"return {g.conjunction(asts)}"])
+                    cond, params = g.conjunction(asts), "values, state"
+                    if witness:  # expected is the expanded template
+                        cond = (f"{g.const(machine.project_trace)}("
+                                f"state.events) == expected and {cond}")
+                        params = "values, expected, state"
+                    holds = g.define("holds", [f"return {cond}"], (), params)
                 guards = [_guard(a, names) for a in asts]
             except (SpecSyntaxError, RecursionError):
                 raise _too_deep(constraints, self.programs) from None
             self._compiled[key] = (
-                holds, " and ".join(c.text for c in constraints) or "true",
-                [guard for guard in guards if guard is not None])
-        holds, text, guards = self._compiled[key]
+                holds, f"trace is the witness and ({text})" if witness
+                else text, [guard for guard in guards if guard is not None],
+                compile_witness(self.spec.witness) if witness else None)
+        holds, text, guards, expand = self._compiled[key]
+        args = (inst.env,) if expand is None else (inst.env, expand(
+            inst.env, self._count("f0")(inst.env, None)))
         prop = kernel.PropertyFn(
-            functools.partial(holds, inst.env), text,
+            functools.partial(holds, *args), text,
             self._meet([guard(inst.env) for guard in guards]))
         self._last[key] = (inst.env, prop)
         return prop
+
+    def _count(self, key: str) -> Callable:
+        """A [steps] line, compiled once: the most steps of a run, the
+        budget for auto."""
+        if key not in self._compiled:
+            value = self.spec.steps.get(key, "auto")
+            self._compiled[key] = compile_expr(
+                ("int", self.spec.budget) if value == "auto" else value)
+        return self._compiled[key]
 
     def steps(self, key: str, side) -> kernel.StepFn:
         value = self.spec.steps.get(key, "auto")
         if value == "auto":
             return kernel.StepFn.auto(self.spec.budget)
-        count = compile_expr(value)
+        count = self._count(key)
         table = {}
         for state, (first, *rest) in self._starts(side).items():
             table[state] = n = count(first.env, None)

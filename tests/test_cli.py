@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relhoare import asm, cli, specfile
+from relhoare import asm, cli, machine, specfile
 from relhoare.cli import main
 
 from conftest import CORPUS, ROOT
@@ -237,6 +237,28 @@ def test_instances_of_one_start_state_agree_on_its_step_count(capsys,
     assert code == 3
     assert "instances #0 and #1 build one start state" in err
     assert "f0 gives them 0 and 1 steps" in err
+
+
+def test_layers_of_shared_start_states_compile_once(capsys, tmp_path,
+                                                    monkeypatch):
+    # the ten instances of each start state make ten layers, which share
+    # the constructor, the post and its pc guard of the first
+    for program, text in _PROGRAMS.items():
+        (tmp_path / program).write_text(text)
+    path = tmp_path / "layers.spec"
+    path.write_text(_shared("unary",
+                            "terminated(base0 + 4) and x2 + 100 >= n"))
+    defined = []
+    define = machine._define
+
+    def record(name, lines, filename):
+        defined.append(filename)
+        return define(name, lines, filename)
+
+    monkeypatch.setattr(machine, "_define", record)
+    code, out, _ = run_main(capsys, "check", str(path))
+    assert (code, out.splitlines()[0]) == (0, "VERDICT: Proven")
+    assert defined.count("<spec>") == 3
 
 
 @st.composite

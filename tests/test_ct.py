@@ -3,6 +3,9 @@ and the bridge from the single-run form back to the pairwise one."""
 
 import collections
 import dataclasses
+import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -10,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relhoare import cli, ct, kernel, machine, specfile
-from relhoare.ct import Partition, PartitionOverlap, TemplateExpansionFailure
+from relhoare.ct import Partition, PartitionOverlap
+from relhoare.specfile import TemplateExpansionFailure
 
 from conftest import (
-    CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
+    CORPUS, ROOT, SMALL_LABELS, SMALL_STATE_VALUES, load_problem,
+    small_state,
 )
 
 
@@ -35,8 +40,8 @@ def test_public_projection_blanks_private_labels():
     part = Partition(frozenset({machine.reg_label(5)}))
     a = machine.zeroed_state().with_reg(5, 111).with_reg(6, 7)
     b = machine.zeroed_state().with_reg(5, 222).with_reg(6, 7)
-    assert part.equal_public(a, b)
-    assert not part.equal_public(a, b.with_reg(6, 8))
+    assert part.project_public(a) == part.project_public(b)
+    assert part.project_public(a) != part.project_public(b.with_reg(6, 8))
     assert part.project_public(a).reg(5) == 0
 
 
@@ -74,13 +79,17 @@ def test_partition_of_reads_the_spec_sections():
 def test_expand_template_with_repeat():
     spec = specfile.parse_spec((CORPUS / "compare_constant_ct_unary.spec")
                                .read_text())
-    trace = ct.expand_template(spec.witness, {"n": 2})
+    expand = specfile.compile_witness(spec.witness)
+    trace = expand({"n": 2})
     assert trace == (
         ("branch", False),
         ("load", 11, 4), ("load", 21, 4), ("branch", True),
         ("load", 10, 4), ("load", 20, 4), ("branch", False),
     )
-    assert ct.expand_template(spec.witness, {"n": 0}) == (("branch", True),)
+    assert expand({"n": 0}) == (("branch", True),)
+    # past the limit, the repeat stops at the end of its round
+    assert expand({"n": 2}, 1) == trace[:4]
+    assert expand({"n": 2}, 4) == trace
 
 
 def test_expand_template_failure_wraps_eval_errors():
@@ -91,8 +100,8 @@ def test_expand_template_failure_wraps_eval_errors():
     # force an evaluation failure by withholding a template variable
     items = (("load", ("param", "n"), 4, 1),)
     with pytest.raises(TemplateExpansionFailure):
-        ct.expand_template(items, {})
-    assert ct.expand_template(spec.witness, {}) == (("load", 0, 4),)
+        specfile.compile_witness(items)({})
+    assert specfile.compile_witness(spec.witness)({}) == (("load", 0, 4),)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,46 @@ def test_single_run_refuted_with_wrong_witness():
     assert v.is_refuted
 
 
+def test_a_witness_longer_than_the_run_is_cut_short(tmp_path):
+    # the template spells out 2^40 rounds, far more than fit in memory,
+    # but no run of f0 = 10 * n + 7 steps carries more than that many
+    # events, so the expansion stops there and every run refutes
+    text = (CORPUS / "compare_constant_ct_unary.spec").read_text()
+    huge = text.replace("repeat i < n:", "repeat i < n + 0x10000000000:")
+    assert huge != text
+    (tmp_path / "huge.spec").write_text(huge)
+    shutil.copy(CORPUS / "compare_constant.masm", tmp_path)
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from relhoare.cli import main\n"
+        "sys.exit(main(['check', 'huge.spec']))\n")
+    proc = subprocess.run([sys.executable, "-c", limited], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.startswith("VERDICT: Refuted\n")
+
+
+def test_a_ct_unary_check_compiles_its_witness_as_one_function(monkeypatch):
+    # the start-state constructor, the witness, the post with its trace
+    # comparison, the post's pc guard and f0: one function each
+    defined = []
+    define = machine._define
+
+    def record(name, lines, filename):
+        if filename == "<spec>":
+            defined.append(lines[1].split("(")[0].strip())
+        return define(name, lines, filename)
+
+    monkeypatch.setattr(machine, "_define", record)
+    v = ct.check_ct_unary(build(
+        (CORPUS / "compare_constant_ct_unary.spec").read_text()))
+    assert v.is_proven
+    assert sorted(defined) == ["def construct", "def expr", "def expr",
+                               "def holds", "def witness"]
+
+
 def test_forms_agree_on_the_same_program():
     pairwise = ct.check_ct_relational(load_problem("compare_constant_ct.spec"))
     single = ct.check_ct_unary(load_problem("compare_constant_ct_unary.spec"))
@@ -170,7 +219,9 @@ def test_a_warm_projection_cache_does_not_excuse_a_foreign_pair(monkeypatch):
                 if machine.mask_labels(a, part.private)
                 != machine.mask_labels(b, part.private))
     enum = kernel.PairEnumeration(
-        ((a, b),), kernel.PairProperty(part.equal_public, "equal public"))
+        ((a, b),), kernel.PairProperty(
+            lambda x, y: part.project_public(x) == part.project_public(y),
+            "equal public"))
     steps = kernel.StepFn.constant(0)
     with pytest.raises(kernel.SchemaMismatch):
         kernel.check_ensures2(machine.oracle(), enum, steps, steps,
@@ -294,4 +345,5 @@ def test_bridge_recovers_the_pairwise_judgment():
     part = ct.partition_of(problem)
     product = kernel.convert(j, "product", {"other": j}).parts.pairs.pairs
     assert bridged.parts.pairs.pairs == tuple(
-        p for p in product if part.equal_public(*p))
+        (a, b) for a, b in product
+        if part.project_public(a) == part.project_public(b))

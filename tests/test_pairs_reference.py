@@ -174,7 +174,9 @@ def check_ct_relational(problem: specfile.Problem) -> Verdict:
     """`ct.check_ct_relational` over the frozen pieces."""
     part = ct.partition_of(problem)
     pairs = public_pairs(part, problem.states(0))
-    pre2 = kernel.PairProperty(part.equal_public, "equal public labels")
+    pre2 = kernel.PairProperty(
+        lambda a, b: part.project_public(a) == part.project_public(b),
+        "equal public labels")
     enum, post2, frame2, steps0, steps1 = pair_parts(
         problem, pre2, "public-equal pairs",
         post_description="equal traces and the declared postcondition",
@@ -380,7 +382,9 @@ def test_public_blocks_match_the_frozen_join_and_check(values, private,
     steps = data.draw(st.sampled_from(
         (StepFn.auto(4), StepFn.constant(0), StepFn.constant(1))))
     want_enum = PairEnumeration(
-        want_pairs, PairProperty(fresh.equal_public, "equal public labels"),
+        want_pairs, PairProperty(
+            lambda a, b: fresh.project_public(a) == fresh.project_public(b),
+            "equal public labels"),
         states, states, "public-equal pairs")
     want = outcome(check_ensures2, PC_STEP, want_enum, steps, steps,
                    reference_table(want_pairs, post, post,

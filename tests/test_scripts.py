@@ -29,16 +29,15 @@ def test_leak_demo_refutes_the_leak_and_proves_the_rewrite(tmp_path):
 
 
 def test_metatheory_sweep_finds_no_violation(tmp_path):
-    proc = run_script(tmp_path, "metatheory_sweep.py", "--skip-exhaustive",
-                      "--trials", "200")
+    proc = run_script(tmp_path, "metatheory_sweep.py", "--trials", "200")
     assert proc.returncode == 0, proc.stderr
+    assert "exhaustive: 512 systems" in proc.stdout
     assert "violations: none" in proc.stdout
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_metatheory_sweep_refuses_fewer_than_one_trial(tmp_path, trials):
-    proc = run_script(tmp_path, "metatheory_sweep.py", "--skip-exhaustive",
-                      "--trials", trials)
+    proc = run_script(tmp_path, "metatheory_sweep.py", "--trials", trials)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("usage: ")
     assert (f"--trials: wants an integer of at least 1, got {trials!r}"

@@ -469,6 +469,24 @@ def test_corpus_specs_parse_and_build():
         assert problem.count() > 0, path.name
 
 
+def test_built_start_states_have_empty_traces(tmp_path):
+    # a ct_unary post compares a run's whole trace with the witness, and
+    # bounds the witness by the run's steps, so no trace may come before
+    problems = [build_problem(parse_spec(path.read_text()), CORPUS)
+                for path in sorted(CORPUS.glob("*.spec"))]
+    every_label = BASIC.replace(
+        "a in 0..3", "a in 0..3\n    mem[32 .. 34) in 0..1").replace(
+        "x1 = a", "x1 = a\n    pc = base0 + a\n    flag n = 1\n"
+        "    flag z = a - a\n    mem8(64) = a\n    x0 < 1")
+    path = tiny_spec(tmp_path, every_label)
+    problems.append(build_problem(parse_spec(path.read_text()), tmp_path))
+    assert problems[-1].count() == 16
+    for problem in problems:
+        for side in (0, 1):
+            assert all(s is None or s.events == ()
+                       for s in problem.states(side))
+
+
 def test_instances_satisfy_their_own_preconditions():
     from conftest import load_problem
     problem = load_problem("compare_correct.spec")

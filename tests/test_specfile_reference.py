@@ -8,16 +8,16 @@ it was before specs were compiled once per spec: the tree-walking
 and re-walk every [pre] line for each instance, and `ct`'s witness
 template expansion over that evaluator. All are copied verbatim. The
 functions that `specfile` generates for expressions, constraints, [pre]
-and [post] lines and start states must agree with the reference on
-every AST of the corpus and on drawn ASTs over small machine states:
-the same value, or the same exception with the same message. That holds
-also for parameters named like the generated code's locals and
-builtins, whose names must not reach the generated source. The builder
-must yield the same instances, in the same order, or raise the same
-error. The one exception is a [pre] assignment whose value does not fit
-its label: the reference masked the value and then reported the line as
-a conflict, the builder refuses it with its value and the label's
-range.
+and [post] lines, witness templates and start states must agree with the
+reference on every AST of the corpus and on drawn ASTs over small
+machine states: the same value, or the same exception with the same
+message. That holds also for parameters named like the generated code's
+locals and builtins, whose names must not reach the generated source.
+The builder must yield the same instances, in the same order, or raise
+the same error. The one exception is a [pre] assignment whose value does
+not fit its label: the reference masked the value and then reported the
+line as a conflict, the builder refuses it with its value and the
+label's range.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relhoare import asm, cli, ct, machine, specfile
-from relhoare.ct import TemplateExpansionFailure
+from relhoare import asm, cli, machine, specfile
 from relhoare.specfile import (
     DEFAULT_ENUM_CAP, TWO_PROGRAM_KINDS, CheckSpec, Constraint,
     DomainTooLarge, Instance, Problem, SpecEvalError, SpecSyntaxError,
+    TemplateExpansionFailure,
 )
 
 from conftest import CORPUS, SMALL_STATE_VALUES, load_problem, small_state
@@ -406,11 +406,18 @@ def test_properties_and_step_tables_match_the_reference(name):
                 constraints = problem._conditions(getattr(spec, section),
                                                   side)
                 q = property_at(side, inst)
+                text = " and ".join(c.text for c in constraints) or "true"
+                # a ct_unary post first compares the trace with the witness
+                witness = (section, side, spec.kind) == ("post", 0,
+                                                         "ct_unary")
                 assert q.description == (
-                    " and ".join(c.text for c in constraints) or "true")
+                    f"trace is the witness and ({text})" if witness else text)
 
                 def reference(s):
                     e = _Env(dict(inst.env), s)
+                    if witness and machine.project_trace(s.events) != \
+                            expand_template(spec.witness, inst.env):
+                        return False
                     return all(eval_constraint(c.ast, e, problem.programs)
                                for c in constraints)
 
@@ -591,18 +598,32 @@ def _after_repeat(var):
     return (("repeat", var, ("int", 2), (load,), 1), load)
 
 
+def _nest(depth: int):
+    """Repeats nested depth deep, past Python's 20 nested blocks, each
+    of two rounds under a or i in turn, and a load of both inside."""
+    items = (("load", ("bin", "+", ("param", "a"), ("param", "i")), 1, 1),)
+    for k in range(depth):
+        bound = ("int", 2) if k % 12 == 0 else ("int", 1)
+        items = (("repeat", "ai"[k % 2], bound, items, 1),)
+    return items
+
+
 @given(items=templates(), values=values_of())
 @example(items=_after_repeat("i"), values={"a": 5})
 @example(items=_after_repeat("a"), values={"a": 5})
+@example(items=_nest(25), values={})
+@example(items=(("repeat", "limit", ("int", 2), (
+    ("load", ("param", "limit"), 1, 1), ("load", ("param", "out"), 1, 1)),
+    1),), values={"out": 7})
 @settings(max_examples=300, deadline=None)
 def test_compiled_templates_match_the_reference(items, values):
-    same_outcome((ct.expand_template, items, values),
+    same_outcome((lambda: specfile.compile_witness(items)(values),),
                  (expand_template, items, values))
 
 
 def test_the_corpus_witness_matches_the_reference():
     problem = load_problem("compare_constant_ct_unary.spec")
-    expand = ct.compile_template(problem.spec.witness)
+    expand = specfile.compile_witness(problem.spec.witness)
     for values in [i.env for i in problem.instances] + [{}]:
         same_outcome((expand, values),
                      (expand_template, problem.spec.witness, values))
