@@ -2,8 +2,9 @@
 
 Subcommands: assemble (source to raw word image), disasm (image back to
 source), run (assemble, load and execute, printing the final state and
-event trace), check (parse a spec file and dispatch on its kind), and
-selftest (the random-system soundness suite).
+event trace), check (parse a spec file, build its problem and run its
+kind's row of _CHECKERS: a check of the problem and the report lines of
+its verdict), and selftest (the random-system soundness suite).
 
 Check reports start with the stable line `VERDICT: Proven|Refuted|
 Unknown`; a refutation prints the counterexample and a standalone
@@ -36,8 +37,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (specfile.SpecError, asm.AsmError, asm.LengthNotAligned,
-            asm.MisalignedBase, kernel.KernelError, ct.PartitionOverlap,
-            equiv.AnchorMismatch, OSError) as e:
+            asm.MisalignedBase, kernel.KernelError, equiv.AnchorMismatch,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:
@@ -207,20 +208,20 @@ def _cmd_check(args) -> int:
             return 64
     spec = specfile.parse_spec(args.spec.read_text())
     problem = specfile.build_problem(spec, args.spec.parent, cap=cap)
-    handler = _CHECKERS[spec.kind]
-    verdict, extra = handler(problem)
+    check, report = _CHECKERS[spec.kind]
+    verdict = check(problem)
     outcome = verdict.outcome.capitalize()
     print(f"VERDICT: {outcome}")
     print(f"check: {spec.kind} on {args.spec.name}, "
           f"{problem.count()} instance(s)")
-    for line in extra:
+    for line in report(problem, verdict):
         print(line)
     if verdict.is_refuted:
         _print_counterexample(problem, args.spec, verdict.counterexample)
     return {"proven": 0, "refuted": 1, "unknown": 2}[verdict.outcome]
 
 
-def _check_unary(problem):
+def _unary(problem):
     # instances of one start state may meet their posts at different steps
     for layer in problem.layers():
         enum, post, frame = layer.unary_parts()
@@ -228,89 +229,68 @@ def _check_unary(problem):
                                  budget=problem.spec.budget)
         if not v.is_proven:
             break
-    return v, [f"form: reaches the postcondition within "
-               f"{problem.spec.budget} steps"]
+    return v
 
 
-def _check_unary_n(problem):
-    enum, post, frame = problem.unary_parts()
-    v = kernel.check_ensures_n(machine.oracle(), enum,
-                               problem.steps("f0", 0), post, frame)
-    extra = []
-    if v.is_proven:
-        steps = v.stats.get("steps", ())
-        extra.append(f"step counts: {_summarize_counts(steps)}")
-    return v, extra
+def _exact(problem):
+    return kernel.check_ensures_n(machine.oracle(), *problem.exact_parts())
 
 
-def _check_relational(problem):
+def _relational(problem):
     pre2 = kernel.PairProperty(lambda a, b: True, "instance-paired inputs")
     enum, post2, frame2, steps0, steps1 = problem.pair_parts(
         pre2, "instance pairs",
         post_description="both sides' postconditions",
         describe=lambda da, db: f"({da}) and ({db})")
-    v = kernel.check_ensures2(machine.oracle(), enum, steps0, steps1, post2,
-                              frame2)
-    return v, []
+    return kernel.check_ensures2(machine.oracle(), enum, steps0, steps1,
+                                 post2, frame2)
 
 
-def _check_ct_relational(problem):
-    v = ct.check_ct_relational(problem)
-    extra = [f"pairs: {v.stats.get('instances', 0)} public-equal pair(s)"]
-    return v, extra
-
-
-def _check_ct_unary(problem):
-    v = ct.check_ct_unary(problem)
-    return v, []
-
-
-def _check_equiv(problem):
+def _equiv(problem):
     result = equiv.check_equiv(problem)
     if isinstance(result, kernel.Verdict):
-        return result, []
-    j = result.judgment
+        return result
+    parts = result.judgment.parts
+    return kernel.proven(instances=len(parts.pairs.pairs),
+                         anchors=result.anchors,
+                         steps=(parts.steps0, parts.steps1))
+
+
+def _equiv_lines(problem, v):
+    if not v.is_proven:
+        return []
     anchors = ", ".join("-" if a is None else f"{a:#x}"
-                        for a in result.anchors)
-    extra = [
-        f"pairs: {len(j.parts.pairs.pairs)} equiv_in-related pair(s)",
-        f"anchors (entry0, exit0, entry1, exit1): {anchors}",
-        f"steps left: {_summarize_counts(j.parts.steps0)}; "
-        f"right: {_summarize_counts(j.parts.steps1)}",
-    ]
-    return kernel.proven(instances=len(j.parts.pairs.pairs)), extra
+                        for a in v.stats["anchors"])
+    left, right = map(_summarize_counts, v.stats["steps"])
+    return [f"pairs: {v.stats['instances']} equiv_in-related pair(s)",
+            f"anchors (entry0, exit0, entry1, exit1): {anchors}",
+            f"steps left: {left}; right: {right}"]
 
 
-def _check_promote(problem):
-    x0_of, xw_of, n_of = (specfile.compile_expr(problem.spec.promote[key])
-                          for key in ("x0", "xw", "n"))
-    counts = []
-    for inst in problem.instances:
-        x0 = x0_of(inst.env, None) & machine.MASK64
-        xw = xw_of(inst.env, None) & machine.MASK64
-        n = n_of(inst.env, None)
-        if n < 0:
-            raise specfile.SpecError(
-                f"n gives instance #{inst.index} the negative step count "
-                f"{specfile.show_int(n)}")
-        enum = kernel.Enumeration((inst.state0,))
-        v = kernel.check_eventually_n_at_pc(machine.oracle(), enum, x0,
-                                            xw, n)
-        if not v.is_proven:
-            return v, [f"failing instance: #{inst.index}"]
-        counts.append(n)
-    return (kernel.proven(instances=len(problem.instances)),
-            [f"first-stop counts: {_summarize_counts(tuple(counts))}"])
+def _promote_lines(problem, v):
+    if not v.is_proven:
+        k = _find_instance(problem, v.counterexample.initial, "state0")
+        return [f"failing instance: #{k}"]
+    counts = tuple(n for _, n in problem.promote_parts.stops)
+    return [f"first-stop counts: {_summarize_counts(counts)}"]
 
 
+# kind: (check of a problem, report lines of its verdict). ct_relational
+# and equiv call their checks through the module, where the benchmark's
+# tracer wraps them
 _CHECKERS = {
-    "unary": _check_unary,
-    "unary_n": _check_unary_n,
-    "relational": _check_relational,
-    "ct_relational": _check_ct_relational,
-    "ct_unary": _check_ct_unary,
-    "equiv": _check_equiv,
-    "promote": _check_promote,
+    "unary": (_unary, lambda p, v: [
+        f"form: reaches the postcondition within {p.spec.budget} steps"]),
+    "unary_n": (_exact, lambda p, v: [
+        f"step counts: {_summarize_counts(v.stats['steps'])}"]
+        if v.is_proven else []),
+    "relational": (_relational, lambda p, v: []),
+    "ct_relational": (lambda p: ct.check_ct_relational(p), lambda p, v: [
+        f"pairs: {v.stats.get('instances', 0)} public-equal pair(s)"]),
+    "ct_unary": (_exact, lambda p, v: []),
+    "equiv": (_equiv, _equiv_lines),
+    "promote": (lambda p: kernel.check_eventually_n_at_pc(
+        machine.oracle(), p.promote_parts), _promote_lines),
 }
 
 

@@ -15,10 +15,14 @@ Two formulations, checked against each other in the test suite:
 * Single-run with a witness: every run's projected trace must equal
   the [witness] template expanded at the run's public parameters, which
   `specfile` compiles into the declared postcondition of a ct_unary
-  spec. A program passing this is constant time by construction, since
-  the template cannot mention private data; the pairwise form is
-  recoverable from two copies of the single-run judgment through the
-  product conversion (`bridge`).
+  spec, so that the check is the exact-count one of a unary_n spec. A
+  program passing this is constant time by construction, since the
+  template cannot mention private data; the pairwise form is
+  recoverable from two copies of the single-run judgment
+  (`prove_ct_unary`) through the product conversion (`bridge`).
+
+`specfile.build_problem` resolves the [private] section of both kinds
+and refuses pc and events there; `partition_of` reads the result.
 
 A verdict of Proven means constant-time over the enumerated domain,
 nothing stronger: the checker is exhaustive, not symbolic.
@@ -35,16 +39,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import kernel, machine, specfile
+from .specfile import PartitionOverlap
 
 __all__ = [
     "Partition", "PartitionOverlap", "check_ct_relational", "check_ct_unary",
-    "bridge", "partition_of",
+    "prove_ct_unary", "bridge", "partition_of",
 ]
-
-
-class PartitionOverlap(Exception):
-    """A label that is always public is declared private: the event
-    trace and the program counter."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,7 @@ class Partition:
     private: frozenset
 
     def __post_init__(self):
-        for label in (machine.EVENTS, machine.PC):
-            if label in self.private:
-                raise PartitionOverlap(
-                    f"{label} is public by definition and cannot be private")
+        specfile.check_private(self.private)
 
     def project_public(self, s):
         """Canonical form of a state with private labels blanked; two
@@ -69,7 +66,7 @@ class Partition:
 
 
 def partition_of(problem: specfile.Problem) -> Partition:
-    return Partition(problem.resolve_labels(problem.spec.private))
+    return Partition(problem.private)
 
 
 # ---------------------------------------------------------------------------
@@ -107,31 +104,14 @@ def _with_traces(verdict: kernel.Verdict) -> kernel.Verdict:
     return dataclasses.replace(verdict, counterexample=ce)
 
 
-def _unary_parts(problem: specfile.Problem):
-    partition_of(problem)  # validates the declaration
-    enum, post, frame = problem.unary_parts()
-    return enum, problem.steps("f0", 0), post, frame
+def check_ct_unary(problem: specfile.Problem) -> kernel.Verdict:
+    # the unary_n check, named for bench/tracing.py; goes with that file
+    return kernel.check_ensures_n(machine.oracle(), *problem.exact_parts())
 
 
-def check_ct_unary(problem: specfile.Problem,
-                   sys: Optional[kernel.StepOracle] = None
-                   ) -> kernel.Verdict:
-    """Single-run form: each enumerated run, after its exact step count,
-    must carry exactly the trace that the witness template spells out at
-    the run's public parameters (projected form), along with the
-    declared postcondition."""
-    sys = sys or machine.oracle()
-    enum, steps, post, frame = _unary_parts(problem)
-    return kernel.check_ensures_n(sys, enum, steps, post, frame)
-
-
-def prove_ct_unary(problem: specfile.Problem,
-                   sys: Optional[kernel.StepOracle] = None
-                   ) -> kernel.Judgment:
+def prove_ct_unary(problem: specfile.Problem) -> kernel.Judgment:
     """The single-run check as a judgment, for bridging."""
-    sys = sys or machine.oracle()
-    enum, steps, post, frame = _unary_parts(problem)
-    return kernel.prove_ensures_n(sys, enum, steps, post, frame)
+    return kernel.prove_ensures_n(machine.oracle(), *problem.exact_parts())
 
 
 def bridge(j: kernel.Judgment, partition: Partition) -> kernel.Judgment:

@@ -27,8 +27,8 @@ enumeration, never symbolically:
                 state has a partner, and relational postcondition pairs
                 project into the unary postcondition.
   eventually_n_at_pc  a promotion primitive: from each start state the pc
-                first reaches a given address at exactly n steps, on
-                every branch, and execution is stuck there.
+                first reaches the state's own address at exactly its own
+                n steps, on every branch, and execution is stuck there.
 
 Checks return a Verdict: Proven, Refuted with a replayable counterexample
 (initial state plus branch choices), or Unknown when a budget ran out.
@@ -1081,24 +1081,23 @@ def _halting_at(sys: StepOracle, xw: int) -> StepOracle:
     return StepOracle(lambda st: () if pc_of(st) == xw else sys.successors(st))
 
 
-def check_eventually_n_at_pc(sys: StepOracle, enum: Enumeration, x0: int,
-                             xw: int, n: int) -> Verdict:
-    """From every start state (whose pc must be x0) the pc reaches xw for
-    the first time at exactly step n, on every branch, and is stuck
-    there."""
+def check_eventually_n_at_pc(sys: StepOracle, parts: PcParts) -> Verdict:
+    """From every start state (whose pc must be x0) the pc reaches the
+    state's xw for the first time at exactly its step n, on every branch,
+    and is stuck there: one (xw, n) per state, aligned with the states."""
     if sys.pc_of is None:
         raise SchemaMismatch("oracle has no pc reader")
+    enum, x0 = parts.enum, parts.x0
     enum.validate()
     pc_of = sys.pc_of
     for s in enum.states:
         if pc_of(s) != x0:
             raise SchemaMismatch(f"start state has pc {pc_of(s):#x}, not {x0:#x}")
-    # walked with xw made stuck, an early visit to xw shows as a stuck
-    # state; until one shows, the walk is the same as on sys
-    halted = _halting_at(sys, xw)
-    done = lambda st: pc_of(st) == xw and not sys.successors(st)
-    for s in enum.states:
-        _, _, fail = _explore(halted, s, n, done)
+    for s, (xw, n) in zip(enum.states, parts.stops):
+        # walked with xw made stuck, an early visit to xw shows as a stuck
+        # state; until one shows, the walk is the same as on sys
+        done = lambda st: pc_of(st) == xw and not sys.successors(st)
+        _, _, fail = _explore(_halting_at(sys, xw), s, n, done)
         if fail is None:
             continue
         reason, k, st = fail
@@ -1138,30 +1137,35 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
     if len(x0s) != 1:
         raise PromotionFailed("start states disagree on the entry pc")
     x0 = x0s.pop()
-    stops = []
+    stops, failure = [], None
     for s in enum.states:
         try:
             n, finals, _ = _explore(sys, s, StepFn.auto(budget), None)
         except StepFnUnresolvable as e:
-            if str(e) == _NO_COMMON_STOP:
-                raise PromotionFailed(_NO_COMMON_STOP) from None
-            raise PromotionFailed(
+            failure = PromotionFailed(
+                _NO_COMMON_STOP if str(e) == _NO_COMMON_STOP else
                 f"no stuck state within {budget} steps; the program does "
-                f"not end in a stopper") from None
+                f"not end in a stopper")
+            break
         pcs = {pc_of(x) for x in finals}
         if len(pcs) != 1:
-            raise PromotionFailed("branches stop at different addresses")
-        xw = pcs.pop()
-        # every branch runs n steps and stops at xw, so only an early
-        # visit to xw can refute; its path is as long as the visit is early
-        v = check_eventually_n_at_pc(sys, Enumeration((s,)), x0, xw, n)
-        if not v.is_proven:
-            raise PromotionFailed(
-                f"pc revisits the stop address {xw:#x} (first seen at "
-                f"step {len(v.counterexample.choices)})")
-        stops.append((xw, n))
-    parts = PcParts(enum, x0, tuple(stops))
-    return Judgment("eventually_n_at_pc", sys, parts,
+            failure = PromotionFailed("branches stop at different addresses")
+            break
+        stops.append((pcs.pop(), n))
+    # every branch runs n steps and stops at xw, so only an early visit to
+    # xw can refute; its path is as long as the visit is early. The states
+    # before a failing one are checked first, so errors keep state order
+    v = check_eventually_n_at_pc(sys, PcParts(
+        Enumeration(enum.states[:len(stops)]), x0, tuple(stops)))
+    if not v.is_proven:
+        ce = v.counterexample
+        raise PromotionFailed(
+            f"pc revisits the stop address {pc_of(ce.witness):#x} (first "
+            f"seen at step {len(ce.choices)})")
+    if failure is not None:
+        raise failure
+    return Judgment("eventually_n_at_pc", sys,
+                    PcParts(enum, x0, tuple(stops)),
                     Checked(instances=len(enum.states), reached=()))
 
 
@@ -1209,12 +1213,7 @@ def recheck(j: Judgment) -> Verdict:
     if j.form == "hybrid":
         return check_hybrid(j.sys, p)
     if j.form == "eventually_n_at_pc":
-        for s, (xw, n) in zip(p.enum.states, p.stops):
-            v = check_eventually_n_at_pc(
-                j.sys, Enumeration((s,), p.enum.pre), p.x0, xw, n)
-            if not v.is_proven:
-                return v
-        return proven(instances=len(p.enum.states))
+        return check_eventually_n_at_pc(j.sys, p)
     raise SchemaMismatch(f"unknown judgment form {j.form}")
 
 

@@ -21,7 +21,9 @@ A .spec file declares one check in a section-based text format:
     [witness]       the projected trace of each ct_unary run, conjoined
                     before its [post] lines and expanded at its values:
                     `load <expr>, <size>`, `store ...`, `branch
-                    <comparison>`, `repeat i < <expr>:` ... `end`
+                    <comparison>`, `repeat i < <expr>:` ... `end`; at
+                    most MAX_REPEAT_DEPTH repeats deep, and an expansion
+                    runs at most the enumeration cap's repeat rounds
     [equiv_in]      `keep = <labels>` — agreement on the kept labels
     [equiv_out]
 
@@ -41,11 +43,15 @@ which also bounds the number of cells — an oversized domain is an
 error, never a silent sample.
 
 `Problem` also builds each check kind's kernel inputs: `unary_parts` for
-one-run checks and `pair_parts` for two-run checks. An undeclared frame
-allows anything; an undeclared `f1` is `f0` for ct_relational (both runs
-are of [program0]) and `auto` for the two-program kinds. Instances that
-build one start state share its run, and their postconditions must all
-hold on it; exact step counts that differ between them are an error.
+one-run checks (`exact_parts` adds f0's counts), `pair_parts` for two-run
+checks and `promote_parts` for a promote check (one entry x0, and a stop
+xw and count n per start state). An undeclared frame allows anything; an
+undeclared `f1` is `f0` for ct_relational (both runs are of [program0])
+and `auto` for the two-program kinds. Instances that build one start
+state share its run, and their postconditions must all hold on it; step
+counts or stops that differ between them are an error, as are promote
+instances with different entries. `build_problem` resolves the [private]
+labels of both constant-time kinds, refusing pc and events.
 """
 
 from __future__ import annotations
@@ -96,7 +102,24 @@ class TemplateExpansionFailure(SpecError):
     pass
 
 
+class PartitionOverlap(SpecError):
+    """The pc or the event trace, always public, is declared private."""
+
+
+def check_private(labels: frozenset) -> frozenset:
+    """labels, unless they name the pc or the event trace."""
+    for label in (machine.EVENTS, machine.PC):
+        if label in labels:
+            raise PartitionOverlap(
+                f"{label} is public by definition and cannot be private")
+    return labels
+
+
 DEFAULT_ENUM_CAP = 1 << 16
+
+# the deepest nest of [witness] repeats: each level is a call deeper in
+# the expansion, and Python allows about 1000
+MAX_REPEAT_DEPTH = 500
 
 KINDS = ("unary", "unary_n", "relational", "ct_relational", "ct_unary",
          "equiv", "promote")
@@ -681,17 +704,18 @@ def _validate(spec: CheckSpec) -> None:
                     raise SpecSyntaxError(
                         "cell addresses must be constants", cell.line)
 
-    def check_witness(items, bound_vars):
-        for item in items:
-            if item[0] == "repeat":
-                check_names(item[2], item[4], bound_vars)
-                check_witness(item[3], bound_vars | {item[1]})
-            elif item[0] == "branch":
-                check_names(item[1], item[2], bound_vars)
-            else:
-                check_names(item[1], item[3], bound_vars)
-
-    check_witness(spec.witness, frozenset())
+    # the template in order, by a loop: (item, bound names, repeat depth)
+    stack = [(item, frozenset(), 1) for item in reversed(spec.witness)]
+    while stack:
+        item, bound_vars, depth = stack.pop()
+        repeat = item[0] == "repeat"
+        check_names(item[2] if repeat else item[1], item[-1], bound_vars)
+        if repeat and depth > MAX_REPEAT_DEPTH:
+            raise SpecSyntaxError(
+                f"repeat nested more than {MAX_REPEAT_DEPTH} deep", item[-1])
+        elif repeat:
+            inner = bound_vars | {item[1]}
+            stack += [(x, inner, depth + 1) for x in reversed(item[3])]
 
     for items in list(spec.frames.values()) + [spec.private, spec.equiv_in,
                                                spec.equiv_out]:
@@ -846,20 +870,29 @@ class _Source:
             texts[0] = texts[0][1:-1]  # a left-leaning chain stays flat
         return texts[0] if len(texts) == 1 else f"({' and '.join(texts)})"
 
-    def template(self, items, defs: list) -> list:
+    def template(self, items, defs: list, cap: int) -> list:
         """The lines that append a witness template's entries to out. A
         repeat is a function of its own in defs, which loops on a copy of
         the values until a round leaves out longer than limit: repeats
-        nest no blocks, of which Python allows 20."""
+        nest no blocks, of which Python allows 20. Past cap rounds of all
+        its repeats together (rounds counts down from it), an expansion
+        fails on the line of the repeat."""
         lines = []
         for item in items:
             if item[0] == "repeat":
-                loop = self.template(item[3], defs)
+                loop = self.template(item[3], defs, cap)
+                over = self.const(functools.partial(
+                    TemplateExpansionFailure, "one expansion of the witness "
+                    f"runs more than {cap} repeat rounds, the enumeration "
+                    "cap", item[4]))
                 lines.append(f"r{len(defs)}(values)")
                 defs.append([f"def r{len(defs)}(values):",
+                             "    nonlocal rounds",
                              "    values = dict(values)",
                              f"    for values[{self.const(item[1])}] in "
                              f"range({self.expr(item[2])}):",
+                             "        if (rounds := rounds - 1) < 0:",
+                             f"            raise {over}()",
                              *("        " + line for line in loop),
                              "        if len(out) > limit:",
                              "            return"])
@@ -919,15 +952,18 @@ def compile_constraint(ast, programs=None,
         return g.define("holds", [f"return {g.cond(ast)}"])
 
 
-def compile_witness(items) -> Callable[..., tuple]:
+def compile_witness(items, cap: int = DEFAULT_ENUM_CAP
+                    ) -> Callable[..., tuple]:
     """A [witness] template as one generated function: expand(values,
     limit) is the projected trace the template spells out at the public
     values, ("load", addr, size), ("store", addr, size) and ("branch",
-    taken) entries, cut short once longer than limit."""
+    taken) entries, cut short once longer than limit. An expansion whose
+    repeats run more than cap rounds fails."""
     g, defs = _Source(), []
     with _nesting(0):
-        body = g.template(items, defs) + ["return tuple(out)"]
+        body = g.template(items, defs, cap) + ["return tuple(out)"]
         witness = g.define("witness", body, ["state = None", "out = []",
+                                             f"rounds = {_literal(cap)}",
                                              *itertools.chain(*defs)],
                            "values, limit")
 
@@ -995,13 +1031,16 @@ class Problem:
     """A parsed spec bound to its assembled programs and enumerated
     instances, ready to hand to the checkers. Each side's [pre], [post]
     and [steps] lines and frame are compiled once, on first use, and
-    shared by every instance and layer."""
+    shared by every instance and layer. private is the resolved [private]
+    section of a constant-time check, and cap the enumeration cap."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
     bases: tuple
     instances: list
     builtins: dict
+    private: frozenset = frozenset()
+    cap: int = DEFAULT_ENUM_CAP
     _compiled: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
     _guards: dict = field(default_factory=dict, init=False, repr=False,
@@ -1049,6 +1088,29 @@ class Problem:
                                   description="spec instances")
         return (enum, self._posts(0, "declared postcondition"),
                 self.frame(0))
+
+    def exact_parts(self) -> tuple:
+        """unary_parts and f0's step counts, in check_ensures_n's order."""
+        enum, post, frame = self.unary_parts()
+        return enum, self.steps("f0", 0), post, frame
+
+    @functools.cached_property
+    def promote_parts(self) -> kernel.PcParts:
+        """The distinct side-0 start states of a promote check, the entry
+        x0 that every instance gives, and each state's stop address xw
+        and step count n."""
+        x0 = self._expr("x0")
+        entries = [x0(i.env, None) & machine.MASK64 for i in self.instances]
+        for inst, entry in zip(self.instances, entries):
+            if entry != entries[0]:
+                raise SpecError(
+                    f"instances #{self.instances[0].index} and "
+                    f"#{inst.index} share the one entry of a promote check, "
+                    f"but x0 gives them {entries[0]:#x} and {entry:#x}")
+        stops, counts = self._per_start(0, "xw"), self._per_start(0, "n")
+        return kernel.PcParts(kernel.Enumeration(tuple(stops)),
+                              entries[0] if entries else 0,
+                              tuple(zip(stops.values(), counts.values())))
 
     def pair_parts(self, pre2: kernel.PairProperty, description: str,
                    post_description: str, pairs: Optional[tuple] = None,
@@ -1163,21 +1225,23 @@ class Problem:
             self._compiled[key] = (
                 holds, f"trace is the witness and ({text})" if witness
                 else text, [guard for guard in guards if guard is not None],
-                compile_witness(self.spec.witness) if witness else None)
+                compile_witness(self.spec.witness, self.cap) if witness
+                else None)
         holds, text, guards, expand = self._compiled[key]
         args = (inst.env,) if expand is None else (inst.env, expand(
-            inst.env, self._count("f0")(inst.env, None)))
+            inst.env, self._expr("f0")(inst.env, None)))
         prop = kernel.PropertyFn(
             functools.partial(holds, *args), text,
             self._meet([guard(inst.env) for guard in guards]))
         self._last[key] = (inst.env, prop)
         return prop
 
-    def _count(self, key: str) -> Callable:
-        """A [steps] line, compiled once: the most steps of a run, the
-        budget for auto."""
+    def _expr(self, key: str) -> Callable:
+        """A [steps] line or a promote check's x0, xw or n, compiled once:
+        auto is the budget."""
         if key not in self._compiled:
-            value = self.spec.steps.get(key, "auto")
+            value = self.spec.promote.get(key) or self.spec.steps.get(
+                key, "auto")
             self._compiled[key] = compile_expr(
                 ("int", self.spec.budget) if value == "auto" else value)
         return self._compiled[key]
@@ -1186,21 +1250,29 @@ class Problem:
         value = self.spec.steps.get(key, "auto")
         if value == "auto":
             return kernel.StepFn.auto(self.spec.budget)
-        count = self._count(key)
+        return kernel.StepFn.table(self._per_start(side, key),
+                                   f"{key} expression")
+
+    def _per_start(self, side, key: str) -> dict:
+        """key's expression at each start state of a side, taken at the
+        state's first instance, which its other instances must repeat: a
+        step count, never negative, or for xw a 64-bit address."""
+        expr, count = self._expr(key), key != "xw"
+        show, unit, mask = ((show_int, " steps", -1) if count
+                            else (hex, "", machine.MASK64))
         table = {}
         for state, (first, *rest) in self._starts(side).items():
-            table[state] = n = count(first.env, None)
-            if n < 0:
+            table[state] = v = expr(first.env, None) & mask
+            if v < 0:
                 raise SpecError(f"{key} gives instance #{first.index} the "
-                                f"negative step count {show_int(n)}")
+                                f"negative step count {show_int(v)}")
             for inst in rest:
-                if count(inst.env, None) != n:
+                if (other := expr(inst.env, None) & mask) != v:
                     raise SpecError(
                         f"instances #{first.index} and #{inst.index} build "
                         f"one start state, but {key} gives them "
-                        f"{show_int(n)} and "
-                        f"{show_int(count(inst.env, None))} steps")
-        return kernel.StepFn.table(table, f"{key} expression")
+                        f"{show(v)} and {show(other)}{unit}")
+        return table
 
     def _conditions(self, store, side):
         return store.get(side) or store.get(None) or []
@@ -1279,7 +1351,11 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
                 if s1 is None:
                     continue
             instances.append(Instance(len(instances), env, s0, s1))
-    return Problem(spec, programs, tuple(bases), instances, builtins)
+    problem = Problem(spec, programs, tuple(bases), instances, builtins,
+                      cap=cap)
+    if spec.kind in ("ct_relational", "ct_unary"):
+        problem.private = check_private(problem.resolve_labels(spec.private))
+    return problem
 
 
 def _constructor(spec, programs, bases, side, names) -> Callable:

@@ -205,15 +205,13 @@ def test_criterion_10_promotion_counts_steps_to_the_stopper(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "VERDICT: Proven"
 
     s = boot("add_stopper.masm", x0=1, x1=2)
-    enum = Enumeration((s,))
-    wrong_n = kernel.check_eventually_n_at_pc(machine.oracle(), enum,
-                                              x0=0x1000, xw=0x1004, n=2)
+    wrong_n = kernel.check_eventually_n_at_pc(machine.oracle(), kernel.PcParts(
+        Enumeration((s,)), x0=0x1000, stops=((0x1004, 2),)))
     assert wrong_n.is_refuted
 
     looping = boot("add_backjump.masm", x0=1, x1=2)
-    never = kernel.check_eventually_n_at_pc(machine.oracle(),
-                                            Enumeration((looping,)),
-                                            x0=0x1000, xw=0x1004, n=1)
+    never = kernel.check_eventually_n_at_pc(machine.oracle(), kernel.PcParts(
+        Enumeration((looping,)), x0=0x1000, stops=((0x1004, 1),)))
     assert never.is_refuted
 
 

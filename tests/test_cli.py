@@ -263,21 +263,31 @@ def test_layers_of_shared_start_states_compile_once(capsys, tmp_path,
 
 @st.composite
 def post_only_specs(draw):
-    """A unary, unary_n or relational spec over add.masm whose parameter
-    n appears only in its postconditions, so start states repeat."""
-    kind = draw(st.sampled_from(("unary", "unary_n", "relational")))
+    """A unary, unary_n, relational, ct_unary or promote spec over
+    add.masm whose parameter n appears only in its postconditions, its
+    witness or its promote stop address and step count, so start states
+    repeat."""
+    kind = draw(st.sampled_from(("unary", "unary_n", "relational",
+                                 "ct_unary", "promote")))
     post = lambda: (f"x2 {draw(st.sampled_from(('<=', '>=', '=', '!=')))} "
                     f"n + {draw(st.integers(0, 3))}")
-    text = (f"[check]\nkind = {kind}\nbudget = 8\n\n"
-            "[program0]\nfile = add.masm\nbase = 0x1000\n\n"
-            f"[params]\na in 0..1\nn in 0..{draw(st.integers(0, 3))}\n\n"
-            "[pre]\nx0 = a\nx1 = 1\n\n"
-            f"[post0]\n{post()}\n\n[post1]\n{post()}\n\n"
-            "[steps]\nf0 = 1\nf1 = 1\n")
+    text = f"[check]\nkind = {kind}\nbudget = 8\n"
+    if kind == "promote":
+        text += (f"x0 = base0\nxw = base0 + "
+                 f"{draw(st.sampled_from(('4', '4 * min(n, 1)', '4 * n')))}"
+                 f"\nn = {draw(st.sampled_from(('1', 'n', 'n - 1', '2')))}\n")
+    text += ("\n[program0]\nfile = add.masm\nbase = 0x1000\n\n"
+             f"[params]\na in 0..1\nn in 0..{draw(st.integers(0, 3))}\n\n"
+             "[pre]\nx0 = a\nx1 = 1\n\n"
+             f"[post0]\n{post()}\n\n[post1]\n{post()}\n\n"
+             "[steps]\nf0 = 1\nf1 = 1\n")
     if kind == "relational":
         right = draw(st.sampled_from(
             ("add.masm", "swapped.masm", "sub.masm", "inc.masm")))
         text += f"\n[program1]\nfile = {right}\nbase = 0x2000\n"
+    if kind == "ct_unary":  # add.masm makes no event
+        text += draw(st.sampled_from(
+            ("", "\n[witness]\nrepeat i < n - 1:\nload 0, 1\nend\n")))
     return kind, text
 
 
@@ -290,16 +300,53 @@ def programs_dir(tmp_path_factory):
 
 
 @given(case=post_only_specs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_shared_start_states_keep_every_instances_postcondition(
         programs_dir, case):
     kind, text = case
     problem = specfile.build_problem(specfile.parse_spec(text), programs_dir)
-    check = lambda p: cli._CHECKERS[kind](p)[0].outcome
+
+    def check(p):
+        try:
+            return cli._CHECKERS[kind][0](p).outcome
+        except specfile.SpecError:
+            return "error"
+
     # the reference: each instance checked as a problem of its own
-    each = {check(dataclasses.replace(problem, instances=[inst]))
-            for inst in problem.instances}
-    assert check(problem) == ("proven" if each == {"proven"} else "refuted")
+    alone = [dataclasses.replace(problem, instances=[inst])
+             for inst in problem.instances]
+    each = {check(p) for p in alone}
+    want = ("error" if "error" in each else
+            "proven" if each == {"proven"} else "refuted")
+    if kind == "promote" and want != "error":
+        # a start state's instances must agree on its stop and step count
+        stops = {}
+        for inst, p in zip(problem.instances, alone):
+            stops.setdefault(inst.state0, set()).add(p.promote_parts.stops)
+        if any(len(s) > 1 for s in stops.values()):
+            want = "error"
+    assert check(problem) == want
+
+
+def test_every_kind_has_one_row():
+    assert sorted(cli._CHECKERS) == sorted(specfile.KINDS)
+
+
+@pytest.mark.parametrize("spec_name", ["compare_constant_ct.spec",
+                                       "compare_constant_ct_unary.spec"])
+@pytest.mark.parametrize("private, public", [
+    ("pc", "pc"), ("events", "events"), ("pc, events", "events")])
+def test_a_private_pc_or_event_trace_exits_3(capsys, tmp_path, spec_name,
+                                             private, public):
+    shutil.copy(CORPUS / "compare_constant.masm", tmp_path)
+    text = (CORPUS / spec_name).read_text()
+    path = tmp_path / spec_name
+    path.write_text(text.replace("[private]\n", f"[private]\n{private}\n"))
+    assert path.read_text() != text
+    code, out, err = run_main(capsys, "check", str(path))
+    assert (code, out, err) == (
+        3, "", f"error: {public} is public by definition and cannot be "
+               "private\n")
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +755,8 @@ def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
     def broken(problem):
         return 1 // 0
 
-    monkeypatch.setitem(cli._CHECKERS, "unary", broken)
+    monkeypatch.setitem(cli._CHECKERS, "unary",
+                        (broken, cli._CHECKERS["unary"][1]))
     code, out, err = run_main(capsys, "check",
                               str(CORPUS / "compare_correct.spec"))
     assert (code, out) == (3, "")

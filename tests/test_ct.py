@@ -3,6 +3,7 @@ and the bridge from the single-run form back to the pairwise one."""
 
 import collections
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
@@ -179,6 +180,47 @@ def test_a_witness_longer_than_the_run_is_cut_short(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stderr) == (1, "")
     assert proc.stdout.startswith("VERDICT: Refuted\n")
+
+
+def _witness_spec(tmp_path, template: str):
+    """compare_constant_ct_unary.spec with another witness, and the line
+    number of the template's first line."""
+    head = (CORPUS / "compare_constant_ct_unary.spec").read_text().split(
+        "[witness]")[0]
+    shutil.copy(CORPUS / "compare_constant.masm", tmp_path)
+    (tmp_path / "w.spec").write_text(head + "[witness]\n" + template)
+    return tmp_path / "w.spec", head.count("\n") + 2
+
+
+def test_a_witness_nested_too_deeply_names_its_line(tmp_path, capsys):
+    deep = specfile.MAX_REPEAT_DEPTH
+    path, _ = _witness_spec(tmp_path, "repeat a < 1:\n" * deep
+                            + "load 10, 4\n" + "end\n" * deep)
+    # as deep as allowed: checked, and the one-load witness is wrong
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("VERDICT: Refuted\n")
+    path, first = _witness_spec(tmp_path, "repeat a < 1:\n" * 1200
+                                + "load 10, 4\n" + "end\n" * 1200)
+    assert cli.main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line {first + deep}: repeat nested "
+                              f"more than {deep} deep\n")
+
+
+def test_a_repeat_that_adds_no_event_stops_at_the_enumeration_cap(
+        tmp_path):
+    path, first = _witness_spec(
+        tmp_path, "repeat i < 0x10000000000:\nrepeat j < 0:\nload 10, 4\n"
+        "end\nend\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for cap in ("100", "65536"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relhoare", "check", str(path),
+             "--enum-cap", cap], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", f"error: line {first}: one expansion of the witness runs "
+                   f"more than {cap} repeat rounds, the enumeration cap\n")
 
 
 def test_a_ct_unary_check_compiles_its_witness_as_one_function(monkeypatch):

@@ -233,10 +233,10 @@ def test_a_block_judgment_rechecks_and_feeds_the_rules():
 def test_eventually_n_at_pc_requires_stuck_at_target():
     stops = sys_of((0, 4))
     loops = sys_of((0, 4), (4, 0))
-    enum = Enumeration((0,))
-    assert kernel.check_eventually_n_at_pc(stops, enum, 0, 4, 1).is_proven
-    assert kernel.check_eventually_n_at_pc(loops, enum, 0, 4, 1).is_refuted
-    assert kernel.check_eventually_n_at_pc(stops, enum, 0, 4, 2).is_refuted
+    at = lambda n: kernel.PcParts(Enumeration((0,)), 0, ((4, n),))
+    assert kernel.check_eventually_n_at_pc(stops, at(1)).is_proven
+    assert kernel.check_eventually_n_at_pc(loops, at(1)).is_refuted
+    assert kernel.check_eventually_n_at_pc(stops, at(2)).is_refuted
 
 
 # ---------------------------------------------------------------------------

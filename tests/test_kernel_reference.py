@@ -610,7 +610,8 @@ def test_pc_checks_match_the_reference(g, data):
                                                 max_size=3))))
     xw = data.draw(st.integers(0, m - 1))
     n = data.draw(st.integers(0, 4))
-    assert_same(outcome(kernel.check_eventually_n_at_pc, sys, enum, x0, xw, n),
+    parts = PcParts(enum, x0, ((xw, n),) * len(enum.states))
+    assert_same(outcome(kernel.check_eventually_n_at_pc, sys, parts),
                 outcome(check_eventually_n_at_pc, sys, enum, x0, xw, n))
     budget = data.draw(st.integers(0, 6))
 
@@ -620,6 +621,30 @@ def test_pc_checks_match_the_reference(g, data):
             else got
 
     assert stops(kernel.first_stop_evidence) == stops(first_stop_evidence)
+
+
+@given(g=systems(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_per_state_stops_match_the_reference_one_state_at_a_time(g, data):
+    # each start state has a stop address and a step count of its own;
+    # the reference checks the states one at a time, in order
+    m = data.draw(st.integers(1, g.n_states))
+    sys = dataclasses.replace(g.oracle(), pc_of=lambda s: s % m)
+    x0 = data.draw(st.integers(0, m - 1))
+    states = tuple(data.draw(st.lists(
+        st.sampled_from(range(x0, g.n_states, m)), min_size=1, max_size=4)))
+    stops = tuple(data.draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, 4)),
+        min_size=len(states), max_size=len(states))))
+    want = proven(instances=len(states))
+    for s, (xw, n) in zip(states, stops):
+        alone = outcome(check_eventually_n_at_pc, sys, Enumeration((s,)), x0,
+                        xw, n)
+        if not (isinstance(alone, Verdict) and alone.is_proven):
+            want = alone
+            break
+    assert_same(outcome(kernel.check_eventually_n_at_pc, sys,
+                        PcParts(Enumeration(states), x0, stops)), want)
 
 
 # ---------------------------------------------------------------------------
