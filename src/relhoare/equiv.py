@@ -22,13 +22,15 @@ on the far side. Every derived judgment re-checks directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import kernel, machine, specfile
 
 __all__ = [
     "AnchorMismatch", "EquivRel", "EquivJudgment", "check_equiv",
-    "compose_sequential", "compose_transitive", "transfer_correctness",
+    "compose_sequential", "compose_transitive", "related_pairs",
+    "transfer_correctness",
 ]
 
 
@@ -55,20 +57,27 @@ class EquivRel:
 
     def key(self, s) -> tuple:
         """A state's values at the kept labels, read once per state and
-        relation; two states agree on the kept set iff their keys are
-        equal."""
+        relation and kept in the relation's cache, keyed by the state;
+        two states agree on the kept set iff their keys are equal."""
         k = self._keys.get(s)
         if k is None:
             k = self._keys[s] = tuple(s.read_label(l) for l in self.kept)
         return k
 
     def related(self, s0, s1) -> bool:
-        return self.key(s0) == self.key(s1)
+        """Whether the two states agree on the kept set: one comparison
+        of their cached keys, with `key` building a key the cache lacks."""
+        keys = self._keys
+        try:
+            return keys[s0] == keys[s1]
+        except KeyError:
+            return self.key(s0) == self.key(s1)
 
 
 # The most candidate pairs (left start states times right ones) that the
-# pair scan of `check_equiv` takes on: at about 0.7 us a candidate, this
-# is some 12 s of scanning.
+# pair scan of `related_pairs` takes on: at about 0.25 us a candidate
+# (589,824 candidates in 0.15 s on a 2-core Xeon, Python 3.11), this is
+# some 4 s of scanning.
 MAX_CANDIDATES = 1 << 24
 
 
@@ -100,6 +109,24 @@ def _unique_pc(values) -> Optional[int]:
     return values.pop() if len(values) == 1 else None
 
 
+def related_pairs(rel: EquivRel, lefts: tuple, rights: tuple) -> tuple:
+    """Every pair of a left and a right state that rel relates, in the
+    order of a scan of lefts x rights. More than MAX_CANDIDATES
+    candidates is a spec error, raised before any state is keyed. Each
+    state is keyed once, up front, and then each candidate costs one
+    `rel.related` call, a comparison of two cached keys."""
+    candidates = len(lefts) * len(rights)
+    if candidates > MAX_CANDIDATES:
+        raise specfile.SpecError(
+            f"equivalence would scan {candidates} candidate pairs, more "
+            f"than the limit of {MAX_CANDIDATES}")
+    for s in lefts + rights:
+        rel.key(s)
+    related = rel.related  # read now: a wrapped method sees every call
+    return tuple((a, b) for a in lefts
+                 for b in filter(partial(related, a), rights))
+
+
 def check_equiv(problem: specfile.Problem,
                 sys: Optional[kernel.StepOracle] = None):
     """Enumerate all equiv_in-related pairs of initial states and check
@@ -111,13 +138,7 @@ def check_equiv(problem: specfile.Problem,
     eout = _rel_from_spec(spec, problem, "equiv_out")
 
     lefts, rights = problem.states(0), problem.states(1)
-    candidates = len(lefts) * len(rights)
-    if candidates > MAX_CANDIDATES:
-        raise specfile.SpecError(
-            f"equivalence would scan {candidates} candidate pairs, more "
-            f"than the limit of {MAX_CANDIDATES}")
-    pairs = tuple((a, b) for a in lefts for b in rights
-                  if ein.related(a, b))
+    pairs = related_pairs(ein, lefts, rights)
     pre2 = kernel.PairProperty(ein.related, ein.description)
     enum, post2, frame2, steps0, steps1 = problem.pair_parts(
         pre2, "equiv_in-related pairs",

@@ -1031,7 +1031,8 @@ class Problem:
     """A parsed spec bound to its assembled programs and enumerated
     instances, ready to hand to the checkers. Each side's [pre], [post]
     and [steps] lines and frame are compiled once, on first use, and
-    shared by every instance and layer. private is the resolved [private]
+    shared by every instance and layer; each [pre] and [post] property
+    is built once per valuation. private is the resolved [private]
     section of a constant-time check, and cap the enumeration cap."""
 
     spec: CheckSpec
@@ -1047,8 +1048,8 @@ class Problem:
                           compare=False)
     _groups: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-    _last: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _props: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def count(self) -> int:
         return len(self.instances)
@@ -1165,6 +1166,7 @@ class Problem:
                   for part in itertools.zip_longest(*starts.values())]
         for layer in layers:  # each condition and frame compiles once
             layer._compiled, layer._guards = self._compiled, self._guards
+            layer._props = self._props
         return layers
 
     def _posts(self, side, description: str) -> kernel.PerState:
@@ -1193,17 +1195,18 @@ class Problem:
 
     def _property(self, section: str, side, inst: Instance):
         """A side's [pre] or [post] lines at one instance's values. The
-        instances of one scalar valuation share one values dict and come
-        one after another, so the last property built is kept and reused
-        while the dict stays the same. A ct_unary check's side-0 post
-        first requires the run's projected trace to be the [witness]
-        template, expanded once per valuation and only until longer than
-        the run: its trace starts empty and gains at most an event a
-        step."""
+        instances of one scalar valuation share one values dict, so the
+        property is built once per valuation and kept, keyed by the dict's
+        identity; the entry holds the dict, so no other dict can take
+        that identity. A ct_unary check's side-0 post first requires the
+        run's projected trace to be the [witness] template, so it is
+        expanded once per valuation, and only until longer than the run:
+        its trace starts empty and gains at most an event a step."""
         key = (section, side)
-        last = self._last.get(key)
-        if last is not None and last[0] is inst.env:
-            return last[1]
+        props = self._props.setdefault(key, {})
+        kept = props.get(id(inst.env))
+        if kept is not None:
+            return kept[1]
         if key not in self._compiled:
             constraints = self._conditions(getattr(self.spec, section), side)
             names = set(self.builtins) | {p.name for p in self.spec.scalars}
@@ -1233,7 +1236,7 @@ class Problem:
         prop = kernel.PropertyFn(
             functools.partial(holds, *args), text,
             self._meet([guard(inst.env) for guard in guards]))
-        self._last[key] = (inst.env, prop)
+        props[id(inst.env)] = (inst.env, prop)
         return prop
 
     def _expr(self, key: str) -> Callable:

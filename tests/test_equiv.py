@@ -81,20 +81,48 @@ def test_check_equiv_refutes_on_an_overreaching_kept_set():
 
 
 def test_the_candidate_scan_stops_above_its_limit(monkeypatch, capsys):
-    # 48 x 48 candidates on the corpus spec: at the limit it is checked,
-    # one below it the spec is refused before any pair is scanned
-    spec = str(CORPUS / "compare_equiv.spec")
+    # 48 x 48 candidates on the corpus spec: at the limit each of the 96
+    # start states is keyed once and the scan makes one related call per
+    # candidate; one below it the spec is refused before any state is
+    # keyed or any pair is scanned
+    related, built, scanned = [], [], []
+    key, rel, prove_ensures2 = (EquivRel.key, EquivRel.related,
+                                kernel.prove_ensures2)
+
+    def counted_key(self, s):
+        if s not in self._keys:
+            built.append((self, s))
+        return key(self, s)
+
+    def counted_related(self, a, b):
+        related.append(self)
+        return rel(self, a, b)
+
+    def after_the_scan(*args):  # the kernel checks the pairs it is given
+        scanned.extend(related)
+        return prove_ensures2(*args)
+
+    monkeypatch.setattr(EquivRel, "key", counted_key)
+    monkeypatch.setattr(EquivRel, "related", counted_related)
+    monkeypatch.setattr(kernel, "prove_ensures2", after_the_scan)
     monkeypatch.setattr(equiv, "MAX_CANDIDATES", 48 * 48)
+    problem = load_problem("compare_equiv.spec")
+    ein = equiv.check_equiv(problem).equiv_in
+    assert len(scanned) == 48 * 48 and all(r is ein for r in scanned)
+    starts = problem.states(0) + problem.states(1)
+    assert len(set(map(id, starts))) == 96
+    assert [id(s) for r, s in built if r is ein] == list(map(id, starts))
+    spec = str(CORPUS / "compare_equiv.spec")
     assert cli.main(["check", spec]) == 0
     capsys.readouterr()
+
     monkeypatch.setattr(equiv, "MAX_CANDIDATES", 48 * 48 - 1)
-    related = []
-    monkeypatch.setattr(EquivRel, "related",
-                        lambda self, a, b: related.append(a) or True)
+    related.clear()
+    built.clear()
     assert cli.main(["check", spec]) == 3
     err = capsys.readouterr().err
     assert "2304 candidate pairs" in err and "limit of 2303" in err
-    assert related == []
+    assert related == [] and built == []
 
 
 def test_a_warm_key_cache_does_not_excuse_an_unrelated_pair():

@@ -11,17 +11,24 @@ agree with it: the same outcome, counterexample and stats (instances,
 explorations, step counts, reached pairs), the same pairs object for
 object and in the same order, or the same kernel error with the same
 message.
+
+The equivalence scan is diffed the same way: `ref_equiv_pairs` is
+`equiv.check_equiv`'s scan as it was before each start state was keyed
+up front, over `EquivRel`'s key and related as they were
+(`RefEquivRel`). `equiv.related_pairs` must give the same pairs, object
+for object and in the same order, or the same spec error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, Optional
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relhoare import ct, finsys, kernel, machine, specfile
+from relhoare import ct, equiv, finsys, kernel, machine, specfile
 from relhoare.ct import Partition
 from relhoare.kernel import (
     Counterexample, PairEnumeration, PairProperty, PropertyFn, StepFn,
@@ -30,7 +37,7 @@ from relhoare.kernel import (
 )
 
 from conftest import (
-    SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
+    CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
 )
 from test_kernel_reference import (
     outcome, state_frame, state_prop, step_fns, systems,
@@ -185,6 +192,34 @@ def check_ct_relational(problem: specfile.Problem) -> Verdict:
     verdict = check_ensures2(machine.oracle(), enum, steps0, steps1, post2,
                              frame2)
     return ct._with_traces(verdict)
+
+
+class RefEquivRel:
+    """`equiv.EquivRel`'s key and related over a kept label set."""
+
+    def __init__(self, kept):
+        self.kept = frozenset(kept)
+        self._keys: dict = {}
+
+    def key(self, s) -> tuple:
+        k = self._keys.get(s)
+        if k is None:
+            k = self._keys[s] = tuple(s.read_label(l) for l in self.kept)
+        return k
+
+    def related(self, s0, s1) -> bool:
+        return self.key(s0) == self.key(s1)
+
+
+def ref_equiv_pairs(ein, lefts, rights) -> tuple:
+    """The limit check and pair scan of `equiv.check_equiv`."""
+    candidates = len(lefts) * len(rights)
+    if candidates > equiv.MAX_CANDIDATES:
+        raise specfile.SpecError(
+            f"equivalence would scan {candidates} candidate pairs, more "
+            f"than the limit of {equiv.MAX_CANDIDATES}")
+    return tuple((a, b) for a in lefts for b in rights
+                 if ein.related(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +467,71 @@ def test_given_pairs_keep_the_table_of_the_reference():
 def _order(parts):
     enum, post2, frame2, steps0, steps1 = parts
     return enum, steps0, steps1, post2, frame2
+
+
+# ---------------------------------------------------------------------------
+# equivalence pairs
+
+def scan(find, rel, lefts, rights):
+    """The pairs that find returns, or the spec error it raises."""
+    try:
+        return find(rel, lefts, rights)
+    except specfile.SpecError as e:
+        return str(e)
+
+
+def assert_same_pairs(got, want) -> None:
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert same_objects(got, want)
+
+
+@given(left=st.lists(SMALL_STATE_VALUES, max_size=8),
+       right=st.lists(SMALL_STATE_VALUES, max_size=8),
+       shared=st.booleans(),
+       kept=st.frozensets(st.sampled_from(
+           SMALL_LABELS + (machine.PC, machine.EVENTS))),
+       limit=st.integers(0, 64))
+@settings(max_examples=300, deadline=None)
+def test_equivalence_pairs_match_the_frozen_scan(left, right, shared, kept,
+                                                 limit):
+    lefts = tuple(small_state(v) for v in left)
+    rights = lefts if shared else tuple(small_state(v) for v in right)
+    with mock.patch.object(equiv, "MAX_CANDIDATES", limit):
+        got = scan(equiv.related_pairs, equiv.EquivRel.kept_equal(kept),
+                   lefts, rights)
+        want = scan(ref_equiv_pairs, RefEquivRel(kept), lefts, rights)
+    assert_same_pairs(got, want)
+
+
+def frozen_scan(rel, lefts, rights):
+    return ref_equiv_pairs(RefEquivRel(rel.kept), lefts, rights)
+
+
+def test_corpus_equivalence_checks_match_the_frozen_scan(monkeypatch):
+    text = (CORPUS / "compare_equiv.spec").read_text()
+    # the second keeps x5 too, which the rewrite writes and the original
+    # does not: refuted at the first pair that reaches an output
+    for spec in (text, text.replace("keep = x6", "keep = x5, x6")):
+        problem = specfile.build_problem(specfile.parse_spec(spec), CORPUS)
+        lefts, rights = problem.states(0), problem.states(1)
+        ein = equiv._rel_from_spec(problem.spec, problem, "equiv_in")
+        pairs = equiv.related_pairs(ein, lefts, rights)
+        assert len(pairs) == 48
+        assert_same_pairs(pairs, frozen_scan(ein, lefts, rights))
+
+        got = equiv.check_equiv(problem)
+        with monkeypatch.context() as m:
+            m.setattr(equiv, "related_pairs", frozen_scan)
+            want = equiv.check_equiv(problem)
+        if isinstance(want, Verdict):
+            assert_same(got, want)
+            continue
+        assert (got.anchors, got.equiv_in.kept, got.equiv_out.kept) == (
+            want.anchors, want.equiv_in.kept, want.equiv_out.kept)
+        assert same_objects(got.judgment.parts.pairs.pairs,
+                            want.judgment.parts.pairs.pairs)
+        assert_same(kernel.recheck(got.judgment),
+                    kernel.recheck(want.judgment))

@@ -581,6 +581,31 @@ def test_the_posts_of_one_start_state_meet_their_guards(tmp_path):
     assert problem.post_property(0, problem.instances[0]).pcs is meets[0]
 
 
+def test_a_witness_is_expanded_once_per_valuation(tmp_path, monkeypatch,
+                                                  capsys):
+    # k is read only in the witness, so the three values of k build each
+    # start state and the start-state groups interleave the valuations:
+    # still one expansion for each of the 3 x 3 values of n and k
+    text = (CORPUS / "compare_constant_ct_unary.spec").read_text()
+    text = text.replace("n in 0..2\n", "n in 0..2\nk in 0..2\n").replace(
+        "branch n = 0\n", "branch n + 0 * k = 0\n")
+    (tmp_path / "compare_constant.masm").write_text(
+        (CORPUS / "compare_constant.masm").read_text())
+    (tmp_path / "k.spec").write_text(text)
+    expansions = []
+    compile_witness = specfile.compile_witness
+
+    def counted(*args):
+        expand = compile_witness(*args)
+        return lambda *a: expansions.append(a) or expand(*a)
+
+    monkeypatch.setattr(specfile, "compile_witness", counted)
+    assert cli.main(["check", str(tmp_path / "k.spec")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "VERDICT: Proven", "check: ct_unary on k.spec, 144 instance(s)"]
+    assert len(expansions) == 9
+
+
 def test_a_post_that_fails_to_evaluate_is_an_error_off_its_guard(
         tmp_path, capsys):
     # no run reaches base0 + 400, the guard, where the post would first
