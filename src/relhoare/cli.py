@@ -271,8 +271,7 @@ def _promote_lines(problem, v):
     if not v.is_proven:
         k = _find_instance(problem, v.counterexample.initial, "state0")
         return [f"failing instance: #{k}"]
-    counts = tuple(n for _, n in problem.promote_parts.stops)
-    return [f"first-stop counts: {_summarize_counts(counts)}"]
+    return [f"first-stop counts: {_summarize_counts(v.stats['steps'])}"]
 
 
 # kind: (check of a problem, report lines of its verdict). ct_relational
@@ -348,12 +347,16 @@ def _print_counterexample(problem, spec_path: Path, ce) -> None:
 
 
 def _replay_script(problem, spec_path: Path, ce):
+    # the check's enumeration cap, unless the default
+    cap = "" if problem.cap == specfile.DEFAULT_ENUM_CAP \
+        else f", cap={problem.cap}"
     lines = [
         "python3 - <<'RELHOARE_REPLAY'",
         "from pathlib import Path",
         "from relhoare import kernel, machine, specfile",
         f"spec = specfile.parse_spec(Path({str(spec_path)!r}).read_text())",
-        f"prob = specfile.build_problem(spec, Path({str(spec_path.parent)!r}))",
+        f"prob = specfile.build_problem(spec, "
+        f"Path({str(spec_path.parent)!r}){cap})",
     ]
     if ce.sides == 1:
         k = _find_instance(problem, ce.initial, "state0")

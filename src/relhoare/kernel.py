@@ -42,6 +42,7 @@ recheck re-checks it directly; audit_replay replays its whole derivation.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -316,14 +317,16 @@ def factored_post(rel: Callable, q0, q1, description: str,
 
 @dataclass(frozen=True)
 class Enumeration:
-    """Explicit initial states plus the predicate they were drawn from."""
+    """Initial states plus the predicate they were drawn from. states is
+    a sized re-iterable: a tuple, or a sequence that makes them anew on
+    each pass and keeps none."""
 
-    states: tuple
+    states: Sequence
     pre: PropertyFn = TRUE
     description: str = ""
 
     def validate(self) -> None:
-        for s in self.states:
+        for s in () if self.pre is TRUE else self.states:
             if not self.pre.holds(s):
                 raise SchemaMismatch(
                     f"enumerated state fails its own precondition "
@@ -478,11 +481,20 @@ class StepFn:
 
 def _rule(steps, i: int, sys: StepOracle, s):
     """What `_explore` needs for the i-th start state s: the exact depth
-    that a tuple (aligned with the enumeration) or a constant or table
+    that a sequence (aligned with the enumeration) or a constant or table
     StepFn gives it, or an automatic StepFn, which it resolves itself."""
-    if isinstance(steps, (tuple, LazyTuple)):
+    if not isinstance(steps, StepFn):
         return steps[i]
     return steps if steps.kind == "auto" else steps.resolve(sys, s)
+
+
+def _record(counts, n: int):
+    """counts, an array('q') until a count does not fit one, with n."""
+    try:
+        counts.append(n)
+    except OverflowError:
+        counts = [*counts, n]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +783,7 @@ class EnsuresParts:
 @dataclass(frozen=True)
 class EnsuresNParts:
     enum: Enumeration
-    steps: tuple  # ints aligned with enum.states
+    steps: Sequence  # ints aligned with enum.states
     post: Any
     frame: Any
 
@@ -803,7 +815,7 @@ class HybridParts:
 class PcParts:
     enum: Enumeration
     x0: int
-    stops: tuple  # (xw, n) per state, aligned
+    stops: Any  # (xw, n) per state: aligned, or a PerState table
 
 
 @dataclass(frozen=True)
@@ -894,20 +906,19 @@ def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
     frontiers are walked again, at the resolved counts, on first read."""
     enum.validate()
     warnings = () if enum.states else ("EmptyPrecondition",)
-    resolved = []
+    resolved = array("q")
     for i, s in enumerate(enum.states):
         q = _at(post, s)
         f = _at(frame, s)
         target = lambda t, q=q, f=f, s=s: q.holds(t) and f.related(s, t)
         n, _, fail = _explore(sys, s, _rule(steps, i, sys, s), target)
-        resolved.append(n)
+        resolved = _record(resolved, n)
         if fail is not None:
             reason, depth, witness = fail
             ce = Counterexample(reason, s, _choices(sys, s, depth, witness),
                                 witness, detail=f"exact step count {n}")
             return refuted(ce, instances=len(enum.states),
-                           steps=tuple(resolved), warnings=warnings)
-    resolved = tuple(resolved)
+                           steps=resolved, warnings=warnings)
     return proven(instances=len(enum.states), steps=resolved,
                   warnings=warnings, reached=LazyTuple(lambda: (
                       _explore(sys, s, n, None)[1]
@@ -1084,20 +1095,25 @@ def _halting_at(sys: StepOracle, xw: int) -> StepOracle:
 def check_eventually_n_at_pc(sys: StepOracle, parts: PcParts) -> Verdict:
     """From every start state (whose pc must be x0) the pc reaches the
     state's xw for the first time at exactly its step n, on every branch,
-    and is stuck there: one (xw, n) per state, aligned with the states."""
+    and is stuck there: one (xw, n) per state, aligned with the states or
+    a PerState table. A start state whose pc is not x0 is refused even
+    after a failure; a Proven verdict's steps are the counts n."""
     if sys.pc_of is None:
         raise SchemaMismatch("oracle has no pc reader")
-    enum, x0 = parts.enum, parts.x0
+    enum, x0, stops = parts.enum, parts.x0, parts.stops
     enum.validate()
-    pc_of = sys.pc_of
-    for s in enum.states:
+    pc_of, counts, ce = sys.pc_of, array("q"), None
+    for i, s in enumerate(enum.states):
         if pc_of(s) != x0:
             raise SchemaMismatch(f"start state has pc {pc_of(s):#x}, not {x0:#x}")
-    for s, (xw, n) in zip(enum.states, parts.stops):
+        if ce is not None:
+            continue
+        xw, n = stops.at(s) if isinstance(stops, PerState) else stops[i]
         # walked with xw made stuck, an early visit to xw shows as a stuck
         # state; until one shows, the walk is the same as on sys
         done = lambda st: pc_of(st) == xw and not sys.successors(st)
         _, _, fail = _explore(_halting_at(sys, xw), s, n, done)
+        counts = _record(counts, n)
         if fail is None:
             continue
         reason, k, st = fail
@@ -1117,8 +1133,9 @@ def check_eventually_n_at_pc(sys: StepOracle, parts: PcParts) -> Verdict:
             ce = Counterexample("not_terminated", s, path, st,
                                 detail=f"state at {xw:#x} still has "
                                        f"successors")
+    if ce is not None:
         return refuted(ce)
-    return proven(instances=len(enum.states))
+    return proven(instances=len(enum.states), steps=counts)
 
 
 def first_stop_evidence(sys: StepOracle, enum: Enumeration,

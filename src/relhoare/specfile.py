@@ -50,8 +50,12 @@ undeclared `f1` is `f0` for ct_relational (both runs are of [program0])
 and `auto` for the two-program kinds. Instances that build one start
 state share its run, and their postconditions must all hold on it; step
 counts or stops that differ between them are an error, as are promote
-instances with different entries. `build_problem` resolves the [private]
-labels of both constant-time kinds, refusing pc and events.
+instances with different entries, and so is an exact count above the
+budget. `build_problem` resolves the [private] labels of both
+constant-time kinds, refusing pc and events. A one-run problem whose
+[pre] lines show that distinct valuations build distinct start states
+keeps no instance: they are `Enumerated`, made anew on each pass, and
+its parts make each state's conditions as its walk asks for them.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ import itertools
 import math
 import re
 import sys
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import asm, kernel, machine
 
@@ -127,6 +132,10 @@ KINDS = ("unary", "unary_n", "relational", "ct_relational", "ct_unary",
 # kinds whose pairs run [program1] on the right; ct_relational pairs two
 # runs of [program0]
 TWO_PROGRAM_KINDS = ("relational", "equiv")
+
+# kinds that check one run from each start state, whose instances may be
+# streamed
+ONE_RUN_KINDS = ("unary", "unary_n", "ct_unary", "promote")
 
 _SECTIONS = ("check", "program0", "program1", "params", "pre", "pre0",
              "pre1", "post", "post0", "post1", "frame", "frame0", "frame1",
@@ -1026,6 +1035,126 @@ class Instance:
     state1: Any = None
 
 
+class Enumerated(SequenceABC):
+    """A problem's instances, made on demand in order, each valuation's
+    in one run with one shared env dict: every pass builds them anew and
+    keeps none, and an index is reached by a pass. total says that no
+    [pre] line can filter an instance out or fail, so that every
+    valuation has one instance per cell choice and the count needs no
+    pass; otherwise the first len() makes one, which raises the first
+    construction error."""
+
+    def __init__(self, scalars: list, builtins: dict, choices: list,
+                 construct0, construct1=None, total: bool = False):
+        self._domains = [(p.name, range(p.lo, p.hi + 1)) for p in scalars]
+        self._builtins, self._choices = builtins, choices
+        self._construct = construct0, construct1
+        self._each = math.prod(map(len, choices)) if total else None
+        self._count = None if self._each is None else self._each * \
+            math.prod(len(values) for _, values in self._domains)
+
+    def _envs(self) -> Iterator[dict]:
+        names = [name for name, _ in self._domains]
+        for values in itertools.product(*(v for _, v in self._domains)):
+            env = dict(self._builtins)
+            env.update(zip(names, values))
+            yield env
+
+    def __iter__(self) -> Iterator[Instance]:
+        construct0, construct1 = self._construct
+        index = 0
+        for env in self._envs():
+            for cells in itertools.product(*self._choices):
+                s0 = construct0(env, cells)
+                if s0 is None:
+                    continue
+                s1 = None
+                if construct1 is not None:
+                    s1 = construct1(env, cells)
+                    if s1 is None:
+                        continue
+                yield Instance(index, env, s0, s1)
+                index += 1
+
+    def __len__(self) -> int:
+        if self._count is None:
+            self._count = sum(1 for _ in self)
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        k = i + len(self) if i < 0 else i
+        if not 0 <= k < len(self):
+            raise IndexError("instance index out of range")
+        return next(itertools.islice(self, k, None))
+
+    def firsts(self) -> Iterator[Instance]:
+        """The first instance of each valuation that has any, in order.
+        Where no [pre] line can filter or fail, they are made without
+        building a state: their state0 is None."""
+        if self._each is not None:
+            for v, env in enumerate(self._envs()):
+                yield Instance(v * self._each, env, None)
+            return
+        last = None
+        for inst in self:
+            if inst.env is not last:
+                last = inst.env
+                yield inst
+
+
+class _StartStream(SequenceABC):
+    """The side-0 start states of a streamed problem, in instance order,
+    for the kernel's Enumeration. A pass notes the instance it has just
+    built, so that a per-state table finds the state it handed out last
+    without a table; any other state is looked up in an index of every
+    instance, built on first need."""
+
+    def __init__(self, instances: Enumerated):
+        self.instances, self.current, self._index = instances, None, None
+
+    def __iter__(self):
+        for inst in self.instances:
+            self.current = inst
+            yield inst.state0
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+    def __getitem__(self, i):
+        got = self.instances[i]
+        return (tuple(x.state0 for x in got) if isinstance(i, slice)
+                else got.state0)
+
+    def instance(self, s) -> Instance:
+        inst = self.current
+        if inst is not None and inst.state0 is s:
+            return inst
+        if self._index is None:
+            self._index = {i.state0: i for i in self.instances}
+        try:
+            return self._index[s]
+        except KeyError:
+            raise kernel.SchemaMismatch(
+                "no instance builds this start state") from None
+
+
+@dataclass(frozen=True)
+class _PerInstance(kernel.PerState):
+    """A per-state table of a streamed problem: at a start state, fn of
+    the instance that builds it, made when asked for and not kept. As a
+    table StepFn's value it is indexed by the state too."""
+
+    starts: _StartStream = None
+    fn: Callable = None
+
+    def at(self, s):
+        return self.fn(self.starts.instance(s))
+
+    __getitem__ = at
+
+
 @dataclass
 class Problem:
     """A parsed spec bound to its assembled programs and enumerated
@@ -1033,7 +1162,15 @@ class Problem:
     and [steps] lines and frame are compiled once, on first use, and
     shared by every instance and layer; each [pre] and [post] property
     is built once per valuation. private is the resolved [private]
-    section of a constant-time check, and cap the enumeration cap."""
+    section of a constant-time check, and cap the enumeration cap.
+
+    The instances are a stored list, or Enumerated: streamed, for a
+    one-run kind whose valuations build distinct start states. A
+    streamed problem's parts make each start state's postcondition, step
+    count or stop when its walk asks for it, keeping none, and keep one
+    property, that of the valuation last built; whatever can refuse the
+    spec before any walk (a witness expansion, a step count, an entry)
+    is first taken at each valuation and dropped."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
@@ -1053,6 +1190,17 @@ class Problem:
 
     def count(self) -> int:
         return len(self.instances)
+
+    @property
+    def streamed(self) -> bool:
+        return isinstance(self.instances, Enumerated)
+
+    @functools.cached_property
+    def _stream(self) -> _StartStream:
+        return _StartStream(self.instances)
+
+    def _by_instance(self, description: str, fn: Callable) -> _PerInstance:
+        return _PerInstance({}, description, self._stream, fn)
 
     def resolve_labels(self, items) -> frozenset:
         out: set = set()
@@ -1085,14 +1233,28 @@ class Problem:
     def unary_parts(self) -> tuple:
         """(Enumeration, per-state postcondition, frame) of a one-run
         check over the side-0 states."""
+        if self.streamed:
+            enum = kernel.Enumeration(self._stream,
+                                      description="spec instances")
+            return (enum, self._by_instance(
+                "declared postcondition",
+                functools.partial(self.post_property, 0)), self.frame(0))
         enum = kernel.Enumeration(self.states(0),
                                   description="spec instances")
         return (enum, self._posts(0, "declared postcondition"),
                 self.frame(0))
 
     def exact_parts(self) -> tuple:
-        """unary_parts and f0's step counts, in check_ensures_n's order."""
+        """unary_parts and f0's step counts, in check_ensures_n's order.
+        A post's errors come before a count's: a streamed problem builds
+        its post at each valuation first (one that expands a witness,
+        which may fail there) or at the first (to compile it)."""
         enum, post, frame = self.unary_parts()
+        if self.streamed:
+            firsts = self.instances.firsts()
+            for first in (firsts if self.spec.kind == "ct_unary"
+                          else itertools.islice(firsts, 1)):
+                self.post_property(0, first)
         return enum, self.steps("f0", 0), post, frame
 
     @functools.cached_property
@@ -1100,17 +1262,29 @@ class Problem:
         """The distinct side-0 start states of a promote check, the entry
         x0 that every instance gives, and each state's stop address xw
         and step count n."""
-        x0 = self._expr("x0")
-        entries = [x0(i.env, None) & machine.MASK64 for i in self.instances]
-        for inst, entry in zip(self.instances, entries):
-            if entry != entries[0]:
+        x0, entry = self._expr("x0"), None
+        # a valuation's instances give one entry
+        for inst in (self.instances.firsts() if self.streamed
+                     else self.instances):
+            here = x0(inst.env, None) & machine.MASK64
+            if entry is None:
+                entry = inst.index, here
+            elif here != entry[1]:
                 raise SpecError(
-                    f"instances #{self.instances[0].index} and "
-                    f"#{inst.index} share the one entry of a promote check, "
-                    f"but x0 gives them {entries[0]:#x} and {entry:#x}")
+                    f"instances #{entry[0]} and #{inst.index} share the "
+                    "one entry of a promote check, but x0 gives them "
+                    f"{entry[1]:#x} and {here:#x}")
+        entry = 0 if entry is None else entry[1]
+        if self.streamed:  # n may be refused; xw is any address
+            self._per_start(0, "n")
+            xw, n = self._expr("xw"), self._expr("n")
+            return kernel.PcParts(
+                kernel.Enumeration(self._stream), entry, self._by_instance(
+                    "xw and n", lambda inst: (
+                        xw(inst.env, None) & machine.MASK64,
+                        n(inst.env, None))))
         stops, counts = self._per_start(0, "xw"), self._per_start(0, "n")
-        return kernel.PcParts(kernel.Enumeration(tuple(stops)),
-                              entries[0] if entries else 0,
+        return kernel.PcParts(kernel.Enumeration(tuple(stops)), entry,
                               tuple(zip(stops.values(), counts.values())))
 
     def pair_parts(self, pre2: kernel.PairProperty, description: str,
@@ -1159,6 +1333,8 @@ class Problem:
         """The problem in parts, the k-th holding the k-th instance of
         each side-0 start state, so that no part repeats a start state:
         just the problem when none does."""
+        if self.streamed:  # its valuations build distinct states
+            return [self]
         starts = self._starts(0)
         if len(starts) == len(self.instances):
             return [self]
@@ -1236,6 +1412,8 @@ class Problem:
         prop = kernel.PropertyFn(
             functools.partial(holds, *args), text,
             self._meet([guard(inst.env) for guard in guards]))
+        if self.streamed:  # a pass builds a valuation's instances in a run
+            props.clear()
         props[id(inst.env)] = (inst.env, prop)
         return prop
 
@@ -1253,19 +1431,31 @@ class Problem:
         value = self.spec.steps.get(key, "auto")
         if value == "auto":
             return kernel.StepFn.auto(self.spec.budget)
-        return kernel.StepFn.table(self._per_start(side, key),
-                                   f"{key} expression")
+        table, description = self._per_start(side, key), f"{key} expression"
+        if self.streamed:
+            expr = self._expr(key)
+            return kernel.StepFn("table", self._by_instance(
+                description, lambda inst: expr(inst.env, None)), description)
+        return kernel.StepFn.table(table, description)
 
     def _per_start(self, side, key: str) -> dict:
         """key's expression at each start state of a side, taken at the
         state's first instance, which its other instances must repeat: a
-        step count, never negative, or for xw a 64-bit address."""
+        step count, never negative and at most the budget, or for xw a
+        64-bit address. A count above the budget is refused only once no
+        state's count is negative or disagrees. A streamed problem's
+        values are checked per valuation and not kept: its table is
+        empty."""
         expr, count = self._expr(key), key != "xw"
         show, unit, mask = ((show_int, " steps", -1) if count
                             else (hex, "", machine.MASK64))
-        table = {}
-        for state, (first, *rest) in self._starts(side).items():
-            table[state] = v = expr(first.env, None) & mask
+        table, over = {}, None
+        # a streamed problem's valuations stand for its start states: the
+        # instances of one share every value but the state's
+        groups = (((None, (first,)) for first in self.instances.firsts())
+                  if self.streamed else self._starts(side).items())
+        for state, (first, *rest) in groups:
+            v = expr(first.env, None) & mask
             if v < 0:
                 raise SpecError(f"{key} gives instance #{first.index} the "
                                 f"negative step count {show_int(v)}")
@@ -1275,6 +1465,14 @@ class Problem:
                         f"instances #{first.index} and #{inst.index} build "
                         f"one start state, but {key} gives them "
                         f"{show(v)} and {show(other)}{unit}")
+            if count and over is None and v > self.spec.budget:
+                over = first.index, v
+            if state is not None:
+                table[state] = v
+        if over is not None:
+            raise SpecError(
+                f"{key} gives instance #{over[0]} {show_int(over[1])} steps, "
+                f"more than the budget of {show_int(self.spec.budget)}")
         return table
 
     def _conditions(self, store, side):
@@ -1335,25 +1533,15 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
                for lo, hi, values in ranges for addr in range(lo, hi)]
     programs = tuple(programs)
     names = set(builtins) | {p.name for p in spec.scalars}
-    construct0 = _constructor(spec, programs, bases, 0, names)
-    construct1 = _constructor(spec, programs, bases, 1, names) \
+    construct0, total = _constructor(spec, programs, bases, 0, names)
+    construct1 = _constructor(spec, programs, bases, 1, names)[0] \
         if two_sided else None
-    instances = []
-    scalar_names = [p.name for p in spec.scalars]
-    for scalar_values in itertools.product(
-            *(range(p.lo, p.hi + 1) for p in spec.scalars)):
-        env = dict(builtins)
-        env.update(zip(scalar_names, scalar_values))
-        for cells in itertools.product(*choices):
-            s0 = construct0(env, cells)
-            if s0 is None:
-                continue
-            s1 = None
-            if construct1 is not None:
-                s1 = construct1(env, cells)
-                if s1 is None:
-                    continue
-            instances.append(Instance(len(instances), env, s0, s1))
+    instances = Enumerated(spec.scalars, builtins, choices, construct0,
+                           construct1, total)
+    if spec.kind in ONE_RUN_KINDS and _distinct(spec, builtins, ranges):
+        len(instances)  # unless total, a pass raising what a build would
+    else:
+        instances = list(instances)
     problem = Problem(spec, programs, tuple(bases), instances, builtins,
                       cap=cap)
     if spec.kind in ("ct_relational", "ct_unary"):
@@ -1361,12 +1549,13 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
     return problem
 
 
-def _constructor(spec, programs, bases, side, names) -> Callable:
+def _constructor(spec, programs, bases, side, names) -> tuple:
     """The builder of one side's initial state from an instance's values
     and cells, None where a verify-only [pre] line filters the instance
     out: one generated function that computes each assignment once, in
     line order, builds the state in one `_make` and then checks the [pre]
-    lines on it in order. The program is loaded once, on first use."""
+    lines on it in order. The program is loaded once, on first use.
+    Returned with whether it is total: no line can filter or fail."""
     constraints = spec.pre.get(side) or spec.pre.get(None, [])
     targets = [_assignment(c.ast, names) for c in constraints]
     writers = [t[0] for t in targets if t is not None]
@@ -1374,6 +1563,7 @@ def _constructor(spec, programs, bases, side, names) -> Callable:
     load = functools.cache(lambda: asm.load_program(
         machine.zeroed_state(), programs[side], bases[side]))
     build, fields, writes, checks = [f"s = {g.const(load)}()"], {}, [], []
+    total = True
     try:  # generating or compiling source may meet Python's nesting limits
         for k, (c, target) in enumerate(zip(constraints, targets)):
             if target is None:
@@ -1383,7 +1573,10 @@ def _constructor(spec, programs, bases, side, names) -> Callable:
             v = f"v{k}"
             if value[0] == "int" and 0 <= value[1] < 1 << bits:
                 v = _literal(value[1])  # a constant that fits its label
+            elif _held(value, spec.scalars, bits):
+                v = g.expr(value)  # a parameter whose values all fit
             else:
+                total = False
                 misfit = g.const(functools.partial(_misfit, c, bits))
                 build += [f"{v} = {g.expr(value)}",
                           f"if not 0 <= {v} <= {_literal((1 << bits) - 1)}:",
@@ -1420,9 +1613,43 @@ def _constructor(spec, programs, bases, side, names) -> Callable:
                      f"{fields.get(('flag_n',), 's.flag_n')}, "
                      f"{fields.get(('flag_z',), 's.flag_z')}, mem, s.events)")
         return g.define("construct", checks + ["return state"], build,
-                        "values, cells")
+                        "values, cells"), total and not checks
     except (SyntaxError, RecursionError):
         raise _too_deep(constraints, programs) from None
+
+
+def _held(value, scalars, bits: int) -> bool:
+    """Whether an assigned value is a parameter whose every value fits a
+    label of `bits` bits, and so is held there as it is."""
+    return value[0] == "param" and any(
+        p.name == value[1] and 0 <= p.lo and p.hi < 1 << bits
+        for p in scalars)
+
+
+def _distinct(spec, builtins, ranges) -> bool:
+    """Whether the side-0 [pre] lines show that distinct valuations build
+    distinct start states: every scalar of more than one value is held
+    by a label it is assigned to as it is, no label is assigned twice,
+    every memory assignment writes at a constant address, and no byte is
+    written twice by the [params] cells (ranges) and the assignments, so
+    that no later write hides a cell's or an assignment's value."""
+    names = set(builtins) | {p.name for p in spec.scalars}
+    lines = spec.pre.get(0) or spec.pre.get(None, [])
+    labels, held = [], set()
+    cells = [addr for lo, hi, _ in ranges for addr in range(lo, hi)]
+    for target in filter(None, (_assignment(c.ast, names) for c in lines)):
+        label, value, bits = target
+        if label[0] != "mem":
+            labels.append(label)
+        elif _stateless(label[2], builtins):
+            addr = compile_expr(label[2])(builtins, None)
+            cells += [(addr + k) & machine.MASK64 for k in range(label[1])]
+        else:
+            return False
+        if _held(value, spec.scalars, bits):
+            held.add(value[1])
+    return (len(set(labels)) == len(labels) and len(set(cells)) == len(cells)
+            and all(p.name in held or p.lo == p.hi for p in spec.scalars))
 
 
 def _stateless(ast, names) -> bool:

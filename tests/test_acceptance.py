@@ -290,17 +290,18 @@ print("exit", code, "peak_kib", peak)
 """
 
 
-def _wide_scale_point(tmp_path, name: str, masm: str, *args) -> tuple:
-    """Check a corpus spec with both buffers widened to 12 byte values
-    (3 * 144 * 144 = 62,208 instances) in a child: its report lines and
-    its peak RSS in MiB."""
+def _wide_scale_point(tmp_path, name: str, masm: str, *args,
+                      values: int = 12) -> tuple:
+    """Check a corpus spec with both buffers widened to `values` byte
+    values (3 * 144 * 144 = 62,208 instances at 12) in a child: its
+    report lines and its peak RSS in MiB."""
     (tmp_path / masm).write_text((CORPUS / masm).read_text())
     text = (CORPUS / name).read_text()
     for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
         old = f"{cells} in 0..1\n"
         assert old in text
-        text = text.replace(old, f"{cells} in 1..12\n")
-    spec = tmp_path / name.replace(".spec", "_wide.spec")
+        text = text.replace(old, f"{cells} in 1..{values}\n")
+    spec = tmp_path / name.replace(".spec", f"_wide{values}.spec")
     spec.write_text(text)
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
@@ -321,10 +322,25 @@ def test_criterion_12_unary_scale_point_in_bounded_memory(tmp_path):
     lines, peak = _wide_scale_point(tmp_path, "compare_correct.spec",
                                     "compare.masm")
     assert lines[0] == "VERDICT: Proven"
-    assert lines[1] == ("check: unary on compare_correct_wide.spec, 62208 "
-                        "instance(s)")
-    # the reached frontiers are not kept: about 79 MiB, 130 MiB if they are
-    assert peak < 90, f"peak {peak:.1f} MiB"
+    assert lines[1] == ("check: unary on compare_correct_wide12.spec, "
+                        "62208 instance(s)")
+    # neither the start states nor the reached frontiers are kept: about
+    # 21 MiB; 79 MiB with every instance stored, 130 MiB with the
+    # frontiers too
+    assert peak < 26, f"peak {peak:.1f} MiB"
+
+
+def test_criterion_12_the_unary_peak_does_not_grow_with_the_instances(
+        tmp_path):
+    lines, peak = _wide_scale_point(tmp_path, "compare_correct.spec",
+                                    "compare.masm", "--enum-cap", "200000",
+                                    values=16)
+    assert lines[:2] == ["VERDICT: Proven", "check: unary on "
+                         "compare_correct_wide16.spec, 196608 instance(s)"]
+    _, peak12 = _wide_scale_point(tmp_path, "compare_correct.spec",
+                                  "compare.masm")
+    # about 21 MiB at both sizes
+    assert abs(peak - peak12) < 2, f"peaks {peak:.1f} and {peak12:.1f} MiB"
 
 
 # 13. ---------------------------------------------------------------------
@@ -336,7 +352,7 @@ def test_criterion_13_ct_scale_point_in_bounded_memory(tmp_path):
                                     "compare_constant.masm",
                                     "--enum-cap", "100000")
     assert lines[0] == "VERDICT: Proven"
-    assert lines[1] == ("check: ct_relational on compare_constant_ct_wide"
+    assert lines[1] == ("check: ct_relational on compare_constant_ct_wide12"
                         ".spec, 62208 instance(s)")
     assert "pairs: 1289945088 public-equal pair(s)" in lines
     # about 141 MiB; 157 MiB with a projection cache and instance cells,

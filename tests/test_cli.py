@@ -74,16 +74,48 @@ def test_budget_exhaustion_exits_2(tmp_path, capsys):
 
 
 def test_replay_of_a_refutation_reaches_the_same_witness(tmp_path):
+    _assert_replay_reaches_the_witness(tmp_path, CORPUS / "compare_ct.spec")
+
+
+def test_a_replay_script_builds_at_the_checks_enumeration_cap(tmp_path):
+    # 2 * 256 * 256 = 131,072 instances, over the default cap of 65,536
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    text = (CORPUS / "compare_ct.spec").read_text()
+    for old, new in (("n in 1..1", "n in 1..2"),
+                     ("mem[10 .. 11) in 0..1", "mem[10 .. 11) in 0..255"),
+                     ("mem[20 .. 21) in 0..1", "mem[20 .. 21) in 0..255")):
+        assert old in text
+        text = text.replace(old, new, 1)
+    spec = tmp_path / "compare_ct_wide.spec"
+    spec.write_text(text)
+    out = _assert_replay_reaches_the_witness(tmp_path, spec, "--enum-cap",
+                                             "200000")
+    assert "check: ct_relational on compare_ct_wide.spec, 131072 " \
+        "instance(s)" in out
+    assert f"prob = specfile.build_problem(spec, Path({str(tmp_path)!r}), " \
+        "cap=200000)" in out
+
+
+def test_a_replay_script_at_the_default_cap_names_none(capsys):
+    code, out, _ = run_main(capsys, "check", str(CORPUS / "compare_ct.spec"),
+                            "--enum-cap", str(specfile.DEFAULT_ENUM_CAP))
+    assert code == 1
+    assert f"Path({str(CORPUS)!r}))\n" in out and "cap=" not in out
+
+
+def _assert_replay_reaches_the_witness(tmp_path, spec, *args) -> list:
+    """Check a spec that a pair refutes, run the replay script it prints,
+    and require the script's last states to be the printed witnesses:
+    the check's stdout lines."""
     env_script = tmp_path / "check.out"
     # the script imports `relhoare`: put this checkout's src/ first
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-m", "relhoare", "check",
-         str(CORPUS / "compare_ct.spec")],
+        [sys.executable, "-m", "relhoare", "check", str(spec), *args],
         capture_output=True, text=True, cwd=tmp_path, env=env)
-    assert proc.returncode == 1
+    assert proc.returncode == 1, proc.stderr
     out = proc.stdout.splitlines()
     witness_left = next(l.split("witness left:", 1)[1].strip()
                         for l in out if "witness left:" in l)
@@ -96,12 +128,13 @@ def test_replay_of_a_refutation_reaches_the_same_witness(tmp_path):
     replay = subprocess.run(["bash", str(env_script)],
                             capture_output=True, text=True, cwd=tmp_path,
                             env=env)
-    assert replay.returncode == 0
+    assert replay.returncode == 0, replay.stderr
     finals = replay.stdout.splitlines()
     last_left = [l for l in finals if l.startswith("left ")][-1]
     last_right = [l for l in finals if l.startswith("right")][-1]
     assert witness_left in last_left
     assert witness_right in last_right
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +651,50 @@ def test_a_huge_negative_promote_count_is_named_in_hex(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err == f"error: n gives instance #0 the negative step count " \
         f"-{_HUGE}\n"
+
+
+@pytest.mark.parametrize("spec, line, bad, err", [
+    ("unary_n_refuted.spec", "f0 = 3", "f0 = 33",
+     "f0 gives instance #0 33 steps, more than the budget of 32"),
+    ("unary_n_refuted.spec", "f0 = 3", "f0 = 3 + 30 * a",
+     "f0 gives instance #1 33 steps, more than the budget of 32"),
+    ("shared_start_relational.spec", "f1 = 1", "f1 = 9",
+     "f1 gives instance #0 9 steps, more than the budget of 8"),
+    # a negative count, or counts that disagree, are named first
+    ("unary_n_refuted.spec", "f0 = 3", "f0 = 33 - 20 * a",
+     "f0 gives instance #2 the negative step count -7"),
+    ("shared_start_steps.spec", "f0 = min(n, 1)", "f0 = 9 * min(n, 1)",
+     "instances #0 and #1 build one start state, but f0 gives them 0 and "
+     "9 steps"),
+])
+def test_a_step_count_above_the_budget_exits_3(capsys, tmp_path, spec,
+                                               line, bad, err):
+    path = _spec_path(spec, tmp_path)
+    path.write_text(path.read_text().replace(line, bad, 1))
+    code, out, got = run_main(capsys, "check", str(path))
+    assert (code, out, got) == (3, "", f"error: {err}\n")
+
+
+def test_a_promote_count_above_the_budget_exits_3_before_any_walk(
+        tmp_path):
+    # add_backjump.masm loops for ever, so a walk of n steps would not end
+    shutil.copy(CORPUS / "add_backjump.masm", tmp_path)
+    text = (CORPUS / "add_stopper.spec").read_text()
+    for old, new in (("add_stopper.masm", "add_backjump.masm"),
+                     ("xw = base0 + 4", "xw = base0 + 8"),
+                     ("n = 1\n", "n = 0x10000000000\n")):
+        text = text.replace(old, new, 1)
+    spec = tmp_path / "add_backjump.spec"
+    spec.write_text(text)
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relhoare", "check", str(spec)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: n gives instance #0 1099511627776 steps, "
+                           "more than the budget of 4096\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,10 +22,12 @@ label's range.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 import tokenize
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -849,3 +851,129 @@ def test_names_that_clash_with_generated_code(tmp_path, monkeypatch, name):
             assert tok.type != tokenize.STRING, source
             if tok.type == tokenize.NUMBER:
                 int(tok.string, 0)  # an integer, or ValueError
+
+
+# ---------------------------------------------------------------------------
+# streamed instances against the reference and the stored path
+
+@st.composite
+def one_run_specs(draw):
+    """A one-run spec over `add x2, x0, x1` and its shape: (text, whether
+    its [pre] lines show distinct start states). Its parameters are
+    assigned as they are or not at all (left to [post], the witness and
+    the stops), and its [pre] lines may filter, assign a label twice or
+    store over a [params] cell."""
+    kind = draw(st.sampled_from(specfile.ONE_RUN_KINDS))
+    a_hi, b_lo, b_hi = (draw(st.integers(0, 2)) for _ in range(3))
+    b_hi = max(b_lo, b_hi)
+    cells = draw(st.booleans())
+    pre = []
+    held = {"a": a_hi == 0, "b": b_lo == b_hi}
+    if draw(st.booleans()):
+        pre.append("x0 = a")
+        held["a"] = True
+    b_line = draw(st.sampled_from(("", "x1 = b", "mem1(24) = b",
+                                   "mem4(16) = b", "x1 = 1")))
+    if b_line:
+        pre.append(b_line)
+        held["b"] |= b_line.endswith("= b") and not (
+            cells and b_line == "mem4(16) = b")
+    twice = draw(st.sampled_from(("", "x0 = 2 * a - a", "x1 = 0 + 1")))
+    twice = twice if twice.split(" = ")[0] in [l.split(" = ")[0]
+                                                for l in pre] else ""
+    over = cells and b_line == "mem4(16) = b"
+    if twice:
+        pre.append(twice)
+    if draw(st.booleans()):
+        pre.append(draw(st.sampled_from(("x0 + x1 < 3", "not (x0 = 1)",
+                                         "mem1(16) = 0 or x1 = 1"))))
+    text = f"[check]\nkind = {kind}\nbudget = 8\n"
+    if kind == "promote":
+        text += ("x0 = base0\n"
+                 f"xw = base0 + {draw(st.sampled_from(('4', '4 * a')))}\n"
+                 f"n = {draw(st.sampled_from(('1', 'b', '1 - a', '9')))}\n")
+    text += ("\n[program0]\nfile = add.masm\nbase = 0x1000\n\n[params]\n"
+             f"a in 0..{a_hi}\nb in {b_lo}..{b_hi}\n")
+    if cells:
+        text += "mem[16 .. 18) in 0..1\n"
+    text += "\n[pre]\n" + "".join(line + "\n" for line in pre)
+    k = draw(st.integers(0, 3))
+    text += (f"\n[post]\nterminated(base0 + 4)\n"
+             f"x2 {draw(st.sampled_from(('<=', '=', '!=')))} a + b + {k}\n")
+    text += (f"\n[steps]\nf0 = "
+             f"{draw(st.sampled_from(('1', '1 + 0 * b', '9 - 4 * b', '1 - b')))}"
+             "\n")
+    if kind == "ct_unary":  # add makes no event; x0 is not public data
+        text += draw(st.sampled_from(
+            ("", "\n[witness]\nrepeat i < b - 1:\nload 0, 1\nend\n",
+             "\n[witness]\nrepeat i < b - 1:\nload x0, 1\nend\n")))
+    distinct = held["a"] and held["b"] and not twice and not over
+    return text, distinct
+
+
+def _check_output(path: Path) -> tuple:
+    """(exit code, stdout, stderr) of `relhoare check` on path."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def add_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stream")
+    (root / "add.masm").write_text("add x2, x0, x1\nhalt\n")
+    return root
+
+
+def _precedence_case(kind: str, check: str = "", steps: str = "f0 = 1",
+                     more: str = "", pre: str = "x1 = b") -> tuple:
+    """A streamed spec whose first instance is refuted (x2 = b) and whose
+    later valuations refuse the spec: stored, every valuation's witness,
+    counts and stops are taken before any walk."""
+    return (f"[check]\nkind = {kind}\nbudget = 8\n{check}\n"
+            "[program0]\nfile = add.masm\nbase = 0x1000\n\n"
+            f"[params]\na in 0..0\nb in 0..2\n\n[pre]\n{pre}\n\n"
+            "[post]\nx2 != b\n\n"
+            f"[steps]\n{steps}\n{more}", True)
+
+
+@given(case=one_run_specs())
+@example(case=_precedence_case(
+    "ct_unary", more="[witness]\nrepeat i < b - 1:\nload x0, 1\nend\n"))
+@example(case=_precedence_case("unary_n", steps="f0 = 1 - b"))
+@example(case=_precedence_case("unary_n", steps="f0 = 1 + 4 * b"))
+@example(case=_precedence_case(
+    "promote", "x0 = base0\nxw = base0 + 4 * b\nn = 1 - b\n"))
+@example(case=_precedence_case(
+    "promote", "x0 = base0 + 4 * b\nxw = base0 + 4\nn = 1\n"))
+@example(case=_precedence_case(
+    "promote", "x0 = base0\nxw = base0 + 8\nn = 1\n",
+    pre="x1 = b\npc = base0 + 4 * b"))
+@settings(max_examples=200, deadline=None)
+def test_streamed_instances_match_the_reference_and_the_stored_path(
+        add_dir, case):
+    text, distinct = case
+    spec = specfile.parse_spec(text)
+    ref = outcome(build_problem, spec, add_dir)
+    got = outcome(specfile.build_problem, spec, add_dir)
+    if ref[0] == "raised" or got[0] == "raised":
+        assert got == ref
+        return
+    ref, got = ref[1], got[1]
+    # a post-only parameter, a label assigned twice or a store over a
+    # cell keeps the stored groups
+    assert got.streamed == distinct
+    rows = instance_rows(ref)
+    assert instance_rows(got) == rows  # a second pass makes them again
+    assert instance_rows(got) == rows
+    assert got.count() == len(rows)
+    if rows:
+        assert (got.instances[-1].index, got.instances[-1].state0) \
+            == rows[-1][::2]
+    path = add_dir / "case.spec"
+    path.write_text(text)
+    streamed = _check_output(path)
+    with mock.patch.object(specfile, "_distinct", lambda *args: False):
+        assert not specfile.build_problem(spec, add_dir).streamed
+        assert _check_output(path) == streamed
