@@ -1172,8 +1172,8 @@ def first_stop_evidence(sys: StepOracle, enum: Enumeration,
     # every branch runs n steps and stops at xw, so only an early visit to
     # xw can refute; its path is as long as the visit is early. The states
     # before a failing one are checked first, so errors keep state order
-    v = check_eventually_n_at_pc(sys, PcParts(
-        Enumeration(enum.states[:len(stops)]), x0, tuple(stops)))
+    v = check_eventually_n_at_pc(sys, PcParts(Enumeration(tuple(
+        itertools.islice(enum.states, len(stops)))), x0, tuple(stops)))
     if not v.is_proven:
         ce = v.counterexample
         raise PromotionFailed(
@@ -1416,13 +1416,15 @@ def _rule_conj(premises, inputs):
     j1, j2 = premises
     _expect_form(j1, "ensures_n", "first premise")
     _expect_form(j2, "ensures_n", "second premise")
-    if j1.parts.enum.states != j2.parts.enum.states:
+    # by value: states may be streams, counts a check's array or a tuple
+    states1, states2 = j1.parts.enum.states, j2.parts.enum.states
+    if states1 is not states2 and tuple(states1) != tuple(states2):
         raise SideConditionFailed("conj premises must share their "
                                   "enumerated precondition states")
-    if j1.parts.steps != j2.parts.steps:
+    steps1, steps2 = tuple(j1.parts.steps), tuple(j2.parts.steps)
+    if steps1 != steps2:
         diff = next((s, a, b) for s, a, b in
-                    zip(j1.parts.enum.states, j1.parts.steps, j2.parts.steps)
-                    if a != b)
+                    zip(j1.parts.enum.states, steps1, steps2) if a != b)
         raise SideConditionFailed(
             f"conj premises disagree on step counts ({diff[1]} vs {diff[2]}); "
             f"exact-count triples only conjoin at one count")

@@ -66,6 +66,7 @@ import itertools
 import math
 import re
 import sys
+from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -1042,7 +1043,7 @@ class Enumerated(SequenceABC):
     [pre] line can filter an instance out or fail, so that every
     valuation has one instance per cell choice and the count needs no
     pass; otherwise the first len() makes one, which raises the first
-    construction error."""
+    construction error and notes each valuation's count."""
 
     def __init__(self, scalars: list, builtins: dict, choices: list,
                  construct0, construct1=None, total: bool = False):
@@ -1050,6 +1051,7 @@ class Enumerated(SequenceABC):
         self._builtins, self._choices = builtins, choices
         self._construct = construct0, construct1
         self._each = math.prod(map(len, choices)) if total else None
+        self._counts = None  # each valuation's, once counted
         self._count = None if self._each is None else self._each * \
             math.prod(len(values) for _, values in self._domains)
 
@@ -1060,48 +1062,51 @@ class Enumerated(SequenceABC):
             env.update(zip(names, values))
             yield env
 
-    def __iter__(self) -> Iterator[Instance]:
+    def _states(self, env: dict) -> Iterator[tuple]:
+        """A valuation's (state0, state1), in cell-choice order."""
         construct0, construct1 = self._construct
+        for cells in itertools.product(*self._choices):
+            s0 = construct0(env, cells)
+            if s0 is None:
+                continue
+            s1 = None
+            if construct1 is not None:
+                s1 = construct1(env, cells)
+                if s1 is None:
+                    continue
+            yield s0, s1
+
+    def __iter__(self) -> Iterator[Instance]:
         index = 0
         for env in self._envs():
-            for cells in itertools.product(*self._choices):
-                s0 = construct0(env, cells)
-                if s0 is None:
-                    continue
-                s1 = None
-                if construct1 is not None:
-                    s1 = construct1(env, cells)
-                    if s1 is None:
-                        continue
+            for s0, s1 in self._states(env):
                 yield Instance(index, env, s0, s1)
                 index += 1
 
     def __len__(self) -> int:
         if self._count is None:
-            self._count = sum(1 for _ in self)
+            self._counts = array("q", (sum(1 for _ in self._states(env))
+                                       for env in self._envs()))
+            self._count = sum(self._counts)
         return self._count
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
+    def __getitem__(self, i: int) -> Instance:
         k = i + len(self) if i < 0 else i
         if not 0 <= k < len(self):
             raise IndexError("instance index out of range")
         return next(itertools.islice(self, k, None))
 
     def firsts(self) -> Iterator[Instance]:
-        """The first instance of each valuation that has any, in order.
-        Where no [pre] line can filter or fail, they are made without
-        building a state: their state0 is None."""
-        if self._each is not None:
-            for v, env in enumerate(self._envs()):
-                yield Instance(v * self._each, env, None)
-            return
-        last = None
-        for inst in self:
-            if inst.env is not last:
-                last = inst.env
-                yield inst
+        """The first instance of each valuation that has any, in order,
+        made without building a state: its state0 is None."""
+        len(self)  # unless total, each valuation's count is noted
+        counts = (itertools.repeat(self._each) if self._counts is None
+                  else self._counts)
+        index = 0
+        for env, n in zip(self._envs(), counts):
+            if n:
+                yield Instance(index, env, None)
+                index += n
 
 
 class _StartStream(SequenceABC):
@@ -1122,10 +1127,8 @@ class _StartStream(SequenceABC):
     def __len__(self) -> int:
         return len(self.instances)
 
-    def __getitem__(self, i):
-        got = self.instances[i]
-        return (tuple(x.state0 for x in got) if isinstance(i, slice)
-                else got.state0)
+    def __getitem__(self, i: int):
+        return self.instances[i].state0
 
     def instance(self, s) -> Instance:
         inst = self.current
@@ -1169,8 +1172,8 @@ class Problem:
     streamed problem's parts make each start state's postcondition, step
     count or stop when its walk asks for it, keeping none, and keep one
     property, that of the valuation last built; whatever can refuse the
-    spec before any walk (a witness expansion, a step count, an entry)
-    is first taken at each valuation and dropped."""
+    spec before any walk (a witness expansion that may fail, a step
+    count, an entry) is first taken at each valuation and dropped."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
@@ -1245,17 +1248,33 @@ class Problem:
                 self.frame(0))
 
     def exact_parts(self) -> tuple:
-        """unary_parts and f0's step counts, in check_ensures_n's order.
-        A post's errors come before a count's: a streamed problem builds
-        its post at each valuation first (one that expands a witness,
-        which may fail there) or at the first (to compile it)."""
+        """unary_parts and f0's step counts, in check_ensures_n's order:
+        a post's errors before a count's. A streamed problem compiles its
+        post first. A ct_unary check expands its [witness] at each
+        valuation, which may fail: every valuation is expanded up front
+        when a count is refused, to find a failure that comes first, and
+        when an expansion could fail at a count the budget allows;
+        otherwise each is expanded once, by its walk."""
         enum, post, frame = self.unary_parts()
-        if self.streamed:
-            firsts = self.instances.firsts()
-            for first in (firsts if self.spec.kind == "ct_unary"
-                          else itertools.islice(firsts, 1)):
+        if not self.streamed:
+            return enum, self.steps("f0", 0), post, frame
+        if self.count():  # as a walk's first post would, if there is one
+            self._lines("post", 0)
+        witness = self.spec.kind == "ct_unary"
+
+        def expand_all():
+            for first in self.instances.firsts():
                 self.post_property(0, first)
-        return enum, self.steps("f0", 0), post, frame
+
+        try:
+            steps = self.steps("f0", 0)
+        except SpecError:
+            if witness:
+                expand_all()
+            raise
+        if witness and not self._witness_unfailing():
+            expand_all()
+        return enum, steps, post, frame
 
     @functools.cached_property
     def promote_parts(self) -> kernel.PcParts:
@@ -1263,29 +1282,34 @@ class Problem:
         x0 that every instance gives, and each state's stop address xw
         and step count n."""
         x0, entry = self._expr("x0"), None
-        # a valuation's instances give one entry
-        for inst in (self.instances.firsts() if self.streamed
-                     else self.instances):
-            here = x0(inst.env, None) & machine.MASK64
-            if entry is None:
-                entry = inst.index, here
-            elif here != entry[1]:
-                raise SpecError(
-                    f"instances #{entry[0]} and #{inst.index} share the "
-                    "one entry of a promote check, but x0 gives them "
-                    f"{entry[1]:#x} and {here:#x}")
-        entry = 0 if entry is None else entry[1]
-        if self.streamed:  # n may be refused; xw is any address
-            self._per_start(0, "n")
+
+        def entries(insts):  # each must give the first one's entry
+            nonlocal entry
+            for inst in insts:
+                here = x0(inst.env, None) & machine.MASK64
+                if entry is None:
+                    entry = inst.index, here
+                elif here != entry[1]:
+                    raise SpecError(
+                        f"instances #{entry[0]} and #{inst.index} share the "
+                        "one entry of a promote check, but x0 gives them "
+                        f"{entry[1]:#x} and {here:#x}")
+                yield inst
+
+        if self.streamed:  # one pass checks x0 and n; xw is any address
+            # a valuation's instances give one entry
+            self._per_start(0, "n", entries(self.instances.firsts()))
             xw, n = self._expr("xw"), self._expr("n")
-            return kernel.PcParts(
-                kernel.Enumeration(self._stream), entry, self._by_instance(
-                    "xw and n", lambda inst: (
-                        xw(inst.env, None) & machine.MASK64,
-                        n(inst.env, None))))
-        stops, counts = self._per_start(0, "xw"), self._per_start(0, "n")
-        return kernel.PcParts(kernel.Enumeration(tuple(stops)), entry,
-                              tuple(zip(stops.values(), counts.values())))
+            enum, stops = kernel.Enumeration(self._stream), self._by_instance(
+                "xw and n", lambda inst: (xw(inst.env, None) & machine.MASK64,
+                                          n(inst.env, None)))
+        else:
+            for _ in entries(self.instances):
+                pass
+            xws, counts = self._per_start(0, "xw"), self._per_start(0, "n")
+            enum = kernel.Enumeration(tuple(xws))
+            stops = tuple(zip(xws.values(), counts.values()))
+        return kernel.PcParts(enum, 0 if entry is None else entry[1], stops)
 
     def pair_parts(self, pre2: kernel.PairProperty, description: str,
                    post_description: str, pairs: Optional[tuple] = None,
@@ -1383,6 +1407,22 @@ class Problem:
         kept = props.get(id(inst.env))
         if kept is not None:
             return kept[1]
+        holds, text, guards, expand = self._lines(section, side)
+        args = (inst.env,) if expand is None else (inst.env, expand(
+            inst.env, self._expr("f0")(inst.env, None)))
+        prop = kernel.PropertyFn(
+            functools.partial(holds, *args), text,
+            self._meet([guard(inst.env) for guard in guards]))
+        if self.streamed:  # a pass builds a valuation's instances in a run
+            props.clear()
+        props[id(inst.env)] = (inst.env, prop)
+        return prop
+
+    def _lines(self, section: str, side) -> tuple:
+        """A side's [pre] or [post] lines compiled once: the generated
+        holds, the text, the guards, and the [witness] expansion that a
+        ct_unary check's side-0 post compares its trace with, else None."""
+        key = (section, side)
         if key not in self._compiled:
             constraints = self._conditions(getattr(self.spec, section), side)
             names = set(self.builtins) | {p.name for p in self.spec.scalars}
@@ -1406,16 +1446,30 @@ class Problem:
                 else text, [guard for guard in guards if guard is not None],
                 compile_witness(self.spec.witness, self.cap) if witness
                 else None)
-        holds, text, guards, expand = self._compiled[key]
-        args = (inst.env,) if expand is None else (inst.env, expand(
-            inst.env, self._expr("f0")(inst.env, None)))
-        prop = kernel.PropertyFn(
-            functools.partial(holds, *args), text,
-            self._meet([guard(inst.env) for guard in guards]))
-        if self.streamed:  # a pass builds a valuation's instances in a run
-            props.clear()
-        props[id(inst.env)] = (inst.env, prop)
-        return prop
+        return self._compiled[key]
+
+    def _witness_unfailing(self) -> bool:
+        """Whether no [witness] expansion can fail at a count from 0 to
+        the budget: every line reads only parameters, builtins and its
+        repeats' variables, and each round of a repeat appends an entry
+        of its own. An expansion is then cut short past count entries
+        within count + 2 * repeats rounds, which the cap must allow:
+        each round before that adds an entry, and past it each repeat
+        that is running or starts runs at most one more round."""
+        names = set(self.builtins) | {p.name for p in self.spec.scalars}
+        repeats, stack = 0, [(item, names) for item in self.spec.witness]
+        while stack:
+            item, bound = stack.pop()
+            if item[0] != "repeat":
+                if not _stateless(item[1], bound):
+                    return False
+                continue
+            if (not _stateless(item[2], bound)
+                    or all(x[0] == "repeat" for x in item[3])):
+                return False
+            repeats += 1
+            stack += [(x, bound | {item[1]}) for x in item[3]]
+        return self.spec.budget + 2 * repeats <= self.cap
 
     def _expr(self, key: str) -> Callable:
         """A [steps] line or a promote check's x0, xw or n, compiled once:
@@ -1438,23 +1492,20 @@ class Problem:
                 description, lambda inst: expr(inst.env, None)), description)
         return kernel.StepFn.table(table, description)
 
-    def _per_start(self, side, key: str) -> dict:
+    def _per_start(self, side, key: str, firsts=None) -> dict:
         """key's expression at each start state of a side, taken at the
         state's first instance, which its other instances must repeat: a
         step count, never negative and at most the budget, or for xw a
         64-bit address. A count above the budget is refused only once no
         state's count is negative or disagrees. A streamed problem's
-        values are checked per valuation and not kept: its table is
-        empty."""
+        values are checked per valuation, at its firsts (or those given,
+        which may check more as they go, so that any refusal waits until
+        they are through), and not kept: its table is empty."""
         expr, count = self._expr(key), key != "xw"
         show, unit, mask = ((show_int, " steps", -1) if count
                             else (hex, "", machine.MASK64))
-        table, over = {}, None
-        # a streamed problem's valuations stand for its start states: the
-        # instances of one share every value but the state's
-        groups = (((None, (first,)) for first in self.instances.firsts())
-                  if self.streamed else self._starts(side).items())
-        for state, (first, *rest) in groups:
+
+        def value(first, rest) -> int:
             v = expr(first.env, None) & mask
             if v < 0:
                 raise SpecError(f"{key} gives instance #{first.index} the "
@@ -1465,10 +1516,28 @@ class Problem:
                         f"instances #{first.index} and #{inst.index} build "
                         f"one start state, but {key} gives them "
                         f"{show(v)} and {show(other)}{unit}")
+            return v
+
+        table, failure, over = {}, None, None
+        # a streamed problem's valuations stand for its start states: the
+        # instances of one share every value but the state's
+        groups = (((None, (first,)) for first in (
+            self.instances.firsts() if firsts is None else firsts))
+            if self.streamed else self._starts(side).items())
+        for state, (first, *rest) in groups:
+            if failure is not None:
+                continue
+            try:
+                v = value(first, rest)
+            except SpecError as e:
+                failure = e
+                continue
             if count and over is None and v > self.spec.budget:
                 over = first.index, v
             if state is not None:
                 table[state] = v
+        if failure is not None:
+            raise failure
         if over is not None:
             raise SpecError(
                 f"{key} gives instance #{over[0]} {show_int(over[1])} steps, "
@@ -1653,8 +1722,9 @@ def _distinct(spec, builtins, ranges) -> bool:
 
 
 def _stateless(ast, names) -> bool:
-    """Whether an expression evaluates without a machine state, given
-    values for exactly these names."""
+    """Whether an expression, or a comparison of expressions joined by
+    and, or and not, evaluates without a machine state, given values for
+    exactly these names."""
     for node in _walk_exprs(ast):
         kind = node[0]
         if kind in ("param", "builtin"):
@@ -1663,7 +1733,7 @@ def _stateless(ast, names) -> bool:
         elif kind == "call":
             if node[1] not in ("min", "max"):
                 return False
-        elif kind not in ("int", "bin"):
+        elif kind not in ("int", "bin", "cmp", "and", "or", "not"):
             return False
     return True
 

@@ -10,6 +10,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections.abc import Sequence as SequenceABC
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,53 @@ def test_rule_conj_requires_equal_step_counts():
     with pytest.raises(SideConditionFailed) as e:
         apply_rule("conj", [j1, j2])
     assert "step counts" in str(e.value)
+
+
+def test_rule_conj_compares_counts_kept_by_a_check_and_by_a_rule():
+    # a checked premise keeps its counts as the check resolved them, a
+    # pre-narrowed or promoted one as the rule rebuilt them: equal counts
+    # conjoin, and unequal ones are a side-condition failure either way
+    sys = sys_of((0, 1), (5, 6))
+    wide, enum = Enumeration((0, 5)), Enumeration((0,))
+    checked = kernel.prove_ensures_n(sys, enum, StepFn.constant(1), at(1),
+                                     ANY)
+    narrowed = apply_rule("pre", [kernel.prove_ensures_n(
+        sys, wide, StepFn.constant(1), prop(lambda s: s > 0, "positive"),
+        ANY)], {"pre": enum})
+    promoted = convert(
+        kernel.prove_ensures(sys, enum, at(1), ANY, budget=1), "promote",
+        {"pc_evidence": kernel.first_stop_evidence(sys, enum, 8)})
+    at_zero = kernel.prove_ensures_n(sys, enum, StepFn.constant(0), at(0),
+                                     ANY)
+    for other in (narrowed, promoted):
+        for pair in ([checked, other], [other, checked]):
+            assert kernel.recheck(apply_rule("conj", pair)).is_proven
+        with pytest.raises(SideConditionFailed, match="step counts"):
+            apply_rule("conj", [at_zero, other])
+
+
+class _Anew(SequenceABC):
+    """States made anew on each read, equal to another sequence only by
+    identity, as a streamed enumeration's are."""
+
+    def __init__(self, *states):
+        self._states = states
+
+    def __len__(self):
+        return len(self._states)
+
+    def __getitem__(self, i):
+        return self._states[i]
+
+
+def test_rule_conj_compares_streamed_states_by_value():
+    sys = sys_of((0, 1), (5, 6))
+    j1, j2, other = (kernel.prove_ensures_n(
+        sys, Enumeration(states), StepFn.constant(1), at(1, 6), ANY)
+        for states in (_Anew(0, 5), _Anew(0, 5), _Anew(5, 0)))
+    assert kernel.recheck(apply_rule("conj", [j1, j2])).is_proven
+    with pytest.raises(SideConditionFailed, match="share their"):
+        apply_rule("conj", [j1, other])
 
 
 # ---------------------------------------------------------------------------

@@ -606,6 +606,64 @@ def test_a_witness_is_expanded_once_per_valuation(tmp_path, monkeypatch,
     assert len(expansions) == 9
 
 
+def _counted_expansions(monkeypatch) -> list:
+    expansions = []
+    compile_witness = specfile.compile_witness
+
+    def counted(*args):
+        expand = compile_witness(*args)
+        return lambda *a: expansions.append(a) or expand(*a)
+
+    monkeypatch.setattr(specfile, "compile_witness", counted)
+    return expansions
+
+
+def _ct_unary_copy(tmp_path, *edits) -> str:
+    text = (CORPUS / "compare_constant_ct_unary.spec").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    (tmp_path / "compare_constant.masm").write_text(
+        (CORPUS / "compare_constant.masm").read_text())
+    (tmp_path / "c.spec").write_text(text)
+    return str(tmp_path / "c.spec")
+
+
+@pytest.mark.parametrize("cap, expansions", [
+    ([], 3),  # 64 steps and 2 rounds past them fit the cap: by the walk
+    (["--enum-cap", "65"], 6),  # they may not: also each up front
+])
+def test_a_streamed_witness_is_expanded_up_front_only_where_it_may_fail(
+        tmp_path, monkeypatch, capsys, cap, expansions):
+    # the corpus spec streams the 3 valuations of n, and its template
+    # reads only n: no expansion fails at a count within the budget of 64
+    # unless the cap stops its repeat's rounds first
+    path = _ct_unary_copy(tmp_path)
+    assert specfile.build_problem(specfile.parse_spec(
+        (tmp_path / "c.spec").read_text()), tmp_path).streamed
+    counted = _counted_expansions(monkeypatch)
+    assert cli.main(["check", *cap, path]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "VERDICT: Proven", "check: ct_unary on c.spec, 48 instance(s)"]
+    assert len(counted) == expansions
+
+
+def test_a_witness_failure_comes_before_a_refused_count(tmp_path, capsys):
+    # f0 is over the budget from n = 1 on, and only at n = 2 does the
+    # template run past the cap of 100 repeat rounds before its cut: the
+    # expansion failure is named, though the count comes first
+    path = _ct_unary_copy(
+        tmp_path, ("f0 = 10 * n + 7", "f0 = 10 * n + 7 + 100 * n"),
+        ("    branch i + 1 < n\nend\n",
+         "    branch i + 1 < n\nend\nrepeat j < 60 * n:\n"
+         "    branch j < 0\nend\n"))
+    assert cli.main(["check", "--enum-cap", "100", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: line 44: one expansion of the witness runs more "
+                   "than 100 repeat rounds, the enumeration cap\n")
+
+
 def test_a_post_that_fails_to_evaluate_is_an_error_off_its_guard(
         tmp_path, capsys):
     # no run reaches base0 + 400, the guard, where the post would first

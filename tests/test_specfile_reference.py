@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import re
 import tokenize
 from pathlib import Path
@@ -352,7 +353,8 @@ def sample_states(problem: Problem) -> list:
     """Start states of a few instances and the states one and two steps
     after them."""
     out = []
-    for inst in problem.instances[::max(1, problem.count() // 6)]:
+    for inst in itertools.islice(problem.instances, None, None,
+                                 max(1, problem.count() // 6)):
         for s in (inst.state0, inst.state1):
             if s is None:
                 continue
@@ -370,7 +372,8 @@ def sample_states(problem: Problem) -> list:
 def test_compiled_corpus_asts_match_the_reference(name):
     problem = load_problem(name)
     constraints, exprs = spec_asts(problem.spec)
-    envs = [dict(i.env) for i in problem.instances[::7]]
+    envs = [dict(i.env)
+            for i in itertools.islice(problem.instances, None, None, 7)]
     # an unbound parameter: the values without the spec's scalars
     envs.append(dict(problem.builtins))
     states = [None] + sample_states(problem)
@@ -402,7 +405,7 @@ def test_properties_and_step_tables_match_the_reference(name):
         ("post", problem.post_property),
         ("pre", lambda side, inst: specfile.pre_property(problem, side,
                                                          inst)))
-    for inst in problem.instances[::5]:
+    for inst in itertools.islice(problem.instances, None, None, 5):
         for side in sides:
             for section, property_at in properties:
                 constraints = problem._conditions(getattr(spec, section),
