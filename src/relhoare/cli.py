@@ -8,12 +8,13 @@ its verdict), and selftest (the random-system soundness suite).
 
 Check reports start with the stable line `VERDICT: Proven|Refuted|
 Unknown`; a refutation prints the counterexample and a standalone
-replay script that re-executes it. Exit status is 0 for Proven or
-plain success, 1 for Refuted, 2 for Unknown, 3 for input, checking and
-internal errors, 64 for usage errors. The instance enumeration cap
-defaults to 2^16 and can be overridden by --enum-cap or the
-RELHOARE_ENUM_CAP environment variable; an oversized domain is an error,
-never a sample.
+replay script that re-executes it. A check whose precondition no
+instance or pair meets warns on stderr that its verdict is vacuous.
+Exit status is 0 for Proven or plain success, 1 for Refuted, 2 for
+Unknown, 3 for input, checking and internal errors, 64 for usage
+errors. The instance enumeration cap defaults to 2^16 and can be
+overridden by --enum-cap or the RELHOARE_ENUM_CAP environment variable;
+an oversized domain is an error, never a sample.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def _cmd_check(args) -> int:
     problem = specfile.build_problem(spec, args.spec.parent, cap=cap)
     check, report = _CHECKERS[spec.kind]
     verdict = check(problem)
+    if "EmptyPrecondition" in verdict.stats.get("warnings", ()):
+        print("warning: no instance or pair meets the precondition, so the "
+              "verdict holds vacuously", file=sys.stderr)
     outcome = verdict.outcome.capitalize()
     print(f"VERDICT: {outcome}")
     print(f"check: {spec.kind} on {args.spec.name}, "
@@ -251,9 +255,10 @@ def _equiv(problem):
     if isinstance(result, kernel.Verdict):
         return result
     parts = result.judgment.parts
-    return kernel.proven(instances=len(parts.pairs.pairs),
-                         anchors=result.anchors,
-                         steps=(parts.steps0, parts.steps1))
+    count = len(parts.pairs.pairs)
+    return kernel.proven(instances=count, anchors=result.anchors,
+                         steps=(parts.steps0, parts.steps1),
+                         warnings=() if count else ("EmptyPrecondition",))
 
 
 def _equiv_lines(problem, v):

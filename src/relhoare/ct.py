@@ -4,12 +4,15 @@ Two formulations, checked against each other in the test suite:
 
 * Pairwise: every two runs that start equal on all public labels must
   produce identical event traces. The qualifying pairs of initial
-  states are a key join on the public projection, which the relational
-  exact-count checker builds itself (one block per public class, never
-  stored as pairs, each state projected once per side), with trace
-  equality conjoined onto the postcondition; since trace equality is
-  equality of a per-state key, the kernel compares a start state with
-  one state of its class once another has passed the whole class,
+  states are a key join on the public projection, a tuple of the public
+  labels, which the relational exact-count checker builds itself (one
+  block per public class, never stored as pairs, each state projected
+  once: both sides are the same start states), with trace equality
+  conjoined onto the postcondition. Since both sides are one program,
+  the kernel walks each start state once into a record of its trace,
+  and decides a pair by comparing two records; and since trace
+  equality is equality of a per-state key, it compares a start state
+  with one state of its class once another has passed the whole class,
   rather than with every state of it.
 
 * Single-run with a witness: every run's projected trace must equal
@@ -35,7 +38,9 @@ form, which is strictly stronger than the taken/not-taken projection
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from . import kernel, machine, specfile
@@ -59,10 +64,27 @@ class Partition:
     def __post_init__(self):
         specfile.check_private(self.private)
 
-    def project_public(self, s):
-        """Canonical form of a state with private labels blanked; two
-        states are public-equal iff their projections are equal."""
-        return machine.mask_labels(s, self.private)
+    @functools.cached_property
+    def _split(self) -> tuple:
+        # the public registers and flags, and the private cells cleared
+        regs = [i for i in range(16)
+                if machine.reg_label(i) not in self.private]
+        flags = [label.kind for label in (machine.FLAG_N, machine.FLAG_Z)
+                 if label not in self.private]
+        cells = sorted((label.arg, 0) for label in self.private
+                       if label.kind == "mem")
+        return (itemgetter(*regs) if regs else lambda r: (),
+                attrgetter("pc", "events", *flags), cells)
+
+    def project_public(self, s) -> tuple:
+        """The key of s's public labels: the public registers, the pc,
+        the trace and the public flags, and s's memory with the private
+        cells cleared. Two states are public-equal iff their keys are
+        equal, exactly when blanking their private labels makes them
+        equal states."""
+        regs, other, cells = self._split
+        return (regs(s.regs), other(s),
+                s.mem.write_cells(cells) if cells else s.mem)
 
 
 def partition_of(problem: specfile.Problem) -> Partition:

@@ -376,10 +376,11 @@ class PairEnumeration:
     Pairs are explicit, or, with a KeyJoin pre2 and no pairs, the key
     join of domain0 x domain1 in scan order, which the kernel builds: it
     keys each right once with key1, grouping the rights into one tuple
-    per key in order, and each left once with key0. `blocks` holds each
-    left's tuple, and `pairs` is a LazyTuple expanded on first read. A
-    join needs no validation: its domains are its sides, and its pairs
-    come from the keys that define pre2."""
+    per key in order, and each left once with key0 (not again where the
+    sides are one domain and key). `blocks` holds each left's tuple, and
+    `pairs` is a LazyTuple expanded on first read. A join needs no
+    validation: its domains are its sides, and its pairs come from the
+    keys that define pre2."""
 
     pairs: Any = None  # tuple of (s0, s1); a LazyTuple for a key join
     pre2: PairProperty = PairProperty(lambda a, b: True, "true")
@@ -396,12 +397,16 @@ class PairEnumeration:
                                                           self.domain1):
             raise SchemaMismatch("an enumeration without pairs needs a "
                                  "key join and both domains")
-        groups: dict = {}
-        for b in self.domain1:
-            groups.setdefault(self.pre2.key1(b), []).append(b)
-        groups = {k: tuple(v) for k, v in groups.items()}
+        key0, key1 = self.pre2.key0, self.pre2.key1
+        groups: dict = {}  # key -> its rights; rows: each state's group
+        rows = [groups.setdefault(key1(b), []) for b in self.domain1]
+        for b, row in zip(self.domain1, rows):
+            row.append(b)
+        if self.domain0 is not self.domain1 or key0 is not key1:
+            rows = [groups.get(key0(a), ()) for a in self.domain0]
+        blocks = {id(row): tuple(row) for row in groups.values()}
         object.__setattr__(self, "blocks", tuple(
-            groups.get(self.pre2.key0(a), ()) for a in self.domain0))
+            blocks.get(id(row), ()) for row in rows))
         object.__setattr__(self, "pairs", LazyTuple(self.scan))
 
     @staticmethod
@@ -930,29 +935,31 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
     """Relational exact-count check over enumerated pairs.
 
     Step counts are StepFn objects or tuples aligned with the pair list;
-    automatic ones resolve to a side's termination depth. Each start
-    state is explored once per call, for its step rule, however many
-    pairs and whichever side it appears in. A side with a state stuck
-    before its depth refutes the pair; otherwise every pair of frontier
-    states (one frontier per side) must satisfy the pair postcondition
-    and pair frame, which enumerates the nested exact-count quantifier.
-    The first failing pair in order refutes.
+    automatic ones resolve to a side's termination depth. A side with a
+    state stuck before its depth refutes the pair; otherwise every pair of
+    frontier states (one frontier per side) must satisfy the pair
+    postcondition and pair frame, which enumerates the nested exact-count
+    quantifier. The first failing pair in order refutes; `compare` gives
+    its counterexample. A start state is walked once per step rule.
 
-    That pair is found by comparing the pairs in order, with one skip
-    for a key join with a FactoredPost over a KeyJoin rel, a product
-    frame and StepFn step counts (`_block_scan`, which walks each left
-    with its block and keys nothing). There each condition on a pair
-    reads one side's start state and finals, and the rel is equality of
-    keys, an equivalence. So once a left holds with every right of its
-    block, the finals of those rights all carry one key and satisfy
-    their side's conditions, and a later left of the block holds with
-    every right iff it holds with the first: it is compared with that
-    one only, and a failure there is its first failing pair. The
-    comparison of the failing pair gives the counterexample, and the
-    stats' `steps0`, `steps1` and `reached` are LazyTuples read back
-    from the explorations, for every pair up to the failing one (all of
-    them when proven). stats["explored"] is the number of distinct
-    explorations made. Never Unknown."""
+    A key join with a FactoredPost over a KeyJoin rel, a product frame and
+    StepFn step counts takes a skip (`_block_scan`): each condition on a
+    pair reads one side and the rel is an equivalence (equal keys), so a
+    later left of a block that a left has passed meets the block's first
+    right only. Where the sides are one (by identity: domain, join key,
+    step rule, post, frame factor and rel key, as in a one-program check),
+    a state's one walk makes its record, keeping no finals: its count and,
+    when every final meets its post and frame and carries one rel key,
+    that key, interned. A pair whose records hold one key holds; any other
+    fails, and `compare` decides it as the pairwise loop would, raising
+    what a record caught if that loop gets there first. Records walk and
+    read posts in that loop's order, since a left with no record meets
+    itself first (`_block_scan`).
+
+    The stats' `steps0`, `steps1` and `reached` are LazyTuples for the
+    pairs up to the failing one (all when proven), read back from the
+    walks or records (finals walked again); stats["explored"] counts
+    distinct (start state, step rule) walks. Never Unknown."""
     pairs.validate()
     memo: dict = {}  # (start state, step rule) -> (n, finals, fail)
 
@@ -992,36 +999,57 @@ def check_ensures2(sys: StepOracle, pairs: PairEnumeration, steps0, steps1,
                                f"{f2.description!r}")
         return None
 
-    if (pairs.blocks is not None and isinstance(post2, FactoredPost)
-            and isinstance(post2.rel, KeyJoin)
-            and isinstance(frame2, PairFrame) and frame2.product_of
-            and isinstance(steps0, StepFn) and isinstance(steps1, StepFn)):
-        count = sum(map(len, pairs.blocks))
-        tried = _block_scan(pairs)
-    else:
-        count, tried = len(pairs.pairs), enumerate(pairs.pairs)
+    records, keys = {}, {}  # state -> (n, rel key); each rel key, interned
+
+    def record(steps, i, s):
+        found = records.get(s)
+        if found is None:
+            q, f = _at(post2.q0, s), frame2.product_of[0]
+            n, finals, fail = _explore(sys, s, _rule(steps, i, sys, s), None)
+            key = None
+            try:  # compare raises it too, or refutes before
+                if fail is None and all(q.holds(x) and f.related(s, x)
+                                        for x in finals):
+                    [key] = {post2.rel.key0(x) for x in finals}  # or raises
+            except Exception:
+                pass
+            found = records[s] = n, keys.setdefault(key, key)
+        return found
+
+    blocked = (pairs.blocks is not None and isinstance(post2, FactoredPost)
+               and isinstance(post2.rel, KeyJoin)
+               and isinstance(frame2, PairFrame) and frame2.product_of
+               and isinstance(steps0, StepFn) and isinstance(steps1, StepFn))
+    shared = blocked and all(x is y for x, y in (
+        (pairs.domain0, pairs.domain1), (pairs.pre2.key0, pairs.pre2.key1),
+        (steps0, steps1), (post2.q0, post2.q1),
+        (post2.rel.key0, post2.rel.key1), frame2.product_of))
+    count, tried = ((sum(map(len, pairs.blocks)), _block_scan(pairs))
+                    if blocked else (len(pairs.pairs), enumerate(pairs.pairs)))
     first = ce = None
     for i, pair in tried:
+        if shared and record(steps0, i, pair[0])[1] is \
+                record(steps0, i, pair[1])[1] is not None:
+            continue
         ce = compare(i, pair)
         if ce is not None:
             first = i, pair
             break
     walked = None if first is None else first[0] + 1
 
-    def column(f):
-        # read back from the memo for the pairs walked, in order
+    def column(f, look=record if shared else explore):
         return LazyTuple(lambda: (
-            f(explore(steps0, i, a), explore(steps1, i, b))
+            f(look(steps0, i, a), look(steps1, i, b))
             for i, (a, b) in enumerate(itertools.islice(pairs.scan(),
                                                         walked))))
 
     stats = dict(instances=count, steps0=column(lambda r0, r1: r0[0]),
                  steps1=column(lambda r0, r1: r1[0]),
                  warnings=() if count else ("EmptyPrecondition",),
-                 explored=len(memo))
+                 explored=len(records if shared else memo))
     if ce is None:
         return proven(reached=column(lambda r0, r1: tuple(
-            (a, b) for a in r0[1] for b in r1[1])), **stats)
+            (a, b) for a in r0[1] for b in r1[1]), explore), **stats)
     if ce.reason != "post":  # a side died early: no step counts
         del stats["steps0"], stats["steps1"]
     return refuted(ce, **stats)
@@ -1031,7 +1059,8 @@ def _block_scan(pairs: PairEnumeration):
     """(index, pair) for the pairs of a key join in scan order, read by
     a loop that stops at its first failing pair: once a left has met
     every right of its block, a later left of the block meets only the
-    block's first right."""
+    block's first right. Where the sides are one domain and key, a left
+    whose block is new is its first state, so it meets itself first."""
     done: set = set()  # ids of blocks whose rights all held with a left
     i = 0
     for a, rights in zip(pairs.domain0, pairs.blocks):
@@ -1135,7 +1164,8 @@ def check_eventually_n_at_pc(sys: StepOracle, parts: PcParts) -> Verdict:
                                        f"successors")
     if ce is not None:
         return refuted(ce)
-    return proven(instances=len(enum.states), steps=counts)
+    return proven(instances=len(enum.states), steps=counts,
+                  warnings=() if counts else ("EmptyPrecondition",))
 
 
 def first_stop_evidence(sys: StepOracle, enum: Enumeration,

@@ -734,32 +734,7 @@ def is_aligned_at(s: MachineState, base: int, code: bytes) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# label deltas and projections
-
-def mask_labels(s: MachineState, labels: frozenset[Label]) -> MachineState:
-    """Overwrite the given labels with canonical zero values. Two states
-    have equal public parts iff masking the private labels makes them
-    equal. What no label masks is shared with s, not copied."""
-    regs, pc, fn, fz, events = s.regs, s.pc, s.flag_n, s.flag_z, s.events
-    mem = s.mem
-    mem_clear = set()
-    for label in labels:
-        if label.kind == "reg":
-            regs = regs[:label.arg] + (0,) + regs[label.arg + 1:]
-        elif label.kind == "pc":
-            pc = 0
-        elif label.kind == "flag_n":
-            fn = 0
-        elif label.kind == "flag_z":
-            fz = 0
-        elif label.kind == "events":
-            events = ()
-        else:
-            mem_clear.add(label.arg)
-    if mem_clear:
-        mem = mem.write_cells((a, 0) for a in mem_clear)
-    return _make(regs, pc, fn, fz, mem, events)
-
+# the step oracle and label frames
 
 _ORACLE = None
 

@@ -70,7 +70,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import asm, kernel, machine
 
@@ -1028,8 +1028,12 @@ def eval_constraint(ast, values: dict, state=None, programs=None) -> bool:
 # ---------------------------------------------------------------------------
 # building checkable instances
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(NamedTuple):
+    """One enumerated instance: its index in order, its scalar values and
+    the start states it builds. A NamedTuple, immutable and quicker to
+    make than a frozen dataclass: a streamed check makes one per start
+    state in each pass."""
+
     index: int
     env: dict           # scalar parameters + builtins
     state0: Any
@@ -1318,12 +1322,14 @@ class Problem:
         """(PairEnumeration, factored pair postcondition, product frame,
         left steps, right steps) of a two-run check. A KeyJoin pre2 asks
         the kernel for its key join of the left and right start states,
-        each keyed once; otherwise the pairs are the given ones, or else
+        each keyed once (one tuple of states when both runs start from
+        [program0]); otherwise the pairs are the given ones, or else
         each instance's own two start states. A pair's postcondition is
         rel and each side's postcondition at its start state, named
         describe(d0, d1) of their descriptions or else post_description."""
         right = self.right
-        lefts, rights = self.states(0), self.states(right)
+        lefts = self.states(0)
+        rights = self.states(right) if right else lefts  # one domain
         if isinstance(pre2, kernel.KeyJoin):
             enum = kernel.PairEnumeration.join(pre2, lefts, rights,
                                                description)

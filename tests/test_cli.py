@@ -263,6 +263,25 @@ def test_check_output_matches_golden(capsys, tmp_path, name):
     assert _golden_run(capsys, name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.spec")))
+def test_a_vacuous_proof_warns_on_stderr(capsys, tmp_path, name):
+    # a [pre] line that no instance meets: Proven over nothing, which
+    # stdout and the exit code report as before, and stderr names
+    for masm in CORPUS.glob("*.masm"):
+        shutil.copy(masm, tmp_path)
+    text = (CORPUS / name).read_text()
+    assert text.count("[pre]\n") == 1
+    spec = tmp_path / name
+    spec.write_text(text.replace("[pre]\n", "[pre]\nx0 < 0\n"))
+    code, out, err = run_main(capsys, "check", str(spec))
+    assert (code, out.splitlines()[:2]) == (0, [
+        "VERDICT: Proven",
+        f"check: {specfile.parse_spec(text).kind} on {name}, 0 instance(s)"])
+    assert err == ("warning: no instance or pair meets the precondition, "
+                   "so the verdict holds vacuously\n")
+    assert run_main(capsys, "check", str(CORPUS / name))[2] == ""
+
+
 def test_instances_of_one_start_state_agree_on_its_step_count(capsys,
                                                              tmp_path):
     path = _spec_path("shared_start_steps.spec", tmp_path)

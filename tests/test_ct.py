@@ -21,6 +21,7 @@ from conftest import (
     CORPUS, ROOT, SMALL_LABELS, SMALL_STATE_VALUES, load_problem,
     small_state,
 )
+from test_machine_reference import ref_mask_labels
 
 
 def build(text: str) -> specfile.Problem:
@@ -38,12 +39,55 @@ def test_partition_rejects_private_pc_and_events():
 
 
 def test_public_projection_blanks_private_labels():
-    part = Partition(frozenset({machine.reg_label(5)}))
+    private = frozenset({machine.reg_label(5)})
+    part = Partition(private)
     a = machine.zeroed_state().with_reg(5, 111).with_reg(6, 7)
     b = machine.zeroed_state().with_reg(5, 222).with_reg(6, 7)
     assert part.project_public(a) == part.project_public(b)
     assert part.project_public(a) != part.project_public(b.with_reg(6, 8))
-    assert part.project_public(a).reg(5) == 0
+    assert part.project_public(a) == \
+        part.project_public(ref_mask_labels(a, private))
+    assert ref_mask_labels(a, private).reg(5) == 0
+
+
+# a small image whose cells 0x1001, 0x1002 and 0x1005 hold bytes
+IMAGE = machine.Image(0x1000, bytes([0, 7, 1, 0, 0, 9, 0, 0]))
+IMAGE_LABELS = (
+    tuple(machine.reg_label(i) for i in range(2))
+    + tuple(machine.mem_label(a) for a in (0x1000, 0x1001, 0x1002, 0x1005,
+                                           0x1008))
+    + (machine.FLAG_N, machine.FLAG_Z))
+
+
+def image_state(values) -> machine.MachineState:
+    """A state over IMAGE, some of whose cells are written over (with
+    the image's own byte, now and then), from drawn label values."""
+    pc, *rest = values
+    s = machine.zeroed_state()._replace(pc=pc, mem=IMAGE.mem)
+    for label, value in zip(IMAGE_LABELS, rest):
+        s = s.with_label(label, value)
+    return s
+
+
+@given(values=st.lists(st.tuples(
+           st.sampled_from((0, 4)),
+           *[st.sampled_from((0, 1, 7))] * len(IMAGE_LABELS)), max_size=8),
+       private=st.frozensets(st.sampled_from(IMAGE_LABELS)))
+@settings(max_examples=200)
+def test_public_keys_are_exact_over_a_program_image(values, private):
+    # the keys of two states are equal exactly when blanking their
+    # private labels makes them equal, with private cells inside the
+    # image and states that write over it
+    states = [image_state(v) for v in values] + [small_state(
+        (0, False) + (0,) * len(SMALL_LABELS))]
+    part = Partition(private)
+    for a in states:
+        for b in states:
+            same = ref_mask_labels(a, private) == ref_mask_labels(b, private)
+            assert (part.project_public(a) == part.project_public(b)) == same
+            if same:
+                assert hash(part.project_public(a)) == \
+                    hash(part.project_public(b))
 
 
 @given(values=st.lists(SMALL_STATE_VALUES, max_size=8),
@@ -55,16 +99,17 @@ def test_public_pairs_match_the_scan_of_all_pairs(values, private):
     public = kernel.key_join(part.project_public, "equal public labels")
     got = kernel.PairEnumeration.join(public, states, states).pairs
     want = tuple((a, b) for a in states for b in states
-                 if machine.mask_labels(a, private)
-                 == machine.mask_labels(b, private))
+                 if ref_mask_labels(a, private) == ref_mask_labels(b, private))
     # the same objects in the same order, not merely equal states
     assert [(id(a), id(b)) for a, b in got] == \
         [(id(a), id(b)) for a, b in want]
-    # a state built again from the same values gets the same key
+    # a state built again from the same values gets the same key, and so
+    # does its masked form
     for v in values:
         again = small_state(v)
-        assert part.project_public(again) == \
-            machine.mask_labels(again, private)
+        assert part.project_public(again) == part.project_public(
+            small_state(v)) == part.project_public(
+                ref_mask_labels(again, private))
 
 
 def test_partition_of_reads_the_spec_sections():
@@ -258,8 +303,8 @@ def test_a_warm_projection_cache_does_not_excuse_a_foreign_pair(monkeypatch):
     assert ct.check_ct_relational(problem).is_proven
     states = problem.states(0)
     a, b = next((a, b) for a in states for b in states
-                if machine.mask_labels(a, part.private)
-                != machine.mask_labels(b, part.private))
+                if ref_mask_labels(a, part.private)
+                != ref_mask_labels(b, part.private))
     enum = kernel.PairEnumeration(
         ((a, b),), kernel.PairProperty(
             lambda x, y: part.project_public(x) == part.project_public(y),
@@ -285,6 +330,23 @@ def counting(sys: kernel.StepOracle):
         return sys.run(s, limit, stops)
 
     return dataclasses.replace(sys, successors=successors, run=run), calls
+
+
+def test_a_ct_join_keys_each_start_state_once(monkeypatch):
+    # both sides are the one tuple of start states, so the join keys
+    # each state once, not once per side; and the check reads each run's
+    # trace once, into its state's record, not once per pair
+    problem = load_problem("compare_constant_ct.spec")
+    keyed, traced = [], []
+    project = Partition.project_public
+    monkeypatch.setattr(Partition, "project_public",
+                        lambda self, s: keyed.append(s) or project(self, s))
+    monkeypatch.setattr(ct, "_events", lambda s: traced.append(s) or s.events)
+    v = ct.check_ct_relational(problem)
+    assert v.is_proven and problem.count() == 48
+    assert v.stats["instances"] == 768 and v.stats["explored"] == 48
+    assert len(keyed) == len(traced) == problem.count()
+    assert sorted(map(id, keyed)) == sorted(map(id, problem.states(0)))
 
 
 def test_the_768_instance_scale_up_is_linear_in_start_states(tmp_path,

@@ -209,6 +209,13 @@ def test_an_empty_block_set_warns_of_an_empty_precondition():
     assert v.stats["warnings"] == ("EmptyPrecondition",)
 
 
+def test_a_pc_check_of_no_start_state_warns_of_an_empty_precondition():
+    v = kernel.check_eventually_n_at_pc(sys_of((1, 2)), kernel.PcParts(
+        Enumeration(()), 0, ()))
+    assert v.is_proven and v.stats["instances"] == 0
+    assert v.stats["warnings"] == ("EmptyPrecondition",)
+
+
 def test_a_block_judgment_rechecks_and_feeds_the_rules():
     sys = sys_of((1, 3), (2, 4), (3, 5), (4, 6))
     enum = PairEnumeration.join(PARITY, (1, 2), (2, 1))

@@ -617,7 +617,7 @@ def test_pc_checks_match_the_reference(g, data):
     parts = PcParts(enum, x0, ((xw, n),) * len(enum.states))
     want = outcome(check_eventually_n_at_pc, sys, enum, x0, xw, n)
     if isinstance(want, Verdict) and want.is_proven:  # and the counts n
-        want.stats["steps"] = (n,) * len(enum.states)
+        want.stats.update(steps=(n,) * len(enum.states), warnings=())
     assert_same(outcome(kernel.check_eventually_n_at_pc, sys, parts), want)
     budget = data.draw(st.integers(0, 6))
 
@@ -642,7 +642,8 @@ def test_per_state_stops_match_the_reference_one_state_at_a_time(g, data):
     stops = tuple(data.draw(st.lists(
         st.tuples(st.integers(0, m - 1), st.integers(0, 4)),
         min_size=len(states), max_size=len(states))))
-    want = proven(instances=len(states), steps=tuple(n for _, n in stops))
+    want = proven(instances=len(states), steps=tuple(n for _, n in stops),
+                  warnings=())
     for s, (xw, n) in zip(states, stops):
         alone = outcome(check_eventually_n_at_pc, sys, Enumeration((s,)), x0,
                         xw, n)

@@ -26,7 +26,15 @@ shared image plus a per-state overlay, kept verbatim but for its name,
 and `ref_mask_mem` is the memory part of the `mask_labels` of that time.
 Drawn images take drawn sequences of writes and masks; the new `Mem`,
 once over the image and once over no image, must read, list, count and
-compare like the reference, and equal contents must hash equal.
+compare like the reference, and equal contents must hash equal. A mask
+of the new `Mem` is the write of a zero to each cleared cell, as
+`ref_mask_labels` does it.
+
+`ref_mask_labels` is `machine.mask_labels` as it was when it last built
+the public projection of a constant-time check, kept verbatim but for
+its name: a state with the given labels overwritten by zeros. It defines
+when two states are public-equal, which `ct.Partition.project_public`
+must decide exactly.
 
 `ref_agrees_outside` is also the reference for the relation that
 `machine.maychange` builds per label set: they must agree on drawn label
@@ -567,6 +575,31 @@ def ref_mask_mem(mem: RefMem, mem_clear: set) -> RefMem:
                           if a not in mem_clear})
 
 
+def ref_mask_labels(s: MachineState, labels: frozenset) -> MachineState:
+    """Overwrite the given labels with canonical zero values. Two states
+    have equal public parts iff masking the private labels makes them
+    equal. What no label masks is shared with s, not copied."""
+    regs, pc, fn, fz, events = s.regs, s.pc, s.flag_n, s.flag_z, s.events
+    mem = s.mem
+    mem_clear = set()
+    for label in labels:
+        if label.kind == "reg":
+            regs = regs[:label.arg] + (0,) + regs[label.arg + 1:]
+        elif label.kind == "pc":
+            pc = 0
+        elif label.kind == "flag_n":
+            fn = 0
+        elif label.kind == "flag_z":
+            fz = 0
+        elif label.kind == "events":
+            events = ()
+        else:
+            mem_clear.add(label.arg)
+    if mem_clear:
+        mem = mem.write_cells((a, 0) for a in mem_clear)
+    return machine._make(regs, pc, fn, fz, mem, events)
+
+
 # ---------------------------------------------------------------------------
 # memory diffs
 
@@ -611,8 +644,7 @@ def apply_op(mem, op):
     clear = {a & MASK64 for a in args[0]}
     if isinstance(mem, RefMem):
         return ref_mask_mem(mem, clear)
-    s = machine.zeroed_state()._replace(mem=mem)
-    return machine.mask_labels(s, frozenset(map(mem_label, clear))).mem
+    return mem.write_cells((a, 0) for a in clear)
 
 
 def assert_same_mem(new: Mem, ref: RefMem, probes) -> None:

@@ -257,6 +257,18 @@ def reference_table(pairs, post0, post1, rel, describe, description):
          for p in pairs}, description)
 
 
+@dataclasses.dataclass(frozen=True)
+class LazyTable(kernel.PerState):
+    """A reference_table entry made when a pair is read, so that a
+    missing side postcondition raises where the pairwise loop reads the
+    pair."""
+
+    make: Callable = None
+
+    def at(self, pair):
+        return self.make(pair)
+
+
 def describe(d0: str, d1: str) -> str:
     return f"{d0} | {d1}"
 
@@ -344,6 +356,52 @@ def raising_at(bad: int, value: Callable):
     return f
 
 
+@st.composite
+def shared_cases(draw):
+    """A key join whose two sides are one, as in a one-program check
+    against itself: one domain tuple, join key, step rule, postcondition,
+    frame factor and rel key object on both sides. Finals of a fork may
+    carry two rel keys, the rel key may raise at a drawn state, and a
+    postcondition table may miss a start state."""
+    g = draw(systems())
+    n = g.n_states
+    state = st.integers(0, n - 1)
+    domain = tuple(draw(st.lists(state, max_size=6)))
+    keys = lambda top: st.lists(st.integers(0, top), min_size=n,
+                                max_size=n).map(tuple)
+    join, relk = draw(keys(2)), draw(keys(1))
+    rel_key = relk.__getitem__
+    if draw(st.booleans()):
+        rel_key = raising_at(draw(state), rel_key)
+    pairs = tuple((a, b) for a in domain for b in domain
+                  if join[a] == join[b])
+    frame = state_frame(n, draw(st.one_of(st.just((1 << n * n) - 1),
+                                          st.integers(0, (1 << n * n) - 1))))
+    return (g, domain, key_join(join.__getitem__, "join keys"),
+            key_join(rel_key, "rel keys"), pairs, draw(step_fns(g)),
+            draw(side_posts(n, draw(st.one_of(st.just(domain), st.lists(
+                state, max_size=4).map(tuple))))),
+            product_frame(frame, frame))
+
+
+@given(case=shared_cases())
+@settings(max_examples=600, deadline=None)
+def test_records_of_one_side_match_the_pairwise_reference(case):
+    g, domain, pre2, rel, pairs, steps, q, frame2 = case
+    enum = PairEnumeration.join(pre2, domain, domain, "one side")
+    want_enum = PairEnumeration(pairs, PairProperty(pre2.holds, "join keys"),
+                                domain, domain, "pairs")
+    want_post = LazyTable({}, "post", lambda p: reference_table(
+        (p,), q, q, rel.holds, describe, "post").at(p))
+    want = outcome(check_ensures2, g.oracle(), want_enum, steps, steps,
+                   want_post, frame2)
+    assert_same(outcome(kernel.check_ensures2, g.oracle(), enum, steps,
+                        steps, kernel.factored_post(rel, q, q, "post",
+                                                    describe), frame2),
+                want)
+    assert enum.pairs == pairs
+
+
 # 0 forks to 1 and 2; 3 moves to 4
 FORK = finsys.finsys(5, [(0, 1), (0, 2), (3, 4)])
 
@@ -374,6 +432,23 @@ def test_an_error_past_the_first_failure_of_a_pair_stays_unraised():
             FORK.oracle(), PairEnumeration.join(pre2, (0,), (3,)), one,
             one, kernel.factored_post(rel, q0, q1, "post", describe), frame)
         assert want.is_refuted and want.counterexample.witness == (1, 4)
+        assert_same(got, want)
+    # one side for both, as a one-program check has: the pairwise loop
+    # refutes (3, 0) at the finals (4, 1) before it reaches the final 2,
+    # where the postcondition or the rel key raises; the record of 0
+    # reads 2 and must not raise either
+    domain, pairs = (3, 0), ((3, 3), (3, 0), (0, 3), (0, 0))
+    keys = lambda s: int(s == 1)
+    for q, rel in ((raises, key_join(keys, "keys")),
+                   (kernel.TRUE, key_join(raising_at(2, keys), "keys"))):
+        want = check_ensures2(
+            FORK.oracle(), PairEnumeration(pairs, pre2, domain, domain),
+            one, one, reference_table(pairs, q, q, rel.holds, describe,
+                                      "post"), frame)
+        got = kernel.check_ensures2(
+            FORK.oracle(), PairEnumeration.join(pre2, domain, domain), one,
+            one, kernel.factored_post(rel, q, q, "post", describe), frame)
+        assert want.is_refuted and want.counterexample.witness == (4, 1)
         assert_same(got, want)
 
 
