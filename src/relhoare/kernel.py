@@ -680,17 +680,21 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
     outside the guard with one successor is stepped through in its frame
     (one budget, a 0 in the choices, no frame, target call or memo
     lookup), and the states after it that are also outside the guard and
-    have one successor go by in one run of the oracle; the memo keeps
-    each frame's first and last state, so a state walked twice is
-    re-walked at most to the next fork. Where a stepped-through state
-    recurs deeper, that may give unknown where the full memo proves. A
-    wrong guard never proves."""
+    have one successor go by in one run of the oracle; the memo keeps a
+    proven frame's first and last state, so a state walked twice is
+    re-walked at most to the next fork. Only frames pushed later read the
+    memo, so it takes entries only while a frame on the stack has a child
+    still to push, and never a state that met the (pure) target, which a
+    later visit meets again. Where a stepped-through state recurs deeper,
+    that may give unknown where the full memo proves. A wrong guard never
+    proves. The frontier lists the states that met the target in
+    discovery order, with repeats."""
     if sys.pc_of is None:
         pcs = None
     pc_of = sys.pc_of
     run, successors = _walker(sys)
     proven_states: set = set()
-    frontier: set = set()
+    frontier: list = []
     # a frame: state, successors, next index, budget, unknown child seen,
     # the choices its state adds to the path, and its first state
     stack = [[s0, None, 0, budget, False, 0, s0]]
@@ -698,10 +702,11 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
     on_path: set = set()
     outcome: Optional[str] = None
     chained = False
+    pending = 0  # frames on the stack with a child still to push
 
     def pop_frame(expanded: bool, state) -> None:
         n = stack.pop()[5]
-        if expanded:
+        if expanded and finite:
             on_path.discard(state)
         if n:
             del choices[-n:]
@@ -710,15 +715,16 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
         frame = stack[-1]
         state, succs, idx, b, _, _, first = frame
         if succs is None:
-            if not chained and state in proven_states:
+            if not chained and proven_states and state in proven_states:
                 outcome = "proven"
                 pop_frame(False, state)
                 continue
             guarded = pcs is None or pc_of(state) in pcs
             chained = False
             if (guarded or state is s0) and target(state):
-                proven_states.update((state, first))
-                frontier.add(state)
+                if pending and first is not state:
+                    proven_states.add(first)
+                frontier.append(state)
                 outcome = "proven"
                 pop_frame(False, state)
                 continue
@@ -739,22 +745,23 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
                 chained = True
                 continue
             frame[1] = succs = ss
-            on_path.add(state)
+            if finite:
+                on_path.add(state)
+            pending += len(ss) > 1
             idx = 0
         else:
             if outcome == "unknown":
                 frame[4] = True
         if idx < len(succs):
             frame[2] = idx + 1
+            pending -= 0 < idx == len(succs) - 1  # the last of two or more
             choices.append(idx)
             stack.append([succs[idx], None, 0, b - 1, False, 1, succs[idx]])
             outcome = None
             continue
-        if frame[4]:
-            outcome = "unknown"
-        else:
+        outcome = "unknown" if frame[4] else "proven"
+        if pending and not frame[4]:
             proven_states.update((state, first))
-            outcome = "proven"
         pop_frame(True, state)
 
     return outcome, None, None, None, frontier
@@ -766,7 +773,7 @@ def eventually_holds(sys: StepOracle, s, q: PropertyFn, budget: int) -> Verdict:
     outcome, reason, choices, witness, frontier = _ev_search(
         sys, s, target, budget, sys.finite_hint, getattr(q, "pcs", None))
     if outcome == "proven":
-        return proven(frontier=len(frontier))
+        return proven(frontier=len(set(frontier)))
     if outcome == "refuted":
         ce = Counterexample(reason, s, choices, witness,
                             detail=f"target {getattr(q, 'description', '')!r}")
@@ -898,8 +905,9 @@ def check_ensures(sys: StepOracle, enum: Enumeration, post, frame,
             return unknown(instances=len(enum.states), budget=budget,
                            warnings=warnings)
     return proven(instances=len(enum.states), warnings=warnings,
-                  reached=LazyTuple(lambda: (tuple(search(s)[4])
-                                             for s in enum.states)))
+                  reached=LazyTuple(lambda: (
+                      tuple(dict.fromkeys(search(s)[4]))
+                      for s in enum.states)))
 
 
 def check_ensures_n(sys: StepOracle, enum: Enumeration, steps, post,
@@ -1131,7 +1139,7 @@ def check_eventually_n_at_pc(sys: StepOracle, parts: PcParts) -> Verdict:
         raise SchemaMismatch("oracle has no pc reader")
     enum, x0, stops = parts.enum, parts.x0, parts.stops
     enum.validate()
-    pc_of, counts, ce = sys.pc_of, array("q"), None
+    pc_of, counts, ce, halting = sys.pc_of, array("q"), None, {}
     for i, s in enumerate(enum.states):
         if pc_of(s) != x0:
             raise SchemaMismatch(f"start state has pc {pc_of(s):#x}, not {x0:#x}")
@@ -1141,7 +1149,9 @@ def check_eventually_n_at_pc(sys: StepOracle, parts: PcParts) -> Verdict:
         # walked with xw made stuck, an early visit to xw shows as a stuck
         # state; until one shows, the walk is the same as on sys
         done = lambda st: pc_of(st) == xw and not sys.successors(st)
-        _, _, fail = _explore(_halting_at(sys, xw), s, n, done)
+        if xw not in halting:
+            halting[xw] = _halting_at(sys, xw)
+        _, _, fail = _explore(halting[xw], s, n, done)
         counts = _record(counts, n)
         if fail is None:
             continue

@@ -3,7 +3,8 @@
 Machine-independent coverage: the step oracle here is a dict of edges,
 so every judgment is easy to read off the graph. Machine-level use of
 the same kernel is exercised by the constant-time and equivalence
-tests.
+tests; only the counts of what the unary search hashes are taken on
+machine states here.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from relhoare import kernel
+from relhoare import asm, kernel, machine
 from relhoare.kernel import (
     CheckFailed, Enumeration, FrameFn, MissingPromotionEvidence,
     NotDeterministic, PairEnumeration, PairProperty, PromotionFailed,
@@ -993,6 +994,69 @@ def test_rule_seq_over_a_derived_first_premise():
                              "covered by the second premise's "
                              "precondition$"):
         apply_rule("seq", [derived, short])
+
+
+def test_a_frontier_lists_each_state_met_once_in_discovery_order():
+    # 0 forks to 1 and 2, whose branches meet at the target 7
+    diamond = sys_of((0, 1), (0, 2), (1, 7), (2, 7))
+    v = kernel.check_ensures(diamond, Enumeration((0,)), at(7), ANY, 8)
+    assert v.is_proven and tuple(v.stats["reached"]) == ((7,),)
+    assert kernel.eventually_holds(diamond, 0, at(7), 8).stats == {
+        "frontier": 1}
+    # 2 also steps to the target 5, met after 7
+    wider = sys_of((0, 1), (0, 2), (1, 7), (2, 7), (2, 5))
+    v = kernel.check_ensures(wider, Enumeration((0,)), at(5, 7), ANY, 8)
+    assert v.is_proven and tuple(v.stats["reached"]) == ((7, 5),)
+    assert kernel.eventually_holds(wider, 0, at(5, 7), 8).stats == {
+        "frontier": 2}
+
+
+# ---------------------------------------------------------------------------
+# what the unary search hashes: a machine state's hash is a tuple of its
+# registers plus a loop over its memory overlay, so the search hashes
+# only the states its memo can still meet
+
+BASE = 0x1000
+
+
+def machine_walk(text: str, guard: bool) -> tuple:
+    """_ev_search from the start of text, loaded at BASE, to its last
+    line's pc stuck, with that pc as the guard or with none."""
+    s0 = asm.load_program(machine.zeroed_state(), asm.assemble(text), BASE)
+    exit_pc = BASE + 4 * text.count("\n")
+    target = lambda t: t.pc == exit_pc and machine.is_stuck(t)
+    return kernel._ev_search(machine.oracle(), s0, target, 16, False,
+                             frozenset({exit_pc}) if guard else None), s0
+
+
+@pytest.fixture
+def hashed(monkeypatch) -> list:
+    """The machine states hashed until the test ends."""
+    calls: list = []
+    real = machine.MachineState.__hash__
+    monkeypatch.setattr(machine.MachineState, "__hash__",
+                        lambda s: calls.append(s) or real(s))
+    return calls
+
+
+STRAIGHT = "movi x0, #1\naddi x0, x0, #2\nmovr x4, x0\nhalt"
+
+
+@pytest.mark.parametrize("guard", [True, False])
+def test_a_straight_walk_hashes_no_state(hashed, guard):
+    # guarded, it goes by in one run; unguarded, every state is a frame
+    (outcome, *_, frontier), _ = machine_walk(STRAIGHT, guard)
+    assert outcome == "proven" and len(frontier) == 1
+    assert hashed == []
+
+
+def test_a_walk_through_one_fork_hashes_at_most_its_two_children(hashed):
+    (outcome, *_, frontier), s0 = machine_walk(
+        "mulnd x2, x1, x1\nmovr x4, x0\nmul x3, x4, x2\nhalt", True)
+    assert outcome == "proven" and len(frontier) == 2
+    children = machine.oracle().successors(s0)
+    assert len(children) == 2 and len(hashed) <= 2
+    assert all(any(h == c for c in children) for h in hashed)
 
 
 # ---------------------------------------------------------------------------

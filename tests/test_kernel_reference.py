@@ -17,10 +17,12 @@ A second reference holds `_explore`, `_ev_search` and `check_ensures`
 as they were before the unary walk stepped through straight-line code:
 every state gets a stack frame, a memo lookup and a target call, and
 every frontier is deduplicated. With a correct pc guard the kernel must
-give the same outcome, reason, choices, witness and frontier on random
-machine states, on random finite systems and on every corpus and
-benchmark spec, and the same report on each. With a wrong guard it must
-never prove what the reference does not.
+give the same outcome, reason, choices, witness and frontier (its own a
+list in discovery order, compared as a set) on random machine states, on
+random finite systems and on every corpus and benchmark spec, and the
+same report on each. With a wrong guard it must never prove what the
+reference does not. With none, its memo must save every successors call
+the reference's saves.
 """
 
 from __future__ import annotations
@@ -748,6 +750,12 @@ def guarded(pcs: frozenset, name: str) -> Callable:
     return lambda t: t.pc in pcs and holds(t)
 
 
+def as_set(got: tuple) -> tuple:
+    """An `_ev_search` result with its frontier, a list in discovery
+    order, as the set the reference collects."""
+    return got[:4] + (set(got[4]),)
+
+
 def walk_fields(v: Verdict) -> tuple:
     """A check_ensures verdict, its reached frontiers as sets."""
     ce = v.counterexample
@@ -767,8 +775,10 @@ def test_ev_search_matches_the_reference_on_machine_states(s0, pcs, name,
                                                            budget):
     target = guarded(pcs, name)
     want = _ev_search(MACHINE, s0, target, budget, False)
-    assert kernel._ev_search(MACHINE, s0, target, budget, False, pcs) == want
-    assert kernel._ev_search(MACHINE, s0, target, budget, False) == want
+    assert as_set(kernel._ev_search(MACHINE, s0, target, budget, False,
+                                    pcs)) == want
+    assert as_set(kernel._ev_search(MACHINE, s0, target, budget,
+                                    False)) == want
 
 
 @given(st.lists(start_states(), min_size=1, max_size=3), guards,
@@ -825,12 +835,13 @@ def test_ev_search_matches_the_reference_on_finite_systems(g, data):
     sys, pcs, target, budget = finite_cases(data, g)
     for s in range(g.n_states):
         want = _ev_search(sys, s, target, budget, True)
-        assert kernel._ev_search(sys, s, target, budget, True, pcs) == want
+        assert as_set(kernel._ev_search(sys, s, target, budget, True,
+                                        pcs)) == want
         # not marked finite, the walk steps through one-successor states
         # without the memo of proven states; a state that recurs at a
         # greater depth may then run out of budget where the memo proved
         # it, so a Proven may become Unknown, and nothing else may change
-        got = kernel._ev_search(sys, s, target, budget, False, pcs)
+        got = as_set(kernel._ev_search(sys, s, target, budget, False, pcs))
         want = _ev_search(sys, s, target, budget, False)
         assert got == want or (got[0], want[0]) == ("unknown", "proven")
 
@@ -842,8 +853,8 @@ def test_a_stepped_through_branch_leaves_its_choices_behind():
     target = lambda s: s == 2
     want = ("refuted", "stuck", (1, 0), 4, {2})
     assert _ev_search(sys, 0, target, 8, False) == want
-    assert kernel._ev_search(sys, 0, target, 8, False,
-                             frozenset({2})) == want
+    assert as_set(kernel._ev_search(sys, 0, target, 8, False,
+                                    frozenset({2}))) == want
 
 
 @given(g=systems(), data=st.data())
@@ -972,8 +983,72 @@ def test_a_loop_of_forks_is_walked_once_per_fork():
     calls.clear()
     got = kernel._ev_search(sys, loop, target, 4 * k, False,
                             frozenset({exit_pc}))
-    assert got == want
+    assert as_set(got) == want
     assert len(calls) <= reference_calls
+
+
+# straight code and forks on flag_n whose branches meet again once cmpi
+# or the next mulnd overwrites the flag, in loops on x3 and on z
+FORK_LINES = ("mulnd x2, x1, x1", "cmpi x3, #1", "subi x3, x3, #1",
+              "cbnz x3, top", "bne top", "movr x4, x0", "halt")
+
+
+@st.composite
+def fork_states(draw):
+    """A start state at a short program of FORK_LINES."""
+    lines = draw(st.lists(st.sampled_from(FORK_LINES), min_size=1,
+                          max_size=6))
+    s = asm.load_program(machine.zeroed_state(),
+                         asm.assemble("top:\n" + "\n".join(lines)), BASE)
+    return s.with_reg(1, draw(st.integers(0, 3))).with_reg(
+        3, draw(st.integers(0, 4)))
+
+
+@given(fork_states(), st.sampled_from(sorted(TARGETS)), st.integers(0, 16))
+@example(FORK, "n clear", 16)
+@example(FIXED, "stuck", 16)
+@settings(max_examples=300, deadline=None)
+def test_the_memo_saves_every_call_the_reference_saves_on_machine_states(
+        s0, name, budget):
+    # with no guard every state gets a frame, as in the reference, so the
+    # two walks differ in what their memos keep and nothing else
+    sys, calls = counting(MACHINE)
+    want = _ev_search(sys, s0, TARGETS[name], budget, False)
+    reference_calls = len(calls)
+    calls.clear()
+    got = kernel._ev_search(sys, s0, TARGETS[name], budget, False)
+    assert as_set(got) == want and len(calls) <= reference_calls
+
+
+@given(g=systems(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_memo_saves_every_call_the_reference_saves_on_finite_systems(
+        g, data):
+    # a walk marked finite never steps through a state, so it keeps its
+    # guard; a walk not marked finite drops it so as not to step through
+    # either, and then differs from the reference in its memo alone
+    oracle, pcs, target, budget = finite_cases(data, g)
+    sys, calls = counting(oracle)
+    for s in range(g.n_states):
+        for finite in (True, False):
+            calls.clear()
+            want = _ev_search(sys, s, target, budget, finite)
+            reference_calls = len(calls)
+            calls.clear()
+            got = kernel._ev_search(sys, s, target, budget, finite,
+                                    pcs if finite else None)
+            assert as_set(got) == want and len(calls) <= reference_calls
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_the_branches_of_a_diamond_meet_in_the_memo(finite):
+    # the branch through 2 finds 3 proven by the branch through 1
+    sys, calls = counting(DIAMOND.oracle())
+    want = _ev_search(sys, 0, lambda s: s == 4, 8, finite)
+    assert want[0] == "proven" and sorted(calls) == [0, 1, 2, 3]
+    calls.clear()
+    got = kernel._ev_search(sys, 0, lambda s: s == 4, 8, finite)
+    assert as_set(got) == want and sorted(calls) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
