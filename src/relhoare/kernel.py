@@ -738,7 +738,7 @@ def _ev_search(sys: StepOracle, s0, target: Callable, budget: int, finite: bool,
                 pop_frame(False, state)
                 continue
             if len(ss) == 1 and not guarded and not finite:
-                x, steps = run(ss[0], b - 1, pcs)
+                x, steps = run(ss[0], b - 1, pcs) if b > 1 else (ss[0], 0)
                 frame[0], frame[3] = x, b - 1 - steps
                 frame[5] += 1 + steps
                 choices += [0] * (1 + steps)

@@ -1,5 +1,7 @@
 """Program equivalence: checking, composition, and correctness transfer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from relhoare.machine import EVENTS, PC, reg_label, zeroed_state
 from conftest import (
     CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
 )
+from test_pairs_reference import RefEquivRel, ref_equiv_pairs, same_objects
 
 X3 = reg_label(3)
 
@@ -54,6 +57,64 @@ def test_kept_equal_matches_reading_every_kept_label(values, kept):
         assert rel.related(a, again)
 
 
+def count_scan(monkeypatch) -> tuple:
+    """Lists of the `EquivRel.related` calls, as (relation, state,
+    state), and of the keys that `EquivRel.key` reads because its table
+    lacks them, as (relation, state); recorded until monkeypatch
+    restores both methods."""
+    calls, read = [], []
+    key, related = EquivRel.key, EquivRel.related
+
+    def counted_key(self, s):
+        if id(s) not in self._keys:
+            read.append((self, s))
+        return key(self, s)
+
+    def counted_related(self, a, b):
+        calls.append((self, a, b))
+        return related(self, a, b)
+
+    monkeypatch.setattr(EquivRel, "key", counted_key)
+    monkeypatch.setattr(EquivRel, "related", counted_related)
+    return calls, read
+
+
+def test_the_scan_calls_related_once_per_candidate(monkeypatch):
+    # the benchmark's equiv.candidates counts these calls: one per
+    # (left, right) candidate in scan order, after one key read for each
+    # start state
+    problem = load_problem("compare_equiv.spec")
+    lefts, rights = problem.states(0), problem.states(1)
+    ein = equiv._rel_from_spec(problem.spec, problem, "equiv_in")
+    related = EquivRel.related
+    with monkeypatch.context() as m:
+        calls, read = count_scan(m)
+        pairs = equiv.related_pairs(ein, lefts, rights)
+    assert EquivRel.related is related and len(pairs) == 48
+    assert [(id(r), id(a), id(b)) for r, a, b in calls] == \
+        [(id(ein), id(a), id(b)) for a in lefts for b in rights]
+    assert [(id(r), id(s)) for r, s in read] == \
+        [(id(ein), id(s)) for s in lefts + rights]
+    assert same_objects(pairs, ref_equiv_pairs(RefEquivRel(ein.kept),
+                                               lefts, rights))
+
+
+def test_a_freed_state_never_lends_its_key_to_a_new_one():
+    # CPython gives a freed object's id to a later object, so a table
+    # keyed by id is sound only while it holds the states it keyed: each
+    # round keys fresh states and drops them, and one relation must scan
+    # every round as the frozen scan does with a relation of its own
+    rel = EquivRel.kept_equal({X3})
+    rng = random.Random(0)
+    for _ in range(50):
+        lefts, rights = ([zeroed_state().with_reg(3, rng.randrange(3))
+                          for _ in range(6)] for _ in range(2))
+        got = equiv.related_pairs(rel, tuple(lefts), tuple(rights))
+        want = ref_equiv_pairs(RefEquivRel(rel.kept), lefts, rights)
+        assert same_objects(got, want)
+        del lefts, rights, got, want
+
+
 # ---------------------------------------------------------------------------
 # whole-program checking via spec files
 
@@ -85,25 +146,13 @@ def test_the_candidate_scan_stops_above_its_limit(monkeypatch, capsys):
     # start states is keyed once and the scan makes one related call per
     # candidate; one below it the spec is refused before any state is
     # keyed or any pair is scanned
-    related, built, scanned = [], [], []
-    key, rel, prove_ensures2 = (EquivRel.key, EquivRel.related,
-                                kernel.prove_ensures2)
-
-    def counted_key(self, s):
-        if s not in self._keys:
-            built.append((self, s))
-        return key(self, s)
-
-    def counted_related(self, a, b):
-        related.append(self)
-        return rel(self, a, b)
+    related, built = count_scan(monkeypatch)
+    scanned, prove_ensures2 = [], kernel.prove_ensures2
 
     def after_the_scan(*args):  # the kernel checks the pairs it is given
-        scanned.extend(related)
+        scanned.extend(r for r, _, _ in related)
         return prove_ensures2(*args)
 
-    monkeypatch.setattr(EquivRel, "key", counted_key)
-    monkeypatch.setattr(EquivRel, "related", counted_related)
     monkeypatch.setattr(kernel, "prove_ensures2", after_the_scan)
     monkeypatch.setattr(equiv, "MAX_CANDIDATES", 48 * 48)
     problem = load_problem("compare_equiv.spec")

@@ -818,6 +818,19 @@ def test_a_wrong_guard_never_proves_on_machine_states(s0, exits, pcs,
         assert _ev_search(MACHINE, s0, target, budget, False)[0] == "proven"
 
 
+def test_a_spent_budget_takes_no_run_of_zero_steps():
+    # FIXED's first step has one successor, outside the empty guard; at
+    # budget 1 the search steps to it and finds the budget spent there:
+    # two oracle calls, as in the reference, and no run with limit 0
+    target = guarded(frozenset(), "stuck")
+    sys, calls = counting(MACHINE)
+    ref_sys, ref_calls = counting(MACHINE)
+    got = kernel._ev_search(sys, FIXED, target, 1, False, frozenset())
+    want = _ev_search(ref_sys, FIXED, target, 1, False)
+    assert got[0] == "unknown" and as_set(got) == want
+    assert len(calls) == len(ref_calls) == 2
+
+
 def finite_cases(data, g):
     """The oracle of g with pc = state mod m, a correct guard and the
     target it guards, and a budget."""

@@ -1,10 +1,13 @@
-"""The narrated scripts in scripts/ run to completion.
+"""The narrated scripts in scripts/ run to completion, and the helper
+scripts summarize what they are given.
 
 Each runs as its own process from a scratch directory, the way a reader
 would run it; the scripts put this checkout's src/ on sys.path
 themselves.
 """
 
+import importlib.util
+import json
 import subprocess
 import sys
 
@@ -42,3 +45,51 @@ def test_metatheory_sweep_refuses_fewer_than_one_trial(tmp_path, trials):
     assert proc.stderr.startswith("usage: ")
     assert (f"--trials: wants an integer of at least 1, got {trials!r}"
             in proc.stderr)
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(
+        name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_line(correct: bool, wall_ref: float, peak: float) -> str:
+    """The last stdout line of a `bench/run.py --trace 0` run."""
+    return json.dumps({
+        "correct": correct, "attempted": 10, "failed": 0 if correct else 2,
+        "metrics": {"wall_ref": {"value": wall_ref, "unit": "ref"},
+                    "peak_rss_mb": {"value": peak, "unit": "MiB"}}})
+
+
+def test_paired_bench_summarizes_canned_runs():
+    paired = load_script("paired_bench.py")
+    runs = [((16.0, 24.6), (14.0, 24.7)), ((17.0, 24.7), (15.0, 24.6)),
+            ((18.0, 24.5), (16.5, 24.6)), ((16.5, 24.6), (17.0, 24.6))]
+    # setup_s is missing from every run, so it has no line
+    pairs = [tuple(paired.parse_result(0, "run: {}\n" + bench_line(True, *r))
+                   for r in pair) for pair in runs]
+    pairs[3] = (pairs[3][0], paired.parse_result(
+        0, bench_line(False, 17.0, 24.6)))
+    lines = paired.summarize(pairs, {"wall_ref": "lower",
+                                     "setup_s": "lower",
+                                     "peak_rss_mb": "lower"})
+    assert lines == [
+        "wall_ref (ref, lower is better): parent 16.75 [16.38, 17.25], "
+        "change 15.75 [14.75, 16.62], change/parent 0.8995 "
+        "[0.8805, 0.9451], wins 3/4, gain beyond the parent's IQR: yes",
+        "peak_rss_mb (MiB, lower is better): parent 24.6 [24.58, 24.63], "
+        "change 24.6 [24.6, 24.63], change/parent 1.0020 [0.9990, 1.0041], "
+        "wins 1/4, gain beyond the parent's IQR: no",
+        "incorrect: pair 4 change: 2 of 10 checks failed",
+    ]
+
+
+def test_paired_bench_reports_a_run_without_a_result():
+    paired = load_script("paired_bench.py")
+    got = paired.parse_result(2, "", "error: no relhoare sources under x\n")
+    assert got == {"correct": False, "metrics": {}, "error":
+                   "exit 2, no result: error: no relhoare sources under x"}
+    crashed = paired.parse_result(1, bench_line(True, 16.0, 24.6))
+    assert crashed["correct"] is False and crashed["error"] == "exit 1"
