@@ -158,10 +158,8 @@ def _cmd_run(args) -> int:
     sys_ = machine.oracle()
     forks = 0
     n = 0
-    while n < args.steps:
-        succ = sys_.successors(state)
-        if not succ:
-            break
+    # a run that ends without successors is stuck, even at the step limit
+    while (succ := sys_.successors(state)) and n < args.steps:
         if len(succ) > 1:
             forks += 1
         state = succ[0]
@@ -169,7 +167,7 @@ def _cmd_run(args) -> int:
         if args.trace:
             print(f"  step {n}: {state}")
     print(f"stopped after {n} step(s)"
-          + (" (step limit)" if n >= args.steps else " (stuck)"))
+          + (" (step limit)" if succ else " (stuck)"))
     if forks:
         print(f"note: took the first branch at {forks} nondeterministic "
               f"fork(s)")

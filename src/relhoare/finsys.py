@@ -28,6 +28,7 @@ order, so the report is the same as a serial run's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -90,6 +91,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# _BITS[m] lists the bits of a state mask m, ascending, as _bits(m)
+# yields them. The suite's systems have at most 6 states, so every state
+# mask is below 64; pair masks use _bits.
+_BITS = tuple(tuple(_bits(m)) for m in range(64))
+
+
 # _SPREAD[n][m] sets bit x*n for each x in the state mask m, so the pair
 # mask of A x B is B * _SPREAD[n][A]: B < 2^n, so no carry crosses a row.
 _SPREAD = tuple(tuple(sum(1 << x * n for x in _bits(m)) for m in range(1 << n))
@@ -130,7 +137,7 @@ def random_system(seed: int, n_states: int, max_out_degree: int) -> FinSys:
     rng = random.Random(f"finsys|{seed}|{n_states}|{max_out_degree}")
     edges = set()
     for src in range(n_states):
-        degree = rng.randint(0, max_out_degree)
+        degree = _below(rng, max_out_degree + 1)
         for dst in rng.sample(range(n_states), min(degree, n_states)):
             edges.add((src, dst))
     return FinSys(n_states, frozenset(edges))
@@ -175,9 +182,14 @@ def exact_eventually_n_set(g: FinSys, n: int, q: Iterable[int]) -> frozenset:
     return frozenset(_bits(e))
 
 
+# The progress depth of a state that never gets stuck: above every count.
+_FOREVER = 1 << 62
+
+
 class _Tables:
     """Per-system caches for the suite: pre-steps by mask, forward
-    frontiers by depth, progress masks, eventually sets."""
+    frontiers by depth, progress masks and depths, eventually sets. The
+    system has at most 6 states."""
 
     def __init__(self, g: FinSys):
         self.g = g
@@ -191,6 +203,12 @@ class _Tables:
         while (nxt := self.pre_step(prog[-1])) != prog[-1]:
             prog.append(nxt)
         self._prog = prog
+        # depth[s] is the largest k with s in progress(k), so that
+        # has_progress(s, k) is k <= depth[s]; a state in the last mask
+        # makes progress at every k. progress(0) holds every state.
+        self.depth = tuple(
+            _FOREVER if prog[-1] >> s & 1 else sum(m >> s & 1 for m in prog) - 1
+            for s in range(g.n_states))
 
     def pre_step(self, x: int) -> int:
         got = self._pre.get(x)
@@ -204,7 +222,7 @@ class _Tables:
             nxt = []
             for m in levels[-1]:
                 out = 0
-                for x in _bits(m):
+                for x in _BITS[m]:
                     out |= self.g.succ_masks[x]
                 nxt.append(out)
             levels.append(nxt)
@@ -215,8 +233,7 @@ class _Tables:
         return prog[k] if k < len(prog) else prog[-1]
 
     def has_progress(self, s: int, k: int) -> bool:
-        prog = self._prog
-        return bool((prog[k] if k < len(prog) else prog[-1]) >> s & 1)
+        return k <= self.depth[s]
 
     def evn_mask(self, n: int, q: int) -> int:
         for _ in range(n):
@@ -245,7 +262,7 @@ class _Tables:
                 queue = [s]
                 while queue:
                     x = queue.pop()
-                    for y in _bits(self.g.succ_masks[x] & ~seen):
+                    for y in _BITS[self.g.succ_masks[x] & ~seen]:
                         seen |= 1 << y
                         queue.append(y)
                 rows.append(seen)
@@ -256,7 +273,7 @@ class _Tables:
 # unary judgments, exactly
 
 def _ensures_holds(tb: _Tables, p_mask: int, q_mask: int, f_rows) -> bool:
-    for s in _bits(p_mask):
+    for s in _BITS[p_mask]:
         target = q_mask & f_rows[s]
         if not (tb.ev_mask(target) >> s) & 1:
             return False
@@ -264,7 +281,7 @@ def _ensures_holds(tb: _Tables, p_mask: int, q_mask: int, f_rows) -> bool:
 
 
 def _ensures_n_holds(tb: _Tables, p_mask: int, steps, q_mask: int, f_rows) -> bool:
-    for s in _bits(p_mask):
+    for s in _BITS[p_mask]:
         n = steps[s] if isinstance(steps, (list, tuple)) else steps
         target = q_mask & f_rows[s]
         if not (tb.evn_mask(n, target) >> s) & 1:
@@ -279,7 +296,8 @@ def _nested_holds(tb: _Tables, s0: int, s1: int, n0: int, n1: int,
     """The nested exact-count quantifier, unfolded: both sides must make
     progress to their counts and the frontier product must sit inside the
     allowed pair set."""
-    if not (tb.has_progress(s0, n0) and tb.has_progress(s1, n1)):
+    depth = tb.depth
+    if n0 > depth[s0] or n1 > depth[s1]:
         return False
     allowed = qx if fx_row is None else (qx & fx_row)
     spread = _SPREAD[tb.g.n_states]
@@ -365,12 +383,21 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _rand_mask(rng, nbits: int) -> int:
-    return rng.getrandbits(nbits) if nbits else 0
+def _below(rng, n: int) -> int:
+    """A uniform integer in 0..n-1 for n >= 1: the number that
+    rng.randrange(n) would return, and rng.randint(a, a + n - 1) - a,
+    from the same draws of the same stream. This is the loop of CPython's
+    Random._randbelow_with_getrandbits, without randrange's argument
+    checks: draw as many bits as n has until the value is below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _superset(rng, base: int, nbits: int) -> int:
-    return base | _rand_mask(rng, nbits)
+    return base | rng.getrandbits(nbits)
 
 
 def _full_rows(g: FinSys) -> list:
@@ -381,8 +408,8 @@ def _full_rows(g: FinSys) -> list:
 def _check_containment(g, tb, rng, report):
     out = []
     for _ in range(2):
-        q = _rand_mask(rng, g.n_states)
-        n = rng.randint(0, 4)
+        q = rng.getrandbits(g.n_states)
+        n = _below(rng, 5)
         en = tb.evn_mask(n, q)
         ev = tb.ev_mask(q)
         _count(report, "containment")
@@ -393,9 +420,9 @@ def _check_containment(g, tb, rng, report):
 
 def _check_conj(g, tb, rng, report):
     out = []
-    q1 = _rand_mask(rng, g.n_states)
-    q2 = _rand_mask(rng, g.n_states)
-    n = rng.randint(0, 4)
+    q1 = rng.getrandbits(g.n_states)
+    q2 = rng.getrandbits(g.n_states)
+    n = _below(rng, 5)
     both = tb.evn_mask(n, q1) & tb.evn_mask(n, q2)
     if both:
         _count(report, "conj")
@@ -407,9 +434,9 @@ def _check_conj(g, tb, rng, report):
 def _check_comm(g, tb, rng, report):
     out = []
     n2 = g.n_states * g.n_states
-    qx = _rand_mask(rng, n2)
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
-    s0, s1 = rng.randrange(g.n_states), rng.randrange(g.n_states)
+    qx = rng.getrandbits(n2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
+    s0, s1 = _below(rng, g.n_states), _below(rng, g.n_states)
     left = _nested_holds(tb, s0, s1, n0, n1, qx)
     right = _nested_holds(tb, s1, s0, n1, n0, _swap_pair_mask(g, qx))
     _count(report, "comm")
@@ -421,9 +448,10 @@ def _check_comm(g, tb, rng, report):
 def _reached_pairs_mask(tb, pairs, n0, n1) -> Optional[int]:
     """Exact union of frontier products; None when some side dies."""
     spread = _SPREAD[tb.g.n_states]
+    depth = tb.depth
     qx = 0
     for s0, s1 in pairs:
-        if not (tb.has_progress(s0, n0) and tb.has_progress(s1, n1)):
+        if n0 > depth[s0] or n1 > depth[s1]:
             return None
         qx |= tb.frontier(s1, n1) * spread[tb.frontier(s0, n0)]
     return qx
@@ -433,7 +461,7 @@ def _check_comp(g, tb, rng, report, break_rule=None):
     out = []
     n2 = g.n_states * g.n_states
     pairs = [_rand_pair(rng, g)]
-    n0, n1, m0, m1 = (rng.randint(0, 2) for _ in range(4))
+    n0, n1, m0, m1 = (_below(rng, 3) for _ in range(4))
     qx = _reached_pairs_mask(tb, pairs, n0, n1)
     if qx is None:
         return out
@@ -456,11 +484,11 @@ def _check_comp(g, tb, rng, report, break_rule=None):
 
 
 def _rand_pair(rng, g) -> tuple:
-    return (rng.randrange(g.n_states), rng.randrange(g.n_states))
+    return (_below(rng, g.n_states), _below(rng, g.n_states))
 
 
 def _rand_rows(rng, g) -> list:
-    return [_rand_mask(rng, g.n_states) for _ in range(g.n_states)]
+    return [rng.getrandbits(g.n_states) for _ in range(g.n_states)]
 
 
 def _superset_rows(rng, g, base_rows) -> list:
@@ -471,8 +499,8 @@ def _check_rel_commutativity(g, tb, rng, report):
     out = []
     n2 = g.n_states * g.n_states
     pairs = [_rand_pair(rng, g) for _ in range(2)]
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
-    qx = _rand_mask(rng, n2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
+    qx = rng.getrandbits(n2)
     f0, f1 = _rand_rows(rng, g), _rand_rows(rng, g)
     fx = _product_rows(g, f0, f1)
     left = _rel_holds(tb, pairs, n0, n1, qx, fx)
@@ -508,7 +536,7 @@ def _constructed_rel(tb, rng, pairs, n0, n1, with_extras=True):
 def _check_rel_compositional(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g)]
-    n0, n1, m0, m1 = (rng.randint(0, 2) for _ in range(4))
+    n0, n1, m0, m1 = (_below(rng, 3) for _ in range(4))
     first = _constructed_rel(tb, rng, pairs, n0, n1)
     if first is None:
         return out
@@ -532,19 +560,19 @@ def _check_rel_compositional(g, tb, rng, report):
 
 def _check_rel_frame_composition(g, tb, rng, report):
     out = []
-    a, b, c = (rng.randrange(g.n_states) for _ in range(3))
-    n0, nm, n2 = (rng.randint(0, 2) for _ in range(3))
-    if not (tb.has_progress(a, n0) and tb.has_progress(b, nm)
-            and tb.has_progress(c, n2)):
+    a, b, c = (_below(rng, g.n_states) for _ in range(3))
+    n0, nm, n2 = (_below(rng, 3) for _ in range(3))
+    depth = tb.depth
+    if n0 > depth[a] or nm > depth[b] or n2 > depth[c]:
         return out
     f0 = [_superset(rng, tb.frontier(a, n0), g.n_states)
-          if s == a else _rand_mask(rng, g.n_states)
+          if s == a else rng.getrandbits(g.n_states)
           for s in range(g.n_states)]
     fm = [_superset(rng, tb.frontier(b, nm), g.n_states)
-          if s == b else _rand_mask(rng, g.n_states)
+          if s == b else rng.getrandbits(g.n_states)
           for s in range(g.n_states)]
     f2 = [_superset(rng, tb.frontier(c, n2), g.n_states)
-          if s == c else _rand_mask(rng, g.n_states)
+          if s == c else rng.getrandbits(g.n_states)
           for s in range(g.n_states)]
     q1 = _reached_pairs_mask(tb, [(a, b)], n0, nm)
     q2 = _reached_pairs_mask(tb, [(b, c)], nm, n2)
@@ -565,7 +593,7 @@ def _check_rel_frame_composition(g, tb, rng, report):
 def _check_rel_conjunction(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g)]
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
     base = _reached_pairs_mask(tb, pairs, n0, n1)
     if base is None:
         return out
@@ -587,13 +615,12 @@ def _constructed_unary(tb, rng, p_mask, max_n=2):
     start state gets its own count; the postcondition collects every
     frontier and the frame rows cover them."""
     g = tb.g
+    depth = tb.depth
     steps = [0] * g.n_states
     q = 0
-    f_rows = [_rand_mask(rng, g.n_states) for _ in range(g.n_states)]
-    for s in _bits(p_mask):
-        n = rng.randint(0, max_n)
-        while not tb.has_progress(s, n):
-            n -= 1
+    f_rows = [rng.getrandbits(g.n_states) for _ in range(g.n_states)]
+    for s in _BITS[p_mask]:
+        n = min(_below(rng, max_n + 1), depth[s])
         steps[s] = n
         front = tb.frontier(s, n)
         q |= front
@@ -604,7 +631,7 @@ def _constructed_unary(tb, rng, p_mask, max_n=2):
 
 def _check_drop_steps(g, tb, rng, report):
     out = []
-    p = _rand_mask(rng, g.n_states)
+    p = rng.getrandbits(g.n_states)
     steps, q, f_rows = _constructed_unary(tb, rng, p)
     if not _ensures_n_holds(tb, p, steps, q, f_rows):
         return out
@@ -616,8 +643,8 @@ def _check_drop_steps(g, tb, rng, report):
 
 def _check_product(g, tb, rng, report):
     out = []
-    p0 = _rand_mask(rng, g.n_states)
-    p1 = _rand_mask(rng, g.n_states)
+    p0 = rng.getrandbits(g.n_states)
+    p1 = rng.getrandbits(g.n_states)
     s0, q0, f0 = _constructed_unary(tb, rng, p0)
     s1, q1, f1 = _constructed_unary(tb, rng, p1)
     if not (_ensures_n_holds(tb, p0, s0, q0, f0)
@@ -626,8 +653,8 @@ def _check_product(g, tb, rng, report):
     _count(report, "product")
     qx = q1 * _SPREAD[g.n_states][q0]
     fx = _product_rows(g, f0, f1)
-    for a in _bits(p0):
-        for b in _bits(p1):
+    for a in _BITS[p0]:
+        for b in _BITS[p1]:
             if not _nested_holds(tb, a, b, s0[a], s1[b], qx,
                                  fx[pair_index(g, a, b)]):
                 out.append(("product", g, f"pair=({a},{b})"))
@@ -638,7 +665,7 @@ def _check_product(g, tb, rng, report):
 def _check_hybrid_extract(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g) for _ in range(2)]
-    m0, m1 = rng.randint(0, 2), rng.randint(0, 2)
+    m0, m1 = _below(rng, 3), _below(rng, 3)
     qx = _reached_pairs_mask(tb, pairs, m0, m1)
     if qx is None:
         return out
@@ -662,11 +689,11 @@ def _check_hybrid_extract(g, tb, rng, report):
 
 def _check_pre(g, tb, rng, report):
     out = []
-    p = _rand_mask(rng, g.n_states)
+    p = rng.getrandbits(g.n_states)
     _, q, f_rows = _constructed_unary(tb, rng, p)
     if not _ensures_holds(tb, p, q, f_rows):
         return out
-    sub = p & _rand_mask(rng, g.n_states)
+    sub = p & rng.getrandbits(g.n_states)
     _count(report, "pre")
     if not _ensures_holds(tb, sub, q, f_rows):
         out.append(("pre", g, f"p={p:#x} sub={sub:#x} q={q:#x}"))
@@ -675,7 +702,7 @@ def _check_pre(g, tb, rng, report):
 
 def _check_post(g, tb, rng, report):
     out = []
-    p = _rand_mask(rng, g.n_states)
+    p = rng.getrandbits(g.n_states)
     _, q, f_rows = _constructed_unary(tb, rng, p)
     if not _ensures_holds(tb, p, q, f_rows):
         return out
@@ -688,7 +715,7 @@ def _check_post(g, tb, rng, report):
 
 def _check_frame(g, tb, rng, report):
     out = []
-    p = _rand_mask(rng, g.n_states)
+    p = rng.getrandbits(g.n_states)
     _, q, f_rows = _constructed_unary(tb, rng, p)
     if not _ensures_holds(tb, p, q, f_rows):
         return out
@@ -701,7 +728,7 @@ def _check_frame(g, tb, rng, report):
 
 def _check_seq(g, tb, rng, report):
     out = []
-    p = _rand_mask(rng, g.n_states)
+    p = rng.getrandbits(g.n_states)
     _, mid, f1_rows = _constructed_unary(tb, rng, p)
     if not _ensures_holds(tb, p, mid, f1_rows):
         return out
@@ -717,8 +744,8 @@ def _check_seq(g, tb, rng, report):
 
 def _check_branch_cases(g, tb, rng, report):
     out = []
-    p1 = _rand_mask(rng, g.n_states)
-    p2 = _rand_mask(rng, g.n_states)
+    p1 = rng.getrandbits(g.n_states)
+    p2 = rng.getrandbits(g.n_states)
     whole = p1 | p2
     _, q, f_rows = _constructed_unary(tb, rng, whole)
     if not (_ensures_holds(tb, p1, q, f_rows)
@@ -733,15 +760,14 @@ def _check_branch_cases(g, tb, rng, report):
 def _check_loop(g, tb, rng, report):
     out = []
     frame_rows = tb.reach_rows() if rng.random() < 0.5 else _full_rows(g)
-    i0 = _rand_mask(rng, g.n_states)
+    i0 = rng.getrandbits(g.n_states)
+    depth = tb.depth
     stages = [i0]
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(1 + _below(rng, 3)):
         prev = stages[-1]
         nxt = 0
-        for s in _bits(prev):
-            n = rng.randint(0, 2)
-            while not tb.has_progress(s, n):
-                n -= 1
+        for s in _BITS[prev]:
+            n = min(_below(rng, 3), depth[s])
             nxt |= tb.frontier(s, n)
         stages.append(nxt)
     for a, b in zip(stages, stages[1:]):
@@ -756,7 +782,7 @@ def _check_loop(g, tb, rng, report):
 def _check_pre2(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g) for _ in range(2)]
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
     built = _constructed_rel(tb, rng, pairs, n0, n1)
     if built is None:
         return out
@@ -772,7 +798,7 @@ def _check_pre2(g, tb, rng, report):
 def _check_post2(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g)]
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
     built = _constructed_rel(tb, rng, pairs, n0, n1)
     if built is None:
         return out
@@ -789,7 +815,7 @@ def _check_post2(g, tb, rng, report):
 def _check_frame2(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g)]
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
     built = _constructed_rel(tb, rng, pairs, n0, n1)
     if built is None:
         return out
@@ -807,7 +833,7 @@ def _check_frame2(g, tb, rng, report):
 def _check_restrict2(g, tb, rng, report):
     out = []
     pairs = [_rand_pair(rng, g)]
-    n0, n1 = rng.randint(0, 2), rng.randint(0, 2)
+    n0, n1 = _below(rng, 3), _below(rng, 3)
     built = _constructed_rel(tb, rng, pairs, n0, n1)
     if built is None:
         return out
@@ -817,7 +843,7 @@ def _check_restrict2(g, tb, rng, report):
     # build a property invariant under the frame: close a random seed set
     # under frame edges in both directions
     n2 = g.n_states * g.n_states
-    phi = _rand_mask(rng, n2)
+    phi = rng.getrandbits(n2)
     changed = True
     while changed:
         changed = False
@@ -844,8 +870,8 @@ def _check_kernel_agreement(g, tb, rng, report):
     agrees with backward iteration on every state."""
     out = []
     sys = g.oracle()
-    q = _rand_mask(rng, g.n_states)
-    n = rng.randint(0, 4)
+    q = rng.getrandbits(g.n_states)
+    n = _below(rng, 5)
     en = tb.evn_mask(n, q)
     qf = kernel.prop(lambda s, q=q: bool((q >> s) & 1), f"in {q:#x}")
     _count(report, "kernel_agreement")
@@ -861,7 +887,7 @@ def _check_ev_agreement(g, tb, rng, report):
     exact on finite systems once the budget exceeds the state count."""
     out = []
     sys = g.oracle()
-    q = _rand_mask(rng, g.n_states)
+    q = rng.getrandbits(g.n_states)
     ev = tb.ev_mask(q)
     qf = kernel.prop(lambda s, q=q: bool((q >> s) & 1), f"in {q:#x}")
     _count(report, "ev_agreement")
@@ -1034,19 +1060,18 @@ def _run_slice(seed: int, start: int, stop: int,
     master = random.Random(f"suite|{seed}")
     for _ in range(start):
         master.getrandbits(64)
+    # every 10th trial runs the kernel checks too
+    every = [functools.partial(fn, break_rule=_break) if rule_id == "comp"
+             else fn for rule_id, fn in _CHECKS]
+    most = [fn for (rule_id, _), fn in zip(_CHECKS, every)
+            if rule_id not in _KERNEL_CHECKS]
     violations: list = []
     counts: dict = {}
     for trial in range(start, stop):
         rng = random.Random(master.getrandbits(64))
-        g = random_system(rng.getrandbits(32), rng.randint(1, 6),
-                          rng.randint(0, 3))
+        g = random_system(rng.getrandbits(32), 1 + _below(rng, 6),
+                          _below(rng, 4))
         tb = _Tables(g)
-        run_kernel_checks = trial % 10 == 0
-        for rule_id, fn in _CHECKS:
-            if rule_id in _KERNEL_CHECKS and not run_kernel_checks:
-                continue
-            if rule_id == "comp":
-                violations.extend(fn(g, tb, rng, counts, break_rule=_break))
-            else:
-                violations.extend(fn(g, tb, rng, counts))
+        for fn in most if trial % 10 else every:
+            violations.extend(fn(g, tb, rng, counts))
     return stop - start, violations, counts

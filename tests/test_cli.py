@@ -488,6 +488,17 @@ def test_run_executes_and_reports_the_stop(capsys):
     assert "x0" in out
 
 
+# count_to_three.masm gets stuck at pc 0x100c after its 9th step
+@pytest.mark.parametrize("steps, why", [("9", "stuck"), ("8", "step limit")])
+def test_run_says_stuck_when_the_last_state_has_no_successor(capsys, steps,
+                                                             why):
+    code, out, _ = run_main(
+        capsys, "run", str(CORPUS / "count_to_three.masm"),
+        "--steps", steps)
+    assert code == 0
+    assert out.startswith(f"stopped after {steps} step(s) ({why})\n")
+
+
 def test_run_trace_prints_every_step(capsys):
     code, out, _ = run_main(
         capsys, "run", str(CORPUS / "count_to_three.masm"),

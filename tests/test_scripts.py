@@ -93,3 +93,61 @@ def test_paired_bench_reports_a_run_without_a_result():
                    "exit 2, no result: error: no relhoare sources under x"}
     crashed = paired.parse_result(1, bench_line(True, 16.0, 24.6))
     assert crashed["correct"] is False and crashed["error"] == "exit 1"
+
+
+def test_same_outputs_normalises_elapsed_lines_and_paths(tmp_path):
+    same = load_script("same_outputs.py")
+    root, work = tmp_path / "tree", tmp_path / "tree" / "work"
+    text = (f"VERDICT: Proven\ntrials: 7\nelapsed: 0.03s\n"
+            f"check: unary on {work}/copy.spec, 405 instance(s)\n"
+            f"  file {root}/corpus/compare.masm\n")
+    assert same.normalise(text, root, work) == (
+        "VERDICT: Proven\ntrials: 7\n"
+        "check: unary on <work>/copy.spec, 405 instance(s)\n"
+        "  file <root>/corpus/compare.masm\n")
+    # only a line that starts with elapsed: is a timing
+    assert same.normalise("rule elapsed: 2\n", root, work) \
+        == "rule elapsed: 2\n"
+
+
+def test_same_outputs_lists_every_difference():
+    same = load_script("same_outputs.py")
+    parent = {"check a": (0, "VERDICT: Proven\nx\n", ""),
+              "check b": (1, "VERDICT: Refuted\n", ""),
+              "selftest 1": (0, "trials: 1\nrules: r\nviolations: none\n",
+                             "warn\n"),
+              "gone": (0, "", "")}
+    change = {"check a": (0, "VERDICT: Proven\nx\n", ""),
+              "check b": (2, "VERDICT: Unknown\n", ""),
+              "selftest 1": (0, "trials: 1\nrules: s\nviolations: none\n",
+                             ""),
+              "new": (0, "", "")}
+    assert same.differences(parent, change) == [
+        "check b: exit code differs (1 against 2)",
+        "check b: stdout differs from line 1",
+        "selftest 1: stdout differs from line 2",
+        "selftest 1: stderr differs from line 1",
+        "gone: missing in the change",
+        "new: missing in the parent",
+    ]
+    assert same.differences(parent, dict(parent)) == []
+    # an output that stops early differs after its last line
+    assert same.differences({"c": (0, "a\nb\n", "")},
+                            {"c": (0, "a\n", "")}) \
+        == ["c: stdout differs from line 2"]
+
+
+def test_same_outputs_runs_the_cases_of_one_checkout(tmp_path):
+    same = load_script("same_outputs.py")
+    names = [name for name, _ in same.cases(ROOT, tmp_path)]
+    assert len([n for n in names if n.startswith("check corpus/")]) == 8
+    assert "bench sparse_pairs seed 7 equiv_scaled" in names
+    assert "bench unary seed 0 copy_loop" in names
+    assert len([n for n in names if n.startswith("selftest ")]) == 20
+    assert len([n for n in names if n.startswith("broken comp ")]) == 20
+    code, out, err = same.run_case(
+        ROOT, tmp_path, dict(same.cases(ROOT, tmp_path / "again"))[
+            "broken comp seed 3 trials 7"])
+    assert (code, err) == (0, "")
+    assert out.startswith("trials: 7\nrules:  containment, ")
+    assert "elapsed" not in out
