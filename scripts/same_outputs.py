@@ -11,6 +11,9 @@ their stdout, stderr and exit codes:
 - `relhoare check` on every check of the benchmark's workloads at seeds
   0 and 7, with the inputs each checkout's own `bench/workloads.py`
   generates (the module is loaded from the checkout and only called);
+- `relhoare check` on the scale points: `compare_correct.spec` and
+  `compare_constant_ct.spec` with both buffers in 1..12, 62,208
+  instances each, the second at `--enum-cap 100000`;
 - `relhoare selftest` at seeds 0, 3, 7 and 42 and 1, 7, 999, 2,001 and
   10,000 trials, and the same suite runs with the `comp` rule broken
   on purpose (`run_soundness_suite(..., _break="comp")`), which only
@@ -26,6 +29,7 @@ without writing bytecode into it.
 import argparse
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,6 +38,9 @@ from pathlib import Path
 BENCH_SEEDS = (0, 7)
 SELFTEST_SEEDS = (0, 3, 7, 42)
 SELFTEST_TRIALS = (1, 7, 999, 2001, 10000)
+# corpus specs widened to 62,208 instances, and their check arguments
+SCALE_POINTS = (("compare_correct.spec", ()),
+                ("compare_constant_ct.spec", ("--enum-cap", "100000")))
 
 BROKEN_SUITE = """\
 import sys
@@ -61,6 +68,9 @@ def cases(root: Path, work: Path) -> list:
             for check in workloads.checks(workload, seed, generated):
                 out.append((f"bench {workload} seed {seed} {check.name}",
                             ["-m", "relhoare", *check.argv]))
+    for name, extra in SCALE_POINTS:
+        out.append((f"scale {name}", ["-m", "relhoare", "check", *extra,
+                                      str(_scale_point(root, work, name))]))
     for seed in SELFTEST_SEEDS:
         for trials in SELFTEST_TRIALS:
             out.append((f"selftest seed {seed} trials {trials}",
@@ -69,6 +79,21 @@ def cases(root: Path, work: Path) -> list:
             out.append((f"broken comp seed {seed} trials {trials}",
                         ["-c", BROKEN_SUITE, str(seed), str(trials)]))
     return out
+
+
+def _scale_point(root: Path, work: Path, name: str) -> Path:
+    """The checkout's corpus spec with both buffers in 1..12, written
+    under work next to copies of the corpus programs."""
+    scale = work / "scale"
+    scale.mkdir(exist_ok=True)
+    for masm in (root / "corpus").glob("*.masm"):
+        shutil.copy(masm, scale)
+    text = (root / "corpus" / name).read_text()
+    for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
+        text = text.replace(f"{cells} in 0..1\n", f"{cells} in 1..12\n")
+    path = scale / name.replace(".spec", "_wide12.spec")
+    path.write_text(text)
+    return path
 
 
 def _load_workloads(root: Path):

@@ -52,10 +52,11 @@ state share its run, and their postconditions must all hold on it; step
 counts or stops that differ between them are an error, as are promote
 instances with different entries, and so is an exact count above the
 budget. `build_problem` resolves the [private] labels of both
-constant-time kinds, refusing pc and events. A one-run problem whose
-[pre] lines show that distinct valuations build distinct start states
-keeps no instance: they are `Enumerated`, made anew on each pass, and
-its parts make each state's conditions as its walk asks for them.
+constant-time kinds, refusing pc and events. The instances are
+`Enumerated`, made anew on each pass, and each side's start states are
+read through one `StartStates` view: streamed where distinct valuations
+build distinct states, else kept from one pass. The parts make each
+state's conditions from its instances as its walk asks for them.
 """
 
 from __future__ import annotations
@@ -1113,28 +1114,54 @@ class Enumerated(SequenceABC):
                 index += n
 
 
-class _StartStream(SequenceABC):
-    """The side-0 start states of a streamed problem, in instance order,
-    for the kernel's Enumeration. A pass notes the instance it has just
-    built, so that a per-state table finds the state it handed out last
-    without a table; any other state is looked up in an index of every
-    instance, built on first need."""
+class StartStates:
+    """One side's start states in instance order, and each state's
+    group: its instance, or the list of its instances where several
+    build it. A streamed view (of side 0, where distinct valuations
+    build distinct states) makes them anew on each pass, noting the
+    instance just built, so that `group` finds its state with no table;
+    any other is looked up in an index built on first need. A kept view
+    holds the states and the index from one pass."""
 
-    def __init__(self, instances: Enumerated):
-        self.instances, self.current, self._index = instances, None, None
+    def __init__(self, instances: Optional[Enumerated] = None,
+                 states: Optional[tuple] = None, index: Optional[dict] = None):
+        self.instances, self.current, self.streamed = (
+            instances, None, states is None)
+        self._states, self._index = states, index
+        self.shared = index is not None and len(index) < len(states)
+
+    @staticmethod
+    def kept(instances, sides: int) -> tuple:
+        """Each side's kept view of instances, from one pass."""
+        # each side's states, index, and the field of its state in Instance
+        kept = [([], {}, 2 + side) for side in range(sides)]
+        for inst in instances:
+            for states, index, at in kept:
+                s = inst[at]
+                states.append(s)
+                group = index.setdefault(s, inst)
+                if isinstance(group, list):
+                    group.append(inst)
+                elif group is not inst:
+                    index[s] = [group, inst]
+        return tuple(StartStates(None, tuple(states), index)
+                     for states, index, _ in kept)
 
     def __iter__(self):
+        if not self.streamed:
+            yield from self._states
+            return
         for inst in self.instances:
             self.current = inst
             yield inst.state0
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.instances if self.streamed else self._states)
 
-    def __getitem__(self, i: int):
-        return self.instances[i].state0
+    def states(self) -> tuple:
+        return tuple(self) if self.streamed else self._states
 
-    def instance(self, s) -> Instance:
+    def group(self, s):
         inst = self.current
         if inst is not None and inst.state0 is s:
             return inst
@@ -1146,18 +1173,33 @@ class _StartStream(SequenceABC):
             raise kernel.SchemaMismatch(
                 "no instance builds this start state") from None
 
+    def groups(self) -> Iterator:
+        """Each distinct state's group, in order of first build: for a
+        streamed view, each valuation's first instance, with no state."""
+        return self.instances.firsts() if self.streamed \
+            else iter(self._index.values())
+
+
+def _members(group) -> SequenceABC:
+    """The instances of a group: one, or a list of them."""
+    return group if isinstance(group, list) else (group,)
+
 
 @dataclass(frozen=True)
-class _PerInstance(kernel.PerState):
-    """A per-state table of a streamed problem: at a start state, fn of
-    the instance that builds it, made when asked for and not kept. As a
-    table StepFn's value it is indexed by the state too."""
+class _PerStart(kernel.PerState):
+    """A per-state table: at a start state, fn of its instance, or many
+    of its list of instances (else fn of the first), made when asked
+    for and not kept. A table StepFn indexes it by the state too."""
 
-    starts: _StartStream = None
+    starts: StartStates = None
     fn: Callable = None
+    many: Optional[Callable] = None
 
     def at(self, s):
-        return self.fn(self.starts.instance(s))
+        group = self.starts.group(s)
+        if not isinstance(group, list):
+            return self.fn(group)
+        return self.fn(group[0]) if self.many is None else self.many(group)
 
     __getitem__ = at
 
@@ -1171,43 +1213,34 @@ class Problem:
     is built once per valuation. private is the resolved [private]
     section of a constant-time check, and cap the enumeration cap.
 
-    The instances are a stored list, or Enumerated: streamed, for a
-    one-run kind whose valuations build distinct start states. A
-    streamed problem's parts make each start state's postcondition, step
-    count or stop when its walk asks for it, keeping none, and keep one
-    property, that of the valuation last built; whatever can refuse the
-    spec before any walk (a witness expansion that may fail, a step
-    count, an entry) is first taken at each valuation and dropped."""
+    The instances are `Enumerated`, and views holds each side's
+    `StartStates`, streamed for a one-run kind whose valuations build
+    distinct start states; a streamed problem keeps one property, that
+    of the valuation last built. The parts make each start state's
+    postcondition, step count or stop when a walk asks for it, keeping
+    none; whatever can refuse the spec before any walk (a witness
+    expansion that may fail, a step count, an entry) is first taken at
+    each state and dropped."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
     bases: tuple
-    instances: list
+    instances: Enumerated
     builtins: dict
     private: frozenset = frozenset()
     cap: int = DEFAULT_ENUM_CAP
-    _compiled: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
-    _guards: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _groups: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _props: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    views: tuple = field(default=(), repr=False, compare=False)
+    # compiled once, and shared by the layers that replace() makes
+    _compiled: dict = field(default_factory=dict, repr=False, compare=False)
+    _guards: dict = field(default_factory=dict, repr=False, compare=False)
+    _props: dict = field(default_factory=dict, repr=False, compare=False)
 
     def count(self) -> int:
-        return len(self.instances)
+        return len(self.views[0])
 
     @property
     def streamed(self) -> bool:
-        return isinstance(self.instances, Enumerated)
-
-    @functools.cached_property
-    def _stream(self) -> _StartStream:
-        return _StartStream(self.instances)
-
-    def _by_instance(self, description: str, fn: Callable) -> _PerInstance:
-        return _PerInstance({}, description, self._stream, fn)
+        return self.views[0].streamed
 
     def resolve_labels(self, items) -> frozenset:
         out: set = set()
@@ -1227,7 +1260,9 @@ class Problem:
         return 1 if self.spec.kind in TWO_PROGRAM_KINDS else 0
 
     def states(self, side) -> tuple:
-        return tuple(i.state1 if side else i.state0 for i in self.instances)
+        """A side's start states in instance order, or None for each."""
+        return self.views[side].states() if side < len(self.views) \
+            else (None,) * self.count()
 
     def frame(self, side) -> kernel.FrameFn:
         key = ("frame", side)
@@ -1240,35 +1275,25 @@ class Problem:
     def unary_parts(self) -> tuple:
         """(Enumeration, per-state postcondition, frame) of a one-run
         check over the side-0 states."""
-        if self.streamed:
-            enum = kernel.Enumeration(self._stream,
-                                      description="spec instances")
-            return (enum, self._by_instance(
-                "declared postcondition",
-                functools.partial(self.post_property, 0)), self.frame(0))
-        enum = kernel.Enumeration(self.states(0),
-                                  description="spec instances")
-        return (enum, self._posts(0, "declared postcondition"),
-                self.frame(0))
+        post = self._posts(0, "declared postcondition")
+        return (kernel.Enumeration(self.views[0],
+                                   description="spec instances"),
+                post, self.frame(0))
 
     def exact_parts(self) -> tuple:
         """unary_parts and f0's step counts, in check_ensures_n's order:
-        a post's errors before a count's. A streamed problem compiles its
-        post first. A ct_unary check expands its [witness] at each
-        valuation, which may fail: every valuation is expanded up front
-        when a count is refused, to find a failure that comes first, and
-        when an expansion could fail at a count the budget allows;
-        otherwise each is expanded once, by its walk."""
+        a post's errors before a count's. A ct_unary check expands its
+        [witness] at each valuation, which may fail: every valuation is
+        expanded up front when a count is refused, to find a failure that
+        comes first, and when an expansion could fail at a count the
+        budget allows; otherwise each is expanded once, by its walk."""
         enum, post, frame = self.unary_parts()
-        if not self.streamed:
-            return enum, self.steps("f0", 0), post, frame
-        if self.count():  # as a walk's first post would, if there is one
-            self._lines("post", 0)
         witness = self.spec.kind == "ct_unary"
 
         def expand_all():
-            for first in self.instances.firsts():
-                self.post_property(0, first)
+            for group in self.views[0].groups():
+                for inst in _members(group):
+                    self.post_property(0, inst)
 
         try:
             steps = self.steps("f0", 0)
@@ -1282,38 +1307,38 @@ class Problem:
 
     @functools.cached_property
     def promote_parts(self) -> kernel.PcParts:
-        """The distinct side-0 start states of a promote check, the entry
-        x0 that every instance gives, and each state's stop address xw
-        and step count n."""
+        """The side-0 start states of a promote check, the entry x0 that
+        every instance gives, and each state's stop address xw and step
+        count n."""
         x0, entry = self._expr("x0"), None
 
-        def entries(insts):  # each must give the first one's entry
+        def entries(groups):  # each must give instance #0's entry
             nonlocal entry
-            for inst in insts:
-                here = x0(inst.env, None) & machine.MASK64
-                if entry is None:
-                    entry = inst.index, here
-                elif here != entry[1]:
-                    raise SpecError(
-                        f"instances #{entry[0]} and #{inst.index} share the "
-                        "one entry of a promote check, but x0 gives them "
-                        f"{entry[1]:#x} and {here:#x}")
-                yield inst
+            strays = []  # those that do not; the first in order is named
+            for group in groups:
+                for inst in group if isinstance(group, list) else (group,):
+                    here = x0(inst.env, None) & machine.MASK64
+                    if entry is None:
+                        entry = inst.index, here
+                    elif here != entry[1]:
+                        strays.append((inst.index, here))
+                yield group
+            if strays:
+                index, here = min(strays)
+                raise SpecError(
+                    f"instances #{entry[0]} and #{index} share the one entry "
+                    "of a promote check, but x0 gives them "
+                    f"{entry[1]:#x} and {here:#x}")
 
-        if self.streamed:  # one pass checks x0 and n; xw is any address
-            # a valuation's instances give one entry
-            self._per_start(0, "n", entries(self.instances.firsts()))
-            xw, n = self._expr("xw"), self._expr("n")
-            enum, stops = kernel.Enumeration(self._stream), self._by_instance(
-                "xw and n", lambda inst: (xw(inst.env, None) & machine.MASK64,
-                                          n(inst.env, None)))
-        else:
-            for _ in entries(self.instances):
-                pass
-            xws, counts = self._per_start(0, "xw"), self._per_start(0, "n")
-            enum = kernel.Enumeration(tuple(xws))
-            stops = tuple(zip(xws.values(), counts.values()))
-        return kernel.PcParts(enum, 0 if entry is None else entry[1], stops)
+        # one pass: x0's refusal comes first, then xw's, then n's
+        for _ in self._per_start("n", self._per_start(
+                "xw", entries(self.views[0].groups()))):
+            pass
+        xw, n = self._expr("xw"), self._expr("n")
+        return kernel.PcParts(
+            kernel.Enumeration(self.views[0]), 0 if entry is None
+            else entry[1], _PerStart({}, "xw and n", self.views[0], lambda i: (
+                xw(i.env, None) & machine.MASK64, n(i.env, None))))
 
     def pair_parts(self, pre2: kernel.PairProperty, description: str,
                    post_description: str, pairs: Optional[tuple] = None,
@@ -1328,8 +1353,7 @@ class Problem:
         rel and each side's postcondition at its start state, named
         describe(d0, d1) of their descriptions or else post_description."""
         right = self.right
-        lefts = self.states(0)
-        rights = self.states(right) if right else lefts  # one domain
+        lefts, rights = self.states(0), self.states(right)
         if isinstance(pre2, kernel.KeyJoin):
             enum = kernel.PairEnumeration.join(pre2, lefts, rights,
                                                description)
@@ -1348,44 +1372,32 @@ class Problem:
                   if right or "f1" in self.spec.steps else steps0)
         return enum, post2, frame2, steps0, steps1
 
-    def _starts(self, side) -> dict:
-        """The instances by the start state they build on a side, in
-        order: several do when a parameter is only in [post] or [steps].
-        Built once per side."""
-        groups = self._groups.get(side)
-        if groups is None:
-            groups = self._groups[side] = {}
-            for s, inst in zip(self.states(side), self.instances):
-                groups.setdefault(s, []).append(inst)
-        return groups
-
     def layers(self) -> list:
         """The problem in parts, the k-th holding the k-th instance of
         each side-0 start state, so that no part repeats a start state:
         just the problem when none does."""
-        if self.streamed:  # its valuations build distinct states
+        if not self.views[0].shared:
             return [self]
-        starts = self._starts(0)
-        if len(starts) == len(self.instances):
-            return [self]
-        layers = [replace(self, instances=[i for i in part if i])
-                  for part in itertools.zip_longest(*starts.values())]
-        for layer in layers:  # each condition and frame compiles once
-            layer._compiled, layer._guards = self._compiled, self._guards
-            layer._props = self._props
-        return layers
+        return [replace(self, views=StartStates.kept(filter(None, part), 1))
+                for part in itertools.zip_longest(
+                    *map(_members, self.views[0].groups()))]
 
-    def _posts(self, side, description: str) -> kernel.PerState:
-        """A side's declared postconditions by start state, conjoined over
-        the instances that build the state."""
-        table = {}
-        for s, insts in self._starts(side).items():
-            qs = [self.post_property(side, i) for i in insts]
-            table[s] = qs[0] if len(qs) == 1 else kernel.PropertyFn(
-                lambda x, qs=qs: all(q.holds(x) for q in qs),
-                " and ".join(dict.fromkeys(q.description for q in qs)),
-                self._meet(q.pcs for q in qs))
-        return kernel.per_state(table, description)
+    def _posts(self, side, description: str) -> _PerStart:
+        """A side's declared postconditions by start state, made when
+        asked for: its instance's, or the conjunction of its instances'.
+        The lines compile now, if any instance will ask for them."""
+        if self.count():
+            self._lines("post", side)
+        return _PerStart({}, description, self.views[side],
+                         functools.partial(self.post_property, side),
+                         functools.partial(self._conjoined, side))
+
+    def _conjoined(self, side, group: list) -> kernel.PropertyFn:
+        qs = [self.post_property(side, i) for i in group]
+        return kernel.PropertyFn(
+            lambda x: all(q.holds(x) for q in qs),
+            " and ".join(dict.fromkeys(q.description for q in qs)),
+            self._meet(q.pcs for q in qs))
 
     def _meet(self, guards) -> Optional[frozenset]:
         """The intersection of the guards that are not None (None if
@@ -1491,64 +1503,49 @@ class Problem:
         value = self.spec.steps.get(key, "auto")
         if value == "auto":
             return kernel.StepFn.auto(self.spec.budget)
-        table, description = self._per_start(side, key), f"{key} expression"
-        if self.streamed:
-            expr = self._expr(key)
-            return kernel.StepFn("table", self._by_instance(
-                description, lambda inst: expr(inst.env, None)), description)
-        return kernel.StepFn.table(table, description)
+        for _ in self._per_start(key, self.views[side].groups()):
+            pass
+        expr, description = self._expr(key), f"{key} expression"
+        return kernel.StepFn("table", _PerStart(
+            {}, description, self.views[side],
+            lambda inst: expr(inst.env, None)), description)
 
-    def _per_start(self, side, key: str, firsts=None) -> dict:
-        """key's expression at each start state of a side, taken at the
-        state's first instance, which its other instances must repeat: a
-        step count, never negative and at most the budget, or for xw a
-        64-bit address. A count above the budget is refused only once no
-        state's count is negative or disagrees. A streamed problem's
-        values are checked per valuation, at its firsts (or those given,
-        which may check more as they go, so that any refusal waits until
-        they are through), and not kept: its table is empty."""
+    def _per_start(self, key: str, groups) -> Iterator:
+        """groups, passed on while key's expression is checked at each
+        start state's group: taken at its first instance, which the
+        others must repeat, it is a step count, never negative and at
+        most the budget, or for xw a 64-bit address. Once through, the
+        first refusal is raised, a count above the budget only if no
+        count is negative or disagrees."""
         expr, count = self._expr(key), key != "xw"
         show, unit, mask = ((show_int, " steps", -1) if count
                             else (hex, "", machine.MASK64))
-
-        def value(first, rest) -> int:
+        failure = over = None
+        for group in groups:
+            yield group
+            several = isinstance(group, list)
+            if failure is not None or not (count or several):
+                continue  # one instance gives any address
+            first, rest = (group[0], group[1:]) if several else (group, ())
             v = expr(first.env, None) & mask
             if v < 0:
-                raise SpecError(f"{key} gives instance #{first.index} the "
-                                f"negative step count {show_int(v)}")
+                failure = SpecError(f"{key} gives instance #{first.index} "
+                                    f"the negative step count {show_int(v)}")
             for inst in rest:
-                if (other := expr(inst.env, None) & mask) != v:
-                    raise SpecError(
+                if failure is None and (
+                        other := expr(inst.env, None) & mask) != v:
+                    failure = SpecError(
                         f"instances #{first.index} and #{inst.index} build "
                         f"one start state, but {key} gives them "
                         f"{show(v)} and {show(other)}{unit}")
-            return v
-
-        table, failure, over = {}, None, None
-        # a streamed problem's valuations stand for its start states: the
-        # instances of one share every value but the state's
-        groups = (((None, (first,)) for first in (
-            self.instances.firsts() if firsts is None else firsts))
-            if self.streamed else self._starts(side).items())
-        for state, (first, *rest) in groups:
-            if failure is not None:
-                continue
-            try:
-                v = value(first, rest)
-            except SpecError as e:
-                failure = e
-                continue
             if count and over is None and v > self.spec.budget:
                 over = first.index, v
-            if state is not None:
-                table[state] = v
         if failure is not None:
             raise failure
         if over is not None:
             raise SpecError(
                 f"{key} gives instance #{over[0]} {show_int(over[1])} steps, "
                 f"more than the budget of {show_int(self.spec.budget)}")
-        return table
 
     def _conditions(self, store, side):
         return store.get(side) or store.get(None) or []
@@ -1615,10 +1612,11 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
                            construct1, total)
     if spec.kind in ONE_RUN_KINDS and _distinct(spec, builtins, ranges):
         len(instances)  # unless total, a pass raising what a build would
+        views = (StartStates(instances),)
     else:
-        instances = list(instances)
+        views = StartStates.kept(instances, 2 if two_sided else 1)
     problem = Problem(spec, programs, tuple(bases), instances, builtins,
-                      cap=cap)
+                      cap=cap, views=views)
     if spec.kind in ("ct_relational", "ct_unary"):
         problem.private = check_private(problem.resolve_labels(spec.private))
     return problem

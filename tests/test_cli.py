@@ -224,6 +224,10 @@ _TMP_SPECS = {
     "shared_start_ct_relational.spec": _shared(
         "ct_relational", "x2 <= n", "f0 = 1", x1="s",
         more="[params]\ns in 1..2\n\n[private]\nx1\n"),
+    "shared_start_equiv.spec": _shared(
+        "equiv", "x2 <= n + 3", "f0 = 1\nf1 = 1",
+        more="[program1]\nfile = swapped.masm\nbase = 0x2000\n\n"
+             "[equiv_in]\nkeep = x0, x1\n\n[equiv_out]\nkeep = x2\n"),
     # the instances of one start state disagree on its step count
     "shared_start_steps.spec": _shared(
         "unary_n", "x2 = 6", "f0 = min(n, 1)"),
@@ -364,9 +368,12 @@ def test_shared_start_states_keep_every_instances_postcondition(
         except specfile.SpecError:
             return "error"
 
-    # the reference: each instance checked as a problem of its own
-    alone = [dataclasses.replace(problem, instances=[inst])
-             for inst in problem.instances]
+    # the reference: each instance checked as a problem of its own, one
+    # whose start states are that instance's alone
+    sides = len(problem.views)
+    alone = [dataclasses.replace(
+        problem, views=specfile.StartStates.kept([inst], sides))
+        for inst in problem.instances]
     each = {check(p) for p in alone}
     want = ("error" if "error" in each else
             "proven" if each == {"proven"} else "refuted")
@@ -374,7 +381,8 @@ def test_shared_start_states_keep_every_instances_postcondition(
         # a start state's instances must agree on its stop and step count
         stops = {}
         for inst, p in zip(problem.instances, alone):
-            stops.setdefault(inst.state0, set()).add(p.promote_parts.stops)
+            stops.setdefault(inst.state0, set()).add(
+                p.promote_parts.stops.at(inst.state0))
         if any(len(s) > 1 for s in stops.values()):
             want = "error"
     assert check(problem) == want

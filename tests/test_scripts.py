@@ -143,6 +143,10 @@ def test_same_outputs_runs_the_cases_of_one_checkout(tmp_path):
     assert len([n for n in names if n.startswith("check corpus/")]) == 8
     assert "bench sparse_pairs seed 7 equiv_scaled" in names
     assert "bench unary seed 0 copy_loop" in names
+    assert [n for n in names if n.startswith("scale ")] == [
+        "scale compare_correct.spec", "scale compare_constant_ct.spec"]
+    assert "mem[20 .. 22) in 1..12\n" in (
+        tmp_path / "scale" / "compare_constant_ct_wide12.spec").read_text()
     assert len([n for n in names if n.startswith("selftest ")]) == 20
     assert len([n for n in names if n.startswith("broken comp ")]) == 20
     code, out, err = same.run_case(
