@@ -59,6 +59,38 @@ def test_refuted_spec_exits_1_with_projected_traces(capsys):
     assert "replay script:" in out
 
 
+def test_a_counterexample_names_its_instances_without_building_states(
+        monkeypatch, tmp_path, capsys):
+    """compare_ct.spec with both one-byte buffers in 1..16 keeps 256
+    start states and is refuted at its second pair: the build makes each
+    state once, and naming the pair's instances in the replay script
+    makes none, since the kept view maps each state to its instances."""
+    shutil.copy(CORPUS / "compare.masm", tmp_path)
+    spec = tmp_path / "compare_ct.spec"
+    text = (CORPUS / "compare_ct.spec").read_text()
+    for cell in ("mem[10 .. 11)", "mem[20 .. 21)"):
+        text = text.replace(f"{cell} in 0..1", f"{cell} in 1..16")
+    spec.write_text(text)
+    calls = [0]
+    constructor = specfile._constructor
+
+    def counted(*args):
+        build, total = constructor(*args)
+
+        def construct(values, cells):
+            calls[0] += 1
+            return build(values, cells)
+        return construct, total
+
+    monkeypatch.setattr(specfile, "_constructor", counted)
+    code, out, _ = run_main(capsys, "check", str(spec))
+    assert code == 1
+    assert "ct_relational on compare_ct.spec, 256 instance(s)" in out
+    assert "a = prob.instances[0].state0\nb = prob.instances[1].state0" \
+        in out
+    assert calls[0] == 256
+
+
 def test_budget_exhaustion_exits_2(tmp_path, capsys):
     (tmp_path / "p.masm").write_text(
         (CORPUS / "count_to_three.masm").read_text())

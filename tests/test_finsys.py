@@ -115,6 +115,40 @@ def test_suite_rejects_zero_trials():
         run_soundness_suite(seed=1, trials=0)
 
 
+@pytest.mark.parametrize("brk", [None, "comp"])
+def test_checks_return_a_verdict_that_only_the_trial_loop_records(
+        monkeypatch, brk):
+    """Every check returns None (premises not met), "" (conclusion
+    holds) or the violation's inputs; the report counts each rule's
+    non-None returns, summed over its rows, and records each non-empty
+    one as a violation in trial order."""
+    returns = []  # (rule, system, what the check returned)
+
+    def recording(rule, check):
+        def recorded(g, tb, rng, **kw):
+            got = check(g, tb, rng, **kw)
+            returns.append((rule, g, got))
+            return got
+        return rule, recorded
+
+    monkeypatch.setattr(finsys, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(finsys, "_CHECKS",
+                        tuple(recording(*row) for row in finsys._CHECKS))
+    report = run_soundness_suite(seed=11, trials=300, _break=brk)
+    assert all(got is None or type(got) is str for _, _, got in returns)
+    counted = {}
+    for rule, _, got in returns:
+        if got is not None:
+            counted[rule] = counted.get(rule, 0) + 1
+    assert report.instances == counted
+    assert report.instances["containment"] == 2 * 300
+    assert report.violations == [row for row in returns if row[2]]
+    assert report.rules_tested == tuple(dict.fromkeys(
+        rule for rule, _ in finsys._CHECKS))
+    assert bool(report.violations) == (brk == "comp")
+    assert {rule for rule, _, _ in report.violations} <= {"comp"}
+
+
 def _fail_on_call(monkeypatch, on_call: int, how: str) -> None:
     """Make the first check fail on its on_call-th call in a process:
     raise in every worker ("worker"), end every worker without a result
@@ -124,7 +158,7 @@ def _fail_on_call(monkeypatch, on_call: int, how: str) -> None:
     rule, check = finsys._CHECKS[0]
     calls = [0]
 
-    def failing(g, tb, rng, report):
+    def failing(g, tb, rng):
         calls[0] += 1
         if calls[0] == on_call:
             in_worker = os.getpid() != caller
@@ -136,7 +170,7 @@ def _fail_on_call(monkeypatch, on_call: int, how: str) -> None:
                 time.sleep(60)  # only a kill ends this worker soon
             if how == "caller" and not in_worker:
                 raise RuntimeError("check failed in the caller")
-        return check(g, tb, rng, report)
+        return check(g, tb, rng)
 
     monkeypatch.setattr(finsys, "_CHECKS",
                         ((rule, failing),) + finsys._CHECKS[1:])
@@ -396,10 +430,10 @@ def _systems_for_depth():
 
 
 def test_progress_depth_agrees_with_the_progress_masks():
-    """has_progress(s, k) is k <= depth[s], and the suite's clamp
-    min(n, depth[s]) is the old `while not has_progress(s, n): n -= 1`
-    loop, with progress(k) computed here as the states that survive k
-    steps."""
+    """A state makes progress to k exactly when k <= depth[s], and the
+    suite's clamp min(n, depth[s]) is the old `while not has_progress(s,
+    n): n -= 1` loop, with progress(k) computed here as the states that
+    survive k steps."""
     for g in _systems_for_depth():
         tb = finsys._Tables(g)
         everything = range(g.n_states)
@@ -408,7 +442,6 @@ def test_progress_depth_agrees_with_the_progress_masks():
         for s in everything:
             for k, states in enumerate(alive):
                 assert (k <= tb.depth[s]) == (s in states), (g, s, k)
-                assert tb.has_progress(s, k) == (s in states), (g, s, k)
                 n = k
                 while s not in alive[n]:
                     n -= 1
