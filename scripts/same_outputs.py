@@ -11,9 +11,14 @@ their stdout, stderr and exit codes:
 - `relhoare check` on every check of the benchmark's workloads at seeds
   0 and 7, with the inputs each checkout's own `bench/workloads.py`
   generates (the module is loaded from the checkout and only called);
-- `relhoare check` on the scale points: `compare_correct.spec` and
-  `compare_constant_ct.spec` with both buffers in 1..12, 62,208
-  instances each, the second at `--enum-cap 100000`;
+- `relhoare check` on the scale points: `compare_correct.spec`,
+  `compare_constant_ct.spec` and `compare_equiv.spec` with both buffers
+  in 1..12, 62,208 instances each, the second at `--enum-cap 100000`
+  and the third refused for its candidate pairs, and the first with a
+  [post] line that refutes it at instance #43067;
+- `relhoare check` on `compare_constant_ct_unary.spec` at `--enum-cap
+  65`, and at `--enum-cap 100` with f0 over the budget, with a witness
+  repeat past the cap, and with both: the refusals of a ct_unary check;
 - `relhoare selftest` at seeds 0, 3, 7 and 42 and 1, 7, 999, 2,001 and
   10,000 trials, and the same suite runs with the `comp` rule broken
   on purpose (`run_soundness_suite(..., _break="comp")`), which only
@@ -38,9 +43,28 @@ from pathlib import Path
 BENCH_SEEDS = (0, 7)
 SELFTEST_SEEDS = (0, 3, 7, 42)
 SELFTEST_TRIALS = (1, 7, 999, 2001, 10000)
-# corpus specs widened to 62,208 instances, and their check arguments
-SCALE_POINTS = (("compare_correct.spec", ()),
-                ("compare_constant_ct.spec", ("--enum-cap", "100000")))
+# both buffers in 1..12: the corpus specs widened to 62,208 instances
+WIDE = tuple((f"{cells} in 0..1\n", f"{cells} in 1..12\n")
+             for cells in ("mem[10 .. 12)", "mem[20 .. 22)"))
+LATE = ("[post]\n", "[post]\nnot (n = 2 and mem1(11) = 12 and "
+        "mem1(21) = 12)\n")
+OVER_BUDGET = ("f0 = 10 * n + 7", "f0 = 10 * n + 7 + 100 * n")
+PAST_CAP = ("    branch i + 1 < n\nend\n", "    branch i + 1 < n\nend\n"
+            "repeat j < 60 * n:\n    branch j < 0\nend\n")
+CT_UNARY, CAP_100 = "compare_constant_ct_unary.spec", ("--enum-cap", "100")
+# (case name, corpus spec, its (old, new) edits, check arguments)
+EDITED = (
+    ("scale compare_correct.spec", "compare_correct.spec", WIDE, ()),
+    ("scale compare_constant_ct.spec", "compare_constant_ct.spec", WIDE,
+     ("--enum-cap", "100000")),
+    ("scale compare_equiv.spec", "compare_equiv.spec", WIDE, ()),
+    ("scale compare_correct.spec refuted late", "compare_correct.spec",
+     WIDE + (LATE,), ()),
+    ("ct_unary at cap 65", CT_UNARY, (), ("--enum-cap", "65")),
+    ("ct_unary count over budget", CT_UNARY, (OVER_BUDGET,), CAP_100),
+    ("ct_unary witness past cap", CT_UNARY, (PAST_CAP,), CAP_100),
+    ("ct_unary both refusals", CT_UNARY, (OVER_BUDGET, PAST_CAP), CAP_100),
+)
 
 BROKEN_SUITE = """\
 import sys
@@ -68,9 +92,9 @@ def cases(root: Path, work: Path) -> list:
             for check in workloads.checks(workload, seed, generated):
                 out.append((f"bench {workload} seed {seed} {check.name}",
                             ["-m", "relhoare", *check.argv]))
-    for name, extra in SCALE_POINTS:
-        out.append((f"scale {name}", ["-m", "relhoare", "check", *extra,
-                                      str(_scale_point(root, work, name))]))
+    for k, (name, spec, edits, extra) in enumerate(EDITED):
+        path = _edited(root, work / "edited" / str(k), spec, edits)
+        out.append((name, ["-m", "relhoare", "check", *extra, str(path)]))
     for seed in SELFTEST_SEEDS:
         for trials in SELFTEST_TRIALS:
             out.append((f"selftest seed {seed} trials {trials}",
@@ -81,19 +105,20 @@ def cases(root: Path, work: Path) -> list:
     return out
 
 
-def _scale_point(root: Path, work: Path, name: str) -> Path:
-    """The checkout's corpus spec with both buffers in 1..12, written
-    under work next to copies of the corpus programs."""
-    scale = work / "scale"
-    scale.mkdir(exist_ok=True)
+def _edited(root: Path, where: Path, name: str, edits) -> Path:
+    """The checkout's corpus spec with each (old, new) edit made once,
+    written to the directory where next to copies of the corpus
+    programs."""
+    where.mkdir(parents=True)
     for masm in (root / "corpus").glob("*.masm"):
-        shutil.copy(masm, scale)
+        shutil.copy(masm, where)
     text = (root / "corpus" / name).read_text()
-    for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
-        text = text.replace(f"{cells} in 0..1\n", f"{cells} in 1..12\n")
-    path = scale / name.replace(".spec", "_wide12.spec")
-    path.write_text(text)
-    return path
+    for old, new in edits:
+        if old not in text:
+            raise ValueError(f"{name} has no {old!r} to edit")
+        text = text.replace(old, new, 1)
+    (where / name).write_text(text)
+    return where / name
 
 
 def _load_workloads(root: Path):

@@ -272,7 +272,7 @@ def _equiv_lines(problem, v):
 
 def _promote_lines(problem, v):
     if not v.is_proven:
-        k = _find_instance(problem, v.counterexample.initial, 0)
+        k = problem.views[0].first(v.counterexample.initial)
         return [f"failing instance: #{k}"]
     return [f"first-stop counts: {_summarize_counts(v.stats['steps'])}"]
 
@@ -309,21 +309,6 @@ def _summarize_counts(steps: tuple) -> str:
 
 # ---------------------------------------------------------------------------
 # counterexample reporting
-
-def _find_instance(problem, state, side: int):
-    """The index of the first instance whose run on side starts from
-    state, or None: looked up in a kept view's index, and found by a scan
-    in a streamed one, which keeps no index of all its states."""
-    view = problem.views[side]
-    if view.streamed:
-        return next((inst.index for inst in problem.instances
-                     if inst.state0 == state), None)
-    try:
-        group = view.group(state)
-    except kernel.SchemaMismatch:
-        return None
-    return (group[0] if isinstance(group, list) else group).index
-
 
 def _print_counterexample(problem, spec_path: Path, ce) -> None:
     if ce is None:
@@ -370,7 +355,7 @@ def _replay_script(problem, spec_path: Path, ce):
         f"Path({str(spec_path.parent)!r}){cap})",
     ]
     if ce.sides == 1:
-        k = _find_instance(problem, ce.initial, 0)
+        k = problem.views[0].first(ce.initial)
         if k is None:
             return None
         lines += [
@@ -383,8 +368,8 @@ def _replay_script(problem, spec_path: Path, ce):
     else:
         a, b = ce.initial
         right = f"state{problem.right}"
-        i = _find_instance(problem, a, 0)
-        j = _find_instance(problem, b, problem.right)
+        i = problem.views[0].first(a)
+        j = problem.views[problem.right].first(b)
         if i is None or j is None:
             return None
         lines += [

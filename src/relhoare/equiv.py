@@ -120,17 +120,21 @@ def _unique_pc(values) -> Optional[int]:
     return values.pop() if len(values) == 1 else None
 
 
+def refuse_scan(candidates: int) -> None:
+    """Refuse a scan of more than MAX_CANDIDATES candidate pairs."""
+    if candidates > MAX_CANDIDATES:
+        raise specfile.SpecError(
+            f"equivalence would scan {candidates} candidate pairs, more "
+            f"than the limit of {MAX_CANDIDATES}")
+
+
 def related_pairs(rel: EquivRel, lefts: tuple, rights: tuple) -> tuple:
     """Every pair of a left and a right state that rel relates, in the
     order of a scan of lefts x rights. More than MAX_CANDIDATES
     candidates is a spec error, raised before any state is keyed. Each
     state is keyed once, up front, and then each candidate costs one
     `rel.related` call: two lookups by identity and one identity test."""
-    candidates = len(lefts) * len(rights)
-    if candidates > MAX_CANDIDATES:
-        raise specfile.SpecError(
-            f"equivalence would scan {candidates} candidate pairs, more "
-            f"than the limit of {MAX_CANDIDATES}")
+    refuse_scan(len(lefts) * len(rights))
     for s in lefts + rights:
         rel.key(s)
     related = rel.related  # read now: a wrapped method sees every call

@@ -56,7 +56,10 @@ constant-time kinds, refusing pc and events. The instances are
 `Enumerated`, made anew on each pass, and each side's start states are
 read through one `StartStates` view: streamed where distinct valuations
 build distinct states, else kept from one pass. The parts make each
-state's conditions from its instances as its walk asks for them.
+state's conditions from its instances as its walk asks for them; a
+ct_unary check expands its [witness] at every valuation before its
+counts are taken, and an equiv check whose candidate pairs would pass
+the scan's limit is refused before any start state is built.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ import math
 import re
 import sys
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -1179,6 +1183,19 @@ class StartStates:
         return self.instances.firsts() if self.streamed \
             else iter(self._index.values())
 
+    def first(self, s) -> Optional[int]:
+        """The index of the first instance that builds s, or None: the
+        instance just built if it built s, else from a kept view's index,
+        else by a scan, as a streamed view keeps no index of its states."""
+        inst = self.current
+        if inst is not None and inst.state0 is s:
+            return inst.index
+        if self.streamed:
+            return next((i.index for i in self.instances if i.state0 == s),
+                        None)
+        group = self._index.get(s)
+        return None if group is None else _members(group)[0].index
+
 
 def _members(group) -> SequenceABC:
     """The instances of a group: one, or a list of them."""
@@ -1219,8 +1236,8 @@ class Problem:
     of the valuation last built. The parts make each start state's
     postcondition, step count or stop when a walk asks for it, keeping
     none; whatever can refuse the spec before any walk (a witness
-    expansion that may fail, a step count, an entry) is first taken at
-    each state and dropped."""
+    expansion, a step count, an entry) is first taken at each state and
+    dropped."""
 
     spec: CheckSpec
     programs: tuple  # (Program|None, Program|None)
@@ -1233,7 +1250,8 @@ class Problem:
     # compiled once, and shared by the layers that replace() makes
     _compiled: dict = field(default_factory=dict, repr=False, compare=False)
     _guards: dict = field(default_factory=dict, repr=False, compare=False)
-    _props: dict = field(default_factory=dict, repr=False, compare=False)
+    _props: dict = field(default_factory=lambda: defaultdict(dict),
+                         repr=False, compare=False)
 
     def count(self) -> int:
         return len(self.views[0])
@@ -1282,28 +1300,15 @@ class Problem:
 
     def exact_parts(self) -> tuple:
         """unary_parts and f0's step counts, in check_ensures_n's order:
-        a post's errors before a count's. A ct_unary check expands its
-        [witness] at each valuation, which may fail: every valuation is
-        expanded up front when a count is refused, to find a failure that
-        comes first, and when an expansion could fail at a count the
-        budget allows; otherwise each is expanded once, by its walk."""
+        a post's errors before a count's. A ct_unary check first expands
+        its [witness] at every valuation, as an expansion may fail, and
+        only then takes the counts."""
         enum, post, frame = self.unary_parts()
-        witness = self.spec.kind == "ct_unary"
-
-        def expand_all():
+        if self.spec.kind == "ct_unary":
             for group in self.views[0].groups():
                 for inst in _members(group):
                     self.post_property(0, inst)
-
-        try:
-            steps = self.steps("f0", 0)
-        except SpecError:
-            if witness:
-                expand_all()
-            raise
-        if witness and not self._witness_unfailing():
-            expand_all()
-        return enum, steps, post, frame
+        return enum, self.steps("f0", 0), post, frame
 
     @functools.cached_property
     def promote_parts(self) -> kernel.PcParts:
@@ -1417,11 +1422,10 @@ class Problem:
         property is built once per valuation and kept, keyed by the dict's
         identity; the entry holds the dict, so no other dict can take
         that identity. A ct_unary check's side-0 post first requires the
-        run's projected trace to be the [witness] template, so it is
-        expanded once per valuation, and only until longer than the run:
-        its trace starts empty and gains at most an event a step."""
-        key = (section, side)
-        props = self._props.setdefault(key, {})
+        run's projected trace to be the [witness] template, expanded only
+        until longer than the run: its trace starts empty and gains at
+        most an event a step."""
+        props = self._props[section, side]
         kept = props.get(id(inst.env))
         if kept is not None:
             return kept[1]
@@ -1465,29 +1469,6 @@ class Problem:
                 compile_witness(self.spec.witness, self.cap) if witness
                 else None)
         return self._compiled[key]
-
-    def _witness_unfailing(self) -> bool:
-        """Whether no [witness] expansion can fail at a count from 0 to
-        the budget: every line reads only parameters, builtins and its
-        repeats' variables, and each round of a repeat appends an entry
-        of its own. An expansion is then cut short past count entries
-        within count + 2 * repeats rounds, which the cap must allow:
-        each round before that adds an entry, and past it each repeat
-        that is running or starts runs at most one more round."""
-        names = set(self.builtins) | {p.name for p in self.spec.scalars}
-        repeats, stack = 0, [(item, names) for item in self.spec.witness]
-        while stack:
-            item, bound = stack.pop()
-            if item[0] != "repeat":
-                if not _stateless(item[1], bound):
-                    return False
-                continue
-            if (not _stateless(item[2], bound)
-                    or all(x[0] == "repeat" for x in item[3])):
-                return False
-            repeats += 1
-            stack += [(x, bound | {item[1]}) for x in item[3]]
-        return self.spec.budget + 2 * repeats <= self.cap
 
     def _expr(self, key: str) -> Callable:
         """A [steps] line or a promote check's x0, xw or n, compiled once:
@@ -1553,7 +1534,8 @@ class Problem:
 
 def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem:
     """Assemble the referenced programs, enumerate every parameter
-    valuation, and construct the initial state(s) of each instance."""
+    valuation, and construct the initial state(s) of each instance: for
+    an equiv check, only once its count of candidate pairs is allowed."""
     root = Path(root)
     programs: list = [None, None]
     bases = [0, 0]
@@ -1606,10 +1588,13 @@ def build_problem(spec: CheckSpec, root, cap: int = DEFAULT_ENUM_CAP) -> Problem
     programs = tuple(programs)
     names = set(builtins) | {p.name for p in spec.scalars}
     construct0, total = _constructor(spec, programs, bases, 0, names)
-    construct1 = _constructor(spec, programs, bases, 1, names)[0] \
-        if two_sided else None
+    construct1, total1 = (_constructor(spec, programs, bases, 1, names)
+                          if two_sided else (None, True))
     instances = Enumerated(spec.scalars, builtins, choices, construct0,
-                           construct1, total)
+                           construct1, total and total1)
+    if spec.kind == "equiv":  # a side's start states, one per instance
+        from .equiv import refuse_scan  # equiv imports this module
+        refuse_scan(len(instances) ** 2)
     if spec.kind in ONE_RUN_KINDS and _distinct(spec, builtins, ranges):
         len(instances)  # unless total, a pass raising what a build would
         views = (StartStates(instances),)

@@ -19,6 +19,39 @@ def load_problem(name: str) -> specfile.Problem:
     return _PROBLEMS[name]
 
 
+def wide_spec(tmp_path: Path, name: str, values: int = 12) -> Path:
+    """A corpus spec with both buffers in 1..values (3 * 144 * 144 =
+    62,208 instances at 12), written to tmp_path next to copies of the
+    corpus programs."""
+    for masm in CORPUS.glob("*.masm"):
+        (tmp_path / masm.name).write_text(masm.read_text())
+    text = (CORPUS / name).read_text()
+    for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
+        old = f"{cells} in 0..1\n"
+        assert old in text
+        text = text.replace(old, f"{cells} in 1..{values}\n")
+    spec = tmp_path / name.replace(".spec", f"_wide{values}.spec")
+    spec.write_text(text)
+    return spec
+
+
+def count_constructions(monkeypatch) -> list:
+    """[the number of start states built from now on]."""
+    calls = [0]
+    constructor = specfile._constructor
+
+    def counted(*args):
+        build, total = constructor(*args)
+
+        def construct(values, cells):
+            calls[0] += 1
+            return build(values, cells)
+        return construct, total
+
+    monkeypatch.setattr(specfile, "_constructor", counted)
+    return calls
+
+
 # Small machine states for differential tests: two values per label, so
 # random sets of a few states share projections and keys often.
 SMALL_LABELS = (

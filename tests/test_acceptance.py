@@ -19,7 +19,7 @@ from relhoare.kernel import Enumeration, PairEnumeration, PairProperty, prop
 from relhoare.machine import (Instruction, decode_word, encode_instruction,
                               reg_label, zeroed_state)
 
-from conftest import CORPUS, ROOT, load_problem
+from conftest import CORPUS, ROOT, load_problem, wide_spec
 
 ANY = kernel.FrameFn(lambda s, t: True, description="anything")
 ANY2 = kernel.product_frame(ANY, ANY)
@@ -290,19 +290,13 @@ print("exit", code, "peak_kib", peak)
 """
 
 
-def _wide_scale_point(tmp_path, name: str, masm: str, *args,
-                      values: int = 12) -> tuple:
+def _wide_scale_point(tmp_path, name: str, *args, values: int = 12,
+                      code: int = 0) -> tuple:
     """Check a corpus spec with both buffers widened to `values` byte
-    values (3 * 144 * 144 = 62,208 instances at 12) in a child: its
-    report lines and its peak RSS in MiB."""
-    (tmp_path / masm).write_text((CORPUS / masm).read_text())
-    text = (CORPUS / name).read_text()
-    for cells in ("mem[10 .. 12)", "mem[20 .. 22)"):
-        old = f"{cells} in 0..1\n"
-        assert old in text
-        text = text.replace(old, f"{cells} in 1..{values}\n")
-    spec = tmp_path / name.replace(".spec", f"_wide{values}.spec")
-    spec.write_text(text)
+    values (3 * 144 * 144 = 62,208 instances at 12) in a child that
+    exits with code: its report lines, its peak RSS in MiB and its
+    stderr."""
+    spec = wide_spec(tmp_path, name, values)
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     t0 = time.perf_counter()
@@ -313,14 +307,13 @@ def _wide_scale_point(tmp_path, name: str, masm: str, *args,
     elapsed_under(t0, 60.0, f"{name} scale point")
     lines = child.stdout.splitlines()
     assert child.returncode == 0, child.stderr
-    _, code, _, peak_kib = lines[-1].split()
-    assert code == "0"
-    return lines, int(peak_kib) / 1024
+    _, exit_code, _, peak_kib = lines[-1].split()
+    assert exit_code == str(code)
+    return lines, int(peak_kib) / 1024, child.stderr
 
 
 def test_criterion_12_unary_scale_point_in_bounded_memory(tmp_path):
-    lines, peak = _wide_scale_point(tmp_path, "compare_correct.spec",
-                                    "compare.masm")
+    lines, peak, _ = _wide_scale_point(tmp_path, "compare_correct.spec")
     assert lines[0] == "VERDICT: Proven"
     assert lines[1] == ("check: unary on compare_correct_wide12.spec, "
                         "62208 instance(s)")
@@ -333,13 +326,11 @@ def test_criterion_12_unary_scale_point_in_bounded_memory(tmp_path):
 
 def test_criterion_12_the_unary_peak_does_not_grow_with_the_instances(
         tmp_path):
-    lines, peak = _wide_scale_point(tmp_path, "compare_correct.spec",
-                                    "compare.masm", "--enum-cap", "200000",
-                                    values=16)
+    lines, peak, _ = _wide_scale_point(tmp_path, "compare_correct.spec",
+                                       "--enum-cap", "200000", values=16)
     assert lines[:2] == ["VERDICT: Proven", "check: unary on "
                          "compare_correct_wide16.spec, 196608 instance(s)"]
-    _, peak12 = _wide_scale_point(tmp_path, "compare_correct.spec",
-                                  "compare.masm")
+    _, peak12, _ = _wide_scale_point(tmp_path, "compare_correct.spec")
     # 16.3 MiB at both sizes with compiled bytecode, 20.5-21.0 MiB when
     # the child compiles the sources
     assert abs(peak - peak12) < 2, f"peaks {peak:.1f} and {peak12:.1f} MiB"
@@ -350,9 +341,8 @@ def test_criterion_12_the_unary_peak_does_not_grow_with_the_instances(
 def test_criterion_13_ct_scale_point_in_bounded_memory(tmp_path):
     # 1.29e9 public-equal pairs, which only a check that compares a
     # block's later lefts with one right ends
-    lines, peak = _wide_scale_point(tmp_path, "compare_constant_ct.spec",
-                                    "compare_constant.masm",
-                                    "--enum-cap", "100000")
+    lines, peak, _ = _wide_scale_point(tmp_path, "compare_constant_ct.spec",
+                                       "--enum-cap", "100000")
     assert lines[0] == "VERDICT: Proven"
     assert lines[1] == ("check: ct_relational on compare_constant_ct_wide12"
                         ".spec, 62208 instance(s)")
@@ -364,3 +354,16 @@ def test_criterion_13_ct_scale_point_in_bounded_memory(tmp_path):
     # projection cache and instance cells, 182 MiB with per-state tables
     # of rel keys and checks
     assert peak < 90, f"peak {peak:.1f} MiB"
+
+
+def test_an_oversized_equivalence_is_refused_in_bounded_memory(tmp_path):
+    # 62,208 instances a side: the candidate pairs are counted, and the
+    # check refused, before either side's start states are built. About
+    # 21 MiB when the child compiles the sources, 110.6 MiB with both
+    # sides built first
+    lines, peak, err = _wide_scale_point(tmp_path, "compare_equiv.spec",
+                                         code=3)
+    assert len(lines) == 1
+    assert err == ("error: equivalence would scan 3869835264 candidate "
+                   "pairs, more than the limit of 16777216\n")
+    assert peak < 30, f"peak {peak:.1f} MiB"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from relhoare import asm, cli, machine, specfile
 from relhoare.cli import main
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, ROOT, count_constructions, wide_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -71,24 +71,29 @@ def test_a_counterexample_names_its_instances_without_building_states(
     for cell in ("mem[10 .. 11)", "mem[20 .. 21)"):
         text = text.replace(f"{cell} in 0..1", f"{cell} in 1..16")
     spec.write_text(text)
-    calls = [0]
-    constructor = specfile._constructor
-
-    def counted(*args):
-        build, total = constructor(*args)
-
-        def construct(values, cells):
-            calls[0] += 1
-            return build(values, cells)
-        return construct, total
-
-    monkeypatch.setattr(specfile, "_constructor", counted)
+    calls = count_constructions(monkeypatch)
     code, out, _ = run_main(capsys, "check", str(spec))
     assert code == 1
     assert "ct_relational on compare_ct.spec, 256 instance(s)" in out
     assert "a = prob.instances[0].state0\nb = prob.instances[1].state0" \
         in out
     assert calls[0] == 256
+
+
+def test_a_streamed_refutation_names_its_instance_without_a_scan(
+        monkeypatch, tmp_path, capsys):
+    """A streamed unary check refuted at instance #43067 of 62,208: the
+    walk stops at the refuting state, so the view's current instance
+    names it, and the 43,068 states built up to it are all that are."""
+    spec = wide_spec(tmp_path, "compare_correct.spec")
+    spec.write_text(spec.read_text().replace(
+        "[post]\n",
+        "[post]\nnot (n = 2 and mem1(11) = 12 and mem1(21) = 12)\n"))
+    calls = count_constructions(monkeypatch)
+    code, out, _ = run_main(capsys, "check", str(spec))
+    assert code == 1
+    assert "s = prob.instances[43067].state0\n" in out
+    assert calls[0] == 43068
 
 
 def test_budget_exhaustion_exits_2(tmp_path, capsys):

@@ -11,7 +11,8 @@ from relhoare.equiv import AnchorMismatch, EquivJudgment, EquivRel
 from relhoare.machine import EVENTS, PC, reg_label, zeroed_state
 
 from conftest import (
-    CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, load_problem, small_state,
+    CORPUS, SMALL_LABELS, SMALL_STATE_VALUES, count_constructions,
+    load_problem, small_state, wide_spec,
 )
 from test_pairs_reference import RefEquivRel, ref_equiv_pairs, same_objects
 
@@ -172,6 +173,42 @@ def test_the_candidate_scan_stops_above_its_limit(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "2304 candidate pairs" in err and "limit of 2303" in err
     assert related == [] and built == []
+
+
+def test_an_oversized_equivalence_is_refused_before_any_state_is_built(
+        monkeypatch, tmp_path, capsys):
+    # 62,208 instances a side are 62,208^2 candidates: refused from the
+    # count alone, ahead of a missing [equiv_in], which is found only
+    # once the states are built
+    spec = wide_spec(tmp_path, "compare_equiv.spec")
+    calls = count_constructions(monkeypatch)
+    for text in (spec.read_text(),
+                 spec.read_text().replace("[equiv_in]\n", "[equiv_in]\n;")):
+        spec.write_text(text)
+        assert cli.main(["check", str(spec)]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: equivalence would scan 3869835264 candidate pairs, "
+            "more than the limit of 16777216\n"))
+    assert calls[0] == 0
+
+
+def test_the_candidate_limit_counts_the_instances_both_sides_build(
+        monkeypatch, tmp_path, capsys):
+    # [pre1] filters out n = 2: 32 of the 48 valuations build both sides
+    (tmp_path / "compare.masm").write_text(
+        (CORPUS / "compare.masm").read_text())
+    (tmp_path / "compare_constant.masm").write_text(
+        (CORPUS / "compare_constant.masm").read_text())
+    pre = "x0 = n\nx1 = 10\nx2 = 20\n"
+    spec = tmp_path / "e.spec"
+    spec.write_text((CORPUS / "compare_equiv.spec").read_text().replace(
+        f"[pre]\n{pre}", f"[pre0]\n{pre}\n[pre1]\n{pre}n < 2\n"))
+    monkeypatch.setattr(equiv, "MAX_CANDIDATES", 32 * 32)
+    assert cli.main(["check", str(spec)]) == 0
+    assert "equiv on e.spec, 32 instance(s)" in capsys.readouterr().out
+    monkeypatch.setattr(equiv, "MAX_CANDIDATES", 32 * 32 - 1)
+    assert cli.main(["check", str(spec)]) == 3
+    assert "1024 candidate pairs" in capsys.readouterr().err
 
 
 def test_a_warm_key_cache_does_not_excuse_an_unrelated_pair():

@@ -144,9 +144,15 @@ def test_same_outputs_runs_the_cases_of_one_checkout(tmp_path):
     assert "bench sparse_pairs seed 7 equiv_scaled" in names
     assert "bench unary seed 0 copy_loop" in names
     assert [n for n in names if n.startswith("scale ")] == [
-        "scale compare_correct.spec", "scale compare_constant_ct.spec"]
+        "scale compare_correct.spec", "scale compare_constant_ct.spec",
+        "scale compare_equiv.spec", "scale compare_correct.spec refuted late"]
     assert "mem[20 .. 22) in 1..12\n" in (
-        tmp_path / "scale" / "compare_constant_ct_wide12.spec").read_text()
+        tmp_path / "edited" / "1" / "compare_constant_ct.spec").read_text()
+    assert len([n for n in names if n.startswith("ct_unary ")]) == 4
+    both = (tmp_path / "edited" / "7" /
+            "compare_constant_ct_unary.spec").read_text()
+    assert "f0 = 10 * n + 7 + 100 * n\n" in both
+    assert "repeat j < 60 * n:\n    branch j < 0\nend\n" in both
     assert len([n for n in names if n.startswith("selftest ")]) == 20
     assert len([n for n in names if n.startswith("broken comp ")]) == 20
     code, out, err = same.run_case(

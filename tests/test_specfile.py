@@ -629,15 +629,12 @@ def _ct_unary_copy(tmp_path, *edits) -> str:
     return str(tmp_path / "c.spec")
 
 
-@pytest.mark.parametrize("cap, expansions", [
-    ([], 3),  # 64 steps and 2 rounds past them fit the cap: by the walk
-    (["--enum-cap", "65"], 6),  # they may not: also each up front
-])
-def test_a_streamed_witness_is_expanded_up_front_only_where_it_may_fail(
-        tmp_path, monkeypatch, capsys, cap, expansions):
-    # the corpus spec streams the 3 valuations of n, and its template
-    # reads only n: no expansion fails at a count within the budget of 64
-    # unless the cap stops its repeat's rounds first
+@pytest.mark.parametrize("cap", [[], ["--enum-cap", "65"]])
+def test_a_streamed_witness_is_expanded_up_front_and_again_by_its_walk(
+        tmp_path, monkeypatch, capsys, cap):
+    # the corpus spec streams the 3 valuations of n: each is expanded
+    # once before the counts are taken, whether or not an expansion may
+    # fail, and once more by its walk, as the view keeps one property
     path = _ct_unary_copy(tmp_path)
     assert specfile.build_problem(specfile.parse_spec(
         (tmp_path / "c.spec").read_text()), tmp_path).streamed
@@ -645,7 +642,7 @@ def test_a_streamed_witness_is_expanded_up_front_only_where_it_may_fail(
     assert cli.main(["check", *cap, path]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
         "VERDICT: Proven", "check: ct_unary on c.spec, 48 instance(s)"]
-    assert len(counted) == expansions
+    assert len(counted) == 6
 
 
 def test_a_witness_failure_comes_before_a_refused_count(tmp_path, capsys):
